@@ -19,7 +19,7 @@ from .bodies3d import (Polytope3, bounding_box3, build_polytope, contains3,
                        contains3_batch, measure3d, polytope_from_points,
                        prism_over, sample_interior3, standard_polytope)
 from .bodyspec import body_hash, format_float, parse_body
-from .diameters import (DEGENERATE, INFINITE, DiameterChord, average_diameters,
+from .diameters import (INFINITE, DiameterChord, average_diameters,
                         count_diameters, count_diameters_polygon,
                         count_diameters_smooth, diameter_chord,
                         diameter_counts_batch, parallel_antipodal_edge_pairs)
@@ -40,6 +40,7 @@ from .minkowski import (NormBall2, birkhoff_direction, count_minkowski_normals,
 from .normals import (NormalFoot, count_normals2, count_normals2_batch,
                       count_normals3, count_normals3_batch,
                       count_normals3_by_dim, normal_feet2, stable_count)
+from .trigcount import DEGENERATE
 from .wedges import (Wedge, all_wedges, edge_wedge, euler_residual,
                      exact_average_normals, is_centrally_symmetric,
                      polygon_intersection_area, reflected_wedge, vertex_wedge,

@@ -39,8 +39,7 @@ def _normals_counter(base_grid):
         if isinstance(body, Polytope3):
             total, _parts, flags = count_normals3_batch(body, pts)
             return total.astype(float), flags
-        total, _stable, flags = count_normals2_batch(
-            body, pts, base_grid=base_grid or 4096)
+        total, _stable, flags = count_normals2_batch(body, pts, base_grid)
         return total.astype(float), flags
 
     return fn
@@ -53,7 +52,7 @@ def _diameters_counter(base_grid):
         from .errors import InfiniteDiametersError
 
         if isinstance(body, SmoothBody2):
-            counts, degen = diameter_counts_batch(body, pts, base_grid or 2048)
+            counts, degen = diameter_counts_batch(body, pts, base_grid)
             return counts.astype(float), degen
         if isinstance(body, Polygon2):
             vals = np.array([count_diameters_polygon(body, p) for p in pts])

@@ -99,7 +99,6 @@ def polytope_from_points(points) -> Polytope3:
     used = sorted(set(hull.vertices))
     remap = {old: new for new, old in enumerate(used)}
     v = pts[used]
-    scale = float(np.max(np.abs(v))) or 1.0
     groups: dict[tuple, set] = {}
     for simplex, eq in zip(hull.simplices, hull.equations):
         key = tuple(np.round(eq / np.linalg.norm(eq[:3]), 9))
@@ -120,7 +119,6 @@ def polytope_from_points(points) -> Polytope3:
         loop = [i for _, i in sorted(zip(ang, idx))]
         facets.append(loop)
     facets.sort(key=lambda loop: (len(loop), loop))
-    _ = scale
     return Polytope3(v, facets)
 
 

@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .averaging import estimate_interior_average, field_map
-from .bodies2d import (ArcBody2, Polygon2, SmoothBody2, build_polygon,
-                       difference_body_area, measure2d)
+from .bodies2d import Polygon2, SmoothBody2, build_polygon, measure2d
 from .bodies3d import Polytope3, standard_polytope
 from .bodyspec import body_hash, format_float, parse_body
 from .diameters import average_diameters, diameter_chord
@@ -27,15 +27,13 @@ from .discretization import discretization_race
 from .errors import GeometryError, SpecError, UnsupportedCombinationError
 from .evolute import contains_evolute, curvature_profile, rolling_ball_radius
 from .flows import FlowSpec, evolve_flow
-from .minkowski import NormBall2, hexagon_ratio_tau, minkowski_counter, normed_width_bound
-from .normals import count_normals2, count_normals3_by_dim, normal_feet2
+from .minkowski import NormBall2, hexagon_ratio_tau, minkowski_counter
+from .normals import count_normals3_by_dim, normal_feet2
 from .wedges import all_wedges, euler_residual, exact_average_normals
-
-VERSION = "0.1.0"
 
 
 def _header(seed, body_source) -> list[str]:
-    lines = [f"# normcount {VERSION}"]
+    lines = [f"# normcount {__version__}"]
     if seed is not None:
         lines.append(f"# seed={seed}")
     if body_source is not None:
@@ -62,7 +60,7 @@ def _write_json(out_dir: str, name: str, payload: dict) -> str:
 
 def _report_payload(report, seed, body_source) -> dict:
     return {
-        "version": VERSION,
+        "version": __version__,
         "seed": seed,
         "body_hash": body_hash(body_source),
         "mean": format_float(report.mean),
@@ -206,7 +204,7 @@ def _cmd_tau(args) -> int:
     M = NormBall2(parse_body(args.norm))
     tau = hexagon_ratio_tau(M)
     payload = {
-        "version": VERSION,
+        "version": __version__,
         "norm_hash": body_hash(args.norm),
         "tau": format_float(tau),
         "bound": format_float(6.0 / (3.0 - 2.0 * tau)),
@@ -313,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--samples", type=int, default=100000)
             sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--threads", type=int, default=0,
-                        help="worker hint; never changes results")
 
     sp = sub.add_parser("estimate", help="Monte Carlo interior average")
     common(sp)
@@ -361,20 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tau", help="inscribed affine-regular hexagon ratio")
     sp.add_argument("--norm", required=True)
     sp.add_argument("--out", default=".")
-    sp.add_argument("--threads", type=int, default=0)
     sp.set_defaults(fn=_cmd_tau)
 
     sp = sub.add_parser("validate", help="bound battery over the standard corpus")
     sp.add_argument("--suite", default="standard")
     sp.add_argument("--samples", type=int, default=20000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=0)
     sp.set_defaults(fn=_cmd_validate)
 
     sp = sub.add_parser("point", help="pointwise counts at a query point")
     sp.add_argument("--body", required=True)
     sp.add_argument("--at", required=True, help="comma-separated coordinates")
-    sp.add_argument("--threads", type=int, default=0)
     sp.set_defaults(fn=_cmd_point)
 
     return p

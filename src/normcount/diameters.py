@@ -9,9 +9,12 @@ a point ``p`` are the roots in ``phi`` of the aligned-chord function
     G(phi) = cross(p - r(phi), r(phi + pi) - r(phi)),
 
 which satisfies G(phi + pi) = -G(phi), so each diameter is a single sign
-change of G on [0, pi).  Polygons are handled combinatorially through their
-antipodal face pairs; a pair of parallel antipodal edges carries a continuum
-of diameters, reported as ``INFINITE``.
+change of G on [0, pi).  G is a trigonometric polynomial of degree
+2*deg h + 2; its roots are counted by the certified kernel of ``trigcount``,
+and a point whose count cannot be certified is DEGENERATE, never a best
+effort.  Polygons are handled combinatorially through their antipodal face
+pairs; a pair of parallel antipodal edges carries a continuum of diameters,
+reported as ``INFINITE``.
 """
 
 from __future__ import annotations
@@ -21,14 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import Polygon2, SmoothBody2, cross2, require_interior, unit
-from .errors import DomainError, InfiniteDiametersError, UnsupportedCombinationError
+from .bodies2d import Polygon2, SmoothBody2, cross2, require_interior
+from .errors import InfiniteDiametersError, UnsupportedCombinationError
+from .trigcount import DEGENERATE, count_roots
 
 INFINITE = math.inf
-DEGENERATE = -2
-
-_BASE_GRID = 2048
-_MAX_GRID = 65536
 
 
 @dataclass(frozen=True)
@@ -59,59 +59,24 @@ def _chord_g(body: SmoothBody2, pts: np.ndarray, phis: np.ndarray) -> np.ndarray
     return pts @ np.stack([d[:, 1], -d[:, 0]]) - base
 
 
-def _counts_chunk(body: SmoothBody2, pts: np.ndarray, base_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-change counts of G over [0, pi) with grid doubling until stable."""
-    n = len(pts)
-    counts = np.full(n, -1, dtype=int)
-    agree = np.zeros(n, dtype=int)
-    prev = np.full(n, -1, dtype=int)
-    degen = np.zeros(n, dtype=bool)
-    flat_tol = 1e-12 * body.scale * body.scale
-    grid = base_grid
-    active = np.arange(n)
-    while len(active) and grid <= _MAX_GRID:
-        phis = (np.arange(grid) + 0.5) * (np.pi / grid)
-        g = _chord_g(body, pts[active], phis)
-        flat = np.max(np.abs(g), axis=1) < flat_tol
-        s = np.where(g >= 0.0, 1, -1)
-        c = np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
-        c += (s[:, -1] != -s[:, 0]).astype(int)
-        newly_degen = active[flat]
-        degen[newly_degen] = True
-        counts[newly_degen] = DEGENERATE
-        live = ~flat
-        idx = active[live]
-        same = c[live] == prev[idx]
-        agree[idx] = np.where(same, agree[idx] + 1, 0)
-        prev[idx] = c[live]
-        settled = agree[idx] >= 2
-        counts[idx[settled]] = prev[idx[settled]]
-        active = idx[~settled]
-        grid *= 2
-    if len(active):
-        counts[active] = prev[active]  # best effort at max resolution
-    return counts, degen
-
-
 def diameter_counts_batch(body: SmoothBody2, pts: np.ndarray,
-                          base_grid: int = _BASE_GRID) -> tuple[np.ndarray, np.ndarray]:
+                          base_grid: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Count affine diameters through each point; flag degenerate queries.
 
-    Returns (counts, degenerate_mask).  A query is degenerate when G is flat
-    at grid resolution (e.g. the centre of a disk, which lies on every
-    diameter); such counts are reported as DEGENERATE.
+    Returns (counts, degenerate_mask).  G has degree N = 2*deg h + 2; the
+    certified kernel of ``trigcount`` counts its roots over the full circle
+    and the count is halved, since G(phi + pi) = -G(phi).  A query is
+    DEGENERATE when G vanishes (e.g. the centre of a disk, which lies on
+    every diameter) or its roots cannot be certified by the kernel's finest
+    grid.  base_grid is the starting grid; it changes the speed only, never
+    a count.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    chunk = max(256, int(4e6 // max(base_grid, 1)))
-    counts = np.empty(len(pts), dtype=int)
-    degen = np.empty(len(pts), dtype=bool)
-    for lo in range(0, len(pts), chunk):
-        hi = min(lo + chunk, len(pts))
-        counts[lo:hi], degen[lo:hi] = _counts_chunk(body, pts[lo:hi], base_grid)
-    return counts, degen
+    total, _, flags = count_roots(lambda q, phis: _chord_g(body, q, phis), pts,
+                                  2 * body.degree + 2, body.scale**2, base_grid)
+    return np.where(flags, DEGENERATE, total // 2), flags
 
 
-def count_diameters_smooth(body: SmoothBody2, p, base_grid: int = _BASE_GRID) -> int:
+def count_diameters_smooth(body: SmoothBody2, p, base_grid: int | None = None) -> int:
     """Number of affine diameters of a smooth body through interior ``p``."""
     require_interior(body, p)
     counts, degen = diameter_counts_batch(body, np.asarray(p, dtype=float)[None, :], base_grid)
@@ -204,7 +169,7 @@ def count_diameters_polygon(P: Polygon2, p) -> float:
     return float(count)
 
 
-def count_diameters(body, p, base_grid: int = _BASE_GRID) -> float:
+def count_diameters(body, p, base_grid: int | None = None) -> float:
     if isinstance(body, Polygon2):
         return count_diameters_polygon(body, p)
     if isinstance(body, SmoothBody2):
@@ -213,7 +178,7 @@ def count_diameters(body, p, base_grid: int = _BASE_GRID) -> float:
         f"affine-diameter counting is not available for {type(body).__name__}")
 
 
-def average_diameters(body, n: int, seed: int, *, base_grid: int = _BASE_GRID):
+def average_diameters(body, n: int, seed: int, *, base_grid: int | None = None):
     """Monte Carlo mean of the diameter count over uniform interior points."""
     if isinstance(body, Polygon2):
         pairs = parallel_antipodal_edge_pairs(body)

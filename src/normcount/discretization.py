@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import EstimateReport, estimate_interior_average
-from .bodies2d import Polygon2, SmoothBody2, build_polygon
+from .bodies2d import TWO_PI, Polygon2, SmoothBody2, build_polygon
 from .errors import DomainError, UnsupportedCombinationError
 from .wedges import exact_average_normals
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,7 @@ def inscribe_polygon(body: SmoothBody2, k: int) -> Polygon2:
 
 
 def discretization_race(body: SmoothBody2, k_list, n_samples: int,
-                        seed: int, *, base_grid: int = 2048) -> list[RaceRow]:
+                        seed: int, *, base_grid: int | None = None) -> list[RaceRow]:
     """Exact n(P_k) against the sampled n(K) for each k."""
     report = estimate_interior_average(body, "normals", n_samples, seed,
                                        base_grid=base_grid)

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import SmoothBody2, signed_boundary_excess
+from .bodies2d import TWO_PI, SmoothBody2, signed_boundary_excess
 from .errors import UnsupportedCombinationError
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,7 @@ def _slice_report(body, pts: np.ndarray, counter_fn) -> EstimateReport:
 
 
 def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int, *,
-                base_grid: int = 512, boundary_samples: int | None = None) -> FlowTrace:
+                base_grid: int | None = None, boundary_samples: int | None = None) -> FlowTrace:
     """Evolve the body and estimate interior and boundary mean counts per time.
 
     All slices share one candidate stream over one box, so shared points
@@ -269,7 +269,7 @@ def monotonicity_verdict(trace: FlowTrace) -> dict:
 
 
 def derivative_report(body: SmoothBody2, dt: float, n_samples: int, seed: int, *,
-                      base_grid: int = 512, boundary_samples: int | None = None) -> dict:
+                      base_grid: int | None = None, boundary_samples: int | None = None) -> dict:
     """Finite-difference vs identity for d/dt of the interior mean count.
 
     Both sides are estimated from matched seeds: the finite difference uses

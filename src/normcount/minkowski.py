@@ -7,7 +7,9 @@ supports M.  For smooth strictly convex M this gives a closed form: the
 normal direction at the K-point with outer normal angle theta is the
 direction of the M-boundary point r_M(theta).  With M the Euclidean disk
 this is the classical normal, and the entire counting pipeline reduces to
-the Euclidean one root-for-root.
+the Euclidean one root-for-root.  The normals through a point are the roots
+of a trigonometric polynomial, counted by the certified kernel of
+``trigcount``; a point whose count cannot be certified is DEGENERATE.
 
 tau(M) is the largest area of an affine-regular hexagon inscribed in M,
 relative to the area of M; it is affine-invariant, at most 1 (equality
@@ -18,14 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bodies2d import (Polygon2, SmoothBody2, cross2, measure2d,
+from .bodies2d import (TWO_PI, Polygon2, SmoothBody2, cross2, measure2d,
                        require_interior)
 from .errors import DomainError, UnsupportedCombinationError
+from .trigcount import count_roots
 
-TWO_PI = 2.0 * np.pi
-
-_BASE_GRID = 4096
-_MAX_GRID = 65536
 
 
 class NormBall2:
@@ -90,52 +89,33 @@ def _mink_g(M: NormBall2, K: SmoothBody2, pts: np.ndarray,
 
 
 def mink_counts_batch(M: NormBall2, K: SmoothBody2, pts: np.ndarray,
-                      base_grid: int = _BASE_GRID) -> tuple[np.ndarray, np.ndarray]:
-    """Count Minkowski normals through each point by stabilized sign changes."""
+                      base_grid: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Count Minkowski normals through each point; returns (counts, flags).
+
+    G has degree N = deg h_K + deg h_M + 2; its roots are counted by the
+    certified kernel of ``trigcount``.  Counts are DEGENERATE where G
+    vanishes or its roots cannot be certified by the kernel's finest grid
+    (the M-evolute).  base_grid is the starting grid; it changes the speed
+    only, never a count.
+    """
     _require_smooth_ball(M)
     if not isinstance(K, SmoothBody2):
         raise UnsupportedCombinationError("Minkowski counting needs a smooth K")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = len(pts)
-    counts = np.full(n, -1, dtype=int)
-    agree = np.zeros(n, dtype=int)
-    prev = np.full(n, -1, dtype=int)
-    degen = np.zeros(n, dtype=bool)
-    flat_tol = 1e-12 * K.scale * M.body.scale
-    grid = base_grid
-    active = np.arange(n)
-    while len(active) and grid <= _MAX_GRID:
-        thetas = (np.arange(grid) + 0.5) * (TWO_PI / grid)
-        g = _mink_g(M, K, pts[active], thetas)
-        flat = np.max(np.abs(g), axis=1) < flat_tol
-        s = np.where(g >= 0.0, 1, -1)
-        c = np.count_nonzero(s != np.roll(s, -1, axis=1), axis=1)
-        newly = active[flat]
-        degen[newly] = True
-        counts[newly] = -2
-        live = ~flat
-        idx = active[live]
-        same = c[live] == prev[idx]
-        agree[idx] = np.where(same, agree[idx] + 1, 0)
-        prev[idx] = c[live]
-        settled = (agree[idx] >= 2) & (prev[idx] >= 2) & (prev[idx] % 2 == 0)
-        counts[idx[settled]] = prev[idx[settled]]
-        active = idx[~settled]
-        grid *= 2
-    if len(active):
-        counts[active] = prev[active]
-    return counts, degen
+    counts, _, flags = count_roots(lambda q, th: _mink_g(M, K, q, th), pts,
+                                   K.degree + M.body.degree + 2,
+                                   K.scale * M.body.scale, base_grid)
+    return counts, flags
 
 
 def count_minkowski_normals(M: NormBall2, K: SmoothBody2, p,
-                            base_grid: int = _BASE_GRID) -> int:
+                            base_grid: int | None = None) -> int:
     """Number of Birkhoff normals of K through interior point p."""
     require_interior(K, p)
     counts, _ = mink_counts_batch(M, K, np.asarray(p, dtype=float)[None, :], base_grid)
     return int(counts[0])
 
 
-def minkowski_counter(M: NormBall2, base_grid: int = _BASE_GRID):
+def minkowski_counter(M: NormBall2, base_grid: int | None = None):
     """Counter factory for the averaging module."""
     _require_smooth_ball(M)
 

@@ -7,6 +7,14 @@ function: a foot is stable (local minimum) when |p - q| < rho(q), unstable
 when |p - q| > rho(q), degenerate at equality.  Polygon edge feet are always
 stable and vertex feet always unstable; circular-arc near feet are stable,
 far feet and corner feet unstable.
+
+On a smooth body the feet are the roots of the degree-N trigonometric
+polynomial g(theta) = <p - r(theta), u'(theta)>, N = max(1, deg h).  The
+batch counter counts them with the certified sign-change kernel of
+``trigcount``: a count is returned only when every grid interval is proven
+monotone or root-free, and points it cannot certify (on the evolute, or the
+centre of a disk, where g vanishes) are DEGENERATE, as are polygon and arc
+points on a wedge boundary.
 """
 
 from __future__ import annotations
@@ -17,25 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .bodies2d import (
-    TWO_PI,
-    ArcBody2,
-    Polygon2,
-    SmoothBody2,
-    contains2,
-    cross2,
-    require_interior,
-    unit,
-)
+from .bodies2d import (TWO_PI, ArcBody2, Polygon2, SmoothBody2, contains2,
+                       require_interior)
 from .bodies3d import Polytope3, contains3
-from .errors import (DegenerateBodyError, DegenerateConfigurationError,
-                     DomainError, UnsupportedCombinationError)
+from .errors import (DegenerateConfigurationError, DomainError,
+                     UnsupportedCombinationError)
+from .trigcount import DEGENERATE, MAX_GRID, count_roots
 
-# Grid used for sign-change bracketing on smooth boundaries; doubled until
-# the root count stabilizes twice.
+# Bracketing grid of the scalar smooth feet; doubled up to MAX_GRID until
+# the bisected root count repeats three times.
 BASE_GRID = 4096
-MAX_GRID = 65536
-DEGENERATE = -2
 
 
 @dataclass
@@ -137,69 +136,6 @@ def _smooth_g(body: SmoothBody2, pts: np.ndarray, theta: np.ndarray) -> np.ndarr
     """g(theta) = <p - r(theta), u'(theta)> = <p, u'> - h'(theta), batched."""
     up = np.stack([-np.sin(theta), np.cos(theta)], axis=0)
     return pts @ up - np.atleast_1d(body.support_d1(theta))
-
-
-def _coeff_scale(body: SmoothBody2) -> float:
-    return max(
-        abs(body.a0) + float(np.sum(np.abs(body.ac)) + np.sum(np.abs(body.bs))), 1e-300
-    )
-
-
-def _smooth_counts_chunk(body: SmoothBody2, pts: np.ndarray, base_grid: int, cache: dict):
-    """(total, stable) per point; settles when the count repeats twice.
-
-    At a root of g the derivative equals |p - q| - rho(q), so descending
-    crossings are stable feet and ascending crossings unstable ones.
-    """
-    n = len(pts)
-    total = np.full(n, DEGENERATE, dtype=int)
-    stable = np.zeros(n, dtype=int)
-    active = np.arange(n)
-    prev = np.full(n, -1, dtype=int)
-    agree = np.zeros(n, dtype=int)
-    tiny = 1e-13 * _coeff_scale(body)
-    grid = base_grid
-    while len(active) and grid <= MAX_GRID:
-        if grid not in cache:
-            theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-            up = np.stack([-np.sin(theta), np.cos(theta)], axis=0)
-            cache[grid] = (up, np.atleast_1d(body.support_d1(theta)))
-        up, h1 = cache[grid]
-        g = pts[active] @ up - h1
-        flat = np.max(np.abs(g), axis=1) < tiny
-        pos = g >= 0.0
-        nxt = np.roll(pos, -1, axis=1)
-        down = np.sum(pos & ~nxt, axis=1)
-        upc = np.sum(~pos & nxt, axis=1)
-        c = down + upc
-        agree[active] = np.where(c == prev[active], agree[active] + 1, 0)
-        prev[active] = c
-        settled = (agree[active] >= 2) & (c % 2 == 0) & (c >= 2) & ~flat
-        idx = active[settled]
-        total[idx] = c[settled]
-        stable[idx] = down[settled]
-        total[active[flat]] = DEGENERATE
-        active = active[~settled & ~flat]
-        grid *= 2
-    return total, stable
-
-
-def _smooth_counts_batch(
-    body: SmoothBody2, pts: np.ndarray, base_grid: int = BASE_GRID
-):
-    """(total, stable, flags) for many points, chunked to bound memory."""
-    n = len(pts)
-    total = np.empty(n, dtype=int)
-    stable = np.empty(n, dtype=int)
-    cache: dict = {}
-    chunk = max(256, int(4e6 // max(base_grid, 1)))
-    i = 0
-    while i < n:
-        j = min(n, i + chunk)
-        total[i:j], stable[i:j] = _smooth_counts_chunk(body, pts[i:j], base_grid, cache)
-        i = j
-    flags = total == DEGENERATE
-    return total, stable, flags
 
 
 def _smooth_refine_roots(body: SmoothBody2, p: np.ndarray, grid: int):
@@ -399,17 +335,23 @@ def stable_count(body, point) -> int:
     return sum(1 for f in feet if f.index == 0)
 
 
-def count_normals2_batch(body, pts, base_grid: int = BASE_GRID):
+def count_normals2_batch(body, pts, base_grid: int | None = None):
     """Vectorized counts; returns (total, stable, degenerate_mask).
 
-    total is DEGENERATE (-2) where the count could not be certified.
-    base_grid tunes the bracketing resolution for smooth boundaries.
+    total is DEGENERATE (-2) where the count could not be certified: on a
+    wedge boundary of a polygon or arc body, or, on a smooth body, where the
+    certified kernel cannot prove every grid interval monotone or root-free
+    by MAX_GRID (the evolute) or g vanishes (a disk centre).  At a root
+    g' = |p - q| - rho(q), so the stable feet are the descending roots of g.
+    base_grid is the smooth kernel's starting grid; it changes the speed
+    only, never a count.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, Polygon2):
         return _polygon_counts_batch(body, pts)
     if isinstance(body, SmoothBody2):
-        return _smooth_counts_batch(body, pts, base_grid)
+        return count_roots(lambda q, th: _smooth_g(body, q, th), pts,
+                           max(1, body.degree), body.scale, base_grid)
     if isinstance(body, ArcBody2):
         return _arc_counts_batch(body, pts)
     raise UnsupportedCombinationError(f"no normal counter for {type(body).__name__}")
@@ -469,7 +411,7 @@ def count_normals3_by_dim(poly: Polytope3, point, use_nnls_vertices: bool = True
         ref = float(dn @ np.cross(n1, n2))
         s1 = float(dn @ np.cross(n1, y)) * np.sign(ref)
         s2 = float(dn @ np.cross(y, n2)) * np.sign(ref)
-        if s1 >= -tol * poly.scale and s2 >= -tol * poly.scale:
+        if s1 >= -tol and s2 >= -tol:
             edges += 1
     vertices = 0
     for vi, nbrs in enumerate(poly.vertex_neighbors):

@@ -274,3 +274,23 @@ def test_exterior_point_rejected_3d():
         nc.count_normals3(P, (2.0, 0.0, 0.0))
     with pytest.raises(nc.DomainError):
         nc.count_normals3(P, (0.5, 0.0, 0.0))  # on a facet
+
+
+def test_scaled_polytope_edge_test_matches_batch():
+    # the edge-slab allowance must scale like the solid, not its square: at
+    # scale 2e3 a point 1e-7 * scale outside an edge's normal slab is not a
+    # foot of that edge
+    P0 = nc.standard_polytope("truncated_octahedron")
+    P = nc.build_polytope(P0.vertices * 1e3, P0.facets)
+    (a_i, b_i), (f1, f2) = P.edges[2], P.edge_facets[2]
+    a, b = P.vertices[a_i], P.vertices[b_i]
+    d = (b - a) / np.linalg.norm(b - a)
+    n1, n2 = -P.facet_normals[f1], -P.facet_normals[f2]
+    out = np.cross(d, n1)
+    out = out if out @ n2 < 0 else -out
+    p = 0.5 * (a + b) + np.linalg.norm(b - a) * n1 + 1e-7 * P.scale * out
+    total, (stable, saddle, peak), flags = nc.count_normals3_batch(P, [p])
+    bd = nc.count_normals3_by_dim(P, p)
+    assert not flags[0]
+    assert (bd[2], bd[1], bd[0]) == (stable[0], saddle[0], peak[0]) == (6, 10, 6)
+    assert bd[2] - bd[1] + bd[0] == 2
