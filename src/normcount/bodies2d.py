@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import ConvexityError, DegenerateBodyError, DomainError
-from .rng import box_candidates, philox_generator
+from .rng import philox_generator, rejection_sample
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,6 +36,24 @@ def cross2(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def bisect(f, lo, hi) -> np.ndarray:
+    """Vectorized bisection of the brackets [lo[i], hi[i]].
+
+    ``f(t)`` returns, per bracket, whether t lies on the ``lo`` side of the
+    crossing (f holds at lo and fails at hi).  64 halvings take every bracket
+    below 2**-64 of its width, past double resolution, so no tolerance is
+    needed.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        left = f(mid)
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _norm_angle(t: float) -> float:
@@ -191,6 +209,13 @@ class SmoothBody2:
         return self.a0 * theta + np.sin(kt) @ (w * self.ac) - (np.cos(kt) - 1.0) @ (
             w * self.bs
         )
+
+    def arclength_inverse(self, fraction):
+        """Normal angles theta in [0, 2*pi] where arclength_to(theta) is the
+        given fraction of the perimeter."""
+        s = np.asarray(fraction, dtype=float) * self.arclength_to(np.array([TWO_PI]))[0]
+        return bisect(lambda t: self.arclength_to(t) < s,
+                      np.zeros(s.shape), np.full(s.shape, TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -485,19 +510,8 @@ def sample_interior2(body, n: int, seed: int, box=None) -> np.ndarray:
     The candidate stream is a pure function of the seed (Philox); an optional
     ``box`` override lets callers share one stream across nested bodies.
     """
-    if n <= 0:
-        return np.zeros((0, 2))
     lo, hi = bounding_box(body) if box is None else box
-    out = []
-    have = 0
-    for cand in box_candidates(seed, lo, hi):
-        keep = cand[contains2_batch(body, cand, tol=0.0)]
-        if len(keep):
-            out.append(keep)
-            have += len(keep)
-        if have >= n:
-            break
-    return np.concatenate(out)[:n]
+    return rejection_sample(seed, lo, hi, lambda c: contains2_batch(body, c, tol=0.0), n)
 
 
 def sample_boundary2(body, n: int, seed: int):
@@ -516,16 +530,7 @@ def sample_boundary2(body, n: int, seed: int):
         ang = np.arctan2(body.edge_normals[idx, 1], body.edge_normals[idx, 0])
         return pts, ang
     if isinstance(body, SmoothBody2):
-        total = body.arclength_to(np.array([TWO_PI]))[0]
-        target = s * total
-        lo = np.zeros(n)
-        hi = np.full(n, TWO_PI)
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            below = body.arclength_to(mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        theta = 0.5 * (lo + hi)
+        theta = body.arclength_inverse(s)
         return np.atleast_2d(body.boundary(theta)), theta
     if isinstance(body, ArcBody2):
         lens = np.array([a.radius * a.span for a in body.arcs])

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import ConvexityError, DegenerateBodyError
-from .rng import box_candidates
+from .rng import rejection_sample
 
 PLANARITY_RTOL = 1e-9
 
@@ -253,16 +253,5 @@ def bounding_box3(poly: Polytope3):
 
 def sample_interior3(poly: Polytope3, n: int, seed: int, box=None) -> np.ndarray:
     """n uniform interior points via rejection from the bounding box."""
-    if n <= 0:
-        return np.zeros((0, 3))
     lo, hi = bounding_box3(poly) if box is None else box
-    out = []
-    have = 0
-    for cand in box_candidates(seed, lo, hi):
-        keep = cand[contains3_batch(poly, cand)]
-        if len(keep):
-            out.append(keep)
-            have += len(keep)
-        if have >= n:
-            break
-    return np.concatenate(out)[:n]
+    return rejection_sample(seed, lo, hi, lambda c: contains3_batch(poly, c), n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import EstimateReport, estimate_interior_average
-from .bodies2d import TWO_PI, Polygon2, SmoothBody2, build_polygon
+from .bodies2d import Polygon2, SmoothBody2, build_polygon
 from .errors import DomainError, UnsupportedCombinationError
 from .wedges import exact_average_normals
 
@@ -33,16 +33,7 @@ def inscribe_polygon(body: SmoothBody2, k: int) -> Polygon2:
         raise UnsupportedCombinationError("inscribe_polygon needs a smooth body")
     if k < 3:
         raise DomainError("need at least 3 vertices")
-    total = body.arclength_to(np.array([TWO_PI]))[0]
-    targets = np.arange(k) * (total / k)
-    lo = np.zeros(k)
-    hi = np.full(k, TWO_PI)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        below = body.arclength_to(mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    thetas = 0.5 * (lo + hi)
+    thetas = body.arclength_inverse(np.arange(k) / k)
     return build_polygon(body.boundary(thetas))
 
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bodies2d import (TWO_PI, Polygon2, SmoothBody2, cross2, measure2d,
-                       require_interior)
-from .errors import DomainError, UnsupportedCombinationError
-from .trigcount import count_roots
-
+from .bodies2d import (TWO_PI, Polygon2, SmoothBody2, bisect, cross2,
+                       measure2d, require_interior)
+from .errors import (DegenerateConfigurationError, DomainError,
+                     UnsupportedCombinationError)
+from .trigcount import count_roots, root_angles
 
 
 class NormBall2:
@@ -126,26 +126,23 @@ def minkowski_counter(M: NormBall2, base_grid: int | None = None):
     return fn
 
 
-def refine_mink_roots(M: NormBall2, K: SmoothBody2, p, grid: int = 8192) -> np.ndarray:
-    """Bisected root angles of the Minkowski normal function through p."""
-    p = np.asarray(p, dtype=float)
-    thetas = (np.arange(grid + 1)) * (TWO_PI / grid)
-    g = _mink_g(M, K, p[None, :], thetas)[0]
-    roots = []
-    for i in range(grid):
-        a, b = thetas[i], thetas[i + 1]
-        ga, gb = g[i], g[i + 1]
-        if (ga >= 0) == (gb >= 0):
-            continue
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            gm = float(_mink_g(M, K, p[None, :], np.array([mid]))[0, 0])
-            if (gm >= 0) == (ga >= 0):
-                a, ga = mid, gm
-            else:
-                b, gb = mid, gm
-        roots.append(0.5 * (a + b))
-    return np.array(roots)
+def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
+    """Root angles in [0, 2pi), ascending, of the Minkowski normal function
+    through p.
+
+    They are the bisected sign changes of the grid on which the certified
+    kernel proves the count of ``mink_counts_batch``, so there are exactly
+    that many; where that counter flags p, DegenerateConfigurationError is
+    raised.
+    """
+    _require_smooth_ball(M)
+    found = root_angles(lambda q, th: _mink_g(M, K, q, th), p,
+                        K.degree + M.body.degree + 2, K.scale * M.body.scale)
+    if found is None:
+        raise DegenerateConfigurationError(
+            "the Minkowski normal count is not certified here: the point lies "
+            "on the M-evolute, or the normal function vanishes identically")
+    return found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +223,14 @@ def _second_vertex_candidates(M: NormBall2, u: np.ndarray, t0: float,
     ts = t0 + (np.arange(1, scan) / scan) * half
     pts = _boundary_walk(body, ts)
     gv = gauge_batch(M, pts - u) - 1.0
-    cands = []
     plateau = np.abs(gv) <= 1e-9
-    for i in np.flatnonzero(plateau):
-        cands.append(pts[i])
-    sign = gv > 0
-    for i in range(len(ts) - 1):
-        if plateau[i] or plateau[i + 1] or sign[i] == sign[i + 1]:
-            continue
-        a, b = ts[i], ts[i + 1]
-        ga = gv[i]
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            gm = gauge(M, _boundary_walk(body, np.array([mid]))[0] - u) - 1.0
-            if (gm > 0) == (ga > 0):
-                a, ga = mid, gm
-            else:
-                b = mid
-        cands.append(_boundary_walk(body, np.array([0.5 * (a + b)]))[0])
+    cands = list(pts[plateau])
+    above = gv > 0
+    i = np.flatnonzero(~plateau[:-1] & ~plateau[1:] & (above[:-1] != above[1:]))
+    if len(i):
+        t = bisect(lambda t: (gauge_batch(M, _boundary_walk(body, t) - u) > 1.0) == above[i],
+                   ts[i], ts[i + 1])
+        cands.extend(_boundary_walk(body, t))
     if not cands:  # gauge crosses 1 on every half-arc; keep the nearest sample
         cands.append(pts[int(np.argmin(np.abs(gv)))])
     return cands

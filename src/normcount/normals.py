@@ -14,7 +14,11 @@ batch counter counts them with the certified sign-change kernel of
 ``trigcount``: a count is returned only when every grid interval is proven
 monotone or root-free, and points it cannot certify (on the evolute, or the
 centre of a disk, where g vanishes) are DEGENERATE, as are polygon and arc
-points on a wedge boundary.
+points on a wedge boundary.  The scalar feet come from the same kernel: the
+smooth feet are the bisected sign changes of the grid that certified the
+count, and ``normal_feet2`` raises DegenerateConfigurationError at every
+point the batch counter flags, so scalar and batch counts agree by
+construction.
 """
 
 from __future__ import annotations
@@ -25,16 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .bodies2d import (TWO_PI, ArcBody2, Polygon2, SmoothBody2, contains2,
-                       require_interior)
+from .bodies2d import (TWO_PI, ArcBody2, Polygon2, SmoothBody2, bisect,
+                       contains2_batch, require_interior)
 from .bodies3d import Polytope3, contains3
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
-from .trigcount import DEGENERATE, MAX_GRID, count_roots
-
-# Bracketing grid of the scalar smooth feet; doubled up to MAX_GRID until
-# the bisected root count repeats three times.
-BASE_GRID = 4096
+from .trigcount import DEGENERATE, count_roots, root_angles
 
 
 @dataclass
@@ -43,13 +43,15 @@ class NormalFoot:
 
     source identifies the boundary feature: ("edge", i), ("vertex", i),
     ("arc", i), ("corner", i) or ("smooth", theta).  index is 0 for stable
-    feet and 1 for unstable feet; None marks a degenerate foot.
+    feet and 1 for unstable feet, never anything else: a point with a
+    degenerate foot is flagged and ``normal_feet2`` raises there, so
+    ``degenerate`` is always False.
     """
 
     foot: np.ndarray
     source: tuple
     chord_length: float
-    index: int | None
+    index: int
 
     @property
     def degenerate(self) -> bool:
@@ -60,52 +62,41 @@ class NormalFoot:
 # chord helper
 
 
-def _ray_exit(body, origin: np.ndarray, direction: np.ndarray) -> float:
-    """Length of the chord from a boundary point through the body."""
-    d = direction / np.linalg.norm(direction)
+def _ray_exit(body, origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Lengths of the chords from boundary points along directions through the body."""
+    d = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     if isinstance(body, Polygon2):
-        num = body.edge_offsets - origin @ body.edge_normals.T
+        num = body.edge_offsets - origins @ body.edge_normals.T
         den = d @ body.edge_normals.T
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(den > 1e-15, num / den, np.inf)
-        return float(np.min(t))
-    # generic bisection on containment
-    lo = 0.0
+        return np.min(t, axis=1)
+    # bisection on containment, with a boundary allowance relative to the chord
     hi = 4.0 * float(np.atleast_1d(body.support(np.array([0.0])))[0] + 1.0)
     hi = max(hi, 4.0 * getattr(body, "scale", 1.0))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if contains2(body, origin + mid * d, tol=1e-12 * hi):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda t: contains2_batch(body, origins + t[:, None] * d, tol=1e-12 * t),
+                  np.zeros(len(d)), np.full(len(d), hi))
 
 
 # ---------------------------------------------------------------------------
 # polygons
 
 
-def _polygon_feet(body: Polygon2, p: np.ndarray) -> list[NormalFoot]:
+def _polygon_feet(body: Polygon2, p: np.ndarray) -> list[tuple]:
     feet = []
     v = body.vertices
     rel = p - v
     t = np.einsum("ij,ij->i", rel, body.edge_vecs) / body.edge_lengths**2
     for i in range(len(v)):
         if 0.0 < t[i] < 1.0:
-            q = v[i] + t[i] * body.edge_vecs[i]
-            feet.append(
-                NormalFoot(q, ("edge", i), _ray_exit(body, q, p - q), 0)
-            )
+            feet.append((v[i] + t[i] * body.edge_vecs[i], ("edge", i), 0))
     e_out = body.edge_vecs
     e_back = np.roll(body.edge_vecs, 1, axis=0)  # edge arriving at vertex i
     d_out = np.einsum("ij,ij->i", rel, e_out)
     d_back = np.einsum("ij,ij->i", rel, -e_back)
     for i in range(len(v)):
         if d_out[i] >= 0.0 and d_back[i] >= 0.0:
-            feet.append(
-                NormalFoot(v[i].copy(), ("vertex", i), _ray_exit(body, v[i], p - v[i]), 1)
-            )
+            feet.append((v[i].copy(), ("vertex", i), 1))
     return feet
 
 
@@ -138,118 +129,30 @@ def _smooth_g(body: SmoothBody2, pts: np.ndarray, theta: np.ndarray) -> np.ndarr
     return pts @ up - np.atleast_1d(body.support_d1(theta))
 
 
-def _smooth_refine_roots(body: SmoothBody2, p: np.ndarray, grid: int):
-    """Bracketed bisection of g for one point; returns root angles."""
-    theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    g = _smooth_g(body, p[None, :], theta)[0]
-    s = np.where(g == 0.0, 1e-300, g)
-    flip = np.where(np.sign(s) != np.sign(np.roll(s, -1)))[0]
-    roots = []
-    step = TWO_PI / grid
-    for i in flip:
-        lo, hi = theta[i], theta[i] + step
-        glo = _smooth_g(body, p[None, :], np.array([lo]))[0, 0]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            gm = _smooth_g(body, p[None, :], np.array([mid]))[0, 0]
-            if (gm < 0) == (glo < 0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-            if hi - lo < 1e-12:
-                break
-        roots.append(0.5 * (lo + hi))
-    return np.asarray(roots)
-
-
-def _smooth_degenerate_roots(body: SmoothBody2, p: np.ndarray, grid: int, roots):
-    """Angles where g and g' both nearly vanish (p close to the evolute)."""
-    theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    gp = -(p[0] * np.cos(theta) + p[1] * np.sin(theta)) - np.atleast_1d(
-        body.support_d2(theta)
-    )
-    s = np.where(gp == 0.0, 1e-300, gp)
-    flip = np.where(np.sign(s) != np.sign(np.roll(s, -1)))[0]
-    g_scale = float(np.max(np.abs(_smooth_g(body, p[None, :], theta)[0])))
-    out = []
-    step = TWO_PI / grid
-    for i in flip:
-        lo, hi = theta[i], theta[i] + step
-        glo = gp[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            gm = -(p[0] * math.cos(mid) + p[1] * math.sin(mid)) - body.support_d2(
-                np.array([mid])
-            )
-            gm = float(np.atleast_1d(gm)[0])
-            if (gm < 0) == (glo < 0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
-        gval = float(_smooth_g(body, p[None, :], np.array([t]))[0, 0])
-        near_root = len(roots) and np.min(np.abs(((roots - t) + math.pi) % TWO_PI - math.pi)) < 1e-6
-        if abs(gval) < 1e-6 * max(g_scale, 1e-12) and not near_root:
-            out.append(t)
-    return out
-
-
-def _smooth_feet(body: SmoothBody2, p: np.ndarray) -> list[NormalFoot]:
-    probe = np.linspace(0.0, TWO_PI, BASE_GRID, endpoint=False)
-    if np.max(np.abs(_smooth_g(body, p[None, :], probe)[0])) < 1e-12 * body.scale ** 2:
-        raise DegenerateConfigurationError(
-            "every boundary point is a normal foot (g vanishes identically); "
-            "the normal count is not finite here")
-    grid = BASE_GRID
-    counts = []
-    while True:
-        roots = _smooth_refine_roots(body, p, grid)
-        counts.append(len(roots))
-        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
-            break
-        if grid >= MAX_GRID:
-            break
-        grid *= 2
-    feet = []
-    for th in roots:
-        q = body.boundary(np.array([th]))
-        q = np.atleast_2d(q)[0]
-        lam = float(np.linalg.norm(p - q))
-        rho = float(body.rho(np.array([th])))
-        if abs(lam - rho) <= 1e-9 * max(rho, 1.0):
-            idx = None
-        else:
-            idx = 0 if lam < rho else 1
-        feet.append(NormalFoot(q, ("smooth", float(th)), _ray_exit(body, q, p - q), idx))
-    for th in _smooth_degenerate_roots(body, p, grid, roots):
-        q = np.atleast_2d(body.boundary(np.array([th])))[0]
-        feet.append(NormalFoot(q, ("smooth", float(th)), _ray_exit(body, q, p - q), None))
-    return feet
+def _smooth_feet(body: SmoothBody2, p: np.ndarray) -> list[tuple] | None:
+    """Feet at the roots of g, stable where g falls; None where flagged."""
+    found = root_angles(lambda q, th: _smooth_g(body, q, th), p,
+                        max(1, body.degree), body.scale)
+    if found is None:
+        return None
+    angles, down = found
+    return [(q, ("smooth", float(th)), 0 if d else 1)
+            for q, th, d in zip(body.boundary(angles), angles, down)]
 
 
 # ---------------------------------------------------------------------------
 # arc bodies
 
 
-def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[NormalFoot]:
+def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[tuple]:
     feet = []
     for i, a in enumerate(body.arcs):
         c = np.asarray(a.center)
-        rel = p - c
-        d = float(np.hypot(*rel))
-        if d < 1e-12 * a.radius:
-            # every point of this arc is equidistant: a pencil, not feet
-            raise DegenerateConfigurationError(
-                "query point coincides with an arc center; counts are ill defined"
-            )
-        ang = math.atan2(rel[1], rel[0])
-        for sign_, idx in ((1.0, 0), (-1.0, 1)):
-            gamma = ang if sign_ > 0 else ang + math.pi
+        ang = math.atan2(p[1] - c[1], p[0] - c[0])
+        for gamma, idx in ((ang, 0), (ang + math.pi, 1)):
             if (gamma - a.ang0) % TWO_PI <= a.span:
-                q = c + a.radius * np.array([math.cos(gamma), math.sin(gamma)])
-                feet.append(
-                    NormalFoot(q, ("arc", i), _ray_exit(body, q, p - q), idx)
-                )
+                feet.append((c + a.radius * np.array([math.cos(gamma), math.sin(gamma)]),
+                             ("arc", i), idx))
     for i, (v, lo, hi) in enumerate(
         zip(body.corner_points, body.corner_lo, body.corner_hi)
     ):
@@ -257,7 +160,7 @@ def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[NormalFoot]:
             continue
         ang = math.atan2(v[1] - p[1], v[0] - p[0])
         if (ang - lo) % TWO_PI <= hi - lo:
-            feet.append(NormalFoot(v.copy(), ("corner", i), _ray_exit(body, v, p - v), 1))
+            feet.append((v.copy(), ("corner", i), 1))
     return feet
 
 
@@ -306,15 +209,29 @@ def _arc_counts_batch(body: ArcBody2, pts: np.ndarray):
 
 
 def normal_feet2(body, point) -> list[NormalFoot]:
-    """All normals of a planar body through an interior point."""
+    """All normals of a planar body through an interior point.
+
+    Raises DegenerateConfigurationError wherever ``count_normals2_batch``
+    flags the point, so the feet always number its total and the stable
+    ones its stable count.
+    """
     p = require_interior(body, point)
     if isinstance(body, Polygon2):
-        return _polygon_feet(body, p)
-    if isinstance(body, SmoothBody2):
-        return _smooth_feet(body, p)
-    if isinstance(body, ArcBody2):
-        return _arc_feet(body, p)
-    raise UnsupportedCombinationError(f"no normal counter for {type(body).__name__}")
+        feet = None if _polygon_counts_batch(body, p[None, :])[2][0] else _polygon_feet(body, p)
+    elif isinstance(body, ArcBody2):
+        feet = None if _arc_counts_batch(body, p[None, :])[2][0] else _arc_feet(body, p)
+    elif isinstance(body, SmoothBody2):
+        feet = _smooth_feet(body, p)
+    else:
+        raise UnsupportedCombinationError(f"no normal counter for {type(body).__name__}")
+    if feet is None:
+        raise DegenerateConfigurationError(
+            "the normal count is not certified at this point (a wedge boundary, "
+            "an arc centre, the evolute or the centre of a disk)")
+    qs = np.array([q for q, _, _ in feet])
+    chords = _ray_exit(body, qs, p - qs)
+    return [NormalFoot(q, source, float(chord), index)
+            for (q, source, index), chord in zip(feet, chords)]
 
 
 def count_normals2(body, point) -> int:
@@ -325,14 +242,11 @@ def count_normals2(body, point) -> int:
 def stable_count(body, point) -> int:
     """Number of stable equilibria (local minima of boundary distance).
 
-    Refuses points with a degenerate foot (on the evolute): the stability
-    index is undefined there.
+    Like ``normal_feet2``, raises DegenerateConfigurationError where the
+    batch counter flags the point (on the evolute the stability index is
+    undefined).
     """
-    feet = normal_feet2(body, point)
-    if any(f.degenerate for f in feet):
-        raise DegenerateConfigurationError(
-            "point has a degenerate normal foot; stability is undefined")
-    return sum(1 for f in feet if f.index == 0)
+    return sum(1 for f in normal_feet2(body, point) if f.index == 0)
 
 
 def count_normals2_batch(body, pts, base_grid: int | None = None):
@@ -373,14 +287,18 @@ def _in_vertex_cone_nnls(poly: Polytope3, vi: int, y: np.ndarray) -> bool:
     return resid <= 1e-9 * max(1.0, float(np.linalg.norm(y)))
 
 
-def count_normals3(poly: Polytope3, point, use_nnls_vertices: bool = True) -> int:
+def count_normals3(poly: Polytope3, point) -> int:
     """Normals of a polytope through an interior point, one per face foot."""
-    by_dim = count_normals3_by_dim(poly, point, use_nnls_vertices)
+    by_dim = count_normals3_by_dim(poly, point)
     return by_dim[0] + by_dim[1] + by_dim[2]
 
 
-def count_normals3_by_dim(poly: Polytope3, point, use_nnls_vertices: bool = True):
-    """Counts keyed by face dimension {0: vertices, 1: edges, 2: facets}."""
+def count_normals3_by_dim(poly: Polytope3, point):
+    """Counts keyed by face dimension {0: vertices, 1: edges, 2: facets}.
+
+    Vertex cones use a nonnegative least-squares membership test on the
+    facet normals, independent of the polar test of ``count_normals3_batch``.
+    """
     p = np.asarray(point, dtype=float)
     if not contains3(poly, p, tol=-1e-12 * poly.scale):
         raise DomainError("query point must lie strictly inside the polytope")
@@ -413,16 +331,7 @@ def count_normals3_by_dim(poly: Polytope3, point, use_nnls_vertices: bool = True
         s2 = float(dn @ np.cross(y, n2)) * np.sign(ref)
         if s1 >= -tol and s2 >= -tol:
             edges += 1
-    vertices = 0
-    for vi, nbrs in enumerate(poly.vertex_neighbors):
-        y = p - poly.vertices[vi]
-        if use_nnls_vertices:
-            inside = _in_vertex_cone_nnls(poly, vi, y)
-        else:
-            inside = all(
-                (y @ (poly.vertices[w] - poly.vertices[vi])) >= -tol for w in nbrs
-            )
-        vertices += inside
+    vertices = sum(_in_vertex_cone_nnls(poly, vi, p - v) for vi, v in enumerate(poly.vertices))
     return {0: int(vertices), 1: int(edges), 2: int(facets)}
 
 

@@ -34,3 +34,18 @@ def box_candidates(seed: int, lo: np.ndarray, hi: np.ndarray) -> Iterator[np.nda
     span = np.asarray(hi, dtype=float) - lo
     for u in uniform_chunks(seed, lo.size):
         yield lo + span * u
+
+
+def rejection_sample(seed: int, lo, hi, inside, n: int) -> np.ndarray:
+    """The first n candidates of ``box_candidates(seed, lo, hi)`` that
+    ``inside`` accepts, in stream order; ``inside`` maps a chunk to a mask."""
+    if n <= 0:
+        return np.zeros((0, np.size(lo)))
+    out = []
+    have = 0
+    for cand in box_candidates(seed, lo, hi):
+        out.append(cand[inside(cand)])
+        have += len(out[-1])
+        if have >= n:
+            break
+    return np.concatenate(out)[:n]

@@ -158,6 +158,36 @@ def test_counts_outside_evolute_are_two():
     assert np.all(total[~flags] == 2)
 
 
+GENERIC = nc.SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04])
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_scalar_counts_near_the_evolute_match_batch(side):
+    # 1e-3 from the evolute the old scalar grid found an odd count (5)
+    theta0 = 1.1
+    p = GENERIC.curvature_center(theta0) + side * 1e-3 * np.array(
+        [math.cos(theta0), math.sin(theta0)])
+    total, stable, flags = nc.count_normals2_batch(GENERIC, [p])
+    assert not flags[0]
+    assert nc.count_normals2(GENERIC, p) == total[0] == oracles.critical_count_2d(GENERIC, p) == 4
+    assert nc.stable_count(GENERIC, p) == stable[0] == 2
+
+
+def test_flagged_points_raise_in_scalar_apis():
+    c = GENERIC.curvature_center(0.3)
+    assert nc.count_normals2_batch(GENERIC, [c])[2][0]
+    with pytest.raises(nc.DegenerateConfigurationError):
+        nc.normal_feet2(GENERIC, c)
+    with pytest.raises(nc.DegenerateConfigurationError):
+        nc.refine_mink_roots(nc.NormBall2(nc.disk(1.0)), GENERIC, c)
+    # on the normal line of the edge (4, 0)-(3, 1) through (3, 1)
+    P = nc.build_polygon([(0, 0), (4, 0), (3, 1)])
+    p = np.array([2.5, 0.5])
+    assert nc.count_normals2_batch(P, [p])[2][0]
+    with pytest.raises(nc.DegenerateConfigurationError):
+        nc.normal_feet2(P, p)
+
+
 # ---------------------------------------------------------------------------
 # arc bodies
 

@@ -129,3 +129,29 @@ def test_curvature_centre_is_degenerate_for_normals_and_disk_norm():
     total, _, nflags = nc.count_normals2_batch(GENERIC, [off])
     counts, mflags = nc.mink_counts_batch(_disk_ball(), GENERIC, [off])
     assert not nflags[0] and not mflags[0] and total[0] == counts[0]
+
+
+def test_root_angles_are_the_roots_count_roots_counts():
+    from normcount import diameters, minkowski, normals
+    kernels = {
+        "normals": (lambda q, th: normals._smooth_g(GENERIC, q, th),
+                    max(1, GENERIC.degree), GENERIC.scale),
+        "diameters": (lambda q, th: diameters._chord_g(GENERIC, q, th),
+                      2 * GENERIC.degree + 2, GENERIC.scale**2),
+        "minkowski": (lambda q, th: minkowski._mink_g(SMOOTH_BALL, GENERIC, q, th),
+                      GENERIC.degree + SMOOTH_BALL.body.degree + 2,
+                      GENERIC.scale * SMOOTH_BALL.body.scale),
+    }
+    pts = nc.sample_interior2(GENERIC, 300, seed=24)
+    for name, (g, degree, scale) in kernels.items():
+        total, down, flags = trigcount.count_roots(g, pts, degree, scale)
+        assert not flags.any(), name
+        for p, t, d in zip(pts, total, down):
+            angles, descending = trigcount.root_angles(g, p, degree, scale)
+            assert len(angles) == t and np.count_nonzero(descending) == d, name
+            assert np.all(np.diff(angles) > 0) and 0.0 <= angles[0] and angles[-1] < 2 * math.pi
+            assert np.max(np.abs(g(p[None, :], angles))) < 1e-12 * scale, name
+    # a point the counters flag has no root angles
+    c = GENERIC.curvature_center(0.3)
+    g, degree, scale = kernels["normals"]
+    assert trigcount.root_angles(g, c, degree, scale) is None
