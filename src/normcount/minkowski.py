@@ -149,32 +149,52 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
 # gauge and the inscribed affine-regular hexagon ratio
 
 
-def _smooth_gauge_grid(M: NormBall2, grid: int = 2048):
-    cache = getattr(M, "_gauge_grid", None)
-    if cache is None or len(cache[2]) != grid:
-        thetas = np.arange(grid) * (TWO_PI / grid)
-        u = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-        h = M.body.support(thetas)
-        cache = (thetas, u, h)
-        M._gauge_grid = cache
+_GAUGE_GRID = 2048  # normal angles of the smooth gauge's bracket table
+_BLOCK = 1 << 20  # gauge rows x values per row in one hexagon-objective block
+# refinement rounds: each keeps 2/9 of the bracket, and (2/9)**20 is below
+# 0.618**61, the width that 61 golden-section steps leave
+_ROUNDS = 20
+
+
+def _gauge_table(M: NormBall2):
+    """Normal angles theta_j of a uniform grid, h_M(theta_j), and the polar
+    angles of r_M(theta_j), unwrapped: they increase from that of r_M(0) to
+    it plus 2pi, because M is centrally symmetric with rho > 0."""
+    cache = getattr(M, "_gauge_table", None)
+    if cache is None:
+        thetas = np.arange(_GAUGE_GRID) * (TWO_PI / _GAUGE_GRID)
+        r = M.body.boundary(thetas)
+        cache = (thetas, M.body.support(thetas), np.unwrap(np.arctan2(r[:, 1], r[:, 0])))
+        M._gauge_table = cache
     return cache
 
 
 def gauge_batch(M: NormBall2, X) -> np.ndarray:
     """Minkowski functional of each row of X: the scale at which the point
-    hits the boundary of M.  Exact over facet normals for polygons; dense
-    support-ratio grid with two vectorized Newton polish steps for smooth
-    balls (the maximum of <x, u>/h_M(u) over directions u)."""
+    hits the boundary of M, and 0 for a zero row.
+
+    Exact over facet normals for polygons.  For smooth balls it is the
+    maximum over theta of <x, u(theta)>/h_M(theta).  That ratio has two
+    critical points, where r_M(theta) points along x (the maximum) and
+    along -x, so the maximum lies in the one grid interval whose r_M polar
+    angles bracket atan2(x), found by one ``searchsorted``.  The better end
+    of that bracket is the grid maximum; two clipped Newton steps polish it.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     body = M.body
     if isinstance(body, Polygon2):
         vals = (X @ body.edge_normals.T) / body.edge_offsets
         return np.max(vals, axis=1)
-    thetas, u, h = _smooth_gauge_grid(M)
-    ratios = (X @ u.T) / h
-    grid_best = np.max(ratios, axis=1)
-    t = thetas[np.argmax(ratios, axis=1)]
-    step_cap = 1.5 * (thetas[1] - thetas[0])
+    thetas, h, polar = _gauge_table(M)
+    psi = polar[0] + (np.arctan2(X[:, 1], X[:, 0]) - polar[0]) % TWO_PI
+    j = np.searchsorted(polar, psi, side="right") - 1
+    ends = np.stack([j, (j + 1) % _GAUGE_GRID], axis=1)
+    ratios = (X[:, :1] * np.cos(thetas[ends]) + X[:, 1:] * np.sin(thetas[ends])) / h[ends]
+    k = np.argmax(ratios, axis=1)
+    rows = np.arange(len(X))
+    grid_best = ratios[rows, k]
+    t = thetas[ends[rows, k]]
+    step_cap = 1.5 * (TWO_PI / _GAUGE_GRID)
     for _ in range(2):
         c, s = np.cos(t), np.sin(t)
         hv = body.support(t)
@@ -211,36 +231,47 @@ def _boundary_walk(body, ts: np.ndarray) -> np.ndarray:
     return body.vertices[idx] + frac[:, None] * body.edge_vecs[idx]
 
 
-def _second_vertex_candidates(M: NormBall2, u: np.ndarray, t0: float,
-                              half: float, scan: int = 512) -> list[np.ndarray]:
-    """Boundary points v with gauge(v - u) = 1 on the half-arc after t0.
+def _hexagon_objectives(M: NormBall2, ts: np.ndarray, half: float, area: float,
+                        scan: int = 512) -> np.ndarray:
+    """Largest 3*|cross(u, v)|/area over boundary points v with
+    gauge(v - u) = 1 on the half-arc after u, for u at each parameter in ts.
 
-    Collects every sign-change crossing of gauge - 1, bisected; polygon norms
-    can hold gauge = 1 along whole sub-arcs, so near-zero plateau samples are
-    kept as candidates too (the plateau endpoints carry the extrema).
+    Every u's half-arc scan is one row of a (len(ts), scan - 1) array whose
+    gauges are taken in one call.  Candidates are the sign changes of
+    gauge - 1, all bisected in one call, and the samples with gauge = 1 to
+    1e-9: polygon norms can hold gauge = 1 along whole sub-arcs, whose
+    endpoints carry the extrema.  ts runs in blocks, so that no gauge call
+    takes more than ``_BLOCK`` rows times values per row.
     """
     body = M.body
-    ts = t0 + (np.arange(1, scan) / scan) * half
-    pts = _boundary_walk(body, ts)
-    gv = gauge_batch(M, pts - u) - 1.0
+    # values per gauge row: the edge table of a polygon ball or the harmonic
+    # tables of a smooth one, plus the gauge's own per-row temporaries
+    work = (len(body) if isinstance(body, Polygon2) else body.degree) + 16
+    block = max(1, _BLOCK // ((scan - 1) * work))
+    if len(ts) > block:
+        return np.concatenate([_hexagon_objectives(M, ts[i:i + block], half, area, scan)
+                               for i in range(0, len(ts), block)])
+    u = _boundary_walk(body, ts)
+    grid = ts[:, None] + (np.arange(1, scan) / scan) * half
+    pts = _boundary_walk(body, grid.ravel()).reshape(len(ts), scan - 1, 2)
+    gv = gauge_batch(M, (pts - u[:, None]).reshape(-1, 2)).reshape(grid.shape) - 1.0
     plateau = np.abs(gv) <= 1e-9
-    cands = list(pts[plateau])
     above = gv > 0
-    i = np.flatnonzero(~plateau[:-1] & ~plateau[1:] & (above[:-1] != above[1:]))
-    if len(i):
-        t = bisect(lambda t: (gauge_batch(M, _boundary_walk(body, t) - u) > 1.0) == above[i],
-                   ts[i], ts[i + 1])
-        cands.extend(_boundary_walk(body, t))
-    if not cands:  # gauge crosses 1 on every half-arc; keep the nearest sample
-        cands.append(pts[int(np.argmin(np.abs(gv)))])
-    return cands
-
-
-def _hexagon_objective(M: NormBall2, t: float, half: float, area: float) -> float:
-    u = _boundary_walk(M.body, np.array([t]))[0]
-    best = 0.0
-    for v in _second_vertex_candidates(M, u, t, half):
-        best = max(best, 3.0 * abs(cross2(u, v)) / area)
+    rows, cols = np.nonzero(plateau)
+    cands = pts[rows, cols]
+    r, i = np.nonzero(~plateau[:, :-1] & ~plateau[:, 1:] & (above[:, :-1] != above[:, 1:]))
+    if len(r):
+        t = bisect(lambda t: (gauge_batch(M, _boundary_walk(body, t) - u[r]) > 1.0)
+                   == above[r, i], grid[r, i], grid[r, i + 1])
+        rows = np.concatenate([rows, r])
+        cands = np.concatenate([cands, _boundary_walk(body, t)])
+    # no sample has gauge 1 and gauge - 1 never changes sign on the
+    # half-arc: keep the nearest sample
+    lone = np.setdiff1d(np.arange(len(ts)), rows)
+    rows = np.concatenate([rows, lone])
+    cands = np.concatenate([cands, pts[lone, np.argmin(np.abs(gv[lone]), axis=1)]])
+    best = np.zeros(len(ts))
+    np.maximum.at(best, rows, 3.0 * np.abs(cross2(u[rows], cands)) / area)
     return best
 
 
@@ -248,8 +279,12 @@ def hexagon_ratio_tau(M: NormBall2, coarse: int = 720) -> float:
     """Largest inscribed affine-regular hexagon area, relative to area(M).
 
     The hexagon has vertices +-u, +-v, +-(v - u) with u, v on the boundary
-    and gauge(v - u) = 1; its area is 3*|cross(u, v)|.  The u-grid search
-    (augmented with polygon vertices) is refined by golden section.
+    and gauge(v - u) = 1; its area is 3*|cross(u, v)|.  The objective is
+    taken at ``coarse`` u-parameters on half the boundary (plus the vertices
+    of a polygon) in one batched pass.  The bracket around the best of them
+    is refined in rounds: each round takes the objective at 8 interior
+    points in one batched pass and keeps the best of them +- one step; 20
+    rounds leave it as narrow as 61 golden-section steps would.
     """
     body = M.body
     area = M.area()
@@ -262,29 +297,19 @@ def hexagon_ratio_tau(M: NormBall2, coarse: int = 720) -> float:
         params = np.unique(np.concatenate([
             cum[:-1], np.arange(coarse) * (period / coarse / 2.0)]))
 
-    vals = np.array([_hexagon_objective(M, t, half, area) for t in params])
+    vals = _hexagon_objectives(M, params, half, area)
     i = int(np.argmax(vals))
     lo = params[i] - (params[1] - params[0] if i == 0 else params[i] - params[i - 1])
     hi = params[i] + (params[i + 1] - params[i] if i + 1 < len(params)
                       else params[1] - params[0])
     best = float(vals[i])
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _hexagon_objective(M, c, half, area)
-    fd = _hexagon_objective(M, d, half, area)
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _hexagon_objective(M, c, half, area)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _hexagon_objective(M, d, half, area)
-        best = max(best, fc, fd)
+    for _ in range(_ROUNDS):
+        ts = np.linspace(lo, hi, 10)  # the bracket and 8 interior points
+        vals = _hexagon_objectives(M, ts[1:-1], half, area)
+        j = int(np.argmax(vals))
+        best = max(best, float(vals[j]))
+        lo, hi = ts[j], ts[j + 2]
     return best
 
 

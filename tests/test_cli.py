@@ -44,3 +44,36 @@ def test_point_on_the_evolute_fails(capsys):
     code, out, err = _point(capsys, SMOOTH, c.tolist())
     assert code == 1 and out == ""
     assert err.startswith("error:")
+
+
+def _tau(capsys, norm, out_dir):
+    code = cli.run(["tau", "--norm", json.dumps(norm), "--out", str(out_dir)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_tau_hexagon_is_one_and_repeatable(capsys, tmp_path):
+    ang = np.arange(6) * (np.pi / 3.0)
+    hexagon = {"type": "polygon", "vertices": np.column_stack([np.cos(ang), np.sin(ang)]).tolist()}
+    written = []
+    for run in ("a", "b"):
+        code, out, err = _tau(capsys, hexagon, tmp_path / run)
+        assert code == 0 and err == ""
+        written.append((tmp_path / run / "tau.json").read_bytes())
+    assert written[0] == written[1]
+    payload = json.loads(written[0])
+    assert abs(float(payload["tau"]) - 1.0) < 1e-9
+    assert abs(float(payload["bound"]) - 6.0) < 1e-9
+
+
+def test_tau_rejects_a_non_symmetric_norm(capsys, tmp_path):
+    triangle = {"type": "polygon", "vertices": [[1, 0], [0, 1], [-1, -1]]}
+    code, out, err = _tau(capsys, triangle, tmp_path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+def test_tau_on_a_reuleaux_norm_is_unsupported(capsys, tmp_path):
+    code, out, err = _tau(capsys, {"type": "reuleaux", "sides": 3, "width": 1.0}, tmp_path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "unsupported_combination"

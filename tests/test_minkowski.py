@@ -160,3 +160,83 @@ def test_mink_counts_reject_bad_inputs():
         nc.count_minkowski_normals(M, K, (5.0, 5.0))  # exterior point
     with pytest.raises(UnsupportedCombinationError):
         nc.count_minkowski_normals(_poly_ball("square"), K, (0.0, 0.1))
+
+
+def _degree6_ball():
+    return nc.NormBall2(nc.SmoothBody2(1.0, [0.0, 0.05, 0.0, 0.02, 0.0, 0.004],
+                                       [0.0, -0.03, 0.0, 0.0, 0.0, 0.002]))
+
+
+def _oracle_gauges(M, X):
+    return np.array([oracles.gauge_bisection(M.body, x) for x in X])
+
+
+def test_gauge_degree6_ball_against_bisection_oracle():
+    M = _degree6_ball()
+    X = np.random.default_rng(11).normal(size=(16, 2))
+    assert np.allclose(nc.gauge_batch(M, X), _oracle_gauges(M, X), rtol=1e-9, atol=0.0)
+
+
+def test_gauge_either_side_of_the_table_wrap():
+    # the smooth gauge brackets atan2(x) in the polar angles of r_M on its
+    # grid; those wrap at atan2 = +-pi and start at the angle of r_M(0)
+    M = _degree6_ball()
+    r0 = M.body.boundary(0.0)
+    start = math.atan2(r0[1], r0[0])
+    angles = [start + d for d in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9)]
+    X = [1.3 * np.array([math.cos(a), math.sin(a)]) for a in angles]
+    X += [(-1.0, 0.0), (-1.0, -0.0), (-1.0, 1e-15), (-1.0, -1e-15),
+          (-1.0, 1e-9), (-1.0, -1e-9)]
+    X = np.array(X)
+    assert np.allclose(nc.gauge_batch(M, X), _oracle_gauges(M, X), rtol=1e-9, atol=0.0)
+
+
+def test_gauge_across_scales_and_zero_rows():
+    M = _degree6_ball()
+    rng = np.random.default_rng(12)
+    directions = rng.normal(size=(4, 2))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    X = np.concatenate([directions * s for s in (1e-6, 1e-3, 1.0, 1e3)])
+    assert np.allclose(nc.gauge_batch(M, X), _oracle_gauges(M, X), rtol=1e-9, atol=0.0)
+    X[5] = 0.0
+    got = nc.gauge_batch(M, X)
+    assert got[5] == 0.0
+    assert np.array_equal(np.delete(got, 5), nc.gauge_batch(M, np.delete(X, 5, axis=0)))
+
+
+def test_gauge_batch_equals_row_by_row():
+    M = _degree6_ball()
+    X = np.random.default_rng(13).normal(size=(10_000, 2))
+    rows = np.array([nc.gauge(M, x) for x in X])
+    # equal up to the rounding of the support series' matrix products,
+    # which BLAS may sum differently for one row and for many
+    assert np.allclose(nc.gauge_batch(M, X), rows, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name, want", [
+    ("octagon", 0.8409902576697321),
+    ("degree6", 0.8343848436626605),
+    ("disk", 3.0 * math.sqrt(3.0) / (2.0 * math.pi)),
+])
+def test_tau_pinned(name, want):
+    M = {"octagon": lambda: nc.NormBall2(_regular(8)), "degree6": _degree6_ball,
+         "disk": _disk_ball}[name]()
+    tau = nc.hexagon_ratio_tau(M)
+    assert type(tau) is float
+    assert tau == pytest.approx(want, abs=1e-12)
+
+
+def test_tau_memory_is_bounded_on_a_many_sided_ball():
+    # the hexagon objectives run in blocks of boundary points x edges, so a
+    # 400-gon at the default coarse grid never builds its full gauge table
+    import tracemalloc
+
+    M = nc.NormBall2(_regular(400))
+    tracemalloc.start()
+    try:
+        tau = nc.hexagon_ratio_tau(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert tau == pytest.approx(3.0 * math.sqrt(3.0) / (2.0 * math.pi), abs=1e-3)
