@@ -1,10 +1,15 @@
 """Seeded Monte Carlo averages of pointwise counters over convex bodies.
 
+A counter is a batch function ``fn(body, pts) -> (values, flags)``: the
+names "normals" and "diameters" resolve to the batch counters of
+``normals`` and ``diameters``, and ``minkowski_counter(M)`` builds one for a
+norm ball.  Every average evaluates its counter on whole arrays of points.
+
 Sample ``i`` is always the ``i``-th accepted candidate of a counter-based
 RNG stream keyed by the seed, so a report is a pure function of
-``(body, counter, n, seed)`` regardless of chunking or worker count.
-Degenerate query points (flagged by the counters; they form a null set)
-are replaced by continuing the same stream, with a hard 1% cap.
+``(body, counter, n, seed)``.  Degenerate query points (flagged by the
+counters; they form a null set) are replaced by continuing the same stream,
+with a hard 1% cap.
 """
 
 from __future__ import annotations
@@ -14,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import (Polygon2, SmoothBody2, bounding_box, inradius_scale,
+from .bodies2d import (Polygon2, bounding_box, inradius_scale,
                        sample_boundary2, sample_interior2,
                        signed_boundary_excess, unit)
 from .bodies3d import Polytope3, sample_interior3
-from .errors import DomainError, TooSingularError, UnsupportedCombinationError
+from .diameters import diameter_counts_batch, parallel_antipodal_edge_pairs
+from .errors import (DomainError, InfiniteDiametersError, TooSingularError,
+                     UnsupportedCombinationError)
 from .normals import count_normals2_batch, count_normals3_batch
 
 
@@ -34,47 +41,37 @@ class EstimateReport:
     exact: float | None = None
 
 
-def _normals_counter(base_grid):
-    def fn(body, pts):
-        if isinstance(body, Polytope3):
-            total, _parts, flags = count_normals3_batch(body, pts)
-            return total.astype(float), flags
-        total, _stable, flags = count_normals2_batch(body, pts, base_grid)
-        return total.astype(float), flags
-
-    return fn
+def _normals(body, pts):
+    if isinstance(body, Polytope3):
+        total, _parts, flags = count_normals3_batch(body, pts)
+    else:
+        total, _stable, flags = count_normals2_batch(body, pts)
+    return total.astype(float), flags
 
 
-def _diameters_counter(base_grid):
-    def fn(body, pts):
-        from .diameters import (count_diameters_polygon, diameter_counts_batch,
-                                parallel_antipodal_edge_pairs)
-        from .errors import InfiniteDiametersError
-
-        if isinstance(body, SmoothBody2):
-            counts, degen = diameter_counts_batch(body, pts, base_grid)
-            return counts.astype(float), degen
-        if isinstance(body, Polygon2):
-            vals = np.array([count_diameters_polygon(body, p) for p in pts])
-            if np.isinf(vals).any():
-                j, l = parallel_antipodal_edge_pairs(body)[0]
-                raise InfiniteDiametersError(
-                    f"edges {j} and {l} are parallel and antipodal", pair=(j, l))
-            return vals, np.zeros(len(pts), dtype=bool)
-        raise UnsupportedCombinationError(
-            f"diameters counter is not available for {type(body).__name__}")
-
-    return fn
+def _diameters(body, pts):
+    # decided from the polygon: the trapezoid of a parallel pair can be too
+    # thin for any sample to land in it, and the mean is infinite regardless
+    if isinstance(body, Polygon2):
+        pairs = parallel_antipodal_edge_pairs(body)
+        if pairs:
+            j, l = pairs[0]
+            raise InfiniteDiametersError(
+                f"edges {j} and {l} are parallel and antipodal: a positive-measure "
+                "set of interior points lies on infinitely many affine diameters",
+                pair=(j, l))
+    counts, flags = diameter_counts_batch(body, pts)
+    return counts.astype(float), flags
 
 
-def resolve_counter(counter, base_grid=None):
+def resolve_counter(counter):
     """Map a counter name or callable to ``fn(body, pts) -> (values, flags)``."""
     if callable(counter):
         return counter
     if counter == "normals":
-        return _normals_counter(base_grid)
+        return _normals
     if counter == "diameters":
-        return _diameters_counter(base_grid)
+        return _diameters
     if counter == "minkowski":
         raise UnsupportedCombinationError(
             "the minkowski counter needs a norm ball: pass minkowski_counter(M)")
@@ -124,12 +121,12 @@ def _run_with_resampling(draw, fn, body, n: int,
 
 
 def estimate_interior_average(body, counter, n: int, seed: int, *,
-                              box=None, base_grid=None,
+                              box=None,
                               max_degenerate_frac: float = 0.01) -> EstimateReport:
     """Mean of a pointwise counter over n uniform interior points."""
     if n < 100:
         raise DomainError("estimate_interior_average needs n >= 100")
-    fn = resolve_counter(counter, base_grid)
+    fn = resolve_counter(counter)
 
     if isinstance(body, Polytope3):
         def draw(m):
@@ -143,7 +140,7 @@ def estimate_interior_average(body, counter, n: int, seed: int, *,
 
 
 def estimate_boundary_average(body, counter, n: int, seed: int, *,
-                              eps: float = 1e-7, base_grid=None,
+                              eps: float = 1e-7,
                               max_degenerate_frac: float = 0.01) -> EstimateReport:
     """Mean of a counter over n boundary points uniform in arc length.
 
@@ -155,7 +152,7 @@ def estimate_boundary_average(body, counter, n: int, seed: int, *,
         raise DomainError("estimate_boundary_average needs n >= 100")
     if isinstance(body, Polytope3):
         raise UnsupportedCombinationError("boundary averages are planar-only")
-    fn = resolve_counter(counter, base_grid)
+    fn = resolve_counter(counter)
     depth = eps * inradius_scale(body)
 
     def draw(m):
@@ -166,8 +163,7 @@ def estimate_boundary_average(body, counter, n: int, seed: int, *,
     return _report(vals, n, resampled, None)
 
 
-def field_map(body, grid: tuple[int, int], counter="normals", *,
-              base_grid=None) -> np.ndarray:
+def field_map(body, grid: tuple[int, int], counter="normals") -> np.ndarray:
     """Counter values on a bounding-box raster: outside -1, degenerate -2.
 
     Returns an (ny, nx) integer matrix; row iy corresponds to ascending y.
@@ -177,7 +173,7 @@ def field_map(body, grid: tuple[int, int], counter="normals", *,
         raise DomainError("field_map needs a grid of at least 2x2")
     if isinstance(body, Polytope3):
         raise UnsupportedCombinationError("field maps are planar-only")
-    fn = resolve_counter(counter, base_grid)
+    fn = resolve_counter(counter)
     (x0, y0), (x1, y1) = bounding_box(body)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)

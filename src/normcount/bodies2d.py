@@ -90,10 +90,20 @@ class Polygon2:
             np.stack([e[:, 1], -e[:, 0]], axis=1) / self.edge_lengths[:, None]
         )
         self.edge_offsets = np.einsum("ij,ij->i", v, self.edge_normals)
+        # arc length from vertex 0 to each vertex, closing with the perimeter
+        self.vertex_arclengths = np.concatenate([[0.0], np.cumsum(self.edge_lengths)])
         self.scale = scale
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    def walk(self, pos):
+        """Boundary points at arc lengths ``pos`` in [0, perimeter] from
+        vertex 0 along the CCW boundary, and the index of each one's edge."""
+        cum = self.vertex_arclengths
+        idx = np.clip(np.searchsorted(cum, pos, side="right") - 1, 0, len(self) - 1)
+        frac = (pos - cum[idx]) / self.edge_lengths[idx]
+        return self.vertices[idx] + frac[:, None] * self.edge_vecs[idx], idx
 
     def support(self, theta):
         """Support function h(theta) = max over vertices of <v, u(theta)>."""
@@ -144,40 +154,35 @@ class SmoothBody2:
                 where=bad,
             )
 
-    def _trig(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        kt = theta[..., None] * self.k
-        return np.cos(kt), np.sin(kt)
+    def _series(self, theta, terms):
+        """``terms(cos k*theta, sin k*theta)`` over the harmonics k; the
+        shape follows theta, and a 0-d theta gives a float."""
+        theta = np.asarray(theta, dtype=float)
+        kt = np.atleast_1d(theta)[..., None] * self.k
+        out = terms(np.cos(kt), np.sin(kt))
+        return float(out[0]) if theta.ndim == 0 else out
 
     def support(self, theta):
-        c, s = self._trig(theta)
-        out = self.a0 + c @ self.ac + s @ self.bs
-        return out if out.size > 1 else float(out[0])
+        return self._series(theta, lambda c, s: self.a0 + c @ self.ac + s @ self.bs)
 
     def support_d1(self, theta):
-        c, s = self._trig(theta)
-        out = -(s * self.k) @ self.ac + (c * self.k) @ self.bs
-        return out if out.size > 1 else float(out[0])
+        return self._series(theta, lambda c, s: -(s * self.k) @ self.ac + (c * self.k) @ self.bs)
 
     def support_d2(self, theta):
-        c, s = self._trig(theta)
         k2 = self.k**2
-        out = -(c * k2) @ self.ac - (s * k2) @ self.bs
-        return out if out.size > 1 else float(out[0])
+        return self._series(theta, lambda c, s: -(c * k2) @ self.ac - (s * k2) @ self.bs)
 
     def rho(self, theta):
         """Curvature radius rho(theta) = h + h''."""
-        c, s = self._trig(theta)
         w = 1.0 - self.k**2
-        out = self.a0 + (c * w) @ self.ac + (s * w) @ self.bs
-        return out if out.size > 1 else float(out[0])
+        return self._series(theta, lambda c, s: self.a0 + (c * w) @ self.ac + (s * w) @ self.bs)
 
     def boundary(self, theta):
         """Boundary point(s) with outer normal angle theta; shape follows input."""
         scalar = np.ndim(theta) == 0
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        h = np.atleast_1d(self.support(theta))
-        h1 = np.atleast_1d(self.support_d1(theta))
+        h = self.support(theta)
+        h1 = self.support_d1(theta)
         u = unit(theta)
         up = np.stack([-u[..., 1], u[..., 0]], axis=-1)
         pts = h[..., None] * u + h1[..., None] * up
@@ -187,7 +192,7 @@ class SmoothBody2:
         """Center of curvature c(theta) = boundary - rho * u."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         r = np.atleast_2d(self.boundary(theta))
-        rho = np.atleast_1d(self.rho(theta))
+        rho = self.rho(theta)
         c = r - rho[:, None] * unit(theta)
         return c if c.shape[0] > 1 else c[0]
 
@@ -419,7 +424,7 @@ def bounding_box(body):
     if isinstance(body, Polygon2):
         return body.vertices.min(axis=0), body.vertices.max(axis=0)
     t = np.array([0.0, math.pi / 2, math.pi, 1.5 * math.pi])
-    h = np.atleast_1d(body.support(t))
+    h = body.support(t)
     return np.array([-h[2], -h[3]]), np.array([h[0], h[1]])
 
 
@@ -431,20 +436,20 @@ def _smooth_margin(body: SmoothBody2, pts: np.ndarray, grid: int = 2048) -> np.n
                                for i in range(0, len(pts), block)])
     theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     u = unit(theta)
-    h = np.atleast_1d(body.support(theta))
+    h = body.support(theta)
     vals = pts @ u.T - h
     idx = np.argmax(vals, axis=1)
     t = theta[idx]
     for _ in range(4):
         ut = unit(t)
         upt = np.stack([-ut[:, 1], ut[:, 0]], axis=1)
-        g1 = np.einsum("ij,ij->i", pts, upt) - np.atleast_1d(body.support_d1(t))
-        g2 = -np.einsum("ij,ij->i", pts, ut) - np.atleast_1d(body.support_d2(t))
+        g1 = np.einsum("ij,ij->i", pts, upt) - body.support_d1(t)
+        g2 = -np.einsum("ij,ij->i", pts, ut) - body.support_d2(t)
         safe = np.abs(g2) > 1e-300
         step = np.divide(g1, g2, out=np.zeros_like(g1), where=safe)
         t = t - np.clip(step, -0.01, 0.01)
     ut = unit(t)
-    polished = np.einsum("ij,ij->i", pts, ut) - np.atleast_1d(body.support(t))
+    polished = np.einsum("ij,ij->i", pts, ut) - body.support(t)
     return np.maximum(vals[np.arange(len(pts)), idx], polished)
 
 
@@ -521,12 +526,7 @@ def sample_boundary2(body, n: int, seed: int):
     gen = philox_generator(seed)
     s = gen.random(n)
     if isinstance(body, Polygon2):
-        cum = np.concatenate([[0.0], np.cumsum(body.edge_lengths)])
-        pos = s * cum[-1]
-        idx = np.searchsorted(cum, pos, side="right") - 1
-        idx = np.clip(idx, 0, len(body) - 1)
-        frac = (pos - cum[idx]) / body.edge_lengths[idx]
-        pts = body.vertices[idx] + frac[:, None] * body.edge_vecs[idx]
+        pts, idx = body.walk(s * body.vertex_arclengths[-1])
         ang = np.arctan2(body.edge_normals[idx, 1], body.edge_normals[idx, 0])
         return pts, ang
     if isinstance(body, SmoothBody2):
@@ -632,10 +632,8 @@ def _arc_difference_body(body: ArcBody2) -> ArcBody2:
 def width_function(body, theta):
     """w(theta) = h(theta) + h(theta + pi)."""
     theta = np.asarray(theta, dtype=float)
-    w = np.atleast_1d(body.support(theta)) + np.atleast_1d(
-        body.support(theta + math.pi)
-    )
-    return float(w[0]) if theta.ndim == 0 else w
+    w = body.support(theta) + body.support(theta + math.pi)
+    return float(w) if theta.ndim == 0 else w
 
 
 def require_interior(body, point, rtol: float = 1e-9):

@@ -1,20 +1,32 @@
 """Affine diameters of planar convex bodies.
 
 A chord is an affine diameter when the body admits parallel supporting lines
-at its two endpoints.  For a smooth strictly convex body the chord with
-supporting-line direction ``theta`` joins the boundary points with outer
-normal angles ``theta + pi/2`` and ``theta + 3*pi/2``; the diameters through
-a point ``p`` are the roots in ``phi`` of the aligned-chord function
+at its two endpoints.  ``diameter_counts_batch`` is the one counter, for
+smooth bodies and polygons alike; the scalar counts are one-point calls of
+it, so they agree with it by construction.
+
+For a smooth strictly convex body the chord with supporting-line direction
+``theta`` joins the boundary points with outer normal angles
+``theta + pi/2`` and ``theta + 3*pi/2``; the diameters through a point ``p``
+are the roots in ``phi`` of the aligned-chord function
 
     G(phi) = cross(p - r(phi), r(phi + pi) - r(phi)),
 
 which satisfies G(phi + pi) = -G(phi), so each diameter is a single sign
 change of G on [0, pi).  G is a trigonometric polynomial of degree
-2*deg h + 2; its roots are counted by the certified kernel of ``trigcount``,
-and a point whose count cannot be certified is DEGENERATE, never a best
-effort.  Polygons are handled combinatorially through their antipodal face
-pairs; a pair of parallel antipodal edges carries a continuum of diameters,
-reported as ``INFINITE``.
+2*deg h + 2; its roots are counted by the certified kernel of ``trigcount``.
+
+A polygon has one diameter through p for each antipodal vertex--edge pair
+(edge j's inward normal lies in vertex i's normal cone) whose triangle
+contains p; a pair of parallel antipodal edges carries a continuum of
+diameters through every point strictly inside their trapezoid, reported as
+``INFINITE``.
+
+A point whose count is not certified is flagged and its count is
+DEGENERATE, never a best effort: on a polygon, a point within the rounding
+allowance of a triangle side, where the count jumps; on a smooth body, a
+point where G vanishes (the centre of a disk) or whose roots the kernel
+cannot certify.
 """
 
 from __future__ import annotations
@@ -25,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies2d import Polygon2, SmoothBody2, cross2, require_interior
-from .errors import InfiniteDiametersError, UnsupportedCombinationError
-from .trigcount import DEGENERATE, count_roots
+from .errors import UnsupportedCombinationError
+from .trigcount import _BLOCK, DEGENERATE, count_roots
 
 INFINITE = math.inf
 
@@ -59,135 +71,118 @@ def _chord_g(body: SmoothBody2, pts: np.ndarray, phis: np.ndarray) -> np.ndarray
     return pts @ np.stack([d[:, 1], -d[:, 0]]) - base
 
 
-def diameter_counts_batch(body: SmoothBody2, pts: np.ndarray,
-                          base_grid: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Count affine diameters through each point; flag degenerate queries.
-
-    Returns (counts, degenerate_mask).  G has degree N = 2*deg h + 2; the
-    certified kernel of ``trigcount`` counts its roots over the full circle
-    and the count is halved, since G(phi + pi) = -G(phi).  A query is
-    DEGENERATE when G vanishes (e.g. the centre of a disk, which lies on
-    every diameter) or its roots cannot be certified by the kernel's finest
-    grid.  base_grid is the starting grid; it changes the speed only, never
-    a count.
-    """
-    total, _, flags = count_roots(lambda q, phis: _chord_g(body, q, phis), pts,
-                                  2 * body.degree + 2, body.scale**2, base_grid)
-    return np.where(flags, DEGENERATE, total // 2), flags
-
-
-def count_diameters_smooth(body: SmoothBody2, p, base_grid: int | None = None) -> int:
-    """Number of affine diameters of a smooth body through interior ``p``."""
-    require_interior(body, p)
-    counts, degen = diameter_counts_batch(body, np.asarray(p, dtype=float)[None, :], base_grid)
-    return int(counts[0])
-
-
-def _in_triangle(p, a, b, c, tol: float) -> bool:
-    s1 = cross2(b - a, p - a)
-    s2 = cross2(c - b, p - b)
-    s3 = cross2(a - c, p - c)
-    if cross2(b - a, c - a) < 0:
-        s1, s2, s3 = -s1, -s2, -s3
-    return s1 >= -tol and s2 >= -tol and s3 >= -tol
-
-
-def _arcs_overlap(a1: float, b1: float, a2: float, b2: float, tol: float = 1e-12) -> bool:
-    """Do the angular arcs [a1,b1] and [a2,b2] (widths < pi) intersect mod 2pi?"""
-    w1 = b1 - a1
-    w2 = b2 - a2
-    d = (a2 - a1) % (2.0 * np.pi)
-    return d <= w1 + tol or d + w2 >= 2.0 * np.pi - tol
+def _antipodal(P: Polygon2):
+    """(k, k) masks: vertex i and edge j are antipodal (edge j's inward
+    normal lies in vertex i's normal cone), and edges j < l are parallel
+    with opposite outer normals."""
+    n = P.edge_normals
+    m = -n[None, :, :]
+    cone = ((cross2(np.roll(n, 1, axis=0)[:, None, :], m) >= -1e-12)
+            & (cross2(m, n[:, None, :]) >= -1e-12))
+    opposite = n[:, None, 0] * n[None, :, 0] + n[:, None, 1] * n[None, :, 1] < 0.0
+    parallel = np.triu((np.abs(cross2(n[:, None, :], n[None, :, :])) <= 1e-12) & opposite, 1)
+    return cone, parallel
 
 
 def parallel_antipodal_edge_pairs(P: Polygon2) -> list[tuple[int, int]]:
     """Index pairs of parallel edges with opposite outer normals."""
-    n = P.edge_normals
-    k = len(n)
-    out = []
-    for j in range(k):
-        for l in range(j + 1, k):
-            if abs(cross2(n[j], n[l])) <= 1e-12 and float(n[j] @ n[l]) < 0.0:
-                out.append((j, l))
-    return out
+    return [(int(j), int(l)) for j, l in zip(*np.nonzero(_antipodal(P)[1]))]
 
 
-def count_diameters_polygon(P: Polygon2, p) -> float:
-    """Number of affine diameters of a polygon through interior ``p``.
+def _lowest_side(corners: list[np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """min over the sides (a, b) of CCW polygons of cross(b - a, p - a), per
+    point and polygon; ``corners`` lists the polygons' corners in order, one
+    (polygons, 2) array per corner.  Computed in place, so that it holds
+    three (points, polygons) arrays at a time."""
+    low = None
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        e = b - a
+        s = np.subtract.outer(pts[:, 1], a[:, 1])
+        s *= e[:, 0]
+        dx = np.subtract.outer(pts[:, 0], a[:, 0])
+        dx *= e[:, 1]
+        s -= dx
+        low = s if low is None else np.minimum(low, s, out=low)
+    return low
 
-    Counts one diameter for each antipodal vertex--edge pair whose connecting
-    triangle contains ``p``, plus antipodal vertex--vertex segments that hit
-    ``p`` exactly.  Returns ``INFINITE`` when ``p`` lies strictly inside the
-    trapezoid spanned by a pair of parallel antipodal edges (every chord of
-    the trapezoid joining the two edges is an affine diameter).
+
+def _polygon_counts(P: Polygon2, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, flags) of a polygon: one diameter per antipodal triangle
+    holding the point strictly, flagged within the allowance of a triangle
+    side, INFINITE (and not flagged) strictly inside a parallel antipodal
+    edge trapezoid."""
+    v = P.vertices
+    k = len(v)
+    cone, parallel = _antipodal(P)
+    i, j = np.nonzero(cone)
+    # CCW: vertex i lies on the inner side of edge j
+    tris = [v[i], v[j], v[(j + 1) % k]]
+    j, l = np.nonzero(parallel)
+    # CCW: four vertices of the polygon in its order
+    quads = [v[j], v[(j + 1) % k], v[l], v[(l + 1) % k]]
+    tol = 1e-12 * P.scale * P.scale
+    counts = np.empty(len(pts))
+    flags = np.empty(len(pts), dtype=bool)
+    rows = max(1, _BLOCK // len(tris[0]))
+    for lo in range(0, len(pts), rows):
+        block = pts[lo:lo + rows]
+        low = _lowest_side(tris, block)
+        flag = np.any(np.abs(low) <= tol, axis=1)
+        count = np.where(flag, DEGENERATE, np.count_nonzero(low > tol, axis=1))
+        infinite = np.any(_lowest_side(quads, block) > tol, axis=1)
+        counts[lo:lo + rows] = np.where(infinite, INFINITE, count)
+        flags[lo:lo + rows] = flag & ~infinite
+    return counts, flags
+
+
+def diameter_counts_batch(body, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Count affine diameters through each point; flag degenerate queries.
+
+    Returns (counts, flags); counts are DEGENERATE where flags is set.  A
+    smooth body's roots of G are counted over the full circle and halved.
+    A polygon's counts are floats: INFINITE, and never flagged, strictly
+    inside a parallel antipodal edge trapezoid.  Its allowance is
+    1e-12*scale**2 on the triangle cross products, and its points run in
+    blocks of at most ``_BLOCK`` point times triangle entries, so memory
+    does not grow with the number of points.
     """
-    p = np.asarray(p, dtype=float)
-    require_interior(P, p)
-    verts = P.vertices
-    nrm = P.edge_normals
-    k = len(verts)
-    area_tol = 1e-12 * P.scale * P.scale
-
-    for j, l in parallel_antipodal_edge_pairs(P):
-        quad = np.array([verts[j], verts[(j + 1) % k], verts[l], verts[(l + 1) % k]])
-        c = quad.mean(axis=0)
-        order = np.argsort(np.arctan2(quad[:, 1] - c[1], quad[:, 0] - c[0]))
-        quad = quad[order]
-        inside = all(
-            cross2(quad[(i + 1) % 4] - quad[i], p - quad[i]) > area_tol
-            for i in range(4)
-        )
-        if inside:
-            return INFINITE
-
-    count = 0
-    angles = np.arctan2(nrm[:, 1], nrm[:, 0])
-    for i in range(k):
-        n_prev = nrm[(i - 1) % k]
-        n_cur = nrm[i]
-        for j in range(k):
-            m = -nrm[j]
-            if cross2(n_prev, m) >= -1e-12 and cross2(m, n_cur) >= -1e-12:
-                a = verts[j]
-                b = verts[(j + 1) % k]
-                if _in_triangle(p, verts[i], a, b, area_tol):
-                    count += 1
-
-    for i in range(k):
-        a1 = angles[(i - 1) % k]
-        b1 = a1 + (angles[i] - a1) % (2.0 * np.pi)
-        for l in range(i + 1, k):
-            a2 = angles[(l - 1) % k] + np.pi
-            b2 = a2 + (angles[l] - angles[(l - 1) % k]) % (2.0 * np.pi)
-            if not _arcs_overlap(a1, b1, a2, b2):
-                continue
-            seg = verts[l] - verts[i]
-            rel = p - verts[i]
-            t = float(rel @ seg) / float(seg @ seg)
-            if abs(cross2(seg, rel)) <= area_tol and 0.0 < t < 1.0:
-                count += 1
-    return float(count)
-
-
-def count_diameters(body, p, base_grid: int | None = None) -> float:
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, Polygon2):
-        return count_diameters_polygon(body, p)
+        return _polygon_counts(body, pts)
     if isinstance(body, SmoothBody2):
-        return float(count_diameters_smooth(body, p, base_grid))
+        total, _, flags = count_roots(lambda q, phis: _chord_g(body, q, phis), pts,
+                                      2 * body.degree + 2, body.scale**2)
+        return np.where(flags, DEGENERATE, total // 2), flags
     raise UnsupportedCombinationError(
         f"affine-diameter counting is not available for {type(body).__name__}")
 
 
-def average_diameters(body, n: int, seed: int, *, base_grid: int | None = None):
-    """Monte Carlo mean of the diameter count over uniform interior points."""
-    if isinstance(body, Polygon2):
-        pairs = parallel_antipodal_edge_pairs(body)
-        if pairs:
-            j, l = pairs[0]
-            raise InfiniteDiametersError(
-                f"edges {j} and {l} are parallel and antipodal: a positive-measure "
-                "set of interior points lies on infinitely many affine diameters",
-                pair=(j, l))
+def count_diameters(body, p) -> float:
+    """Number of affine diameters through interior ``p``: the one-point
+    ``diameter_counts_batch``, so DEGENERATE where it flags ``p`` and
+    INFINITE inside a polygon's parallel antipodal edge trapezoid."""
+    if not isinstance(body, (Polygon2, SmoothBody2)):
+        raise UnsupportedCombinationError(
+            f"affine-diameter counting is not available for {type(body).__name__}")
+    counts, _ = diameter_counts_batch(body, require_interior(body, p)[None, :])
+    return float(counts[0])
+
+
+def count_diameters_polygon(P: Polygon2, p) -> float:
+    """Number of affine diameters of a polygon through interior ``p``."""
+    return count_diameters(P, p)
+
+
+def count_diameters_smooth(body: SmoothBody2, p) -> int:
+    """Number of affine diameters of a smooth body through interior ``p``."""
+    return int(count_diameters(body, p))
+
+
+def average_diameters(body, n: int, seed: int):
+    """Monte Carlo mean of the diameter count over uniform interior points.
+
+    Raises InfiniteDiametersError for a polygon with parallel antipodal
+    edges, whose mean is infinite."""
     from .averaging import estimate_interior_average
 
-    return estimate_interior_average(body, "diameters", n, seed, base_grid=base_grid)
+    return estimate_interior_average(body, "diameters", n, seed)

@@ -38,10 +38,9 @@ def inscribe_polygon(body: SmoothBody2, k: int) -> Polygon2:
 
 
 def discretization_race(body: SmoothBody2, k_list, n_samples: int,
-                        seed: int, *, base_grid: int | None = None) -> list[RaceRow]:
+                        seed: int) -> list[RaceRow]:
     """Exact n(P_k) against the sampled n(K) for each k."""
-    report = estimate_interior_average(body, "normals", n_samples, seed,
-                                       base_grid=base_grid)
+    report = estimate_interior_average(body, "normals", n_samples, seed)
     rows = []
     for k in k_list:
         poly = inscribe_polygon(body, int(k))

@@ -77,10 +77,9 @@ def rolling_ball_radius(body: SmoothBody2, grid: int = 4096) -> float:
     i = int(np.argmin(rho))
     step = thetas[1] - thetas[0]
     t0 = thetas[i]
-    f = lambda t: float(np.atleast_1d(body.rho(t))[0])
-    a, b, c = f(t0 - step), rho[i], f(t0 + step)
+    a, b, c = body.rho(t0 - step), rho[i], body.rho(t0 + step)
     denom = a - 2.0 * b + c
     if denom > 0:
         t_min = t0 + 0.5 * step * (a - c) / denom
-        return min(b, f(t_min))
+        return min(b, body.rho(t_min))
     return float(b)

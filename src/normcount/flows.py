@@ -214,7 +214,7 @@ def _slice_report(body, pts: np.ndarray, counter_fn) -> EstimateReport:
 
 
 def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int, *,
-                base_grid: int | None = None, boundary_samples: int | None = None) -> FlowTrace:
+                boundary_samples: int | None = None) -> FlowTrace:
     """Evolve the body and estimate interior and boundary mean counts per time.
 
     All slices share one candidate stream over one box, so shared points
@@ -223,14 +223,14 @@ def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int, *,
     """
     _require_smooth(body)
     times, bodies, truncated = _flow_bodies(body, spec)
-    counter_fn = resolve_counter("normals", base_grid)
+    counter_fn = resolve_counter("normals")
     candidates, masks = _coupled_pool(bodies, _signed_times(spec, times),
                                       n_samples, seed)
     bs = boundary_samples or max(1000, n_samples // 10)
     n_values = [_slice_report(b, candidates[m], counter_fn)
                 for b, m in zip(bodies, masks)]
     n_surf_values = [
-        estimate_boundary_average(b, "normals", bs, seed, base_grid=base_grid)
+        estimate_boundary_average(b, "normals", bs, seed)
         for b in bodies
     ]
     return FlowTrace(times, bodies, n_values, n_surf_values, truncated)
@@ -269,7 +269,7 @@ def monotonicity_verdict(trace: FlowTrace) -> dict:
 
 
 def derivative_report(body: SmoothBody2, dt: float, n_samples: int, seed: int, *,
-                      base_grid: int | None = None, boundary_samples: int | None = None) -> dict:
+                      boundary_samples: int | None = None) -> dict:
     """Finite-difference vs identity for d/dt of the interior mean count.
 
     Both sides are estimated from matched seeds: the finite difference uses
@@ -282,7 +282,7 @@ def derivative_report(body: SmoothBody2, dt: float, n_samples: int, seed: int, *
     if dt <= 0:
         raise DomainError("derivative_report needs dt > 0")
     grown = offset_body(body, dt)
-    counter_fn = resolve_counter("normals", base_grid)
+    counter_fn = resolve_counter("normals")
     candidates, (in0, in1) = _coupled_pool([body, grown], np.array([0.0, dt]),
                                            n_samples, seed)
     pts1 = candidates[in1]
@@ -311,7 +311,7 @@ def derivative_report(body: SmoothBody2, dt: float, n_samples: int, seed: int, *
     se_fd = math.sqrt(var_fd)
 
     bs = boundary_samples or max(1000, n_samples // 10)
-    surf = estimate_boundary_average(body, "normals", bs, seed, base_grid=base_grid)
+    surf = estimate_boundary_average(body, "normals", bs, seed)
     m = measure2d(body)
     ratio = m["perimeter"] / m["area"]
     rhs = ratio * (surf.mean - mean0)

@@ -88,39 +88,37 @@ def _mink_g(M: NormBall2, K: SmoothBody2, pts: np.ndarray,
     return pts @ np.stack([rm[:, 1], -rm[:, 0]]) - base
 
 
-def mink_counts_batch(M: NormBall2, K: SmoothBody2, pts: np.ndarray,
-                      base_grid: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def mink_counts_batch(M: NormBall2, K: SmoothBody2,
+                      pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count Minkowski normals through each point; returns (counts, flags).
 
     G has degree N = deg h_K + deg h_M + 2; its roots are counted by the
     certified kernel of ``trigcount``.  Counts are DEGENERATE where G
     vanishes or its roots cannot be certified by the kernel's finest grid
-    (the M-evolute).  base_grid is the starting grid; it changes the speed
-    only, never a count.
+    (the M-evolute).
     """
     _require_smooth_ball(M)
     if not isinstance(K, SmoothBody2):
         raise UnsupportedCombinationError("Minkowski counting needs a smooth K")
     counts, _, flags = count_roots(lambda q, th: _mink_g(M, K, q, th), pts,
                                    K.degree + M.body.degree + 2,
-                                   K.scale * M.body.scale, base_grid)
+                                   K.scale * M.body.scale)
     return counts, flags
 
 
-def count_minkowski_normals(M: NormBall2, K: SmoothBody2, p,
-                            base_grid: int | None = None) -> int:
+def count_minkowski_normals(M: NormBall2, K: SmoothBody2, p) -> int:
     """Number of Birkhoff normals of K through interior point p."""
     require_interior(K, p)
-    counts, _ = mink_counts_batch(M, K, np.asarray(p, dtype=float)[None, :], base_grid)
+    counts, _ = mink_counts_batch(M, K, np.asarray(p, dtype=float)[None, :])
     return int(counts[0])
 
 
-def minkowski_counter(M: NormBall2, base_grid: int | None = None):
+def minkowski_counter(M: NormBall2):
     """Counter factory for the averaging module."""
     _require_smooth_ball(M)
 
     def fn(body, pts):
-        counts, degen = mink_counts_batch(M, body, pts, base_grid)
+        counts, degen = mink_counts_batch(M, body, pts)
         return counts.astype(float), degen
 
     return fn
@@ -224,11 +222,7 @@ def _boundary_walk(body, ts: np.ndarray) -> np.ndarray:
     arc length along the polyline for polygons."""
     if isinstance(body, SmoothBody2):
         return body.boundary(ts)
-    cum = np.concatenate([[0.0], np.cumsum(body.edge_lengths)])
-    pos = np.asarray(ts, dtype=float) % cum[-1]
-    idx = np.clip(np.searchsorted(cum, pos, side="right") - 1, 0, len(body) - 1)
-    frac = (pos - cum[idx]) / body.edge_lengths[idx]
-    return body.vertices[idx] + frac[:, None] * body.edge_vecs[idx]
+    return body.walk(np.asarray(ts, dtype=float) % body.vertex_arclengths[-1])[0]
 
 
 def _hexagon_objectives(M: NormBall2, ts: np.ndarray, half: float, area: float,
@@ -260,11 +254,10 @@ def _hexagon_objectives(M: NormBall2, ts: np.ndarray, half: float, area: float,
     rows, cols = np.nonzero(plateau)
     cands = pts[rows, cols]
     r, i = np.nonzero(~plateau[:, :-1] & ~plateau[:, 1:] & (above[:, :-1] != above[:, 1:]))
-    if len(r):
-        t = bisect(lambda t: (gauge_batch(M, _boundary_walk(body, t) - u[r]) > 1.0)
-                   == above[r, i], grid[r, i], grid[r, i + 1])
-        rows = np.concatenate([rows, r])
-        cands = np.concatenate([cands, _boundary_walk(body, t)])
+    t = bisect(lambda t: (gauge_batch(M, _boundary_walk(body, t) - u[r]) > 1.0)
+               == above[r, i], grid[r, i], grid[r, i + 1])
+    rows = np.concatenate([rows, r])
+    cands = np.concatenate([cands, _boundary_walk(body, t)])
     # no sample has gauge 1 and gauge - 1 never changes sign on the
     # half-arc: keep the nearest sample
     lone = np.setdiff1d(np.arange(len(ts)), rows)
@@ -292,7 +285,7 @@ def hexagon_ratio_tau(M: NormBall2, coarse: int = 720) -> float:
         period, half = TWO_PI, np.pi
         params = np.arange(coarse) * (period / coarse / 2.0)  # half suffices
     else:
-        cum = np.concatenate([[0.0], np.cumsum(body.edge_lengths)])
+        cum = body.vertex_arclengths
         period, half = cum[-1], 0.5 * cum[-1]
         params = np.unique(np.concatenate([
             cum[:-1], np.arange(coarse) * (period / coarse / 2.0)]))

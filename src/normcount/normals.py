@@ -72,7 +72,7 @@ def _ray_exit(body, origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
             t = np.where(den > 1e-15, num / den, np.inf)
         return np.min(t, axis=1)
     # bisection on containment, with a boundary allowance relative to the chord
-    hi = 4.0 * float(np.atleast_1d(body.support(np.array([0.0])))[0] + 1.0)
+    hi = 4.0 * (body.support(0.0) + 1.0)
     hi = max(hi, 4.0 * getattr(body, "scale", 1.0))
     return bisect(lambda t: contains2_batch(body, origins + t[:, None] * d, tol=1e-12 * t),
                   np.zeros(len(d)), np.full(len(d), hi))
@@ -126,7 +126,7 @@ def _polygon_counts_batch(body: Polygon2, pts: np.ndarray):
 def _smooth_g(body: SmoothBody2, pts: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """g(theta) = <p - r(theta), u'(theta)> = <p, u'> - h'(theta), batched."""
     up = np.stack([-np.sin(theta), np.cos(theta)], axis=0)
-    return pts @ up - np.atleast_1d(body.support_d1(theta))
+    return pts @ up - body.support_d1(theta)
 
 
 def _smooth_feet(body: SmoothBody2, p: np.ndarray) -> list[tuple] | None:
@@ -249,7 +249,7 @@ def stable_count(body, point) -> int:
     return sum(1 for f in normal_feet2(body, point) if f.index == 0)
 
 
-def count_normals2_batch(body, pts, base_grid: int | None = None):
+def count_normals2_batch(body, pts):
     """Vectorized counts; returns (total, stable, degenerate_mask).
 
     total is DEGENERATE (-2) where the count could not be certified: on a
@@ -257,15 +257,13 @@ def count_normals2_batch(body, pts, base_grid: int | None = None):
     certified kernel cannot prove every grid interval monotone or root-free
     by MAX_GRID (the evolute) or g vanishes (a disk centre).  At a root
     g' = |p - q| - rho(q), so the stable feet are the descending roots of g.
-    base_grid is the smooth kernel's starting grid; it changes the speed
-    only, never a count.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, Polygon2):
         return _polygon_counts_batch(body, pts)
     if isinstance(body, SmoothBody2):
         return count_roots(lambda q, th: _smooth_g(body, q, th), pts,
-                           max(1, body.degree), body.scale, base_grid)
+                           max(1, body.degree), body.scale)
     if isinstance(body, ArcBody2):
         return _arc_counts_batch(body, pts)
     raise UnsupportedCombinationError(f"no normal counter for {type(body).__name__}")

@@ -78,10 +78,10 @@ def _coefficients(g, pts: np.ndarray, degree: int):
     return coef, np.stack([(amp * k**e).sum(axis=1, keepdims=True) for e in range(4)])
 
 
-def _start_grid(degree: int, base_grid: int | None) -> int:
-    # by default the 2N + 2 samples rounded up to a power of two: coarse
-    # grids settle most points and only the rest refine
-    return max(int(base_grid or 0), 1 << (2 * degree + 1).bit_length())
+def _start_grid(degree: int) -> int:
+    # the 2N + 2 samples rounded up to a power of two: coarse grids settle
+    # most points and only the rest refine
+    return 1 << (2 * degree + 1).bit_length()
 
 
 def _settle(coef: np.ndarray, lips: np.ndarray, tol: float, grid: int):
@@ -110,8 +110,7 @@ def _settle(coef: np.ndarray, lips: np.ndarray, tol: float, grid: int):
         grid *= 2
 
 
-def count_roots(g, pts: np.ndarray, degree: int, scale: float,
-                base_grid: int | None = None):
+def count_roots(g, pts: np.ndarray, degree: int, scale: float):
     """Certified root counts of ``theta -> g(pts, theta)[i]`` on the circle.
 
     ``g(pts, thetas)`` returns an array (len(pts), len(thetas)); each row
@@ -121,7 +120,7 @@ def count_roots(g, pts: np.ndarray, degree: int, scale: float,
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = len(pts)
-    start = _start_grid(degree, base_grid)
+    start = _start_grid(degree)
     total = np.full(n, DEGENERATE, dtype=int)
     down = np.zeros(n, dtype=int)
     chunk = max(1, _BLOCK // start)
@@ -146,7 +145,7 @@ def root_angles(g, point, degree: int, scale: float):
     coef, lips = _coefficients(g, np.atleast_2d(np.asarray(point, dtype=float)), degree)
     k = np.arange(degree + 1)
     weights = np.where(k > 0, 2.0, 1.0) * coef[0]
-    for idx, grid, pos in _settle(coef, lips, _RTOL * scale, _start_grid(degree, None)):
+    for idx, grid, pos in _settle(coef, lips, _RTOL * scale, _start_grid(degree)):
         if len(idx):
             pos = pos[0]
             j = np.flatnonzero(pos != np.roll(pos, -1))

@@ -98,6 +98,18 @@ def test_smooth_boundary_shape_follows_input():
     assert np.allclose(q[0], p)
 
 
+def test_smooth_series_shape_follows_input():
+    B = nc.SmoothBody2(1.0, (0.0, 0.05), (0.0, 0.0, 0.02))
+    for method in (B.support, B.support_d1, B.support_d2, B.rho):
+        assert method(np.zeros(0)).shape == (0,)
+        one = method(np.array([0.7]))
+        assert one.shape == (1,)
+        scalar = method(0.7)
+        assert type(scalar) is float
+        assert one[0] == scalar
+        assert method(np.full((2, 3), 0.7)).shape == (2, 3)
+
+
 def test_smooth_support_derivatives_match_finite_differences():
     B = nc.SmoothBody2(1.0, (0.02, 0.0, 0.03), (0.01,))
     ths = np.linspace(0, 2 * math.pi, 11)

@@ -11,6 +11,10 @@ import oracles
 
 
 UNIT_SQUARE = [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]
+PENTAGON = [(0, 0), (1.3, 0.1), (1.5, 0.9), (0.4, 1.1), (-0.3, 0.6)]
+# edges 1 and 4 are short, parallel and antipodal: their trapezoid is a thin
+# band along the x axis that few samples hit
+THIN_BAND = [(1, -0.001), (1, 0.001), (0.3, 0.8), (-1, 0.001), (-1, -0.001), (-0.2, -0.9)]
 
 
 def test_triangle_has_three_diameters_everywhere():
@@ -52,6 +56,72 @@ def test_polygon_counts_match_direction_sweep_oracle():
             assert prod == oracles.polygon_diameter_count(P, p, samples=4000)
             assert prod % 2 == 1  # diameters through a generic point are odd
         done += 1
+
+
+def test_polygon_batch_matches_scalar_and_sweep_oracle():
+    rng = np.random.default_rng(21)
+    for k in (3, 4, 7, 12):
+        P = oracles.random_convex_polygon(rng, k)
+        assert not nc.parallel_antipodal_edge_pairs(P)
+        pts = nc.sample_interior2(P, 200, seed=k)
+        counts, flags = nc.diameter_counts_batch(P, pts)
+        assert not flags.any()
+        assert np.array_equal(counts, [nc.count_diameters_polygon(P, p) for p in pts])
+        for p, c in zip(pts[:2], counts[:2]):
+            assert c == oracles.polygon_diameter_count(P, p, samples=4000)
+
+
+def test_antipodal_diagonal_is_flagged():
+    # (0.5, 0.35) is the midpoint of the antipodal diagonal from (-0.3, 0.6)
+    # to (1.3, 0.1), a side of antipodal triangles: the count jumps by two
+    # across it, and on it no count is certified
+    P = nc.build_polygon(PENTAGON)
+    pts = np.array([(0.5, 0.35), (0.5, 0.351), (0.5, 0.349)])
+    counts, flags = nc.diameter_counts_batch(P, pts)
+    assert flags.tolist() == [True, False, False]
+    assert counts.tolist() == [nc.DEGENERATE, 5, 3]
+    assert nc.count_diameters_polygon(P, pts[0]) == nc.DEGENERATE
+    assert [oracles.polygon_diameter_count(P, p, samples=4000) for p in pts[1:]] == [5, 3]
+
+
+def test_infinite_beats_the_flag_inside_a_trapezoid():
+    # the square's diagonals are sides of antipodal triangles, so these
+    # points would be flagged outside a trapezoid
+    S = nc.build_polygon(UNIT_SQUARE)
+    counts, flags = nc.diameter_counts_batch(S, [(0.1, 0.1), (-0.2, 0.2), (0.1, 0.3)])
+    assert not flags.any()
+    assert np.all(counts == nc.INFINITE)
+    P = nc.build_polygon(THIN_BAND)
+    counts, flags = nc.diameter_counts_batch(P, [(0.0, 0.0), (0.2, 0.4), (0.0, -0.5)])
+    assert not flags.any()
+    assert counts[0] == nc.INFINITE
+    assert counts[1] % 2 == 1 and counts[2] % 2 == 1
+
+
+def test_thin_parallel_pair_makes_every_average_infinite():
+    P = nc.build_polygon(THIN_BAND)
+    assert nc.parallel_antipodal_edge_pairs(P) == [(1, 4)]
+    for seed in range(5):
+        with pytest.raises(nc.InfiniteDiametersError) as exc:
+            nc.estimate_interior_average(P, "diameters", 200, seed=seed)
+        assert exc.value.pair == (1, 4)
+
+
+def test_polygon_batch_memory_is_bounded():
+    # points run in blocks of points x antipodal triangles, so 20k points of
+    # a 256-gon never build their full (points, triangles) table
+    import tracemalloc
+
+    P = nc.inscribe_polygon(nc.SmoothBody2(1.0, (0.0, 0.05, 0.03), (0.02,)), 256)
+    pts = nc.sample_interior2(P, 20000, seed=12)
+    tracemalloc.start()
+    try:
+        counts, flags = nc.diameter_counts_batch(P, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.all(counts[~flags] % 2 == 1)
 
 
 def test_polygon_counts_are_affine_invariant():

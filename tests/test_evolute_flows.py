@@ -90,7 +90,7 @@ def test_flow_spec_validation():
 def test_outward_flow_decreases_mean_count():
     body = _wavy(0.06)
     spec = nc.FlowSpec("outward_eikonal", 1.5, 6)
-    trace = nc.evolve_flow(body, spec, 4000, seed=7, base_grid=256)
+    trace = nc.evolve_flow(body, spec, 4000, seed=7)
     verdict = nc.monotonicity_verdict(trace)
     assert verdict["direction"] == "decreasing"
     assert not verdict["wrong_direction_ci_pair"]
@@ -101,7 +101,7 @@ def test_outward_flow_decreases_mean_count():
 
 def test_disk_flow_constant_two():
     trace = nc.evolve_flow(_disk(), nc.FlowSpec("outward_eikonal", 1.0, 4),
-                           2000, seed=3, base_grid=256)
+                           2000, seed=3)
     verdict = nc.monotonicity_verdict(trace)
     assert verdict["constant"]
     assert verdict["direction"] == "none"
@@ -112,23 +112,23 @@ def test_inward_flow_past_singularity_raises():
     body = _wavy(0.05)  # rolling ball 0.85
     with pytest.raises(SingularFlowError):
         nc.evolve_flow(body, nc.FlowSpec("inward_eikonal", 1.2, 6),
-                       500, seed=1, base_grid=128)
+                       500, seed=1)
 
 
 def test_curvature_power_flow_truncation_flag():
     body = _wavy(0.1)
     spec = nc.FlowSpec("curvature_power", 8.0, 40, r=1.0, direction="in")
-    trace = nc.evolve_flow(body, spec, 400, seed=2, base_grid=128)
+    trace = nc.evolve_flow(body, spec, 400, seed=2)
     assert trace.truncated
     assert len(trace.bodies) < 41
     ok = nc.evolve_flow(body, nc.FlowSpec("curvature_power", 0.05, 3, r=1.0),
-                        400, seed=2, base_grid=128)
+                        400, seed=2)
     assert not ok.truncated and len(ok.bodies) == 4
 
 
 def test_monotonicity_verdict_keys_and_endpoints():
     trace = nc.evolve_flow(_wavy(0.06), nc.FlowSpec("outward_eikonal", 2.0, 5),
-                           3000, seed=11, base_grid=256)
+                           3000, seed=11)
     verdict = nc.monotonicity_verdict(trace)
     assert set(verdict) == {"direction", "strict_estimates", "constant",
                             "endpoints_ci_disjoint", "wrong_direction_ci_pair"}
@@ -138,7 +138,7 @@ def test_monotonicity_verdict_keys_and_endpoints():
 def test_derivative_report_identity():
     body = _wavy(0.05)
     rep = nc.derivative_report(body, 1e-3, 40000, seed=5,
-                               base_grid=256, boundary_samples=800)
+                               boundary_samples=800)
     assert rep["residual"] < rep["combined_ci_width"] + 0.2
     # both sides negative for an evolute-inside body flowing outward
     assert rep["finite_difference"] < 0.0
@@ -152,7 +152,7 @@ def test_flow_matches_direct_offset_counts():
     # slices of the eikonal flow are plain offsets: spot-check support values
     body = _wavy(0.09)
     spec = nc.FlowSpec("outward_eikonal", 1.0, 2)
-    trace = nc.evolve_flow(body, spec, 300, seed=9, base_grid=128)
+    trace = nc.evolve_flow(body, spec, 300, seed=9)
     direct = nc.offset_body(body, 0.5)
     t = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     assert np.allclose(trace.bodies[1].support(t), direct.support(t), atol=1e-12)

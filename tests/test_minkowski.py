@@ -213,6 +213,11 @@ def test_gauge_batch_equals_row_by_row():
     assert np.allclose(nc.gauge_batch(M, X), rows, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("make", [_degree6_ball, _disk_ball, lambda: _poly_ball("hexagon")])
+def test_gauge_batch_of_no_points_is_empty(make):
+    assert nc.gauge_batch(make(), np.zeros((0, 2))).shape == (0,)
+
+
 @pytest.mark.parametrize("name, want", [
     ("octagon", 0.8409902576697321),
     ("degree6", 0.8343848436626605),

@@ -106,8 +106,11 @@ def test_counts_do_not_depend_on_batching_or_start_grid(name, monkeypatch):
     assert np.array_equal(one_by_one, whole)
     order = np.random.default_rng(5).permutation(len(pts))
     assert np.array_equal(fn(GENERIC, pts[order])[0], whole[order])
-    for base_grid in (16, 100, 4096):
-        assert np.array_equal(fn(GENERIC, pts, base_grid=base_grid)[0], whole)
+    default = trigcount._start_grid
+    for grid in (16, 100, 4096):
+        monkeypatch.setattr(trigcount, "_start_grid", lambda degree: max(grid, default(degree)))
+        assert np.array_equal(fn(GENERIC, pts)[0], whole)
+    monkeypatch.setattr(trigcount, "_start_grid", default)
     # tiny evaluation blocks split every level of the kernel into many blocks
     monkeypatch.setattr(trigcount, "_BLOCK", 64)
     assert np.array_equal(fn(GENERIC, pts)[0], whole)
