@@ -4,8 +4,16 @@ Three boundary representations are supported.  ``Polygon2`` stores CCW
 vertices of a strictly convex polygon.  ``SmoothBody2`` stores a truncated
 Fourier series of the support function h(theta); the boundary point with
 outer normal angle theta is h*u + h'*u_perp and the curvature radius is
-rho = h + h''.  ``ArcBody2`` is a CCW chain of circular arcs (constant-width
-shapes such as Reuleaux polygons live here).
+rho = h + h''; ``SmoothBody2.jet`` evaluates h, h' and h'' from one table of
+cos k*theta and sin k*theta.  ``ArcBody2`` is a CCW chain of circular arcs
+(constant-width shapes such as Reuleaux polygons live here).
+
+Containment is decided by the signed support excess max_u <p, u> - h(u),
+which is minus the distance to the boundary inside.  On a smooth body it is
+the maximum of a trigonometric polynomial, certified from its coefficients
+on a coarse grid that is doubled only for the points it leaves undecided;
+``contains2_batch`` refines a point only until its side of the tolerance is
+certain.
 """
 
 from __future__ import annotations
@@ -18,8 +26,7 @@ from scipy.spatial import ConvexHull
 
 from .errors import ConvexityError, DegenerateBodyError, DomainError
 from .rng import philox_generator, rejection_sample
-
-TWO_PI = 2.0 * math.pi
+from .trigcount import _BLOCK, _RTOL, MAX_GRID, TWO_PI, _start_grid, bisect
 
 # Relative tolerance for strict-convexity cross products and chain closure.
 CONVEXITY_RTOL = 1e-12
@@ -36,24 +43,6 @@ def cross2(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def bisect(f, lo, hi) -> np.ndarray:
-    """Vectorized bisection of the brackets [lo[i], hi[i]].
-
-    ``f(t)`` returns, per bracket, whether t lies on the ``lo`` side of the
-    crossing (f holds at lo and fails at hi).  64 halvings take every bracket
-    below 2**-64 of its width, past double resolution, so no tolerance is
-    needed.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        left = f(mid)
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def _norm_angle(t: float) -> float:
@@ -155,46 +144,50 @@ class SmoothBody2:
             )
 
     def _series(self, theta, terms):
-        """``terms(cos k*theta, sin k*theta)`` over the harmonics k; the
-        shape follows theta, and a 0-d theta gives a float."""
+        """The tuple of series ``terms(cos k*theta, sin k*theta)`` over the
+        harmonics k, from one table; each shape follows theta, and a 0-d
+        theta gives floats."""
         theta = np.asarray(theta, dtype=float)
         kt = np.atleast_1d(theta)[..., None] * self.k
         out = terms(np.cos(kt), np.sin(kt))
-        return float(out[0]) if theta.ndim == 0 else out
+        return tuple(float(x[0]) for x in out) if theta.ndim == 0 else out
+
+    def jet(self, theta):
+        """(h, h', h'') at theta."""
+        k, k2 = self.k, self.k**2
+        return self._series(theta, lambda c, s: (
+            self.a0 + c @ self.ac + s @ self.bs,
+            -(s * k) @ self.ac + (c * k) @ self.bs,
+            -(c * k2) @ self.ac - (s * k2) @ self.bs))
 
     def support(self, theta):
-        return self._series(theta, lambda c, s: self.a0 + c @ self.ac + s @ self.bs)
+        return self.jet(theta)[0]
 
     def support_d1(self, theta):
-        return self._series(theta, lambda c, s: -(s * self.k) @ self.ac + (c * self.k) @ self.bs)
+        return self.jet(theta)[1]
 
     def support_d2(self, theta):
-        k2 = self.k**2
-        return self._series(theta, lambda c, s: -(c * k2) @ self.ac - (s * k2) @ self.bs)
+        return self.jet(theta)[2]
 
     def rho(self, theta):
-        """Curvature radius rho(theta) = h + h''."""
+        """Curvature radius rho(theta) = h + h'', summed as one series (h + h''
+        from ``jet`` can round differently in the last place)."""
         w = 1.0 - self.k**2
-        return self._series(theta, lambda c, s: self.a0 + (c * w) @ self.ac + (s * w) @ self.bs)
+        return self._series(theta, lambda c, s: (
+            self.a0 + (c * w) @ self.ac + (s * w) @ self.bs,))[0]
 
     def boundary(self, theta):
-        """Boundary point(s) with outer normal angle theta; shape follows input."""
-        scalar = np.ndim(theta) == 0
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        h = self.support(theta)
-        h1 = self.support_d1(theta)
+        """Boundary point(s) r = h*u + h'*u_perp with outer normal angle theta;
+        the shape follows theta with a trailing axis of 2."""
+        h, h1, _ = self.jet(theta)
         u = unit(theta)
         up = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-        pts = h[..., None] * u + h1[..., None] * up
-        return pts[0] if scalar else pts
+        return np.asarray(h)[..., None] * u + np.asarray(h1)[..., None] * up
 
     def curvature_center(self, theta):
-        """Center of curvature c(theta) = boundary - rho * u."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        r = np.atleast_2d(self.boundary(theta))
-        rho = self.rho(theta)
-        c = r - rho[:, None] * unit(theta)
-        return c if c.shape[0] > 1 else c[0]
+        """Center of curvature c = r - rho*u; the shape follows theta as in
+        ``boundary``."""
+        return self.boundary(theta) - np.asarray(self.rho(theta))[..., None] * unit(theta)
 
     def area(self) -> float:
         # 0.5 * integral(h^2 - h'^2) in closed form from the coefficients
@@ -428,33 +421,118 @@ def bounding_box(body):
     return np.array([-h[2], -h[3]]), np.array([h[0], h[1]])
 
 
-def _smooth_margin(body: SmoothBody2, pts: np.ndarray, grid: int = 2048) -> np.ndarray:
-    """max_theta <p,u)-h per point, Newton-polished; <=0 means inside."""
-    block = max(256, int(4e6 // grid))
-    if len(pts) > block:
-        return np.concatenate([_smooth_margin(body, pts[i:i + block], grid)
-                               for i in range(0, len(pts), block)])
-    theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    u = unit(theta)
-    h = body.support(theta)
-    vals = pts @ u.T - h
-    idx = np.argmax(vals, axis=1)
-    t = theta[idx]
+def _polish(body: SmoothBody2, pts: np.ndarray, start: np.ndarray, delta: float):
+    """Newton's method for the maximum of f_p near each start angle, where
+    the caller has shown f_p concave within delta of it.  Returns f_p and
+    f_p' at the polished angles."""
+    def derivatives(t):
+        h, h1, h2 = body.jet(t)
+        c, s = np.cos(t), np.sin(t)
+        pu = pts[:, 0] * c + pts[:, 1] * s
+        pv = pts[:, 1] * c - pts[:, 0] * s
+        return pu - h, pv - h1, pu + h2
+
+    t = start
     for _ in range(4):
-        ut = unit(t)
-        upt = np.stack([-ut[:, 1], ut[:, 0]], axis=1)
-        g1 = np.einsum("ij,ij->i", pts, upt) - body.support_d1(t)
-        g2 = -np.einsum("ij,ij->i", pts, ut) - body.support_d2(t)
-        safe = np.abs(g2) > 1e-300
-        step = np.divide(g1, g2, out=np.zeros_like(g1), where=safe)
-        t = t - np.clip(step, -0.01, 0.01)
-    ut = unit(t)
-    polished = np.einsum("ij,ij->i", pts, ut) - body.support(t)
-    return np.maximum(vals[np.arange(len(pts)), idx], polished)
+        _, slope, bend = derivatives(t)
+        t = np.clip(t + slope / bend, start - delta, start + delta)
+    return derivatives(t)[:2]
+
+
+def _smooth_margin(body: SmoothBody2, pts: np.ndarray, tol=None) -> np.ndarray:
+    """Certified max over theta of f_p(theta) = <p, u(theta)> - h(theta).
+
+    f_p is a trigonometric polynomial of degree N = max(1, deg h); with A_k
+    the amplitude of its k-th harmonic (A_1 depends on p), |f_p''''| <= L4
+    = sum k^4 A_k.  At grid angle theta_j, -f''_j = f_j + rho_j comes free
+    with f_j.  On a grid interval of width delta, -f'' lies within
+    delta^2/8 * L4 of the range of its end values, which gives
+
+    - an upper bound of f: its larger end value + delta^2/8 * max(-f''),
+    - concavity where min(-f'') > 0.
+
+    Newton's method from a grid peak inside a run of concave intervals
+    polishes the run's one maximum theta*, and the run stays below
+    f(theta*) + 2 pi |f'(theta*)|.  A row is certified, and its margin is
+    the best value found, when every interval whose bound exceeds that
+    value (by more than a rounding allowance of 1e-12 of the scale) lies in
+    such a run.  Only the other rows move to the doubled grid; a row not
+    certified by MAX_GRID (a maximum flat to fourth order, at an end of the
+    medial axis) keeps its best value.
+
+    With ``tol``, a row also stops once its grid decides its side of tol:
+    the grid maximum is above tol, or every interval bound is at or below
+    it.  Its value is then the best value found, on the same side of tol
+    as the margin.
+    """
+    n = len(pts)
+    k = np.arange(1, max(1, body.degree) + 1, dtype=float)
+    first = (body.ac[0], body.bs[0]) if body.degree else (0.0, 0.0)
+    amps = np.empty((n, len(k)))
+    amps[:, 0] = np.hypot(pts[:, 0] - first[0], pts[:, 1] - first[1])
+    amps[:, 1:] = np.hypot(body.ac[1:], body.bs[1:])
+    lip4 = amps @ k**4
+    allow = _RTOL * (body.scale + np.hypot(pts[:, 0], pts[:, 1]))
+    best = np.full(n, -np.inf)
+    active = np.arange(n)
+    grid = _start_grid(len(k))
+    while len(active) and grid <= MAX_GRID:
+        delta = TWO_PI / grid
+        theta = np.arange(grid) * delta
+        h, _, h2 = body.jet(theta)
+        u = unit(theta)
+        rows = max(1, _BLOCK // grid)
+        left = []
+        for b in range(0, len(active), rows):
+            idx = active[b:b + rows]
+            f = pts[idx] @ u.T - h
+            bend = f + (h + h2)
+            bend_next = np.roll(bend, -1, axis=1)
+            err = (0.125 * delta**2 * lip4[idx])[:, None]
+            concave = np.minimum(bend, bend_next) - err > allow[idx, None]
+            hi = np.maximum(f, np.roll(f, -1, axis=1)) + 0.125 * delta**2 * np.maximum(
+                np.maximum(bend, bend_next) + err, 0.0)
+            top = f.max(axis=1)
+            best[idx] = np.maximum(best[idx], top)
+            if tol is not None:
+                keep = (top <= tol) & (hi.max(axis=1) + allow[idx] > tol)
+                idx, f, hi, concave = idx[keep], f[keep], hi[keep], concave[keep]
+            # polish the grid peaks inside concave runs that might beat the best
+            slack = best[idx] + allow[idx]
+            peak = ((f >= np.roll(f, 1, axis=1)) & (f >= np.roll(f, -1, axis=1))
+                    & concave & np.roll(concave, 1, axis=1)
+                    & (np.maximum(hi, np.roll(hi, 1, axis=1)) > slack[:, None]))
+            r, j = np.nonzero(peak)
+            val, slope = _polish(body, pts[idx[r]], theta[j], delta)
+            np.maximum.at(best, idx[r], val)
+            slack = best[idx] + allow[idx]
+            # number the concave runs; one wrapping past 2 pi keeps its last number
+            run = np.cumsum(concave & ~np.roll(concave, 1, axis=1), axis=1)
+            run = np.where(run == 0, run[:, -1:], run)
+            ok = val + TWO_PI * np.abs(slope) <= slack[r]
+            certified = np.zeros((len(idx), grid + 1), dtype=bool)
+            certified[r[ok], run[r[ok], j[ok]]] = True
+            covered = concave & np.take_along_axis(certified, run, axis=1)
+            still = np.any((hi > slack[:, None]) & ~covered, axis=1)
+            if tol is not None:
+                still &= best[idx] <= tol
+            left.append(idx[still])
+        active = np.concatenate(left)
+        grid *= 2
+    return best
 
 
 def signed_boundary_excess(body, pts) -> np.ndarray:
-    """Positive outside, negative inside; magnitude approximates distance."""
+    """The signed support excess max over outer normals u of <p, u> - h(u):
+    positive outside, negative inside.
+
+    Inside, it is minus the distance from p to the boundary.  Outside, it
+    is at most the distance from p to the body: equal to it for smooth
+    bodies, whose maximum runs over every normal angle, and equal to it
+    away from the vertex (corner) regions of polygons (arc bodies), whose
+    maximum runs over the edge normals (the arcs' normal ranges).  Smooth
+    bodies get the certified maximum of ``_smooth_margin``.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, Polygon2):
         vals = pts @ body.edge_normals.T - body.edge_offsets
@@ -479,10 +557,15 @@ def signed_boundary_excess(body, pts) -> np.ndarray:
 
 def contains2(body, point, tol: float = 0.0) -> bool:
     """True when the point is inside (boundary within tol counts as inside)."""
-    return bool(signed_boundary_excess(body, np.asarray(point, dtype=float))[0] <= tol)
+    return bool(contains2_batch(body, point, tol)[0])
 
 
 def contains2_batch(body, pts, tol: float = 0.0) -> np.ndarray:
+    """Per point, is the signed boundary excess at most tol?  A point of a
+    smooth body is refined only until its side of tol is certain."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if isinstance(body, SmoothBody2):
+        return _smooth_margin(body, pts, tol) <= tol
     return signed_boundary_excess(body, pts) <= tol
 
 

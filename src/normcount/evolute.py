@@ -54,9 +54,10 @@ def contains_evolute(body: SmoothBody2, grid: int = 4096,
                      rtol: float = 1e-9) -> tuple[bool, float]:
     """Does the body contain all its centres of curvature?
 
-    Grid-certified: the worst signed support excess of the centres is taken
-    over ``grid`` angles and once more over the doubled grid; negative means
-    strictly inside with that margin.  Returns (contained, worst_excess).
+    The worst signed support excess of the centres at ``grid`` angles and
+    at the doubled grid, each the certified maximum of
+    ``signed_boundary_excess``; negative means strictly inside, by that
+    distance from the boundary.  Returns (contained, worst_excess).
     """
     _require_smooth(body)
     worst = -np.inf

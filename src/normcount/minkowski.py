@@ -195,9 +195,8 @@ def gauge_batch(M: NormBall2, X) -> np.ndarray:
     step_cap = 1.5 * (TWO_PI / _GAUGE_GRID)
     for _ in range(2):
         c, s = np.cos(t), np.sin(t)
-        hv = body.support(t)
-        h1 = body.support_d1(t)
-        rho = body.rho(t)
+        hv, h1, h2 = body.jet(t)
+        rho = hv + h2
         xu = X[:, 0] * c + X[:, 1] * s
         xdu = -X[:, 0] * s + X[:, 1] * c
         num = xdu * hv - xu * h1

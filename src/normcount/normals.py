@@ -18,7 +18,10 @@ points on a wedge boundary.  The scalar feet come from the same kernel: the
 smooth feet are the bisected sign changes of the grid that certified the
 count, and ``normal_feet2`` raises DegenerateConfigurationError at every
 point the batch counter flags, so scalar and batch counts agree by
-construction.
+construction.  Each foot's chord, from the foot through p to the far side,
+is solved without a containment test: the exit is the second root of a
+trigonometric polynomial on a smooth body, and a line-circle intersection
+on an arc body (see ``_ray_exit``).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .bodies2d import (TWO_PI, ArcBody2, Polygon2, SmoothBody2, bisect,
-                       contains2_batch, require_interior)
+                       cross2, require_interior)
 from .bodies3d import Polytope3, contains3
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
@@ -62,20 +65,48 @@ class NormalFoot:
 # chord helper
 
 
-def _ray_exit(body, origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Lengths of the chords from boundary points along directions through the body."""
-    d = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
+    """Lengths of the normal chords from each foot q through p to the far
+    side of the body.
+
+    Polygons take the nearest edge line ahead.  Arc bodies take the far
+    intersection of the line with each arc's circle, kept when it lies in
+    the arc's angle range, and the corners the line passes through; the
+    exit is the farthest of these.  On a smooth body the chord from
+    q = r(theta0) along d leaves at the second root of the trigonometric
+    polynomial F(phi) = cross(r(phi) - q, d): a strictly convex curve
+    crosses a line twice, and F'(theta0) = -rho <u(theta0), d> > 0 for an
+    inward d, so F > 0 on (theta0, exit) and < 0 on (exit, theta0 + 2pi),
+    and one bisection over that bracket finds the exit.
+    """
+    qs = np.array([q for q, _, _ in feet])
+    d = p - qs
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
     if isinstance(body, Polygon2):
-        num = body.edge_offsets - origins @ body.edge_normals.T
+        num = body.edge_offsets - qs @ body.edge_normals.T
         den = d @ body.edge_normals.T
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(den > 1e-15, num / den, np.inf)
         return np.min(t, axis=1)
-    # bisection on containment, with a boundary allowance relative to the chord
-    hi = 4.0 * (body.support(0.0) + 1.0)
-    hi = max(hi, 4.0 * getattr(body, "scale", 1.0))
-    return bisect(lambda t: contains2_batch(body, origins + t[:, None] * d, tol=1e-12 * t),
-                  np.zeros(len(d)), np.full(len(d), hi))
+    if isinstance(body, SmoothBody2):
+        theta0 = np.array([source[1] for _, source, _ in feet])
+        exit_ = bisect(lambda phi: cross2(body.boundary(phi) - qs, d) > 0,
+                       theta0, theta0 + TWO_PI)
+        return np.einsum("ij,ij->i", body.boundary(exit_) - qs, d)
+    best = np.zeros(len(qs))
+    for a in body.arcs:
+        rel = qs - np.asarray(a.center)
+        b = np.einsum("ij,ij->i", rel, d)
+        disc = b * b - (np.einsum("ij,ij->i", rel, rel) - a.radius**2)
+        t = -b + np.sqrt(np.maximum(disc, 0.0))
+        hit = rel + t[:, None] * d
+        on_arc = (disc >= 0) & ((np.arctan2(hit[:, 1], hit[:, 0]) - a.ang0) % TWO_PI <= a.span)
+        best = np.where(on_arc, np.maximum(best, t), best)
+    for v in body.corner_points:
+        rel = v - qs
+        through = np.abs(cross2(d, rel)) <= 1e-12 * body.scale
+        best = np.where(through, np.maximum(best, np.einsum("ij,ij->i", rel, d)), best)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +259,7 @@ def normal_feet2(body, point) -> list[NormalFoot]:
         raise DegenerateConfigurationError(
             "the normal count is not certified at this point (a wedge boundary, "
             "an arc centre, the evolute or the centre of a disk)")
-    qs = np.array([q for q, _, _ in feet])
-    chords = _ray_exit(body, qs, p - qs)
+    chords = _ray_exit(body, p, feet)
     return [NormalFoot(q, source, float(chord), index)
             for (q, source, index), chord in zip(feet, chords)]
 

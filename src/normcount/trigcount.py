@@ -29,18 +29,37 @@ changes how much work a count takes, never the count.
 ``root_angles`` finds the roots themselves for one point: it settles the
 point exactly as ``count_roots`` does and bisects the sign changes of the
 grid that certified the count, so it finds as many roots as are counted.
+``bisect`` is the package's one bisection, and ``bodies2d`` certifies its
+containment margin with the grid and allowance constants defined here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bodies2d import TWO_PI, bisect
-
+TWO_PI = 2.0 * np.pi
 DEGENERATE = -2
 MAX_GRID = 65536
 _BLOCK = 1 << 20  # rows x grid values per evaluated block
 _RTOL = 1e-12  # rounding allowance, relative to the scale of g's terms
+
+
+def bisect(f, lo, hi) -> np.ndarray:
+    """Vectorized bisection of the brackets [lo[i], hi[i]].
+
+    ``f(t)`` returns, per bracket, whether t lies on the ``lo`` side of the
+    crossing (f holds at lo and fails at hi).  64 halvings take every bracket
+    below 2**-64 of its width, past double resolution, so no tolerance is
+    needed.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        left = f(mid)
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _no_zero(f: np.ndarray, delta: float, lip1: np.ndarray, lip2: np.ndarray,

@@ -428,3 +428,35 @@ def random_concyclic_symmetric_polygon(rng, half: int, radius: float = 1.0):
     ang = np.sort(rng.uniform(0.0, np.pi, half))
     ang = np.concatenate([ang, ang + np.pi])
     return build_polygon(radius * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+
+
+def support_margin_dense(body, pts, grid: int = 1 << 16) -> np.ndarray:
+    """max over theta of <p, u(theta)> - h(theta) for a SmoothBody2: the
+    maximum over ``grid`` angles, polished by Newton's method on the
+    support series written out here from the coefficients."""
+    k = np.arange(1, len(body.ac) + 1)
+
+    def support(t):
+        c, s = np.cos(np.outer(t, k)), np.sin(np.outer(t, k))
+        return (body.a0 + c @ body.ac + s @ body.bs,
+                (c * k) @ body.bs - (s * k) @ body.ac,
+                -(c * k**2) @ body.ac - (s * k**2) @ body.bs)
+
+    theta = np.arange(grid) * (TWO_PI / grid)
+    h = support(theta)[0]
+    u = np.stack([np.cos(theta), np.sin(theta)])
+    out = []
+    for b in range(0, len(pts), 64):
+        p = np.asarray(pts[b:b + 64], dtype=float)
+        vals = p @ u
+        vals -= h
+        j = np.argmax(vals, axis=1)
+        t = theta[j]
+        for _ in range(6):
+            h0, h1, h2 = support(t)
+            pu = p[:, 0] * np.cos(t) + p[:, 1] * np.sin(t)
+            pv = p[:, 1] * np.cos(t) - p[:, 0] * np.sin(t)
+            t = t - np.clip((pv - h1) / (-pu - h2), -TWO_PI / grid, TWO_PI / grid)
+        polished = p[:, 0] * np.cos(t) + p[:, 1] * np.sin(t) - support(t)[0]
+        out.append(np.maximum(vals[np.arange(len(p)), j], polished))
+    return np.concatenate(out)

@@ -77,3 +77,16 @@ def test_tau_on_a_reuleaux_norm_is_unsupported(capsys, tmp_path):
     code, out, err = _tau(capsys, {"type": "reuleaux", "sides": 3, "width": 1.0}, tmp_path)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "unsupported_combination"
+
+
+def test_estimate_runs_are_byte_identical(capsys, tmp_path):
+    args = ["estimate", "--body", json.dumps(SMOOTH), "--samples", "4000",
+            "--seed", "3", "--out", str(tmp_path)]
+    runs = []
+    for _ in range(2):
+        code = cli.run(args)
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        runs.append((out, (tmp_path / "estimate.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][1])["samples_used"] >= 4000

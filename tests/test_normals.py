@@ -222,6 +222,21 @@ def test_reuleaux_counts_match_dense_boundary_oracle():
 # domain errors
 
 
+@pytest.mark.parametrize("body,width", [
+    (nc.SmoothBody2(1.0, [0.0, 0.0, 0.05], [0.0, 0.0, 0.0, 0.0, 0.01]), 2.0),
+    (nc.build_reuleaux(3, 1.0), 1.0),
+    (nc.build_reuleaux(5, 2.0), 2.0),
+], ids=["smooth-odd-harmonics", "reuleaux3", "reuleaux5"])
+def test_normal_chords_of_constant_width_bodies_have_the_width(body, width):
+    # every normal of a body of constant width w is a double normal of length w
+    pts = nc.sample_interior2(body, 200, seed=3)
+    flagged = nc.count_normals2_batch(body, pts)[2]
+    assert flagged.sum() < 5
+    chords = [f.chord_length for p in pts[~flagged] for f in nc.normal_feet2(body, p)]
+    assert len(chords) >= 2 * len(pts[~flagged])
+    assert np.max(np.abs(np.array(chords) - width)) <= 1e-13 * width
+
+
 @pytest.mark.parametrize("maker,outside", [
     (lambda: nc.build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), (2.0, 2.0)),
     (lambda: nc.disk(1.0), (1.5, 0.0)),
