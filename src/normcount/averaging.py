@@ -27,6 +27,10 @@ from .diameters import diameter_counts_batch, parallel_antipodal_edge_pairs
 from .errors import (DomainError, InfiniteDiametersError, TooSingularError,
                      UnsupportedCombinationError)
 from .normals import count_normals2_batch, count_normals3_batch
+from .wedges import exact_average_normals
+
+_MAX_DEGENERATE_FRAC = 0.01  # resampled points allowed, as a fraction of n
+_BOUNDARY_DEPTH = 1e-7  # inward nudge of boundary samples, in inradii
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,15 @@ class EstimateReport:
     samples_used: int
     degenerate_resampled: int
     exact: float | None = None
+
+    @classmethod
+    def from_values(cls, vals: np.ndarray, resampled: int,
+                    exact: float | None = None) -> "EstimateReport":
+        """Mean, standard error and 95% CI of the counter values vals."""
+        n = len(vals)
+        mean = float(np.mean(vals))
+        se = float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+        return cls(mean, se, (mean - 1.96 * se, mean + 1.96 * se), n, resampled, exact)
 
 
 def _normals(body, pts):
@@ -80,21 +93,11 @@ def resolve_counter(counter):
 
 def _closed_form(body, counter):
     if counter == "normals" and isinstance(body, Polygon2):
-        from .wedges import exact_average_normals
-
         return exact_average_normals(body)[1]
     return None
 
 
-def _report(vals: np.ndarray, n: int, resampled: int, exact) -> EstimateReport:
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1)) / math.sqrt(n)
-    return EstimateReport(mean, se, (mean - 1.96 * se, mean + 1.96 * se),
-                          n, resampled, exact)
-
-
-def _run_with_resampling(draw, fn, body, n: int,
-                         max_degenerate_frac: float) -> tuple[np.ndarray, int]:
+def _run_with_resampling(draw, fn, body, n: int) -> tuple[np.ndarray, int]:
     """Evaluate the counter at n stream points, replacing degenerate ones by
     continuing the stream deterministically."""
     pts = draw(n)
@@ -106,10 +109,10 @@ def _run_with_resampling(draw, fn, body, n: int,
     while degen.any():
         k = int(degen.sum())
         resampled += k
-        if resampled > max_degenerate_frac * n:
+        if resampled > _MAX_DEGENERATE_FRAC * n:
             raise TooSingularError(
                 f"{resampled} of {n} sampled points were degenerate "
-                f"(cap {max_degenerate_frac:.0%}); the body's degeneracy locus "
+                f"(cap {_MAX_DEGENERATE_FRAC:.0%}); the body's degeneracy locus "
                 "is too fat to average over")
         fresh = draw(taken + k)[taken:]
         taken += k
@@ -120,9 +123,7 @@ def _run_with_resampling(draw, fn, body, n: int,
     return vals, resampled
 
 
-def estimate_interior_average(body, counter, n: int, seed: int, *,
-                              box=None,
-                              max_degenerate_frac: float = 0.01) -> EstimateReport:
+def estimate_interior_average(body, counter, n: int, seed: int) -> EstimateReport:
     """Mean of a pointwise counter over n uniform interior points."""
     if n < 100:
         raise DomainError("estimate_interior_average needs n >= 100")
@@ -130,37 +131,35 @@ def estimate_interior_average(body, counter, n: int, seed: int, *,
 
     if isinstance(body, Polytope3):
         def draw(m):
-            return sample_interior3(body, m, seed, box=box)
+            return sample_interior3(body, m, seed)
     else:
         def draw(m):
-            return sample_interior2(body, m, seed, box=box)
+            return sample_interior2(body, m, seed)
 
-    vals, resampled = _run_with_resampling(draw, fn, body, n, max_degenerate_frac)
-    return _report(vals, n, resampled, _closed_form(body, counter))
+    vals, resampled = _run_with_resampling(draw, fn, body, n)
+    return EstimateReport.from_values(vals, resampled, _closed_form(body, counter))
 
 
-def estimate_boundary_average(body, counter, n: int, seed: int, *,
-                              eps: float = 1e-7,
-                              max_degenerate_frac: float = 0.01) -> EstimateReport:
+def estimate_boundary_average(body, counter, n: int, seed: int) -> EstimateReport:
     """Mean of a counter over n boundary points uniform in arc length.
 
     Counters are defined on the open interior, so each boundary point is
-    nudged inward by ``eps * inradius`` along its inner normal; ``eps`` is the
-    limit convention, exposed for sensitivity checks.
+    nudged inward by ``_BOUNDARY_DEPTH`` inradii along its inner normal, the
+    limit convention.
     """
     if n < 100:
         raise DomainError("estimate_boundary_average needs n >= 100")
     if isinstance(body, Polytope3):
         raise UnsupportedCombinationError("boundary averages are planar-only")
     fn = resolve_counter(counter)
-    depth = eps * inradius_scale(body)
+    depth = _BOUNDARY_DEPTH * inradius_scale(body)
 
     def draw(m):
         pts, ang = sample_boundary2(body, m, seed)
         return pts - depth * unit(ang)
 
-    vals, resampled = _run_with_resampling(draw, fn, body, n, max_degenerate_frac)
-    return _report(vals, n, resampled, None)
+    vals, resampled = _run_with_resampling(draw, fn, body, n)
+    return EstimateReport.from_values(vals, resampled)
 
 
 def field_map(body, grid: tuple[int, int], counter="normals") -> np.ndarray:

@@ -30,6 +30,7 @@ from .trigcount import _BLOCK, _RTOL, MAX_GRID, TWO_PI, _start_grid, bisect
 
 # Relative tolerance for strict-convexity cross products and chain closure.
 CONVEXITY_RTOL = 1e-12
+_CHECK_GRID = 4096  # angles at which SmoothBody2 checks rho > 0
 
 
 def unit(theta):
@@ -48,6 +49,12 @@ def cross2(a, b):
 def _norm_angle(t: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
     return float(t) % TWO_PI
+
+
+def in_angle_range(gamma, lo, span):
+    """Does the angle gamma lie in [lo, lo + span] modulo 2*pi?  The one
+    range test of arcs and of corner normal cones."""
+    return (gamma - lo) % TWO_PI <= span
 
 
 class Polygon2:
@@ -117,11 +124,12 @@ class SmoothBody2:
     """Convex body given by a truncated Fourier support function.
 
     h(theta) = a0 + sum_k (ac[k-1] cos k theta + bs[k-1] sin k theta).
-    Validity requires rho = h + h'' > 0 on a dense grid; the constructor
-    rejects nonconvex coefficient sets and names the worst angle.
+    Validity requires rho = h + h'' > 0 on a grid of ``_CHECK_GRID`` angles;
+    the constructor rejects nonconvex coefficient sets and names the worst
+    angle.
     """
 
-    def __init__(self, a0: float, cos_coeffs=(), sin_coeffs=(), check_grid: int = 4096):
+    def __init__(self, a0: float, cos_coeffs=(), sin_coeffs=()):
         ac = np.asarray(cos_coeffs, dtype=float).ravel()
         bs = np.asarray(sin_coeffs, dtype=float).ravel()
         d = max(len(ac), len(bs))
@@ -132,7 +140,7 @@ class SmoothBody2:
         self.k = np.arange(1, d + 1, dtype=float)
         if not np.isfinite(self.a0) or not np.all(np.isfinite(self.ac)):
             raise DegenerateBodyError("support coefficients must be finite")
-        theta = np.linspace(0.0, TWO_PI, check_grid, endpoint=False)
+        theta = np.linspace(0.0, TWO_PI, _CHECK_GRID, endpoint=False)
         rho = self.rho(theta)
         scale = abs(self.a0) + float(np.sum(np.abs(self.ac)) + np.sum(np.abs(self.bs)))
         self.scale = max(scale, 1e-300)
@@ -288,9 +296,7 @@ class ArcBody2:
         u = unit(theta)
         for a in self.arcs:
             val = u @ np.asarray(a.center) + a.radius
-            lo, hi = a.ang0, a.ang1
-            rel = (theta - lo) % TWO_PI
-            hit = rel <= (hi - lo) + 1e-15
+            hit = in_angle_range(theta, a.ang0, a.span + 1e-15)
             best = np.where(hit, np.maximum(best, val), best)
         sup_c = u @ self.corner_points.T
         best = np.maximum(best, np.max(sup_c, axis=-1))
@@ -546,7 +552,7 @@ def signed_boundary_excess(body, pts) -> np.ndarray:
             rel = pts - c
             d = np.hypot(rel[:, 0], rel[:, 1])
             ang = np.arctan2(rel[:, 1], rel[:, 0])
-            in_range = ((ang - a.ang0) % TWO_PI) <= a.span
+            in_range = in_angle_range(ang, a.ang0, a.span)
             u0, u1 = unit(a.ang0), unit(a.ang1)
             end = np.maximum(rel @ u0, rel @ u1) - a.radius
             val = np.where(in_range, d - a.radius, end)
@@ -592,13 +598,12 @@ def inradius_scale(body) -> float:
 # sampling
 
 
-def sample_interior2(body, n: int, seed: int, box=None) -> np.ndarray:
+def sample_interior2(body, n: int, seed: int) -> np.ndarray:
     """n uniform interior points; sample i is the i-th accepted candidate.
 
-    The candidate stream is a pure function of the seed (Philox); an optional
-    ``box`` override lets callers share one stream across nested bodies.
+    The candidate stream is a pure function of the seed (Philox).
     """
-    lo, hi = bounding_box(body) if box is None else box
+    lo, hi = bounding_box(body)
     return rejection_sample(seed, lo, hi, lambda c: contains2_batch(body, c, tol=0.0), n)
 
 
@@ -692,7 +697,7 @@ def _arc_difference_body(body: ArcBody2) -> ArcBody2:
 
     def piece_at(pieces, ang):
         for lo, span, c, r in pieces:
-            if (ang - lo) % TWO_PI <= span + 1e-12:
+            if in_angle_range(ang, lo, span + 1e-12):
                 return c, r
         raise DegenerateBodyError("angular coverage gap in arc pieces")
 
@@ -722,9 +727,6 @@ def width_function(body, theta):
 def require_interior(body, point, rtol: float = 1e-9):
     """Raise DomainError unless the point is strictly interior."""
     p = np.asarray(point, dtype=float)
-    scale = getattr(body, "scale", None)
-    if scale is None:
-        scale = abs(getattr(body, "a0", 1.0)) or 1.0
-    if interior_margin(body, p) <= rtol * scale:
+    if interior_margin(body, p) <= rtol * body.scale:
         raise DomainError("query point must lie strictly inside the body")
     return p

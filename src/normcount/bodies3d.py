@@ -251,7 +251,7 @@ def bounding_box3(poly: Polytope3):
     return poly.vertices.min(axis=0), poly.vertices.max(axis=0)
 
 
-def sample_interior3(poly: Polytope3, n: int, seed: int, box=None) -> np.ndarray:
+def sample_interior3(poly: Polytope3, n: int, seed: int) -> np.ndarray:
     """n uniform interior points via rejection from the bounding box."""
-    lo, hi = bounding_box3(poly) if box is None else box
+    lo, hi = bounding_box3(poly)
     return rejection_sample(seed, lo, hi, lambda c: contains3_batch(poly, c), n)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .averaging import estimate_interior_average, field_map
-from .bodies2d import Polygon2, SmoothBody2, build_polygon, measure2d
+from .bodies2d import (Polygon2, SmoothBody2, build_polygon, build_reuleaux,
+                       disk, measure2d)
 from .bodies3d import Polytope3, standard_polytope
 from .bodyspec import body_hash, format_float, parse_body
 from .diameters import average_diameters, diameter_chord
@@ -257,8 +258,7 @@ def _validate_corpus(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     out.append(("random polygon 4 < n <= 12", 4.0 < n_gen <= 12.0,
                 f"n={n_gen:.12f}"))
 
-    from .bodies2d import disk as _disk
-    rep = estimate_interior_average(_disk(1.0), "normals", samples, seed)
+    rep = estimate_interior_average(disk(1.0), "normals", samples, seed)
     out.append(("disk n = 2 exactly", rep.mean == 2.0 and rep.std_error == 0.0,
                 f"mean={rep.mean}"))
 
@@ -273,7 +273,6 @@ def _validate_corpus(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     out.append(("smooth planar body n <= 12", slack(rep) <= 12.0,
                 f"mean={rep.mean:.4f}"))
 
-    from .bodies2d import build_reuleaux
     reuleaux = build_reuleaux(3, 1.0)
     bound_cw = 2.0 * np.pi / (np.pi - np.sqrt(3.0))
     rep = estimate_interior_average(reuleaux, "normals", samples, seed)
@@ -320,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_estimate)
 
     sp = sub.add_parser("field", help="counter values on a raster")
-    common(sp)
+    common(sp, seeded=False)
+    sp.add_argument("--seed", type=int, default=0, help="written to the header only")
     sp.add_argument("--grid", default="101x101")
     sp.add_argument("--counter", default="normals",
                     choices=["normals", "diameters", "minkowski"])

@@ -17,6 +17,9 @@ import numpy as np
 from .bodies2d import TWO_PI, SmoothBody2, signed_boundary_excess
 from .errors import UnsupportedCombinationError
 
+_GRID = 8192  # angles of the evolute containment and rolling-ball scans
+_RTOL = 1e-9  # containment allowance, relative to the body's scale
+
 
 @dataclass(frozen=True)
 class EvolutePoint:
@@ -50,30 +53,27 @@ def curvature_profile(body: SmoothBody2, grid: int = 512) -> list[EvolutePoint]:
             for i, (t, p) in enumerate(zip(thetas, rho))]
 
 
-def contains_evolute(body: SmoothBody2, grid: int = 4096,
-                     rtol: float = 1e-9) -> tuple[bool, float]:
+def contains_evolute(body: SmoothBody2) -> tuple[bool, float]:
     """Does the body contain all its centres of curvature?
 
-    The worst signed support excess of the centres at ``grid`` angles and
-    at the doubled grid, each the certified maximum of
-    ``signed_boundary_excess``; negative means strictly inside, by that
-    distance from the boundary.  Returns (contained, worst_excess).
+    The worst signed support excess of the centres at ``_GRID`` angles,
+    each the certified maximum of ``signed_boundary_excess``; negative means
+    strictly inside, by that distance from the boundary.  Contained means a
+    worst excess of at most ``_RTOL`` times the body's scale.  Returns
+    (contained, worst_excess).
     """
     _require_smooth(body)
-    worst = -np.inf
-    for g in (grid, 2 * grid):
-        thetas = np.linspace(0.0, TWO_PI, g, endpoint=False)
-        centers = body.curvature_center(thetas)
-        worst = max(worst, float(np.max(signed_boundary_excess(body, centers))))
-    return worst <= rtol * body.scale, worst
+    centers = body.curvature_center(np.linspace(0.0, TWO_PI, _GRID, endpoint=False))
+    worst = float(np.max(signed_boundary_excess(body, centers)))
+    return worst <= _RTOL * body.scale, worst
 
 
-def rolling_ball_radius(body: SmoothBody2, grid: int = 4096) -> float:
+def rolling_ball_radius(body: SmoothBody2) -> float:
     """Smallest radius of curvature: the largest r such that a disk of radius
-    r rolls freely inside the body (min over angles of rho, parabolic-refined
-    around the grid minimum)."""
+    r rolls freely inside the body (min over ``_GRID`` angles of rho,
+    parabolic-refined around the grid minimum)."""
     _require_smooth(body)
-    thetas = np.linspace(0.0, TWO_PI, 2 * grid, endpoint=False)
+    thetas = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
     rho = body.rho(thetas)
     i = int(np.argmin(rho))
     step = thetas[1] - thetas[0]

@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import EstimateReport, estimate_boundary_average, resolve_counter
-from .bodies2d import (SmoothBody2, bounding_box, contains2_batch, measure2d,
-                       signed_boundary_excess)
+from .bodies2d import (TWO_PI, SmoothBody2, bounding_box, contains2_batch,
+                       measure2d, signed_boundary_excess)
 from .errors import ConvexityError, DomainError, SingularFlowError, UnsupportedCombinationError
 from .evolute import rolling_ball_radius
-from .rng import box_candidates
+from .rng import accept_prefix
 
 _KINDS = ("outward_eikonal", "inward_eikonal", "curvature_power")
 
@@ -87,7 +87,7 @@ def offset_body(body: SmoothBody2, t: float) -> SmoothBody2:
             f"inward offset {t} reaches the evolute (rolling-ball radius "
             f"{rolling_ball_radius(body):.6g})")
     out = SmoothBody2(body.a0 + t, body.ac, body.bs)
-    thetas = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    thetas = np.linspace(0.0, TWO_PI, 32, endpoint=False)
     assert np.allclose(out.curvature_center(thetas), body.curvature_center(thetas),
                        atol=1e-12 * max(body.scale, 1.0))
     assert np.allclose(out.rho(thetas) - body.rho(thetas), t, atol=1e-12 * max(abs(t), 1.0))
@@ -108,7 +108,7 @@ def _curvature_power_bodies(body: SmoothBody2, spec: FlowSpec,
                             grid: int = 512) -> tuple[list, bool]:
     sign = 1.0 if spec.direction == "out" else -1.0
     degree = max(len(body.ac), len(body.bs), 1)
-    thetas = np.arange(grid) * (2.0 * np.pi / grid)
+    thetas = np.arange(grid) * (TWO_PI / grid)
     bodies = [body]
     cur = body
     dt_out = spec.t_end / spec.steps
@@ -117,7 +117,7 @@ def _curvature_power_bodies(body: SmoothBody2, spec: FlowSpec,
         try:
             while remaining > 1e-15:
                 rho = cur.rho(thetas)
-                dt = min(remaining, 0.2 * float(np.min(rho)) ** spec.r * (2.0 * np.pi / grid))
+                dt = min(remaining, 0.2 * float(np.min(rho)) ** spec.r * (TWO_PI / grid))
                 h = cur.support(thetas) + sign * dt * rho ** spec.r
                 a0, cos_c, sin_c = _project_support(h, degree)
                 cur = SmoothBody2(a0, cos_c, sin_c)
@@ -151,46 +151,31 @@ def _coupled_pool(bodies: list, signed_times, n_samples: int,
                   seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """One candidate prefix plus per-slice inside masks.
 
-    The prefix is sized so the smallest slice accepts n_samples points.
-    Eikonal slices are support offsets of the first body, so inside(K_t)
-    reduces to margin(K_0) <= t and a single margin pass serves every slice;
-    only shape-changing flows pay per-slice containment.
+    The prefix is the one ``rng.accept_prefix`` returns for the shared box
+    and the slice least likely to accept, so every slice holds at least
+    n_samples of its points.  Eikonal slices are support offsets of the
+    first body, so inside(K_t) reduces to margin(K_0) <= t: the accept test
+    keeps the margins it computes, and that single margin pass serves every
+    slice.  Shape-changing flows accept on the smallest slice by area and
+    test the prefix against each other slice.
     """
     lo, hi = _shared_box(bodies)
-    chunks: list[np.ndarray] = []
-    accepted = 0
     if signed_times is not None:
-        base = bodies[0]
         t_min = float(np.min(signed_times))
-        margin_chunks: list[np.ndarray] = []
-        for cand in box_candidates(seed, lo, hi):
-            margins = signed_boundary_excess(base, cand)
-            need = n_samples - accepted
-            inside_idx = np.flatnonzero(margins <= t_min)
-            if len(inside_idx) >= need:
-                stop = inside_idx[need - 1] + 1
-                chunks.append(cand[:stop])
-                margin_chunks.append(margins[:stop])
-                break
-            accepted += len(inside_idx)
-            chunks.append(cand)
-            margin_chunks.append(margins)
-        candidates = np.concatenate(chunks)
-        margins = np.concatenate(margin_chunks)
-        return candidates, [margins <= t for t in signed_times]
-    areas = [measure2d(b)["area"] for b in bodies]
-    smallest = bodies[int(np.argmin(areas))]
-    for cand in box_candidates(seed, lo, hi):
-        hits = contains2_batch(smallest, cand)
-        need = n_samples - accepted
-        inside_idx = np.flatnonzero(hits)
-        if len(inside_idx) >= need:
-            chunks.append(cand[: inside_idx[need - 1] + 1])
-            break
-        accepted += len(inside_idx)
-        chunks.append(cand)
-    candidates = np.concatenate(chunks)
-    return candidates, [contains2_batch(b, candidates) for b in bodies]
+        margins: list[np.ndarray] = []
+
+        def inside(cand):
+            margins.append(signed_boundary_excess(bodies[0], cand))
+            return margins[-1] <= t_min
+
+        candidates, _ = accept_prefix(seed, lo, hi, inside, n_samples)
+        margin = np.concatenate(margins)[:len(candidates)]
+        return candidates, [margin <= t for t in signed_times]
+    smallest = int(np.argmin([measure2d(b)["area"] for b in bodies]))
+    candidates, accepted = accept_prefix(
+        seed, lo, hi, lambda c: contains2_batch(bodies[smallest], c), n_samples)
+    return candidates, [accepted if i == smallest else contains2_batch(b, candidates)
+                        for i, b in enumerate(bodies)]
 
 
 def _signed_times(spec: FlowSpec, times: np.ndarray):
@@ -199,18 +184,6 @@ def _signed_times(spec: FlowSpec, times: np.ndarray):
     if spec.kind == "inward_eikonal":
         return -times
     return None
-
-
-def _slice_report(body, pts: np.ndarray, counter_fn) -> EstimateReport:
-    vals, flags = counter_fn(body, pts)
-    vals = np.asarray(vals, dtype=float)
-    flags = np.asarray(flags, dtype=bool)
-    keep = vals[~flags]
-    n = len(keep)
-    mean = float(np.mean(keep))
-    se = float(np.std(keep, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return EstimateReport(mean, se, (mean - 1.96 * se, mean + 1.96 * se),
-                          n, int(flags.sum()), None)
 
 
 def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int, *,
@@ -227,8 +200,12 @@ def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int, *,
     candidates, masks = _coupled_pool(bodies, _signed_times(spec, times),
                                       n_samples, seed)
     bs = boundary_samples or max(1000, n_samples // 10)
-    n_values = [_slice_report(b, candidates[m], counter_fn)
-                for b, m in zip(bodies, masks)]
+    n_values = []
+    for b, m in zip(bodies, masks):
+        vals, flags = counter_fn(b, candidates[m])
+        flags = np.asarray(flags, dtype=bool)
+        n_values.append(EstimateReport.from_values(
+            np.asarray(vals, dtype=float)[~flags], int(flags.sum())))
     n_surf_values = [
         estimate_boundary_average(b, "normals", bs, seed)
         for b in bodies

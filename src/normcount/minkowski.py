@@ -24,7 +24,7 @@ from .bodies2d import (TWO_PI, Polygon2, SmoothBody2, bisect, cross2,
                        measure2d, require_interior)
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
-from .trigcount import count_roots, root_angles
+from .trigcount import _BLOCK, count_roots, root_angles
 
 
 class NormBall2:
@@ -148,7 +148,6 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
 
 
 _GAUGE_GRID = 2048  # normal angles of the smooth gauge's bracket table
-_BLOCK = 1 << 20  # gauge rows x values per row in one hexagon-objective block
 # refinement rounds: each keeps 2/9 of the bracket, and (2/9)**20 is below
 # 0.618**61, the width that 61 golden-section steps leave
 _ROUNDS = 20

@@ -8,19 +8,24 @@ when |p - q| > rho(q), degenerate at equality.  Polygon edge feet are always
 stable and vertex feet always unstable; circular-arc near feet are stable,
 far feet and corner feet unstable.
 
+Polygons and arc bodies each have one face test, ``_polygon_faces`` and
+``_arc_faces``: for a batch of points it returns, per face, the mask of the
+points whose normal foot lies on that face, plus the flags of the points on
+a wedge boundary or at an arc centre.  ``count_normals2_batch`` sums the
+masks, and ``normal_feet2`` reads its feet off the point's single row, so
+scalar and batch answers agree by construction.
+
 On a smooth body the feet are the roots of the degree-N trigonometric
 polynomial g(theta) = <p - r(theta), u'(theta)>, N = max(1, deg h).  The
 batch counter counts them with the certified sign-change kernel of
 ``trigcount``: a count is returned only when every grid interval is proven
 monotone or root-free, and points it cannot certify (on the evolute, or the
-centre of a disk, where g vanishes) are DEGENERATE, as are polygon and arc
-points on a wedge boundary.  The scalar feet come from the same kernel: the
-smooth feet are the bisected sign changes of the grid that certified the
-count, and ``normal_feet2`` raises DegenerateConfigurationError at every
-point the batch counter flags, so scalar and batch counts agree by
-construction.  Each foot's chord, from the foot through p to the far side,
-is solved without a containment test: the exit is the second root of a
-trigonometric polynomial on a smooth body, and a line-circle intersection
+centre of a disk, where g vanishes) are DEGENERATE.  The scalar smooth feet
+are the bisected sign changes of the grid that certified the count.
+``normal_feet2`` raises DegenerateConfigurationError at every point the
+batch counter flags.  Each foot's chord, from the foot through p to the far
+side, is solved without a containment test: the exit is the second root of
+a trigonometric polynomial on a smooth body, and a line-circle intersection
 on an arc body (see ``_ray_exit``).
 """
 
@@ -33,7 +38,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .bodies2d import (TWO_PI, ArcBody2, Polygon2, SmoothBody2, bisect,
-                       cross2, require_interior)
+                       cross2, in_angle_range, require_interior)
 from .bodies3d import Polytope3, contains3
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
@@ -100,7 +105,7 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
         disc = b * b - (np.einsum("ij,ij->i", rel, rel) - a.radius**2)
         t = -b + np.sqrt(np.maximum(disc, 0.0))
         hit = rel + t[:, None] * d
-        on_arc = (disc >= 0) & ((np.arctan2(hit[:, 1], hit[:, 0]) - a.ang0) % TWO_PI <= a.span)
+        on_arc = (disc >= 0) & in_angle_range(np.arctan2(hit[:, 1], hit[:, 0]), a.ang0, a.span)
         best = np.where(on_arc, np.maximum(best, t), best)
     for v in body.corner_points:
         rel = v - qs
@@ -110,44 +115,95 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# polygons
+# polygon and arc faces: one row per point, one column per face
 
 
-def _polygon_feet(body: Polygon2, p: np.ndarray) -> list[tuple]:
-    feet = []
-    v = body.vertices
-    rel = p - v
-    t = np.einsum("ij,ij->i", rel, body.edge_vecs) / body.edge_lengths**2
-    for i in range(len(v)):
-        if 0.0 < t[i] < 1.0:
-            feet.append((v[i] + t[i] * body.edge_vecs[i], ("edge", i), 0))
-    e_out = body.edge_vecs
-    e_back = np.roll(body.edge_vecs, 1, axis=0)  # edge arriving at vertex i
-    d_out = np.einsum("ij,ij->i", rel, e_out)
-    d_back = np.einsum("ij,ij->i", rel, -e_back)
-    for i in range(len(v)):
-        if d_out[i] >= 0.0 and d_back[i] >= 0.0:
-            feet.append((v[i].copy(), ("vertex", i), 1))
-    return feet
+def _polygon_faces(body: Polygon2, pts: np.ndarray):
+    """(edge, t, vertex, flags) for many interior points, exact wedge tests.
 
-
-def _polygon_counts_batch(body: Polygon2, pts: np.ndarray):
-    """(total, stable, flags) for many interior points, exact wedge tests."""
+    Edge i carries a foot where its parameter t lies in (0, 1), at
+    v_i + t * e_i; vertex i where p - v_i lies in its normal cone.  A point
+    within 1e-9 of a wedge boundary is flagged.
+    """
     v = body.vertices
     rel = pts[:, None, :] - v[None, :, :]
     t = np.einsum("pij,ij->pi", rel, body.edge_vecs) / body.edge_lengths**2
-    stable = np.sum((t > 0.0) & (t < 1.0), axis=1)
+    edge = (t > 0.0) & (t < 1.0)
     tol = 1e-9
     edge_flag = np.any((np.abs(t) < tol) | (np.abs(t - 1.0) < tol), axis=1)
     d_out = np.einsum("pij,ij->pi", rel, body.edge_vecs)
     d_back = np.einsum("pij,ij->pi", rel, -np.roll(body.edge_vecs, 1, axis=0))
-    hit = (d_out >= 0.0) & (d_back >= 0.0)
-    unstable = np.sum(hit, axis=1)
+    vertex = (d_out >= 0.0) & (d_back >= 0.0)
     scale2 = body.scale**2
     corner_flag = np.any(
         (np.abs(d_out) < tol * scale2) | (np.abs(d_back) < tol * scale2), axis=1
     )
-    return stable + unstable, stable, edge_flag | corner_flag
+    return edge, t, vertex, edge_flag | corner_flag
+
+
+def _at_range_end(ang, lo, hi):
+    """Is the angle within 1e-9 of lo or of hi, modulo 2*pi?"""
+    return np.minimum(np.abs((ang - lo + math.pi) % TWO_PI - math.pi),
+                      np.abs((ang - hi + math.pi) % TWO_PI - math.pi)) < 1e-9
+
+
+def _arc_faces(body: ArcBody2, pts: np.ndarray):
+    """(ang, near, far, corner, flags) for many interior points.
+
+    ang[:, i] is the angle of p about arc i's centre.  The near foot of arc
+    i is at that angle and the far foot at the opposite one, each present
+    when the arc's angle range holds it; corner j carries a foot where the
+    direction from p to it lies in the corner's normal cone (corners with no
+    cone never do).  A point within 1e-9 of an arc centre or of a range or
+    cone end is flagged.
+    """
+    n = len(pts)
+    flags = np.zeros(n, dtype=bool)
+    angs, near, far, corner = [], [], [], []
+    for a in body.arcs:
+        rel = pts - np.asarray(a.center)
+        d = np.hypot(rel[:, 0], rel[:, 1])
+        ang = np.arctan2(rel[:, 1], rel[:, 0])
+        flags |= d < 1e-9 * a.radius
+        opp = ang + math.pi
+        angs.append(ang)
+        near.append(in_angle_range(ang, a.ang0, a.span))
+        far.append(in_angle_range(opp, a.ang0, a.span))
+        flags |= _at_range_end(ang, a.ang0, a.ang1) | _at_range_end(opp, a.ang0, a.ang1)
+    for v, lo, hi in zip(body.corner_points, body.corner_lo, body.corner_hi):
+        if hi - lo <= 1e-14:
+            corner.append(np.zeros(n, dtype=bool))
+            continue
+        rel = v - pts
+        ang = np.arctan2(rel[:, 1], rel[:, 0])
+        corner.append(in_angle_range(ang, lo, hi - lo))
+        flags |= _at_range_end(ang, lo, hi)
+    return (np.array(angs).T, np.array(near).T, np.array(far).T, np.array(corner).T,
+            flags)
+
+
+def _polygon_feet(body: Polygon2, p: np.ndarray) -> list[tuple] | None:
+    """Feet read off the point's row of ``_polygon_faces``; None where flagged."""
+    edge, t, vertex, flags = _polygon_faces(body, p[None, :])
+    if flags[0]:
+        return None
+    v, e = body.vertices, body.edge_vecs
+    return ([(v[i] + t[0, i] * e[i], ("edge", int(i)), 0) for i in np.flatnonzero(edge[0])]
+            + [(v[i].copy(), ("vertex", int(i)), 1) for i in np.flatnonzero(vertex[0])])
+
+
+def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[tuple] | None:
+    """Feet read off the point's row of ``_arc_faces``; None where flagged."""
+    ang, near, far, corner, flags = _arc_faces(body, p[None, :])
+    if flags[0]:
+        return None
+    feet = []
+    for i, a in enumerate(body.arcs):
+        for gamma, idx, hit in ((ang[0, i], 0, near[0, i]), (ang[0, i] + math.pi, 1, far[0, i])):
+            if hit:
+                feet.append((a.point(gamma), ("arc", i), idx))
+    return feet + [(body.corner_points[i].copy(), ("corner", int(i)), 1)
+                   for i in np.flatnonzero(corner[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -172,70 +228,6 @@ def _smooth_feet(body: SmoothBody2, p: np.ndarray) -> list[tuple] | None:
 
 
 # ---------------------------------------------------------------------------
-# arc bodies
-
-
-def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[tuple]:
-    feet = []
-    for i, a in enumerate(body.arcs):
-        c = np.asarray(a.center)
-        ang = math.atan2(p[1] - c[1], p[0] - c[0])
-        for gamma, idx in ((ang, 0), (ang + math.pi, 1)):
-            if (gamma - a.ang0) % TWO_PI <= a.span:
-                feet.append((c + a.radius * np.array([math.cos(gamma), math.sin(gamma)]),
-                             ("arc", i), idx))
-    for i, (v, lo, hi) in enumerate(
-        zip(body.corner_points, body.corner_lo, body.corner_hi)
-    ):
-        if hi - lo <= 1e-14:
-            continue
-        ang = math.atan2(v[1] - p[1], v[0] - p[0])
-        if (ang - lo) % TWO_PI <= hi - lo:
-            feet.append((v.copy(), ("corner", i), 1))
-    return feet
-
-
-def _arc_counts_batch(body: ArcBody2, pts: np.ndarray):
-    n = len(pts)
-    stable = np.zeros(n, dtype=int)
-    unstable = np.zeros(n, dtype=int)
-    flags = np.zeros(n, dtype=bool)
-    for a in body.arcs:
-        c = np.asarray(a.center)
-        rel = pts - c
-        d = np.hypot(rel[:, 0], rel[:, 1])
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        flags |= d < 1e-9 * a.radius
-        near = ((ang - a.ang0) % TWO_PI) <= a.span
-        far = ((ang + math.pi - a.ang0) % TWO_PI) <= a.span
-        stable += near
-        unstable += far
-        edge = np.minimum(
-            np.abs(((ang - a.ang0) + math.pi) % TWO_PI - math.pi),
-            np.abs(((ang - a.ang1) + math.pi) % TWO_PI - math.pi),
-        )
-        edge_far = np.minimum(
-            np.abs(((ang + math.pi - a.ang0) + math.pi) % TWO_PI - math.pi),
-            np.abs(((ang + math.pi - a.ang1) + math.pi) % TWO_PI - math.pi),
-        )
-        flags |= np.minimum(edge, edge_far) < 1e-9
-    for v, lo, hi in zip(body.corner_points, body.corner_lo, body.corner_hi):
-        if hi - lo <= 1e-14:
-            continue
-        rel = v - pts
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        unstable += ((ang - lo) % TWO_PI) <= (hi - lo)
-        edge = np.minimum(
-            np.abs(((ang - lo) + math.pi) % TWO_PI - math.pi),
-            np.abs(((ang - hi) + math.pi) % TWO_PI - math.pi),
-        )
-        flags |= edge < 1e-9
-    total = stable + unstable
-    total[flags] = DEGENERATE
-    return total, stable, flags
-
-
-# ---------------------------------------------------------------------------
 # public 2d interface
 
 
@@ -248,9 +240,9 @@ def normal_feet2(body, point) -> list[NormalFoot]:
     """
     p = require_interior(body, point)
     if isinstance(body, Polygon2):
-        feet = None if _polygon_counts_batch(body, p[None, :])[2][0] else _polygon_feet(body, p)
+        feet = _polygon_feet(body, p)
     elif isinstance(body, ArcBody2):
-        feet = None if _arc_counts_batch(body, p[None, :])[2][0] else _arc_feet(body, p)
+        feet = _arc_feet(body, p)
     elif isinstance(body, SmoothBody2):
         feet = _smooth_feet(body, p)
     else:
@@ -290,12 +282,18 @@ def count_normals2_batch(body, pts):
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, Polygon2):
-        return _polygon_counts_batch(body, pts)
+        edge, _t, vertex, flags = _polygon_faces(body, pts)
+        stable = np.sum(edge, axis=1)
+        return stable + np.sum(vertex, axis=1), stable, flags
     if isinstance(body, SmoothBody2):
         return count_roots(lambda q, th: _smooth_g(body, q, th), pts,
                            max(1, body.degree), body.scale)
     if isinstance(body, ArcBody2):
-        return _arc_counts_batch(body, pts)
+        _ang, near, far, corner, flags = _arc_faces(body, pts)
+        stable = np.sum(near, axis=1)
+        total = stable + np.sum(far, axis=1) + np.sum(corner, axis=1)
+        total[flags] = DEGENERATE
+        return total, stable, flags
     raise UnsupportedCombinationError(f"no normal counter for {type(body).__name__}")
 
 

@@ -3,12 +3,15 @@
 import json
 
 import numpy as np
+import pytest
 
 import normcount as nc
 from normcount import cli
 
 SMOOTH = {"type": "support2d", "a0": 1.0, "cos": [0.0, 0.08], "sin": [0.0, 0.0, 0.04]}
 TRUNC_OCT = {"type": "standard3", "name": "truncated_octahedron"}
+HEPTAGON = {"type": "polygon",
+            "vertices": np.random.default_rng(5).standard_normal((7, 2)).tolist()}
 
 
 def _point(capsys, body, at):
@@ -90,3 +93,30 @@ def test_estimate_runs_are_byte_identical(capsys, tmp_path):
         runs.append((out, (tmp_path / "estimate.json").read_bytes()))
     assert runs[0] == runs[1]
     assert json.loads(runs[0][1])["samples_used"] >= 4000
+
+
+def test_wedges_n_is_exact_and_runs_are_byte_identical(capsys, tmp_path):
+    args = ["wedges", "--body", json.dumps(HEPTAGON), "--out", str(tmp_path)]
+    runs = []
+    for _ in range(2):
+        code = cli.run(args)
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        runs.append((out, (tmp_path / "wedges.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    _, n = nc.exact_average_normals(nc.parse_body(HEPTAGON))
+    assert f"# n={nc.format_float(n)}" in runs[0][1].decode().splitlines()
+    assert runs[0][0].splitlines()[0] == f"n={nc.format_float(n)}"
+
+
+def test_field_rows_equal_field_map(capsys, tmp_path):
+    code = cli.run(["field", "--body", json.dumps(SMOOTH), "--grid", "17x13",
+                    "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    lines = (tmp_path / "field.csv").read_text().splitlines()
+    rows = [[int(v) for v in line.split(",")] for line in lines if not line.startswith("#")]
+    assert np.array_equal(np.array(rows), nc.field_map(nc.parse_body(SMOOTH), (17, 13)))
+    with pytest.raises(SystemExit):  # the field is not sampled
+        cli.run(["field", "--body", json.dumps(SMOOTH), "--samples", "10"])
+    capsys.readouterr()

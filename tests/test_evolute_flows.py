@@ -1,4 +1,5 @@
 """Evolute geometry, eikonal offsets, and flow experiments."""
+import hashlib
 import math
 
 import numpy as np
@@ -156,3 +157,39 @@ def test_flow_matches_direct_offset_counts():
     direct = nc.offset_body(body, 0.5)
     t = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     assert np.allclose(trace.bodies[1].support(t), direct.support(t), atol=1e-12)
+
+
+def test_contains_evolute_worst_excess_is_pinned():
+    # exact worst excesses of the centres at 4096 and 8192 angles, as first
+    # computed with two passes over the two grids
+    inside = nc.SmoothBody2(2.0, [0.1, 0.05, 0.02], [0.0, 0.03, 0.0, 0.01])
+    assert nc.contains_evolute(inside) == (True, -1.558665933935251)
+    assert nc.contains_evolute(_wavy(0.3)) == (False, 0.5)
+
+
+def _trace_digest(trace):
+    rows = [(r.mean, r.std_error, r.ci95[0], r.ci95[1], r.samples_used, r.degenerate_resampled)
+            for r in trace.n_values + trace.n_surf_values]
+    return hashlib.sha256(trace.times.tobytes() + np.array(rows, dtype=float).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec,digest", [
+    (nc.FlowSpec("outward_eikonal", 1.0, 3),
+     "622a30d3cafa0a69c5d6ebebdc74f3aee5d618b10964b9f1b3fe5e26c133d609"),
+    (nc.FlowSpec("inward_eikonal", 0.4, 3),
+     "3e90b7ccd9d7c0e319bbf4762710771dd87069ba649eb8f0561a6979ebfc1653"),
+    (nc.FlowSpec("curvature_power", 0.05, 3, r=1.0),
+     "2585380dece8fe88021812598adb39373912fb2ff00a0c3cf5625c4ae4208468"),
+], ids=["outward_eikonal", "inward_eikonal", "curvature_power"])
+def test_evolve_flow_is_pinned(spec, digest):
+    # sha256 of the slice reports as first computed with the hand-written
+    # accept loops of the coupled pool
+    trace = nc.evolve_flow(nc.SmoothBody2(1.0, [0.0, 0.0, 0.06]), spec, 2000, seed=4)
+    assert _trace_digest(trace) == digest
+
+
+def test_derivative_report_is_pinned():
+    rep = nc.derivative_report(nc.SmoothBody2(1.0, [0.0, 0.0, 0.05]), 1e-3, 5000, seed=5)
+    values = np.array([rep[k] for k in sorted(rep)], dtype=float)
+    assert (hashlib.sha256(values.tobytes()).hexdigest()
+            == "e26da5eb6f761900ed270da82f1236c7b474ea6c086bbc9db7c50dd25c889916")

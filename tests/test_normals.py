@@ -218,6 +218,46 @@ def test_reuleaux_counts_match_dense_boundary_oracle():
         assert nc.count_normals2(R, p) == t
 
 
+@pytest.mark.parametrize("sides", [3, 5])
+def test_reuleaux_feet_lie_on_their_arcs_and_corners(sides):
+    R = nc.build_reuleaux(sides, 1.0)
+    pts = nc.sample_interior2(R, 300, seed=21)
+    total, stable, flags = nc.count_normals2_batch(R, pts)
+    # far arc feet never occur here: every arc's centre is the opposite
+    # corner, whose cone carries that normal instead
+    kinds = {"near": 0, "far": 0, "corner": 0}
+    for p, t, s in zip(pts[~flags], total[~flags], stable[~flags]):
+        feet = nc.normal_feet2(R, p)
+        assert len(feet) == t and sum(f.index == 0 for f in feet) == s
+        for f in feet:
+            kind, i = f.source
+            assert type(i) is int
+            if kind == "corner":
+                v = R.corner_points[i]
+                assert np.array_equal(f.foot, v)
+                # the outer normal v - p lies in the corner's normal cone
+                ang = math.atan2(v[1] - p[1], v[0] - p[0])
+                lo, hi = R.corner_lo[i], R.corner_hi[i]
+                assert (ang - lo) % (2 * math.pi) <= hi - lo + 1e-12
+                assert f.index == 1
+                kinds["corner"] += 1
+                continue
+            assert kind == "arc"
+            a = R.arcs[i]
+            c = np.asarray(a.center)
+            q = f.foot - c
+            assert abs(math.hypot(*q) - a.radius) <= 1e-14 * R.scale
+            gamma = math.atan2(q[1], q[0])
+            assert (gamma - a.ang0) % (2 * math.pi) <= a.span + 1e-12
+            # on the line through p and the centre; the near foot is on p's side
+            w = p - c
+            assert abs(q[0] * w[1] - q[1] * w[0]) <= 1e-14 * R.scale**2
+            near = float(q @ w) > 0.0
+            assert (f.index == 0) == near
+            kinds["near" if near else "far"] += 1
+    assert kinds["near"] > 0 and kinds["corner"] > 0 and kinds["far"] == 0, kinds
+
+
 # ---------------------------------------------------------------------------
 # domain errors
 
