@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import ConvexityError, DegenerateBodyError, DomainError
+from .errors import (ConvexityError, DegenerateBodyError, DomainError,
+                     UnsupportedCombinationError)
 from .rng import philox_generator, rejection_sample
-from .trigcount import _BLOCK, _RTOL, MAX_GRID, TWO_PI, _start_grid, bisect
+from .trigcount import _RTOL, MAX_GRID, TWO_PI, _start_grid, bisect, row_blocks
 
 # Relative tolerance for strict-convexity cross products and chain closure.
 CONVEXITY_RTOL = 1e-12
@@ -487,10 +488,9 @@ def _smooth_margin(body: SmoothBody2, pts: np.ndarray, tol=None) -> np.ndarray:
         theta = np.arange(grid) * delta
         h, _, h2 = body.jet(theta)
         u = unit(theta)
-        rows = max(1, _BLOCK // grid)
         left = []
-        for b in range(0, len(active), rows):
-            idx = active[b:b + rows]
+        for block in row_blocks(len(active), grid):
+            idx = active[block]
             f = pts[idx] @ u.T - h
             bend = f + (h + h2)
             bend_next = np.roll(bend, -1, axis=1)
@@ -537,12 +537,15 @@ def signed_boundary_excess(body, pts) -> np.ndarray:
     bodies, whose maximum runs over every normal angle, and equal to it
     away from the vertex (corner) regions of polygons (arc bodies), whose
     maximum runs over the edge normals (the arcs' normal ranges).  Smooth
-    bodies get the certified maximum of ``_smooth_margin``.
+    bodies get the certified maximum of ``_smooth_margin``; polygon points
+    run in ``row_blocks`` of at most ``_BLOCK`` point times edge entries.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, Polygon2):
-        vals = pts @ body.edge_normals.T - body.edge_offsets
-        return np.max(vals, axis=1)
+        worst = np.empty(len(pts))
+        for rows in row_blocks(len(pts), len(body)):
+            worst[rows] = np.max(pts[rows] @ body.edge_normals.T - body.edge_offsets, axis=1)
+        return worst
     if isinstance(body, SmoothBody2):
         return _smooth_margin(body, pts)
     if isinstance(body, ArcBody2):
@@ -724,9 +727,17 @@ def width_function(body, theta):
     return float(w) if theta.ndim == 0 else w
 
 
-def require_interior(body, point, rtol: float = 1e-9):
-    """Raise DomainError unless the point is strictly interior."""
+def require_interior(body, point):
+    """Raise DomainError unless the point is more than 1e-9*scale inside."""
     p = np.asarray(point, dtype=float)
-    if interior_margin(body, p) <= rtol * body.scale:
+    if interior_margin(body, p) <= 1e-9 * body.scale:
         raise DomainError("query point must lie strictly inside the body")
     return p
+
+
+def require_smooth(body, what: str) -> None:
+    """Raise UnsupportedCombinationError, naming what needs a smooth body,
+    unless the body is a SmoothBody2."""
+    if not isinstance(body, SmoothBody2):
+        raise UnsupportedCombinationError(
+            f"{what} requires a smooth body, got {type(body).__name__}")

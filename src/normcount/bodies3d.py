@@ -1,8 +1,8 @@
 """Convex polytopes in R^3 with explicit facet loops.
 
 Facets are stored as vertex-index loops ordered counterclockwise when seen
-from outside.  Edges and vertex adjacency are derived from the loops; the
-constructor validates planarity, convexity, outward orientation and the
+from outside.  Edges and the facets' side planes are derived from the loops;
+the constructor validates planarity, convexity, outward orientation and the
 Euler relation V - E + F = 2.
 """
 
@@ -69,18 +69,20 @@ class Polytope3:
         if len(v) - len(edges) + len(facets) != 2:
             raise DegenerateBodyError("Euler relation V - E + F = 2 fails")
 
-        neighbors: list[set] = [set() for _ in range(len(v))]
-        for a, b in edges:
-            neighbors[a].add(b)
-            neighbors[b].add(a)
-
         self.vertices = v
         self.facets = facets
         self.facet_normals = normals
         self.facet_offsets = offsets
         self.edges = np.asarray(edges, dtype=int)
         self.edge_facets = np.asarray([edge_map[e] for e in edges], dtype=int)
-        self.vertex_neighbors = [sorted(s) for s in neighbors]
+        # per facet, the unit normals of its sides, in its plane and pointing
+        # into it, and their offsets: p's foot on the facet's plane lies in
+        # the facet where p @ sides.T >= offsets
+        self.facet_sides = []
+        for loop, nrm in zip(facets, normals):
+            sides = np.cross(nrm, np.roll(v[loop], -1, axis=0) - v[loop])
+            sides /= np.linalg.norm(sides, axis=1, keepdims=True)
+            self.facet_sides.append((sides, np.einsum("ij,ij->i", sides, v[loop])))
         self.scale = scale
 
     def support(self, directions):

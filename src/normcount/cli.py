@@ -23,7 +23,7 @@ from .bodies2d import (Polygon2, SmoothBody2, build_polygon, build_reuleaux,
                        disk, measure2d)
 from .bodies3d import Polytope3, standard_polytope
 from .bodyspec import body_hash, format_float, parse_body
-from .diameters import average_diameters, diameter_chord
+from .diameters import diameter_chord
 from .discretization import discretization_race
 from .errors import GeometryError, SpecError, UnsupportedCombinationError
 from .evolute import contains_evolute, curvature_profile, rolling_ball_radius
@@ -73,20 +73,19 @@ def _report_payload(report, seed, body_source) -> dict:
     }
 
 
+def _counter(args):
+    """The counter that ``--counter`` names: "normals" or "diameters" as
+    such, or the Minkowski counter of the ``--norm`` ball."""
+    if args.counter != "minkowski":
+        return args.counter
+    if not args.norm:
+        raise UnsupportedCombinationError("--counter minkowski requires --norm")
+    return minkowski_counter(NormBall2(parse_body(args.norm)))
+
+
 def _cmd_estimate(args) -> int:
     body = parse_body(args.body)
-    if args.counter == "normals":
-        report = estimate_interior_average(body, "normals", args.samples, args.seed)
-    elif args.counter == "diameters":
-        report = average_diameters(body, args.samples, args.seed)
-    elif args.counter == "minkowski":
-        if not args.norm:
-            raise UnsupportedCombinationError("--counter minkowski requires --norm")
-        M = NormBall2(parse_body(args.norm))
-        report = estimate_interior_average(body, minkowski_counter(M),
-                                           args.samples, args.seed)
-    else:
-        raise UnsupportedCombinationError(f"unknown counter {args.counter!r}")
+    report = estimate_interior_average(body, _counter(args), args.samples, args.seed)
     payload = _report_payload(report, args.seed, args.body)
     path = _write_json(args.out, "estimate.json", payload)
     for line in _header(args.seed, args.body):
@@ -99,12 +98,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_field(args) -> int:
     body = parse_body(args.body)
     nx, ny = (int(s) for s in args.grid.lower().split("x"))
-    counter = args.counter
-    if counter == "minkowski":
-        if not args.norm:
-            raise UnsupportedCombinationError("--counter minkowski requires --norm")
-        counter = minkowski_counter(NormBall2(parse_body(args.norm)))
-    mat = field_map(body, (nx, ny), counter)
+    mat = field_map(body, (nx, ny), _counter(args))
     lines = _header(args.seed, args.body)
     lines += [",".join(str(v) for v in row) for row in mat]
     csv_path = _write_lines(args.out, "field.csv", lines)
@@ -287,8 +281,6 @@ def _validate_corpus(samples: int, seed: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_validate(args) -> int:
-    if args.suite != "standard":
-        raise UnsupportedCombinationError(f"unknown suite {args.suite!r}")
     checks = _validate_corpus(args.samples, args.seed)
     failed = 0
     for name, ok, detail in checks:
@@ -360,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_tau)
 
     sp = sub.add_parser("validate", help="bound battery over the standard corpus")
-    sp.add_argument("--suite", default="standard")
     sp.add_argument("--samples", type=int, default=20000)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_validate)

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import Polygon2, SmoothBody2, cross2, require_interior
+from .bodies2d import Polygon2, SmoothBody2, cross2, require_interior, require_smooth
 from .errors import UnsupportedCombinationError
-from .trigcount import _BLOCK, DEGENERATE, count_roots
+from .trigcount import DEGENERATE, count_roots, row_blocks
 
 INFINITE = math.inf
 
@@ -55,8 +55,7 @@ class DiameterChord:
 
 def diameter_chord(body: SmoothBody2, theta: float) -> DiameterChord:
     """The affine diameter whose supporting lines have direction ``theta``."""
-    if not isinstance(body, SmoothBody2):
-        raise UnsupportedCombinationError("diameter_chord requires a smooth body")
+    require_smooth(body, "diameter_chord")
     phi = theta + 0.5 * np.pi
     p0 = body.boundary(np.array([phi]))[0]
     p1 = body.boundary(np.array([phi + np.pi]))[0]
@@ -123,15 +122,13 @@ def _polygon_counts(P: Polygon2, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     tol = 1e-12 * P.scale * P.scale
     counts = np.empty(len(pts))
     flags = np.empty(len(pts), dtype=bool)
-    rows = max(1, _BLOCK // len(tris[0]))
-    for lo in range(0, len(pts), rows):
-        block = pts[lo:lo + rows]
-        low = _lowest_side(tris, block)
+    for rows in row_blocks(len(pts), len(tris[0])):
+        low = _lowest_side(tris, pts[rows])
         flag = np.any(np.abs(low) <= tol, axis=1)
         count = np.where(flag, DEGENERATE, np.count_nonzero(low > tol, axis=1))
-        infinite = np.any(_lowest_side(quads, block) > tol, axis=1)
-        counts[lo:lo + rows] = np.where(infinite, INFINITE, count)
-        flags[lo:lo + rows] = flag & ~infinite
+        infinite = np.any(_lowest_side(quads, pts[rows]) > tol, axis=1)
+        counts[rows] = np.where(infinite, INFINITE, count)
+        flags[rows] = flag & ~infinite
     return counts, flags
 
 

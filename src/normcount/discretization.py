@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import EstimateReport, estimate_interior_average
-from .bodies2d import Polygon2, SmoothBody2, build_polygon
-from .errors import DomainError, UnsupportedCombinationError
+from .bodies2d import Polygon2, SmoothBody2, build_polygon, require_smooth
+from .errors import DomainError
 from .wedges import exact_average_normals
 
 
@@ -29,8 +29,7 @@ class RaceRow:
 
 def inscribe_polygon(body: SmoothBody2, k: int) -> Polygon2:
     """Polygon on k boundary points at equal arc-length spacing."""
-    if not isinstance(body, SmoothBody2):
-        raise UnsupportedCombinationError("inscribe_polygon needs a smooth body")
+    require_smooth(body, "inscribe_polygon")
     if k < 3:
         raise DomainError("need at least 3 vertices")
     thetas = body.arclength_inverse(np.arange(k) / k)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import TWO_PI, SmoothBody2, signed_boundary_excess
-from .errors import UnsupportedCombinationError
+from .bodies2d import TWO_PI, SmoothBody2, require_smooth, signed_boundary_excess
 
 _GRID = 8192  # angles of the evolute containment and rolling-ball scans
 _RTOL = 1e-9  # containment allowance, relative to the body's scale
@@ -29,22 +28,15 @@ class EvolutePoint:
     center: np.ndarray
 
 
-def _require_smooth(body) -> SmoothBody2:
-    if not isinstance(body, SmoothBody2):
-        raise UnsupportedCombinationError(
-            f"evolute machinery requires a smooth body, got {type(body).__name__}")
-    return body
-
-
 def evolute_points(body: SmoothBody2, thetas) -> np.ndarray:
     """Centres of curvature c(theta) = r(theta) - rho(theta) * u(theta)."""
-    _require_smooth(body)
+    require_smooth(body, "the evolute machinery")
     return body.curvature_center(np.asarray(thetas, dtype=float))
 
 
 def curvature_profile(body: SmoothBody2, grid: int = 512) -> list[EvolutePoint]:
     """Evolute samples with exact Fourier derivatives at ``grid`` angles."""
-    _require_smooth(body)
+    require_smooth(body, "the evolute machinery")
     thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     rho = body.rho(thetas)
     r = body.boundary(thetas)
@@ -62,7 +54,7 @@ def contains_evolute(body: SmoothBody2) -> tuple[bool, float]:
     worst excess of at most ``_RTOL`` times the body's scale.  Returns
     (contained, worst_excess).
     """
-    _require_smooth(body)
+    require_smooth(body, "the evolute machinery")
     centers = body.curvature_center(np.linspace(0.0, TWO_PI, _GRID, endpoint=False))
     worst = float(np.max(signed_boundary_excess(body, centers)))
     return worst <= _RTOL * body.scale, worst
@@ -72,7 +64,7 @@ def rolling_ball_radius(body: SmoothBody2) -> float:
     """Smallest radius of curvature: the largest r such that a disk of radius
     r rolls freely inside the body (min over ``_GRID`` angles of rho,
     parabolic-refined around the grid minimum)."""
-    _require_smooth(body)
+    require_smooth(body, "the evolute machinery")
     thetas = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
     rho = body.rho(thetas)
     i = int(np.argmin(rho))

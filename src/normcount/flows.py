@@ -28,12 +28,13 @@ import numpy as np
 
 from .averaging import EstimateReport, estimate_boundary_average, resolve_counter
 from .bodies2d import (TWO_PI, SmoothBody2, bounding_box, contains2_batch,
-                       measure2d, signed_boundary_excess)
-from .errors import ConvexityError, DomainError, SingularFlowError, UnsupportedCombinationError
+                       measure2d, require_smooth, signed_boundary_excess)
+from .errors import ConvexityError, DomainError, SingularFlowError
 from .evolute import rolling_ball_radius
 from .rng import accept_prefix
 
 _KINDS = ("outward_eikonal", "inward_eikonal", "curvature_power")
+_GRID = 512  # angles at which a curvature-power step moves the support
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,6 @@ class FlowTrace:
         return np.array([r.mean for r in self.n_values])
 
 
-def _require_smooth(body) -> SmoothBody2:
-    if not isinstance(body, SmoothBody2):
-        raise UnsupportedCombinationError(
-            f"flows require a smooth body, got {type(body).__name__}")
-    return body
-
-
 def offset_body(body: SmoothBody2, t: float) -> SmoothBody2:
     """Eikonal offset: a0 -> a0 + t, harmonics unchanged.
 
@@ -81,7 +75,7 @@ def offset_body(body: SmoothBody2, t: float) -> SmoothBody2:
     rejected.  The centres of curvature are invariant and every radius of
     curvature shifts by exactly t; both are spot-checked.
     """
-    _require_smooth(body)
+    require_smooth(body, "a flow")
     if t < 0 and -t >= rolling_ball_radius(body):
         raise SingularFlowError(
             f"inward offset {t} reaches the evolute (rolling-ball radius "
@@ -104,11 +98,10 @@ def _project_support(h_vals: np.ndarray, degree: int) -> tuple[float, np.ndarray
     return a0, cos_c, sin_c
 
 
-def _curvature_power_bodies(body: SmoothBody2, spec: FlowSpec,
-                            grid: int = 512) -> tuple[list, bool]:
+def _curvature_power_bodies(body: SmoothBody2, spec: FlowSpec) -> tuple[list, bool]:
     sign = 1.0 if spec.direction == "out" else -1.0
     degree = max(len(body.ac), len(body.bs), 1)
-    thetas = np.arange(grid) * (TWO_PI / grid)
+    thetas = np.arange(_GRID) * (TWO_PI / _GRID)
     bodies = [body]
     cur = body
     dt_out = spec.t_end / spec.steps
@@ -117,7 +110,7 @@ def _curvature_power_bodies(body: SmoothBody2, spec: FlowSpec,
         try:
             while remaining > 1e-15:
                 rho = cur.rho(thetas)
-                dt = min(remaining, 0.2 * float(np.min(rho)) ** spec.r * (TWO_PI / grid))
+                dt = min(remaining, 0.2 * float(np.min(rho)) ** spec.r * (TWO_PI / _GRID))
                 h = cur.support(thetas) + sign * dt * rho ** spec.r
                 a0, cos_c, sin_c = _project_support(h, degree)
                 cur = SmoothBody2(a0, cos_c, sin_c)
@@ -194,7 +187,7 @@ def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int, *,
     contribute identically at every time and time differences are nearly
     noise-free.  Flagged (degeneracy-locus) points are excluded and tallied.
     """
-    _require_smooth(body)
+    require_smooth(body, "a flow")
     times, bodies, truncated = _flow_bodies(body, spec)
     counter_fn = resolve_counter("normals")
     candidates, masks = _coupled_pool(bodies, _signed_times(spec, times),
@@ -255,7 +248,7 @@ def derivative_report(body: SmoothBody2, dt: float, n_samples: int, seed: int, *
     (perimeter/area) * (n_surf - n).  Returns the residual plus delta-method
     standard errors for an honest combined CI width.
     """
-    _require_smooth(body)
+    require_smooth(body, "a flow")
     if dt <= 0:
         raise DomainError("derivative_report needs dt > 0")
     grown = offset_body(body, dt)

@@ -21,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from .bodies2d import (TWO_PI, Polygon2, SmoothBody2, bisect, cross2,
-                       measure2d, require_interior)
+                       measure2d, require_interior, require_smooth)
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
-from .trigcount import _BLOCK, count_roots, root_angles
+from .trigcount import count_roots, root_angles, row_blocks
 
 
 class NormBall2:
@@ -98,8 +98,7 @@ def mink_counts_batch(M: NormBall2, K: SmoothBody2,
     (the M-evolute).
     """
     _require_smooth_ball(M)
-    if not isinstance(K, SmoothBody2):
-        raise UnsupportedCombinationError("Minkowski counting needs a smooth K")
+    require_smooth(K, "Minkowski counting")
     counts, _, flags = count_roots(lambda q, th: _mink_g(M, K, q, th), pts,
                                    K.degree + M.body.degree + 2,
                                    K.scale * M.body.scale)
@@ -151,6 +150,7 @@ _GAUGE_GRID = 2048  # normal angles of the smooth gauge's bracket table
 # refinement rounds: each keeps 2/9 of the bracket, and (2/9)**20 is below
 # 0.618**61, the width that 61 golden-section steps leave
 _ROUNDS = 20
+_SCAN = 512  # half-arc samples per hexagon objective
 
 
 def _gauge_table(M: NormBall2):
@@ -223,29 +223,29 @@ def _boundary_walk(body, ts: np.ndarray) -> np.ndarray:
     return body.walk(np.asarray(ts, dtype=float) % body.vertex_arclengths[-1])[0]
 
 
-def _hexagon_objectives(M: NormBall2, ts: np.ndarray, half: float, area: float,
-                        scan: int = 512) -> np.ndarray:
+def _hexagon_objectives(M: NormBall2, ts: np.ndarray, half: float,
+                        area: float) -> np.ndarray:
     """Largest 3*|cross(u, v)|/area over boundary points v with
     gauge(v - u) = 1 on the half-arc after u, for u at each parameter in ts.
 
-    Every u's half-arc scan is one row of a (len(ts), scan - 1) array whose
+    Every u's half-arc scan is one row of a (len(ts), _SCAN - 1) array whose
     gauges are taken in one call.  Candidates are the sign changes of
     gauge - 1, all bisected in one call, and the samples with gauge = 1 to
     1e-9: polygon norms can hold gauge = 1 along whole sub-arcs, whose
-    endpoints carry the extrema.  ts runs in blocks, so that no gauge call
-    takes more than ``_BLOCK`` rows times values per row.
+    endpoints carry the extrema.  ts runs in ``trigcount.row_blocks``, so
+    that no gauge call takes more than ``_BLOCK`` rows times values per row.
     """
     body = M.body
     # values per gauge row: the edge table of a polygon ball or the harmonic
     # tables of a smooth one, plus the gauge's own per-row temporaries
     work = (len(body) if isinstance(body, Polygon2) else body.degree) + 16
-    block = max(1, _BLOCK // ((scan - 1) * work))
-    if len(ts) > block:
-        return np.concatenate([_hexagon_objectives(M, ts[i:i + block], half, area, scan)
-                               for i in range(0, len(ts), block)])
+    blocks = row_blocks(len(ts), (_SCAN - 1) * work)
+    if len(blocks) > 1:
+        return np.concatenate([_hexagon_objectives(M, ts[rows], half, area)
+                               for rows in blocks])
     u = _boundary_walk(body, ts)
-    grid = ts[:, None] + (np.arange(1, scan) / scan) * half
-    pts = _boundary_walk(body, grid.ravel()).reshape(len(ts), scan - 1, 2)
+    grid = ts[:, None] + (np.arange(1, _SCAN) / _SCAN) * half
+    pts = _boundary_walk(body, grid.ravel()).reshape(len(ts), _SCAN - 1, 2)
     gv = gauge_batch(M, (pts - u[:, None]).reshape(-1, 2)).reshape(grid.shape) - 1.0
     plateau = np.abs(gv) <= 1e-9
     above = gv > 0

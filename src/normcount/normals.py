@@ -13,7 +13,14 @@ Polygons and arc bodies each have one face test, ``_polygon_faces`` and
 points whose normal foot lies on that face, plus the flags of the points on
 a wedge boundary or at an arc centre.  ``count_normals2_batch`` sums the
 masks, and ``normal_feet2`` reads its feet off the point's single row, so
-scalar and batch answers agree by construction.
+scalar and batch answers agree by construction.  Polygon and polytope face
+tests read one quantity per edge, its parameter t (where p's foot falls on
+the edge's line: 0 at its first vertex, 1 at its second): an edge holds a
+foot where 0 < t < 1, and a vertex where t seen from it is >= 0 on every
+edge at it.  t is compared against 1e-9 and every other comparison of these
+tests (facet prisms, dihedral slabs) is a distance against 1e-9*scale, so
+counts and flags do not depend on the body's units.  Every batch counter
+returns a DEGENERATE total wherever it flags.
 
 On a smooth body the feet are the roots of the degree-N trigonometric
 polynomial g(theta) = <p - r(theta), u'(theta)>, N = max(1, deg h).  The
@@ -42,7 +49,7 @@ from .bodies2d import (TWO_PI, ArcBody2, Polygon2, SmoothBody2, bisect,
 from .bodies3d import Polytope3, contains3
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
-from .trigcount import DEGENERATE, count_roots, root_angles
+from .trigcount import DEGENERATE, count_roots, root_angles, row_blocks
 
 
 @dataclass
@@ -119,26 +126,21 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
 
 
 def _polygon_faces(body: Polygon2, pts: np.ndarray):
-    """(edge, t, vertex, flags) for many interior points, exact wedge tests.
+    """(t, edge, vertex, flags) for many interior points.
 
-    Edge i carries a foot where its parameter t lies in (0, 1), at
-    v_i + t * e_i; vertex i where p - v_i lies in its normal cone.  A point
-    within 1e-9 of a wedge boundary is flagged.
+    t[:, i] is where p's foot falls on edge i's line: 0 at v_i, 1 at
+    v_{i+1}.  It is the only quantity the wedge tests read.  Edge i carries
+    a foot where 0 < t_i < 1, at v_i + t_i * e_i, and vertex i where
+    t_i >= 0 and t_{i-1} <= 1 (p - v_i lies in its normal cone).  Every
+    wedge boundary is a line t_i = 0 or t_i = 1, so a point with some t_i
+    within 1e-9 of 0 or 1 is flagged.
     """
-    v = body.vertices
-    rel = pts[:, None, :] - v[None, :, :]
-    t = np.einsum("pij,ij->pi", rel, body.edge_vecs) / body.edge_lengths**2
+    t = np.einsum("pij,ij->pi", pts[:, None, :] - body.vertices[None, :, :],
+                  body.edge_vecs) / body.edge_lengths**2
     edge = (t > 0.0) & (t < 1.0)
-    tol = 1e-9
-    edge_flag = np.any((np.abs(t) < tol) | (np.abs(t - 1.0) < tol), axis=1)
-    d_out = np.einsum("pij,ij->pi", rel, body.edge_vecs)
-    d_back = np.einsum("pij,ij->pi", rel, -np.roll(body.edge_vecs, 1, axis=0))
-    vertex = (d_out >= 0.0) & (d_back >= 0.0)
-    scale2 = body.scale**2
-    corner_flag = np.any(
-        (np.abs(d_out) < tol * scale2) | (np.abs(d_back) < tol * scale2), axis=1
-    )
-    return edge, t, vertex, edge_flag | corner_flag
+    vertex = (t >= 0.0) & np.roll(t <= 1.0, 1, axis=1)
+    flags = np.any((np.abs(t) < 1e-9) | (np.abs(t - 1.0) < 1e-9), axis=1)
+    return t, edge, vertex, flags
 
 
 def _at_range_end(ang, lo, hi):
@@ -184,7 +186,7 @@ def _arc_faces(body: ArcBody2, pts: np.ndarray):
 
 def _polygon_feet(body: Polygon2, p: np.ndarray) -> list[tuple] | None:
     """Feet read off the point's row of ``_polygon_faces``; None where flagged."""
-    edge, t, vertex, flags = _polygon_faces(body, p[None, :])
+    t, edge, vertex, flags = _polygon_faces(body, p[None, :])
     if flags[0]:
         return None
     v, e = body.vertices, body.edge_vecs
@@ -274,17 +276,27 @@ def stable_count(body, point) -> int:
 def count_normals2_batch(body, pts):
     """Vectorized counts; returns (total, stable, degenerate_mask).
 
-    total is DEGENERATE (-2) where the count could not be certified: on a
-    wedge boundary of a polygon or arc body, or, on a smooth body, where the
-    certified kernel cannot prove every grid interval monotone or root-free
-    by MAX_GRID (the evolute) or g vanishes (a disk centre).  At a root
-    g' = |p - q| - rho(q), so the stable feet are the descending roots of g.
+    total is DEGENERATE (-2) wherever the mask is set: within 1e-9 in t of
+    a polygon's wedge boundary (t_i = 0 or 1, see ``_polygon_faces``), at an
+    arc body's range or cone end or arc centre, or, on a smooth body, where
+    the certified kernel cannot prove every grid interval monotone or
+    root-free by MAX_GRID (the evolute) or g vanishes (a disk centre).  At a
+    root g' = |p - q| - rho(q), so the stable feet are the descending roots
+    of g.  Polygon points run in ``trigcount.row_blocks`` of at most
+    ``_BLOCK`` point times edge entries, so memory does not grow with the
+    number of points.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, Polygon2):
-        edge, _t, vertex, flags = _polygon_faces(body, pts)
-        stable = np.sum(edge, axis=1)
-        return stable + np.sum(vertex, axis=1), stable, flags
+        total = np.empty(len(pts), dtype=int)
+        stable = np.empty(len(pts), dtype=int)
+        flags = np.empty(len(pts), dtype=bool)
+        for rows in row_blocks(len(pts), len(body)):
+            _t, edge, vertex, flags[rows] = _polygon_faces(body, pts[rows])
+            stable[rows] = np.sum(edge, axis=1)
+            total[rows] = stable[rows] + np.sum(vertex, axis=1)
+        total[flags] = DEGENERATE
+        return total, stable, flags
     if isinstance(body, SmoothBody2):
         return count_roots(lambda q, th: _smooth_g(body, q, th), pts,
                            max(1, body.degree), body.scale)
@@ -310,7 +322,7 @@ def _in_vertex_cone_nnls(poly: Polytope3, vi: int, y: np.ndarray) -> bool:
     ]
     a = np.stack(cols, axis=1)
     _, resid = nnls(a, y)
-    return resid <= 1e-9 * max(1.0, float(np.linalg.norm(y)))
+    return resid <= 1e-9 * float(np.linalg.norm(y))
 
 
 def count_normals3(poly: Polytope3, point) -> int:
@@ -322,26 +334,17 @@ def count_normals3(poly: Polytope3, point) -> int:
 def count_normals3_by_dim(poly: Polytope3, point):
     """Counts keyed by face dimension {0: vertices, 1: edges, 2: facets}.
 
-    Vertex cones use a nonnegative least-squares membership test on the
-    facet normals, independent of the polar test of ``count_normals3_batch``.
+    Facet and edge tests are distances against 1e-9*scale, as in
+    ``count_normals3_batch``.  Vertex cones use a nonnegative least-squares
+    membership test on the facet normals, with a residual bound of
+    1e-9*|p - v|, independent of the polar test of ``count_normals3_batch``.
     """
     p = np.asarray(point, dtype=float)
     if not contains3(poly, p, tol=-1e-12 * poly.scale):
         raise DomainError("query point must lie strictly inside the polytope")
     tol = 1e-9 * poly.scale
-    facets = 0
-    for fi, loop in enumerate(poly.facets):
-        nrm = poly.facet_normals[fi]
-        q = p + (poly.facet_offsets[fi] - p @ nrm) * nrm
-        pts = poly.vertices[loop]
-        ok = True
-        for i in range(len(loop)):
-            a, b = pts[i], pts[(i + 1) % len(loop)]
-            inward = np.cross(nrm, b - a)
-            if (q - a) @ inward < -tol:
-                ok = False
-                break
-        facets += ok
+    facets = sum(bool(np.all(sides @ p - offsets >= -tol))
+                 for sides, offsets in poly.facet_sides)
     edges = 0
     for (a_i, b_i), (f1, f2) in zip(poly.edges, poly.edge_facets):
         a, b = poly.vertices[a_i], poly.vertices[b_i]
@@ -364,31 +367,32 @@ def count_normals3_by_dim(poly: Polytope3, point):
 def count_normals3_batch(poly: Polytope3, pts):
     """Vectorized polytope counts; returns (total, by_index tuple, flags).
 
-    Vertex cones use the polar edge-direction test, which is equivalent to
-    the nonnegative-combination test on facet normals by cone duality.
+    by_index is (facet, edge, vertex) feet, the stable, saddle and peak
+    counts.  A facet carries a foot where p lies in the prism over it: its
+    distance from each side's plane through the facet normal is >= -tol.
+    An edge carries one where its parameter t (0 at its first vertex, 1 at
+    its second) lies in (0, 1) and p lies in the dihedral slab between the
+    two facet normals, again by distances against tol.  A vertex carries one
+    where t seen from it (t at its first vertex, 1 - t at its second) is
+    >= -1e-9 on every edge at it: the polar edge-direction test, equivalent
+    to the nonnegative-combination test on facet normals by cone duality.
+    tol is 1e-9*scale, so counts do not depend on the solid's units.  A
+    point within tol (1e-9 for t) of a boundary of a region that holds it
+    is flagged, and its total is DEGENERATE.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = len(pts)
     tol = 1e-9 * poly.scale
     stable = np.zeros(n, dtype=int)
     saddle = np.zeros(n, dtype=int)
-    peak = np.zeros(n, dtype=int)
     flags = np.zeros(n, dtype=bool)
-    for fi, loop in enumerate(poly.facets):
-        nrm = poly.facet_normals[fi]
-        s = poly.facet_offsets[fi] - pts @ nrm
-        q = pts + s[:, None] * nrm
-        ok = np.ones(n, dtype=bool)
-        near = np.zeros(n, dtype=bool)
-        vpts = poly.vertices[loop]
-        for i in range(len(loop)):
-            a = vpts[i]
-            inward = np.cross(nrm, vpts[(i + 1) % len(loop)] - a)
-            val = (q - a) @ inward
-            ok &= val >= -tol
-            near |= np.abs(val) < tol
-        stable += ok
-        flags |= ok & near
+    for sides, offsets in poly.facet_sides:
+        dist = pts @ sides.T - offsets
+        inside = np.all(dist >= -tol, axis=1)
+        stable += inside
+        flags |= inside & np.any(np.abs(dist) < tol, axis=1)
+    cone = np.ones((len(poly.vertices), n), dtype=bool)
+    cone_near = np.zeros((len(poly.vertices), n), dtype=bool)
     for (a_i, b_i), (f1, f2) in zip(poly.edges, poly.edge_facets):
         a, b = poly.vertices[a_i], poly.vertices[b_i]
         d = b - a
@@ -401,22 +405,15 @@ def count_normals3_batch(poly: Polytope3, pts):
         s2 = (y @ np.cross(n2, dn)) * ref
         inside = (t > 0.0) & (t < 1.0) & (s1 >= -tol) & (s2 >= -tol)
         saddle += inside
-        near = (
-            (np.abs(t) < 1e-9)
-            | (np.abs(t - 1.0) < 1e-9)
-            | (np.abs(s1) < tol)
-            | (np.abs(s2) < tol)
-        )
+        near = (np.abs(s1) < tol) | (np.abs(s2) < tol)
+        for vi, seen in ((a_i, t), (b_i, 1.0 - t)):
+            at_vertex = np.abs(seen) < 1e-9
+            cone[vi] &= seen >= -1e-9
+            cone_near[vi] |= at_vertex
+            near |= at_vertex
         flags |= inside & near
-    for vi, nbrs in enumerate(poly.vertex_neighbors):
-        y = pts - poly.vertices[vi]
-        ok = np.ones(n, dtype=bool)
-        near = np.zeros(n, dtype=bool)
-        for w in nbrs:
-            val = y @ (poly.vertices[w] - poly.vertices[vi])
-            ok &= val >= -tol
-            near |= np.abs(val) < tol
-        peak += ok
-        flags |= ok & near
+    peak = np.sum(cone, axis=0)
+    flags |= np.any(cone & cone_near, axis=0)
     total = stable + saddle + peak
+    total[flags] = DEGENERATE
     return total, (stable, saddle, peak), flags

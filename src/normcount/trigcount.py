@@ -44,6 +44,14 @@ _BLOCK = 1 << 20  # rows x grid values per evaluated block
 _RTOL = 1e-12  # rounding allowance, relative to the scale of g's terms
 
 
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Slices covering range(n) in blocks of at most ``_BLOCK // width``
+    rows (at least one), so that a block of rows holding ``width`` values
+    each stays within ``_BLOCK`` values."""
+    rows = max(1, _BLOCK // width)
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+
+
 def bisect(f, lo, hi) -> np.ndarray:
     """Vectorized bisection of the brackets [lo[i], hi[i]].
 
@@ -112,10 +120,9 @@ def _settle(coef: np.ndarray, lips: np.ndarray, tol: float, grid: int):
     active = np.flatnonzero(lips[0, :, 0] > tol)
     while len(active) and grid <= MAX_GRID:
         delta = TWO_PI / grid
-        rows = max(1, _BLOCK // grid)
         left = []
-        for b in range(0, len(active), rows):
-            idx = active[b:b + rows]
+        for block in row_blocks(len(active), grid):
+            idx = active[block]
             val, der = _grid_values(coef[idx], grid)
             lip = lips[:, idx]
             settled = (
@@ -142,13 +149,12 @@ def count_roots(g, pts: np.ndarray, degree: int, scale: float):
     start = _start_grid(degree)
     total = np.full(n, DEGENERATE, dtype=int)
     down = np.zeros(n, dtype=int)
-    chunk = max(1, _BLOCK // start)
-    for lo in range(0, n, chunk):
-        coef, lips = _coefficients(g, pts[lo:lo + chunk], degree)
+    for rows in row_blocks(n, start):
+        coef, lips = _coefficients(g, pts[rows], degree)
         for idx, _, pos in _settle(coef, lips, _RTOL * scale, start):
             nxt = np.roll(pos, -1, axis=1)
-            total[lo + idx] = np.count_nonzero(pos != nxt, axis=1)
-            down[lo + idx] = np.count_nonzero(pos & ~nxt, axis=1)
+            total[rows.start + idx] = np.count_nonzero(pos != nxt, axis=1)
+            down[rows.start + idx] = np.count_nonzero(pos & ~nxt, axis=1)
     return total, down, total == DEGENERATE
 
 

@@ -146,9 +146,10 @@ def reflected_wedge(P: Polygon2, w: Wedge) -> np.ndarray:
     return out[::-1]  # line reflection flips orientation; restore CCW
 
 
-def is_centrally_symmetric(P: Polygon2, rtol: float = 1e-9) -> bool:
+def is_centrally_symmetric(P: Polygon2) -> bool:
+    """Is the vertex set symmetric about its mean, to 1e-9*scale?"""
     verts = P.vertices - P.vertices.mean(axis=0)  # symmetric => center = vertex mean
-    tol = rtol * P.scale
+    tol = 1e-9 * P.scale
     for v in verts:
         if np.min(np.linalg.norm(verts + v, axis=1)) > tol:
             return False

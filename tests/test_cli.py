@@ -120,3 +120,39 @@ def test_field_rows_equal_field_map(capsys, tmp_path):
     with pytest.raises(SystemExit):  # the field is not sampled
         cli.run(["field", "--body", json.dumps(SMOOTH), "--samples", "10"])
     capsys.readouterr()
+
+
+def _reruns(capsys, args, name):
+    runs = []
+    for _ in range(2):
+        code = cli.run(args)
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        runs.append((out, name.read_bytes()))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def test_flow_runs_are_byte_identical(capsys, tmp_path):
+    _, text = _reruns(capsys, ["flow", "--body", json.dumps(SMOOTH), "--samples", "500",
+                               "--steps", "2", "--seed", "3", "--out", str(tmp_path)],
+                      tmp_path / "flow.csv")
+    rows = [line for line in text.decode().splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 3  # column names and the times 0, 0.5, 1
+
+
+def test_evolute_runs_are_byte_identical(capsys, tmp_path):
+    _, text = _reruns(capsys, ["evolute", "--body", json.dumps(SMOOTH), "--steps", "256",
+                               "--out", str(tmp_path)], tmp_path / "evolute.csv")
+    assert "# contains_evolute=true" in text.decode().splitlines()
+
+
+def test_estimate_diameters_is_average_diameters(capsys, tmp_path):
+    out, text = _reruns(capsys, ["estimate", "--body", json.dumps(SMOOTH), "--counter",
+                                 "diameters", "--samples", "2000", "--seed", "4",
+                                 "--out", str(tmp_path)], tmp_path / "estimate.json")
+    rep = nc.average_diameters(nc.parse_body(SMOOTH), 2000, 4)
+    assert json.loads(text)["mean"] == nc.format_float(rep.mean)
+    with pytest.raises(SystemExit):  # the only suite is the standard one
+        cli.run(["validate", "--suite", "standard"])
+    capsys.readouterr()

@@ -379,3 +379,80 @@ def test_scaled_polytope_edge_test_matches_batch():
     assert not flags[0]
     assert (bd[2], bd[1], bd[0]) == (stable[0], saddle[0], peak[0]) == (6, 10, 6)
     assert bd[2] - bd[1] + bd[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# one tolerance unit: counts do not depend on the body's units
+
+
+TRUNC_OCT = nc.standard_polytope("truncated_octahedron")
+_ANG = np.sort(np.random.default_rng(11).uniform(0.0, 2 * math.pi, 11))
+ELEVEN_GON = nc.Polygon2(np.column_stack([np.cos(_ANG), np.sin(_ANG)]))
+SCALES = [1e-6, 1e-4, 1e4]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_polytope_counts_do_not_depend_on_units(scale):
+    P = nc.build_polytope(TRUNC_OCT.vertices * scale, TRUNC_OCT.facets)
+    pts = nc.sample_interior3(TRUNC_OCT, 20000, seed=29)
+    total, parts, flags = nc.count_normals3_batch(TRUNC_OCT, pts)
+    s_total, s_parts, s_flags = nc.count_normals3_batch(P, pts * scale)
+    assert not flags.any() and not s_flags.any()
+    assert np.array_equal(s_total, total)
+    assert all(np.array_equal(a, b) for a, b in zip(s_parts, parts))
+    for i, p in enumerate(pts[:200] * scale):
+        bd = nc.count_normals3_by_dim(P, p)
+        assert bd[2] - bd[1] + bd[0] == 2, (scale, p)
+        assert (bd[2], bd[1], bd[0]) == tuple(part[i] for part in s_parts), (scale, p)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_polygon_counts_do_not_depend_on_units(scale):
+    P = nc.Polygon2(ELEVEN_GON.vertices * scale)
+    pts = nc.sample_interior2(ELEVEN_GON, 20000, seed=31)
+    total, stable, flags = nc.count_normals2_batch(ELEVEN_GON, pts)
+    s_total, s_stable, s_flags = nc.count_normals2_batch(P, pts * scale)
+    assert not flags.any() and not s_flags.any()
+    assert np.array_equal(s_total, total)
+    assert np.array_equal(s_stable, stable)
+
+
+def test_estimate_on_a_tiny_polytope_resamples_nothing():
+    P = nc.build_polytope(TRUNC_OCT.vertices * 1e-6, TRUNC_OCT.facets)
+    rep = nc.estimate_interior_average(P, "normals", 20000, seed=1)
+    assert rep.degenerate_resampled == 0
+    assert rep.mean == nc.estimate_interior_average(TRUNC_OCT, "normals", 20000, seed=1).mean
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.2])
+def test_flagged_polygon_totals_are_degenerate(s):
+    # on the normal line of the edge (4, 0)-(0.5, 0.5) through (0.5, 0.5)
+    T = nc.build_polygon([(0, 0), (4, 0), (0.5, 0.5)])
+    d = np.array([-0.5, -3.5]) / math.hypot(0.5, 3.5)
+    total, _, flags = nc.count_normals2_batch(T, [np.array([0.5, 0.5]) + s * d])
+    assert flags[0] and total[0] == nc.DEGENERATE
+
+
+def test_flagged_polytope_totals_are_degenerate():
+    # 1e-12 from the facet x = 0.5, so on the boundary of two edge slabs
+    total, _, flags = nc.count_normals3_batch(nc.standard_polytope("cube"),
+                                              [(0.5 - 1e-12, 0.1, 0.0)])
+    assert flags[0] and total[0] == nc.DEGENERATE
+
+
+def test_polygon_face_tests_run_in_bounded_memory():
+    # points run in blocks of points x edges, so 40k points of a 256-gon
+    # never build their full (points, edges) tables
+    import tracemalloc
+
+    th = 2 * math.pi * np.arange(256) / 256
+    P = nc.build_polygon(np.column_stack([np.cos(th), np.sin(th)]))
+    pts = nc.sample_interior2(P, 40000, seed=12)
+    for kernel in (nc.count_normals2_batch, nc.signed_boundary_excess):
+        tracemalloc.start()
+        try:
+            kernel(P, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, kernel.__name__
