@@ -249,6 +249,11 @@ class ArcBody2:
     Arc i covers outer-normal angles [ang0_i, ang1_i]; consecutive arcs meet
     at corners whose normal cones fill the gaps, so spans plus gaps sum to
     2*pi.  Corner chains with zero gaps describe C^1 boundaries.
+
+    ``pieces``, the one face table of counters, feet, chords and excess,
+    holds a (centre, radius, lo, hi, source) per arc, source ("arc", i), then
+    one per corner j with a cone wider than 1e-14, source ("corner", j): an
+    arc of radius 0 about the corner, whose normal range is the cone.
     """
 
     def __init__(self, arcs):
@@ -288,6 +293,11 @@ class ArcBody2:
         self.corner_points = np.asarray(corners)
         self.corner_lo = np.asarray(cone_lo)
         self.corner_hi = np.asarray(cone_hi)
+        self.pieces = (
+            [(np.asarray(a.center), a.radius, a.ang0, a.ang1, ("arc", i))
+             for i, a in enumerate(items)]
+            + [(p, 0.0, lo, hi, ("corner", j))
+               for j, (p, lo, hi) in enumerate(zip(corners, cone_lo, cone_hi)) if hi - lo > 1e-14])
         self.scale = scale
 
     def support(self, theta):
@@ -533,10 +543,11 @@ def signed_boundary_excess(body, pts) -> np.ndarray:
     positive outside, negative inside.
 
     Inside, it is minus the distance from p to the boundary.  Outside, it
-    is at most the distance from p to the body: equal to it for smooth
-    bodies, whose maximum runs over every normal angle, and equal to it
-    away from the vertex (corner) regions of polygons (arc bodies), whose
-    maximum runs over the edge normals (the arcs' normal ranges).  Smooth
+    is the distance from p to the body for smooth bodies, whose maximum runs
+    over every normal angle, and for arc bodies, whose maximum runs over the
+    normal range of every piece of ``ArcBody2.pieces``, corners included.
+    For polygons, whose maximum runs over the edge normals only, it is the
+    distance only away from the vertex regions, and below it there.  Smooth
     bodies get the certified maximum of ``_smooth_margin``; polygon points
     run in ``row_blocks`` of at most ``_BLOCK`` point times edge entries.
     """
@@ -550,16 +561,18 @@ def signed_boundary_excess(body, pts) -> np.ndarray:
         return _smooth_margin(body, pts)
     if isinstance(body, ArcBody2):
         worst = np.full(len(pts), -np.inf)
-        for a in body.arcs:
-            c = np.asarray(a.center)
-            rel = pts - c
-            d = np.hypot(rel[:, 0], rel[:, 1])
+        rows = slice(None)
+        for c, r, lo, hi, _ in body.pieces:
+            if r == 0.0:  # corners come last; a cone narrower than pi raises
+                # only rows that the arcs at its ends already put above 0
+                rows = np.flatnonzero(worst > 0.0)
+                if not len(rows):
+                    break
+            rel = pts[rows] - c
             ang = np.arctan2(rel[:, 1], rel[:, 0])
-            in_range = in_angle_range(ang, a.ang0, a.span)
-            u0, u1 = unit(a.ang0), unit(a.ang1)
-            end = np.maximum(rel @ u0, rel @ u1) - a.radius
-            val = np.where(in_range, d - a.radius, end)
-            worst = np.maximum(worst, val)
+            val = np.where(in_angle_range(ang, lo, hi - lo), np.hypot(rel[:, 0], rel[:, 1]) - r,
+                           np.maximum(rel @ unit(lo), rel @ unit(hi)) - r)
+            worst[rows] = np.maximum(worst[rows], val)
         return worst
     raise DegenerateBodyError(f"unsupported planar body {type(body).__name__}")
 
@@ -674,20 +687,10 @@ def difference_body_area(body) -> float:
     return float(difference_body(body).area())
 
 
-def _arc_pieces(body: ArcBody2):
-    """(lo, hi, center, radius) covering [0, 2*pi); corners become radius 0."""
-    pieces = []
-    for a in body.arcs:
-        pieces.append((_norm_angle(a.ang0), a.span, np.asarray(a.center), a.radius))
-    for p, lo, hi in zip(body.corner_points, body.corner_lo, body.corner_hi):
-        if hi - lo > 1e-14:
-            pieces.append((_norm_angle(lo), hi - lo, np.asarray(p), 0.0))
-    return pieces
-
-
 def _arc_difference_body(body: ArcBody2) -> ArcBody2:
-    """K - K for an arc body: supports add piecewise over merged angle ranges."""
-    own = _arc_pieces(body)
+    """K - K for an arc body: supports add piecewise over merged angle ranges
+    of ``body.pieces``, whose corners are arcs of radius 0."""
+    own = [(_norm_angle(lo), hi - lo, c, r) for c, r, lo, hi, _ in body.pieces]
     # -K pieces: normal angle shifts by pi, center negates
     neg = [(_norm_angle(lo + math.pi), span, -c, r) for lo, span, c, r in own]
     cuts = sorted(
@@ -733,6 +736,13 @@ def require_interior(body, point):
     if interior_margin(body, p) <= 1e-9 * body.scale:
         raise DomainError("query point must lie strictly inside the body")
     return p
+
+
+def symmetric_under_negation(points, tol: float) -> bool:
+    """Is the negation of every point within tol of one of the points?"""
+    pts = np.asarray(points, dtype=float)
+    gaps = np.linalg.norm(pts[:, None, :] + pts[None, :, :], axis=2)
+    return bool(np.all(gaps.min(axis=1) <= tol))
 
 
 def require_smooth(body, what: str) -> None:

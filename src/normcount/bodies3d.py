@@ -1,9 +1,12 @@
 """Convex polytopes in R^3 with explicit facet loops.
 
 Facets are stored as vertex-index loops ordered counterclockwise when seen
-from outside.  Edges and the facets' side planes are derived from the loops;
-the constructor validates planarity, convexity, outward orientation and the
-Euler relation V - E + F = 2.
+from outside; the constructor validates planarity, convexity, outward
+orientation and the Euler relation V - E + F = 2.  It also builds, once, the
+face table that the normal counters read: the edges, each facet's side
+planes (the prism over it), each edge's two slab planes (the dihedral slab
+over it) and each vertex's inward facet normals (its normal cone), so no
+query recomputes fixed geometry.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull
 
+from .bodies2d import symmetric_under_negation
 from .errors import ConvexityError, DegenerateBodyError
 from .rng import rejection_sample
 
@@ -83,6 +87,19 @@ class Polytope3:
             sides = np.cross(nrm, np.roll(v[loop], -1, axis=0) - v[loop])
             sides /= np.linalg.norm(sides, axis=1, keepdims=True)
             self.facet_sides.append((sides, np.einsum("ij,ij->i", sides, v[loop])))
+        # per edge, the unit normals of the sides of its dihedral slab, each
+        # n_k x e for an inward facet normal n_k, turned towards the other
+        # one, and their offsets: p lies in the slab where p @ sides.T >= offsets
+        a = v[self.edges[:, 0]]
+        e = v[self.edges[:, 1]] - a
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        n1, n2 = -normals[self.edge_facets[:, 0]], -normals[self.edge_facets[:, 1]]
+        turn = np.copysign(1.0, np.einsum("ij,ij->i", e, np.cross(n1, n2)))[:, None]
+        self.edge_sides = np.stack([-turn * np.cross(n1, e), turn * np.cross(n2, e)], axis=1)
+        self.edge_offsets = np.einsum("ekj,ej->ek", self.edge_sides, a)
+        # per vertex, the inward normals of the facets at it, as columns
+        self.vertex_normals = [-normals[[fi for fi, loop in enumerate(facets) if vi in loop]].T
+                               for vi in range(len(v))]
         self.scale = scale
 
     def support(self, directions):
@@ -138,12 +155,7 @@ def prism_over(base_vertices, height: float) -> Polytope3:
     base = np.asarray(base_vertices, dtype=float)
     if base.ndim != 2 or base.shape[1] != 2:
         raise DegenerateBodyError("prism base must be planar vertices")
-    neg = -base
-    matched = all(
-        np.min(np.linalg.norm(neg - b, axis=1)) < 1e-9 * (np.abs(base).max() or 1.0)
-        for b in base
-    )
-    if not matched:
+    if not symmetric_under_negation(base, 1e-9 * (np.abs(base).max() or 1.0)):
         raise DegenerateBodyError("prism base must be centrally symmetric")
     if height <= 0:
         raise DegenerateBodyError("prism height must be positive")

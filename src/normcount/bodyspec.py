@@ -39,23 +39,28 @@ def _require(obj: dict, key: str, kind=None):
     return val
 
 
-def parse_body(source):
-    """Build a body from a dict, a JSON string, or a path to a JSON file."""
+def _load(source):
+    """The description that a dict, a JSON string or a path to a JSON file
+    holds; SpecError names the place of invalid JSON."""
     if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
         with open(source) as fh:
             try:
-                obj = json.load(fh)
+                return json.load(fh)
             except json.JSONDecodeError as exc:
                 raise SpecError(f"{source}: invalid JSON at line {exc.lineno}, "
                                 f"column {exc.colno}: {exc.msg}") from exc
-    elif isinstance(source, str):
+    if isinstance(source, str):
         try:
-            obj = json.loads(source)
+            return json.loads(source)
         except json.JSONDecodeError as exc:
             raise SpecError(f"invalid JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}") from exc
-    else:
-        obj = source
+    return source
+
+
+def parse_body(source):
+    """Build a body from a dict, a JSON string, or a path to a JSON file."""
+    obj = _load(source)
     if not isinstance(obj, dict):
         raise SpecError("body description must be a JSON object")
     kind = _require(obj, "type", str)
@@ -91,12 +96,5 @@ def _canonical(value):
 
 def body_hash(source) -> str:
     """Stable short hash of a body description (order- and format-insensitive)."""
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-        with open(source) as fh:
-            obj = json.load(fh)
-    elif isinstance(source, str):
-        obj = json.loads(source)
-    else:
-        obj = source
-    blob = json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(_canonical(_load(source)), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -73,6 +73,22 @@ def _report_payload(report, seed, body_source) -> dict:
     }
 
 
+def _numbers(flag: str, text: str, kind) -> list:
+    """The comma-separated values of ``kind`` in a flag's text, or SpecError."""
+    try:
+        return [kind(s) for s in text.split(",") if s]
+    except ValueError:
+        raise SpecError(f"{flag}: {text!r} is not a comma-separated list of "
+                        f"{kind.__name__}s") from None
+
+
+def _positive(flag: str, value: int) -> int:
+    """The value of an integer flag; SpecError unless it is positive."""
+    if value <= 0:
+        raise SpecError(f"{flag} must be a positive integer, got {value}")
+    return value
+
+
 def _counter(args):
     """The counter that ``--counter`` names: "normals" or "diameters" as
     such, or the Minkowski counter of the ``--norm`` ball."""
@@ -97,7 +113,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_field(args) -> int:
     body = parse_body(args.body)
-    nx, ny = (int(s) for s in args.grid.lower().split("x"))
+    grid = args.grid.lower().split("x")
+    if len(grid) != 2 or not all(s.isdigit() for s in grid):
+        raise SpecError(f"--grid: {args.grid!r} is not NXxNY")
+    nx, ny = map(int, grid)
     mat = field_map(body, (nx, ny), _counter(args))
     lines = _header(args.seed, args.body)
     lines += [",".join(str(v) for v in row) for row in mat]
@@ -132,6 +151,7 @@ def _cmd_wedges(args) -> int:
 
 
 def _cmd_evolute(args) -> int:
+    steps = _positive("--steps", args.steps)
     body = parse_body(args.body)
     contained, worst = contains_evolute(body)
     lines = _header(None, args.body)
@@ -139,7 +159,7 @@ def _cmd_evolute(args) -> int:
     lines.append(f"# worst_excess={format_float(worst)}")
     lines.append(f"# rolling_ball_radius={format_float(rolling_ball_radius(body))}")
     lines.append("theta,rho,cx,cy")
-    for pt in curvature_profile(body, grid=args.steps or 512):
+    for pt in curvature_profile(body, grid=steps):
         lines.append(",".join(format_float(v) for v in
                               (pt.theta, pt.rho, pt.center[0], pt.center[1])))
     path = _write_lines(args.out, "evolute.csv", lines)
@@ -169,7 +189,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_discretize(args) -> int:
     body = parse_body(args.body)
-    ks = [int(s) for s in args.k.split(",") if s]
+    ks = _numbers("--k", args.k, int)
     rows = discretization_race(body, ks, args.samples, args.seed)
     lines = _header(args.seed, args.body)
     lines.append("k,n_polygon_exact,n_body_mean,ci_lo,ci_hi,margin")
@@ -183,8 +203,8 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_diameters(args) -> int:
+    steps = _positive("--theta-sweep", args.theta_sweep)
     body = parse_body(args.body)
-    steps = args.theta_sweep or 360
     lines = _header(None, args.body)
     lines.append("theta,length")
     for theta in np.arange(steps) * (np.pi / steps):
@@ -212,7 +232,7 @@ def _cmd_tau(args) -> int:
 
 def _cmd_point(args) -> int:
     body = parse_body(args.body)
-    at = [float(s) for s in args.at.split(",")]
+    at = _numbers("--at", args.at, float)
     if isinstance(body, Polytope3):
         if len(at) != 3:
             raise SpecError("--at needs x,y,z for a 3D body")

@@ -21,14 +21,24 @@ from __future__ import annotations
 import numpy as np
 
 from .bodies2d import (TWO_PI, Polygon2, SmoothBody2, bisect, cross2,
-                       measure2d, require_interior, require_smooth)
+                       measure2d, require_interior, require_smooth,
+                       symmetric_under_negation)
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
 from .trigcount import count_roots, root_angles, row_blocks
 
 
+_GAUGE_GRID = 2048  # normal angles of the smooth gauge's bracket table
+
+
 class NormBall2:
-    """A centrally symmetric planar body used as the unit ball of a norm."""
+    """A centrally symmetric planar body used as the unit ball of a norm.
+
+    ``gauge_table`` of a smooth ball holds normal angles theta_j of a uniform
+    grid, h_M(theta_j) and the polar angles of r_M(theta_j), unwrapped: they
+    rise from that of r_M(0) to it plus 2pi, as M is centrally symmetric with
+    rho > 0.  A polygon ball has none.
+    """
 
     def __init__(self, body):
         if isinstance(body, SmoothBody2):
@@ -39,13 +49,16 @@ class NormBall2:
             for k, c in enumerate(body.bs, start=1):
                 if k % 2 == 1 and abs(c) > tol:
                     raise DomainError(f"sin harmonic {k} breaks central symmetry")
+            thetas = np.arange(_GAUGE_GRID) * (TWO_PI / _GAUGE_GRID)
+            r = body.boundary(thetas)
+            self.gauge_table = (thetas, body.support(thetas),
+                                np.unwrap(np.arctan2(r[:, 1], r[:, 0])))
         elif isinstance(body, Polygon2):
-            tol = 1e-9 * body.scale
-            for v in body.vertices:
-                if np.min(np.linalg.norm(body.vertices + v, axis=1)) > tol:
-                    raise DomainError("vertex set is not symmetric under negation")
+            if not symmetric_under_negation(body.vertices, 1e-9 * body.scale):
+                raise DomainError("vertex set is not symmetric under negation")
             if np.min(body.edge_offsets) <= 0:
                 raise DomainError("the origin must be interior to the norm ball")
+            self.gauge_table = None
         else:
             raise UnsupportedCombinationError(
                 f"norm balls must be smooth bodies or polygons, got {type(body).__name__}")
@@ -59,18 +72,12 @@ class NormBall2:
         return measure2d(self.body)["area"]
 
 
-def _require_smooth_ball(M: NormBall2):
-    if not M.is_smooth:
-        raise UnsupportedCombinationError(
-            "Birkhoff directions need a smooth strictly convex norm ball")
-
-
 def birkhoff_direction(M: NormBall2, phi: float) -> np.ndarray:
     """Unit direction of the M-normal at a boundary point with outer normal
     angle ``phi``: the M-boundary point r_M(phi) sharing that outer normal
     (its tangent is parallel to the supporting line; the antipode defines the
     same undirected normal line).  For the Euclidean disk this is u(phi)."""
-    _require_smooth_ball(M)
+    require_smooth(M.body, "Birkhoff normality")
     v = M.body.boundary(np.array([phi]))[0]
     return v / np.linalg.norm(v)
 
@@ -97,7 +104,7 @@ def mink_counts_batch(M: NormBall2, K: SmoothBody2,
     vanishes or its roots cannot be certified by the kernel's finest grid
     (the M-evolute).
     """
-    _require_smooth_ball(M)
+    require_smooth(M.body, "Birkhoff normality")
     require_smooth(K, "Minkowski counting")
     counts, _, flags = count_roots(lambda q, th: _mink_g(M, K, q, th), pts,
                                    K.degree + M.body.degree + 2,
@@ -114,7 +121,7 @@ def count_minkowski_normals(M: NormBall2, K: SmoothBody2, p) -> int:
 
 def minkowski_counter(M: NormBall2):
     """Counter factory for the averaging module."""
-    _require_smooth_ball(M)
+    require_smooth(M.body, "Birkhoff normality")
 
     def fn(body, pts):
         counts, degen = mink_counts_batch(M, body, pts)
@@ -132,7 +139,7 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
     that many; where that counter flags p, DegenerateConfigurationError is
     raised.
     """
-    _require_smooth_ball(M)
+    require_smooth(M.body, "Birkhoff normality")
     found = root_angles(lambda q, th: _mink_g(M, K, q, th), p,
                         K.degree + M.body.degree + 2, K.scale * M.body.scale)
     if found is None:
@@ -146,24 +153,10 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
 # gauge and the inscribed affine-regular hexagon ratio
 
 
-_GAUGE_GRID = 2048  # normal angles of the smooth gauge's bracket table
 # refinement rounds: each keeps 2/9 of the bracket, and (2/9)**20 is below
 # 0.618**61, the width that 61 golden-section steps leave
 _ROUNDS = 20
 _SCAN = 512  # half-arc samples per hexagon objective
-
-
-def _gauge_table(M: NormBall2):
-    """Normal angles theta_j of a uniform grid, h_M(theta_j), and the polar
-    angles of r_M(theta_j), unwrapped: they increase from that of r_M(0) to
-    it plus 2pi, because M is centrally symmetric with rho > 0."""
-    cache = getattr(M, "_gauge_table", None)
-    if cache is None:
-        thetas = np.arange(_GAUGE_GRID) * (TWO_PI / _GAUGE_GRID)
-        r = M.body.boundary(thetas)
-        cache = (thetas, M.body.support(thetas), np.unwrap(np.arctan2(r[:, 1], r[:, 0])))
-        M._gauge_table = cache
-    return cache
 
 
 def gauge_batch(M: NormBall2, X) -> np.ndarray:
@@ -182,7 +175,7 @@ def gauge_batch(M: NormBall2, X) -> np.ndarray:
     if isinstance(body, Polygon2):
         vals = (X @ body.edge_normals.T) / body.edge_offsets
         return np.max(vals, axis=1)
-    thetas, h, polar = _gauge_table(M)
+    thetas, h, polar = M.gauge_table
     psi = polar[0] + (np.arctan2(X[:, 1], X[:, 0]) - polar[0]) % TWO_PI
     j = np.searchsorted(polar, psi, side="right") - 1
     ends = np.stack([j, (j + 1) % _GAUGE_GRID], axis=1)

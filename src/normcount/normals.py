@@ -11,9 +11,10 @@ far feet and corner feet unstable.
 Polygons and arc bodies each have one face test, ``_polygon_faces`` and
 ``_arc_faces``: for a batch of points it returns, per face, the mask of the
 points whose normal foot lies on that face, plus the flags of the points on
-a wedge boundary or at an arc centre.  ``count_normals2_batch`` sums the
-masks, and ``normal_feet2`` reads its feet off the point's single row, so
-scalar and batch answers agree by construction.  Polygon and polytope face
+a wedge boundary or at an arc centre (an arc body's faces are the rows of
+``ArcBody2.pieces``).  ``count_normals2_batch`` sums the masks, and
+``normal_feet2`` reads its feet off the point's single row, so scalar and
+batch answers agree by construction.  Polygon and polytope face
 tests read one quantity per edge, its parameter t (where p's foot falls on
 the edge's line: 0 at its first vertex, 1 at its second): an edge holds a
 foot where 0 < t < 1, and a vertex where t seen from it is >= 0 on every
@@ -45,7 +46,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .bodies2d import (TWO_PI, ArcBody2, Polygon2, SmoothBody2, bisect,
-                       cross2, in_angle_range, require_interior)
+                       cross2, in_angle_range, require_interior, unit)
 from .bodies3d import Polytope3, contains3
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
@@ -82,14 +83,14 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
     side of the body.
 
     Polygons take the nearest edge line ahead.  Arc bodies take the far
-    intersection of the line with each arc's circle, kept when it lies in
-    the arc's angle range, and the corners the line passes through; the
-    exit is the farthest of these.  On a smooth body the chord from
-    q = r(theta0) along d leaves at the second root of the trigonometric
-    polynomial F(phi) = cross(r(phi) - q, d): a strictly convex curve
-    crosses a line twice, and F'(theta0) = -rho <u(theta0), d> > 0 for an
-    inward d, so F > 0 on (theta0, exit) and < 0 on (exit, theta0 + 2pi),
-    and one bisection over that bracket finds the exit.
+    intersection of the line with each arc's circle in ``body.pieces``,
+    kept when it lies in the arc's angle range, and each corner piece the
+    line passes through; the exit is the farthest of these.  On a smooth
+    body the chord from q = r(theta0) along d leaves at the second root of
+    the trigonometric polynomial F(phi) = cross(r(phi) - q, d): a strictly
+    convex curve crosses a line twice, and F'(theta0) = -rho <u(theta0), d>
+    > 0 for an inward d, so F > 0 on (theta0, exit) and < 0 on (exit,
+    theta0 + 2pi), and one bisection over that bracket finds the exit.
     """
     qs = np.array([q for q, _, _ in feet])
     d = p - qs
@@ -106,18 +107,17 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
                        theta0, theta0 + TWO_PI)
         return np.einsum("ij,ij->i", body.boundary(exit_) - qs, d)
     best = np.zeros(len(qs))
-    for a in body.arcs:
-        rel = qs - np.asarray(a.center)
+    for c, r, lo, hi, _ in body.pieces:
+        rel = qs - c
         b = np.einsum("ij,ij->i", rel, d)
-        disc = b * b - (np.einsum("ij,ij->i", rel, rel) - a.radius**2)
-        t = -b + np.sqrt(np.maximum(disc, 0.0))
-        hit = rel + t[:, None] * d
-        on_arc = (disc >= 0) & in_angle_range(np.arctan2(hit[:, 1], hit[:, 0]), a.ang0, a.span)
-        best = np.where(on_arc, np.maximum(best, t), best)
-    for v in body.corner_points:
-        rel = v - qs
-        through = np.abs(cross2(d, rel)) <= 1e-12 * body.scale
-        best = np.where(through, np.maximum(best, np.einsum("ij,ij->i", rel, d)), best)
+        if r == 0.0:  # a corner: the exit where the line passes through it
+            t, on = -b, np.abs(cross2(d, rel)) <= 1e-12 * body.scale
+        else:  # an arc: the far crossing of its circle, within its range
+            disc = b * b - (np.einsum("ij,ij->i", rel, rel) - r * r)
+            t = -b + np.sqrt(np.maximum(disc, 0.0))
+            hit = rel + t[:, None] * d
+            on = (disc >= 0) & in_angle_range(np.arctan2(hit[:, 1], hit[:, 0]), lo, hi - lo)
+        best = np.where(on, np.maximum(best, t), best)
     return best
 
 
@@ -143,45 +143,35 @@ def _polygon_faces(body: Polygon2, pts: np.ndarray):
     return t, edge, vertex, flags
 
 
-def _at_range_end(ang, lo, hi):
-    """Is the angle within 1e-9 of lo or of hi, modulo 2*pi?"""
-    return np.minimum(np.abs((ang - lo + math.pi) % TWO_PI - math.pi),
-                      np.abs((ang - hi + math.pi) % TWO_PI - math.pi)) < 1e-9
+def _on_line(x):
+    """Is the angle x within 1e-9 of a multiple of pi?"""
+    return np.abs((x + 0.5 * math.pi) % math.pi - 0.5 * math.pi) < 1e-9
 
 
 def _arc_faces(body: ArcBody2, pts: np.ndarray):
-    """(ang, near, far, corner, flags) for many interior points.
+    """(ang, near, far, flags) for many interior points, one column per
+    piece of ``body.pieces``.
 
-    ang[:, i] is the angle of p about arc i's centre.  The near foot of arc
-    i is at that angle and the far foot at the opposite one, each present
-    when the arc's angle range holds it; corner j carries a foot where the
-    direction from p to it lies in the corner's normal cone (corners with no
-    cone never do).  A point within 1e-9 of an arc centre or of a range or
-    cone end is flagged.
+    ang[:, i] is the angle of p about piece i's centre.  The near foot of a
+    piece is at that angle and the far foot at the opposite one, each
+    present when the piece's normal range holds it.  A corner's feet are
+    the corner itself, and an interior point has only the far one there
+    (p - corner never lies in the cone).  A point within 1e-9 of an arc
+    centre, or whose line to a centre is within 1e-9 of a range end, is
+    flagged.
     """
-    n = len(pts)
-    flags = np.zeros(n, dtype=bool)
-    angs, near, far, corner = [], [], [], []
-    for a in body.arcs:
-        rel = pts - np.asarray(a.center)
-        d = np.hypot(rel[:, 0], rel[:, 1])
+    flags = np.zeros(len(pts), dtype=bool)
+    angs, near, far = [], [], []
+    for c, r, lo, hi, _ in body.pieces:
+        rel = pts - c
         ang = np.arctan2(rel[:, 1], rel[:, 0])
-        flags |= d < 1e-9 * a.radius
-        opp = ang + math.pi
         angs.append(ang)
-        near.append(in_angle_range(ang, a.ang0, a.span))
-        far.append(in_angle_range(opp, a.ang0, a.span))
-        flags |= _at_range_end(ang, a.ang0, a.ang1) | _at_range_end(opp, a.ang0, a.ang1)
-    for v, lo, hi in zip(body.corner_points, body.corner_lo, body.corner_hi):
-        if hi - lo <= 1e-14:
-            corner.append(np.zeros(n, dtype=bool))
-            continue
-        rel = v - pts
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        corner.append(in_angle_range(ang, lo, hi - lo))
-        flags |= _at_range_end(ang, lo, hi)
-    return (np.array(angs).T, np.array(near).T, np.array(far).T, np.array(corner).T,
-            flags)
+        near.append(in_angle_range(ang, lo, hi - lo))
+        far.append(in_angle_range(ang + math.pi, lo, hi - lo))
+        # the line through p and the centre runs along a range end
+        flags |= (_on_line(ang - lo) | _on_line(ang - hi)
+                  | (np.hypot(rel[:, 0], rel[:, 1]) < 1e-9 * r))
+    return np.array(angs).T, np.array(near).T, np.array(far).T, flags
 
 
 def _polygon_feet(body: Polygon2, p: np.ndarray) -> list[tuple] | None:
@@ -196,16 +186,15 @@ def _polygon_feet(body: Polygon2, p: np.ndarray) -> list[tuple] | None:
 
 def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[tuple] | None:
     """Feet read off the point's row of ``_arc_faces``; None where flagged."""
-    ang, near, far, corner, flags = _arc_faces(body, p[None, :])
+    ang, near, far, flags = _arc_faces(body, p[None, :])
     if flags[0]:
         return None
     feet = []
-    for i, a in enumerate(body.arcs):
+    for i, (c, r, _lo, _hi, source) in enumerate(body.pieces):
         for gamma, idx, hit in ((ang[0, i], 0, near[0, i]), (ang[0, i] + math.pi, 1, far[0, i])):
             if hit:
-                feet.append((a.point(gamma), ("arc", i), idx))
-    return feet + [(body.corner_points[i].copy(), ("corner", int(i)), 1)
-                   for i in np.flatnonzero(corner[0])]
+                feet.append((c + r * unit(gamma), source, idx))
+    return feet
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +290,9 @@ def count_normals2_batch(body, pts):
         return count_roots(lambda q, th: _smooth_g(body, q, th), pts,
                            max(1, body.degree), body.scale)
     if isinstance(body, ArcBody2):
-        _ang, near, far, corner, flags = _arc_faces(body, pts)
+        _ang, near, far, flags = _arc_faces(body, pts)
         stable = np.sum(near, axis=1)
-        total = stable + np.sum(far, axis=1) + np.sum(corner, axis=1)
+        total = stable + np.sum(far, axis=1)
         total[flags] = DEGENERATE
         return total, stable, flags
     raise UnsupportedCombinationError(f"no normal counter for {type(body).__name__}")
@@ -315,13 +304,7 @@ def count_normals2_batch(body, pts):
 
 def _in_vertex_cone_nnls(poly: Polytope3, vi: int, y: np.ndarray) -> bool:
     """Conical-hull membership of y in the inward facet normals at vertex vi."""
-    cols = [
-        -poly.facet_normals[fi]
-        for fi, loop in enumerate(poly.facets)
-        if vi in loop
-    ]
-    a = np.stack(cols, axis=1)
-    _, resid = nnls(a, y)
+    _, resid = nnls(poly.vertex_normals[vi], y)
     return resid <= 1e-9 * float(np.linalg.norm(y))
 
 
@@ -334,10 +317,10 @@ def count_normals3(poly: Polytope3, point) -> int:
 def count_normals3_by_dim(poly: Polytope3, point):
     """Counts keyed by face dimension {0: vertices, 1: edges, 2: facets}.
 
-    Facet and edge tests are distances against 1e-9*scale, as in
-    ``count_normals3_batch``.  Vertex cones use a nonnegative least-squares
-    membership test on the facet normals, with a residual bound of
-    1e-9*|p - v|, independent of the polar test of ``count_normals3_batch``.
+    Facet and edge tests compare distances from the ``facet_sides`` and
+    ``edge_sides`` planes with 1e-9*scale, as ``count_normals3_batch`` does.
+    Vertex cones use a nonnegative least-squares test on ``vertex_normals``
+    with a residual bound of 1e-9*|p - v|, independent of its polar test.
     """
     p = np.asarray(point, dtype=float)
     if not contains3(poly, p, tol=-1e-12 * poly.scale):
@@ -345,21 +328,11 @@ def count_normals3_by_dim(poly: Polytope3, point):
     tol = 1e-9 * poly.scale
     facets = sum(bool(np.all(sides @ p - offsets >= -tol))
                  for sides, offsets in poly.facet_sides)
-    edges = 0
-    for (a_i, b_i), (f1, f2) in zip(poly.edges, poly.edge_facets):
-        a, b = poly.vertices[a_i], poly.vertices[b_i]
-        d = b - a
-        t = float((p - a) @ d / (d @ d))
-        if not 0.0 < t < 1.0:
-            continue
-        y = p - (a + t * d)
-        dn = d / np.linalg.norm(d)
-        n1, n2 = -poly.facet_normals[f1], -poly.facet_normals[f2]
-        ref = float(dn @ np.cross(n1, n2))
-        s1 = float(dn @ np.cross(n1, y)) * np.sign(ref)
-        s2 = float(dn @ np.cross(y, n2)) * np.sign(ref)
-        if s1 >= -tol and s2 >= -tol:
-            edges += 1
+    a = poly.vertices[poly.edges[:, 0]]
+    d = poly.vertices[poly.edges[:, 1]] - a
+    t = np.einsum("ij,ij->i", p - a, d) / np.einsum("ij,ij->i", d, d)
+    slab = np.all(poly.edge_sides @ p - poly.edge_offsets >= -tol, axis=1)
+    edges = np.sum((t > 0.0) & (t < 1.0) & slab)
     vertices = sum(_in_vertex_cone_nnls(poly, vi, p - v) for vi, v in enumerate(poly.vertices))
     return {0: int(vertices), 1: int(edges), 2: int(facets)}
 
@@ -368,17 +341,18 @@ def count_normals3_batch(poly: Polytope3, pts):
     """Vectorized polytope counts; returns (total, by_index tuple, flags).
 
     by_index is (facet, edge, vertex) feet, the stable, saddle and peak
-    counts.  A facet carries a foot where p lies in the prism over it: its
-    distance from each side's plane through the facet normal is >= -tol.
-    An edge carries one where its parameter t (0 at its first vertex, 1 at
-    its second) lies in (0, 1) and p lies in the dihedral slab between the
-    two facet normals, again by distances against tol.  A vertex carries one
-    where t seen from it (t at its first vertex, 1 - t at its second) is
-    >= -1e-9 on every edge at it: the polar edge-direction test, equivalent
-    to the nonnegative-combination test on facet normals by cone duality.
-    tol is 1e-9*scale, so counts do not depend on the solid's units.  A
-    point within tol (1e-9 for t) of a boundary of a region that holds it
-    is flagged, and its total is DEGENERATE.
+    counts.  Every face test reads the table that ``Polytope3`` builds once.
+    A facet carries a foot where p lies in the prism over it: its distance
+    from each of the ``facet_sides`` planes is >= -tol.  An edge carries one
+    where its parameter t (0 at its first vertex, 1 at its second) lies in
+    (0, 1) and p lies in the dihedral slab between the two facet normals:
+    its distance from each of the ``edge_sides`` planes is >= -tol.  A
+    vertex carries one where t seen from it (t at its first vertex, 1 - t
+    at its second) is >= -1e-9 on every edge at it: the polar edge-direction
+    test, equivalent to the nonnegative-combination test on facet normals by
+    cone duality.  tol is 1e-9*scale, so counts do not depend on the
+    solid's units.  A point within tol (1e-9 for t) of a boundary of a
+    region that holds it is flagged, and its total is DEGENERATE.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = len(pts)
@@ -387,25 +361,20 @@ def count_normals3_batch(poly: Polytope3, pts):
     saddle = np.zeros(n, dtype=int)
     flags = np.zeros(n, dtype=bool)
     for sides, offsets in poly.facet_sides:
-        dist = pts @ sides.T - offsets
-        inside = np.all(dist >= -tol, axis=1)
+        dist = sides @ pts.T - offsets[:, None]
+        inside = np.all(dist >= -tol, axis=0)
         stable += inside
-        flags |= inside & np.any(np.abs(dist) < tol, axis=1)
+        flags |= inside & np.any(np.abs(dist) < tol, axis=0)
     cone = np.ones((len(poly.vertices), n), dtype=bool)
     cone_near = np.zeros((len(poly.vertices), n), dtype=bool)
-    for (a_i, b_i), (f1, f2) in zip(poly.edges, poly.edge_facets):
-        a, b = poly.vertices[a_i], poly.vertices[b_i]
-        d = b - a
-        dn = d / np.linalg.norm(d)
+    for (a_i, b_i), sides, offsets in zip(poly.edges, poly.edge_sides, poly.edge_offsets):
+        a = poly.vertices[a_i]
+        d = poly.vertices[b_i] - a
         t = (pts - a) @ d / float(d @ d)
-        y = pts - a - t[:, None] * d
-        n1, n2 = -poly.facet_normals[f1], -poly.facet_normals[f2]
-        ref = math.copysign(1.0, float(dn @ np.cross(n1, n2)))
-        s1 = (y @ np.cross(n1, dn)) * (-ref)
-        s2 = (y @ np.cross(n2, dn)) * ref
-        inside = (t > 0.0) & (t < 1.0) & (s1 >= -tol) & (s2 >= -tol)
+        dist = sides @ pts.T - offsets[:, None]
+        inside = (t > 0.0) & (t < 1.0) & np.all(dist >= -tol, axis=0)
         saddle += inside
-        near = (np.abs(s1) < tol) | (np.abs(s2) < tol)
+        near = np.any(np.abs(dist) < tol, axis=0)
         for vi, seen in ((a_i, t), (b_i, 1.0 - t)):
             at_vertex = np.abs(seen) < 1e-9
             cone[vi] &= seen >= -1e-9

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import Polygon2, reflect_polygon, minkowski_sum_polygons
+from .bodies2d import (Polygon2, minkowski_sum_polygons, reflect_polygon,
+                       symmetric_under_negation)
 from .errors import DomainError
 
 
@@ -147,13 +148,9 @@ def reflected_wedge(P: Polygon2, w: Wedge) -> np.ndarray:
 
 
 def is_centrally_symmetric(P: Polygon2) -> bool:
-    """Is the vertex set symmetric about its mean, to 1e-9*scale?"""
-    verts = P.vertices - P.vertices.mean(axis=0)  # symmetric => center = vertex mean
-    tol = 1e-9 * P.scale
-    for v in verts:
-        if np.min(np.linalg.norm(verts + v, axis=1)) > tol:
-            return False
-    return True
+    """Is the vertex set symmetric about its mean (the centre of a symmetric
+    set), to 1e-9*scale?"""
+    return symmetric_under_negation(P.vertices - P.vertices.mean(axis=0), 1e-9 * P.scale)
 
 
 def wedge_fill_deficiency(P: Polygon2) -> float:

@@ -49,6 +49,19 @@ def boundary_polyline(body, samples: int) -> np.ndarray:
     raise TypeError(type(body).__name__)
 
 
+def polyline_distance(poly: np.ndarray, pts, chunk: int = 32) -> np.ndarray:
+    """Distance from each point to the closed polyline through ``poly``,
+    taken segment by segment for ``chunk`` points at a time."""
+    a = poly
+    e = np.roll(poly, -1, axis=0) - a
+    out = []
+    for b in range(0, len(pts), chunk):
+        w = np.asarray(pts[b:b + chunk], dtype=float)[:, None, :] - a
+        t = np.clip(np.einsum("pij,ij->pi", w, e) / np.einsum("ij,ij->i", e, e), 0.0, 1.0)
+        out.append(np.min(np.linalg.norm(w - t[..., None] * e, axis=2), axis=1))
+    return np.concatenate(out)
+
+
 def critical_count_2d(body, p, samples: int = 20000) -> int:
     """Number of local extrema of boundary distance from p (dense polyline).
 
@@ -428,6 +441,29 @@ def random_concyclic_symmetric_polygon(rng, half: int, radius: float = 1.0):
     ang = np.sort(rng.uniform(0.0, np.pi, half))
     ang = np.concatenate([ang, ang + np.pi])
     return build_polygon(radius * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+
+
+def lens(radius: float = 1.0, half_gap: float = 0.6) -> ArcBody2:
+    """Intersection of the disks of the given radius about (0, -+half_gap):
+    two arcs and two corners on the x axis."""
+    from normcount.bodies2d import Arc
+
+    b = np.arctan2(half_gap, np.sqrt(radius**2 - half_gap**2))
+    return ArcBody2([Arc((0.0, -half_gap), radius, b, np.pi - b),
+                     Arc((0.0, half_gap), radius, np.pi + b, TWO_PI - b)])
+
+
+def offset_reuleaux(width: float = 1.0, offset: float = 0.15) -> ArcBody2:
+    """The Reuleaux triangle's outer parallel body: its arcs grown by the
+    offset, and an arc of that radius over each corner's cone (C^1, so it
+    has no corners)."""
+    from normcount.bodies2d import Arc, build_reuleaux
+
+    R = build_reuleaux(3, width)
+    arcs = []
+    for a, v, lo, hi in zip(R.arcs, R.corner_points, R.corner_lo, R.corner_hi):
+        arcs += [Arc(a.center, a.radius + offset, a.ang0, a.ang1), Arc(tuple(v), offset, lo, hi)]
+    return ArcBody2(arcs)
 
 
 def support_margin_dense(body, pts, grid: int = 1 << 16) -> np.ndarray:

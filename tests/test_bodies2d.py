@@ -212,6 +212,27 @@ def test_signed_excess_sign_convention():
     assert ex[1] == pytest.approx(1.0, abs=1e-6)   # distance 1 outside
 
 
+ARC_BODIES = {"reuleaux3": lambda: nc.build_reuleaux(3), "reuleaux5": lambda: nc.build_reuleaux(5),
+              "lens": oracles.lens}
+
+
+@pytest.mark.parametrize("name", sorted(ARC_BODIES))
+def test_arc_excess_outside_is_the_distance(name):
+    # the excess runs over the corners' cones too, so beyond a corner it is
+    # the distance to the corner, not the support offset of a nearby arc end
+    body = ARC_BODIES[name]()
+    poly = oracles.boundary_polyline(body, 20000)
+    lo, hi = nc.bounding_box(body)
+    pts = np.random.default_rng(23).uniform(lo - 0.25, hi + 0.25, (700, 2))
+    pts = pts[[not oracles.point_in_convex_polygon(poly, p, tol=0.0) for p in pts]]
+    assert len(pts) > 300
+    err = nc.signed_boundary_excess(body, pts) - oracles.polyline_distance(poly, pts)
+    assert np.max(np.abs(err)) < 1e-8
+    for v, a, b in zip(body.corner_points, body.corner_lo, body.corner_hi):
+        bisector = v + 0.1 * np.array([math.cos(0.5 * (a + b)), math.sin(0.5 * (a + b))])
+        assert abs(nc.signed_boundary_excess(body, bisector)[0] - 0.1) < 1e-12
+
+
 def test_measure2d_pixel_oracle():
     B = nc.SmoothBody2(1.0, (0.0, 0.08), (0.03,))
     area = oracles.pixel_area(

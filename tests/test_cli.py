@@ -156,3 +156,34 @@ def test_estimate_diameters_is_average_diameters(capsys, tmp_path):
     with pytest.raises(SystemExit):  # the only suite is the standard one
         cli.run(["validate", "--suite", "standard"])
     capsys.readouterr()
+
+
+def test_discretize_runs_are_byte_identical(capsys, tmp_path):
+    _, text = _reruns(capsys, ["discretize", "--body", json.dumps(SMOOTH), "--k", "8,16",
+                               "--samples", "500", "--seed", "2", "--out", str(tmp_path)],
+                      tmp_path / "discretize.csv")
+    rows = [line.split(",")[0] for line in text.decode().splitlines() if not line.startswith("#")]
+    assert rows == ["k", "8", "16"]
+
+
+def test_diameters_runs_are_byte_identical(capsys, tmp_path):
+    _, text = _reruns(capsys, ["diameters", "--body", json.dumps(SMOOTH), "--theta-sweep", "12",
+                               "--out", str(tmp_path)], tmp_path / "diameters.csv")
+    rows = [line for line in text.decode().splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 12
+
+
+DISK = json.dumps({"type": "disk", "radius": 1.0})
+
+
+@pytest.mark.parametrize("args", [
+    ["field", "--grid", "abc"], ["point", "--at", "a,b"], ["discretize", "--k", "x"],
+    ["evolute", "--steps", "-3"], ["evolute", "--steps", "0"],
+    ["diameters", "--theta-sweep", "0"]], ids=lambda a: "-".join(a))
+def test_malformed_flag_values_exit_one(capsys, tmp_path, args):
+    out_dir = [] if args[0] == "point" else ["--out", str(tmp_path)]
+    code = cli.run(args[:1] + ["--body", DISK] + args[1:] + out_dir)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {args[1]}")
+    assert not any(tmp_path.iterdir())

@@ -207,15 +207,16 @@ def test_full_circle_arc_matches_disk():
 
 
 def test_reuleaux_counts_match_dense_boundary_oracle():
-    R = nc.build_reuleaux(3)
-    pts = nc.sample_interior2(R, 50, seed=14)
-    total, stable, flags = nc.count_normals2_batch(R, pts)
-    for p, t, s, fl in zip(pts, total, stable, flags):
-        if fl:
-            continue
-        assert t == oracles.critical_count_2d(R, p)
-        assert s == oracles.stable_critical_count_2d(R, p)
-        assert nc.count_normals2(R, p) == t
+    # a lens has two corners; the offset Reuleaux triangle is C^1, no corners
+    for R in (nc.build_reuleaux(3), oracles.lens(), oracles.offset_reuleaux()):
+        pts = nc.sample_interior2(R, 50, seed=14)
+        total, stable, flags = nc.count_normals2_batch(R, pts)
+        for p, t, s, fl in zip(pts, total, stable, flags):
+            if fl:
+                continue
+            assert t == oracles.critical_count_2d(R, p)
+            assert s == oracles.stable_critical_count_2d(R, p)
+            assert nc.count_normals2(R, p) == t
 
 
 @pytest.mark.parametrize("sides", [3, 5])
