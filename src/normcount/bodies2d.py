@@ -55,7 +55,8 @@ def _norm_angle(t: float) -> float:
 def in_angle_range(gamma, lo, span):
     """Does the angle gamma lie in [lo, lo + span] modulo 2*pi?  The one
     range test of arcs and of corner normal cones."""
-    return (gamma - lo) % TWO_PI <= span
+    r = np.fmod(gamma - lo, TWO_PI)  # equals NumPy's %, in a third of its time
+    return r + TWO_PI * (r < 0) <= span
 
 
 class Polygon2:
@@ -560,21 +561,28 @@ def signed_boundary_excess(body, pts) -> np.ndarray:
     if isinstance(body, SmoothBody2):
         return _smooth_margin(body, pts)
     if isinstance(body, ArcBody2):
-        worst = np.full(len(pts), -np.inf)
-        rows = slice(None)
-        for c, r, lo, hi, _ in body.pieces:
-            if r == 0.0:  # corners come last; a cone narrower than pi raises
-                # only rows that the arcs at its ends already put above 0
-                rows = np.flatnonzero(worst > 0.0)
-                if not len(rows):
-                    break
-            rel = pts[rows] - c
-            ang = np.arctan2(rel[:, 1], rel[:, 0])
-            val = np.where(in_angle_range(ang, lo, hi - lo), np.hypot(rel[:, 0], rel[:, 1]) - r,
-                           np.maximum(rel @ unit(lo), rel @ unit(hi)) - r)
-            worst[rows] = np.maximum(worst[rows], val)
-        return worst
+        return _arc_excess(body, pts, np.inf)
     raise DegenerateBodyError(f"unsupported planar body {type(body).__name__}")
+
+
+def _arc_excess(body: ArcBody2, pts: np.ndarray, upto: float) -> np.ndarray:
+    """The excess of an arc body where it is at most ``upto``.  The corners
+    come last in ``body.pieces`` and are taken only on rows whose arc excess
+    lies in (0, upto]: a cone narrower than pi raises only rows that the
+    arcs at its ends already put above 0, and a row above upto stays so."""
+    worst = np.full(len(pts), -np.inf)
+    rows = slice(None)
+    for i, (c, r, lo, hi, _) in enumerate(body.pieces):
+        if i == len(body.arcs):
+            rows = np.flatnonzero((worst > 0.0) & (worst <= upto))
+            if not len(rows):
+                break
+        rel = pts[rows] - c
+        ang = np.arctan2(rel[:, 1], rel[:, 0])
+        val = np.where(in_angle_range(ang, lo, hi - lo), np.hypot(rel[:, 0], rel[:, 1]) - r,
+                       np.maximum(rel @ unit(lo), rel @ unit(hi)) - r)
+        worst[rows] = np.maximum(worst[rows], val)
+    return worst
 
 
 def contains2(body, point, tol: float = 0.0) -> bool:
@@ -584,10 +592,13 @@ def contains2(body, point, tol: float = 0.0) -> bool:
 
 def contains2_batch(body, pts, tol: float = 0.0) -> np.ndarray:
     """Per point, is the signed boundary excess at most tol?  A point of a
-    smooth body is refined only until its side of tol is certain."""
+    smooth body is refined only until its side of tol is certain, and the
+    corners of an arc body are taken only where they can decide it."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, SmoothBody2):
         return _smooth_margin(body, pts, tol) <= tol
+    if isinstance(body, ArcBody2):
+        return _arc_excess(body, pts, tol) <= tol
     return signed_boundary_excess(body, pts) <= tol
 
 

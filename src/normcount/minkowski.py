@@ -14,6 +14,9 @@ of a trigonometric polynomial, counted by the certified kernel of
 tau(M) is the largest area of an affine-regular hexagon inscribed in M,
 relative to the area of M; it is affine-invariant, at most 1 (equality
 exactly for affine-regular hexagons), and 3*sqrt(3)/(2*pi) for ellipses.
+Its vertices are +-u, +-v, +-(v - u) with u, v on the boundary and
+gauge(v - u) = 1; that gauge never falls as v runs from u to -u, so each v
+is one bisection, and all u of a pass bisect together.
 """
 
 from __future__ import annotations
@@ -156,25 +159,28 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
 # refinement rounds: each keeps 2/9 of the bracket, and (2/9)**20 is below
 # 0.618**61, the width that 61 golden-section steps leave
 _ROUNDS = 20
-_SCAN = 512  # half-arc samples per hexagon objective
 
 
 def gauge_batch(M: NormBall2, X) -> np.ndarray:
     """Minkowski functional of each row of X: the scale at which the point
     hits the boundary of M, and 0 for a zero row.
 
-    Exact over facet normals for polygons.  For smooth balls it is the
-    maximum over theta of <x, u(theta)>/h_M(theta).  That ratio has two
-    critical points, where r_M(theta) points along x (the maximum) and
-    along -x, so the maximum lies in the one grid interval whose r_M polar
-    angles bracket atan2(x), found by one ``searchsorted``.  The better end
-    of that bracket is the grid maximum; two clipped Newton steps polish it.
+    Exact over facet normals for polygons, whose rows run in ``row_blocks``
+    of at most ``_BLOCK`` row times edge entries, so memory does not grow
+    with the number of rows.  For smooth balls it is the maximum over theta
+    of <x, u(theta)>/h_M(theta).  That ratio has two critical points, where
+    r_M(theta) points along x (the maximum) and along -x, so the maximum
+    lies in the one grid interval whose r_M polar angles bracket atan2(x),
+    found by one ``searchsorted``.  The better end of that bracket is the
+    grid maximum; two clipped Newton steps polish it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     body = M.body
     if isinstance(body, Polygon2):
-        vals = (X @ body.edge_normals.T) / body.edge_offsets
-        return np.max(vals, axis=1)
+        out = np.empty(len(X))
+        for rows in row_blocks(len(X), len(body)):
+            out[rows] = np.max((X[rows] @ body.edge_normals.T) / body.edge_offsets, axis=1)
+        return out
     thetas, h, polar = M.gauge_table
     psi = polar[0] + (np.arctan2(X[:, 1], X[:, 0]) - polar[0]) % TWO_PI
     j = np.searchsorted(polar, psi, side="right") - 1
@@ -218,45 +224,20 @@ def _boundary_walk(body, ts: np.ndarray) -> np.ndarray:
 
 def _hexagon_objectives(M: NormBall2, ts: np.ndarray, half: float,
                         area: float) -> np.ndarray:
-    """Largest 3*|cross(u, v)|/area over boundary points v with
-    gauge(v - u) = 1 on the half-arc after u, for u at each parameter in ts.
+    """3*|cross(u, v)|/area for u at each parameter in ts and v on the
+    half-arc after u with gauge(v - u) = 1.
 
-    Every u's half-arc scan is one row of a (len(ts), _SCAN - 1) array whose
-    gauges are taken in one call.  Candidates are the sign changes of
-    gauge - 1, all bisected in one call, and the samples with gauge = 1 to
-    1e-9: polygon norms can hold gauge = 1 along whole sub-arcs, whose
-    endpoints carry the extrema.  ts runs in ``trigcount.row_blocks``, so
-    that no gauge call takes more than ``_BLOCK`` rows times values per row.
+    As v runs from u to -u, gauge(v - u) rises from 0 to 2 and never falls
+    (the monotonicity lemma of normed planes), so one bisection of all rows
+    finds v.  A sub-arc with gauge(v - u) = 1 lies on the boundaries of
+    both M and M + u, which share interior points (u/2), so it is one edge
+    of M on the line of its translate by u: parallel to u, it holds one
+    value of cross(u, v).
     """
     body = M.body
-    # values per gauge row: the edge table of a polygon ball or the harmonic
-    # tables of a smooth one, plus the gauge's own per-row temporaries
-    work = (len(body) if isinstance(body, Polygon2) else body.degree) + 16
-    blocks = row_blocks(len(ts), (_SCAN - 1) * work)
-    if len(blocks) > 1:
-        return np.concatenate([_hexagon_objectives(M, ts[rows], half, area)
-                               for rows in blocks])
     u = _boundary_walk(body, ts)
-    grid = ts[:, None] + (np.arange(1, _SCAN) / _SCAN) * half
-    pts = _boundary_walk(body, grid.ravel()).reshape(len(ts), _SCAN - 1, 2)
-    gv = gauge_batch(M, (pts - u[:, None]).reshape(-1, 2)).reshape(grid.shape) - 1.0
-    plateau = np.abs(gv) <= 1e-9
-    above = gv > 0
-    rows, cols = np.nonzero(plateau)
-    cands = pts[rows, cols]
-    r, i = np.nonzero(~plateau[:, :-1] & ~plateau[:, 1:] & (above[:, :-1] != above[:, 1:]))
-    t = bisect(lambda t: (gauge_batch(M, _boundary_walk(body, t) - u[r]) > 1.0)
-               == above[r, i], grid[r, i], grid[r, i + 1])
-    rows = np.concatenate([rows, r])
-    cands = np.concatenate([cands, _boundary_walk(body, t)])
-    # no sample has gauge 1 and gauge - 1 never changes sign on the
-    # half-arc: keep the nearest sample
-    lone = np.setdiff1d(np.arange(len(ts)), rows)
-    rows = np.concatenate([rows, lone])
-    cands = np.concatenate([cands, pts[lone, np.argmin(np.abs(gv[lone]), axis=1)]])
-    best = np.zeros(len(ts))
-    np.maximum.at(best, rows, 3.0 * np.abs(cross2(u[rows], cands)) / area)
-    return best
+    t = bisect(lambda t: gauge_batch(M, _boundary_walk(body, t) - u) < 1.0, ts, ts + half)
+    return 3.0 * np.abs(cross2(u, _boundary_walk(body, t))) / area
 
 
 def hexagon_ratio_tau(M: NormBall2, coarse: int = 720) -> float:
@@ -265,11 +246,14 @@ def hexagon_ratio_tau(M: NormBall2, coarse: int = 720) -> float:
     The hexagon has vertices +-u, +-v, +-(v - u) with u, v on the boundary
     and gauge(v - u) = 1; its area is 3*|cross(u, v)|.  The objective is
     taken at ``coarse`` u-parameters on half the boundary (plus the vertices
-    of a polygon) in one batched pass.  The bracket around the best of them
-    is refined in rounds: each round takes the objective at 8 interior
-    points in one batched pass and keeps the best of them +- one step; 20
-    rounds leave it as narrow as 61 golden-section steps would.
+    of a polygon) in one batched pass, and ``coarse`` below 2 raises
+    DomainError.  The bracket around the best of them is refined in rounds:
+    each round takes the objective at 8 interior points in one batched pass
+    and keeps the best of them +- one step; 20 rounds leave it as narrow as
+    61 golden-section steps would.
     """
+    if coarse < 2:
+        raise DomainError(f"coarse must be at least 2, got {coarse}")
     body = M.body
     area = M.area()
     if isinstance(body, SmoothBody2):

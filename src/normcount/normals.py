@@ -145,7 +145,8 @@ def _polygon_faces(body: Polygon2, pts: np.ndarray):
 
 def _on_line(x):
     """Is the angle x within 1e-9 of a multiple of pi?"""
-    return np.abs((x + 0.5 * math.pi) % math.pi - 0.5 * math.pi) < 1e-9
+    r = np.fmod(x + 0.5 * math.pi, math.pi)  # as in ``in_angle_range``
+    return np.abs(r + math.pi * (r < 0) - 0.5 * math.pi) < 1e-9
 
 
 def _arc_faces(body: ArcBody2, pts: np.ndarray):

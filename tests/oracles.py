@@ -370,13 +370,19 @@ def smooth_diameter_count(body, p, samples: int = 200000) -> int:
     return int(np.sum(closed[:-1] * closed[1:] < 0))
 
 
-def point_in_convex_polygon(region: np.ndarray, p, tol: float = 1e-12) -> bool:
-    """Closed containment test against a CCW vertex array."""
+def points_in_convex_polygon(region: np.ndarray, pts, tol: float = 1e-12) -> np.ndarray:
+    """Closed containment test of each row of pts against a CCW vertex
+    array: every edge's cross product is at least -tol times its scale."""
     v = np.asarray(region, dtype=float)
     e = np.roll(v, -1, axis=0) - v
-    w = np.asarray(p, dtype=float) - v
-    cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
-    return bool(np.all(cross >= -tol * max(1.0, np.max(np.abs(v)))))
+    w = np.asarray(pts, dtype=float)[:, None, :] - v
+    cross = e[:, 0] * w[..., 1] - e[:, 1] * w[..., 0]
+    return np.all(cross >= -tol * max(1.0, np.max(np.abs(v))), axis=1)
+
+
+def point_in_convex_polygon(region: np.ndarray, p, tol: float = 1e-12) -> bool:
+    """``points_in_convex_polygon`` of one point."""
+    return bool(points_in_convex_polygon(region, np.asarray(p, dtype=float)[None, :], tol)[0])
 
 
 def pixel_area(indicator, lo, hi, n: int = 1500) -> float:
@@ -466,20 +472,23 @@ def offset_reuleaux(width: float = 1.0, offset: float = 0.15) -> ArcBody2:
     return ArcBody2(arcs)
 
 
+def support_series(body, t):
+    """(h, h', h'') of a SmoothBody2 at the angles t, written out here from
+    its coefficients."""
+    t = np.asarray(t, dtype=float)
+    k = np.arange(1, len(body.ac) + 1)
+    c, s = np.cos(np.outer(t, k)), np.sin(np.outer(t, k))
+    return (body.a0 + c @ body.ac + s @ body.bs,
+            (c * k) @ body.bs - (s * k) @ body.ac,
+            -(c * k**2) @ body.ac - (s * k**2) @ body.bs)
+
+
 def support_margin_dense(body, pts, grid: int = 1 << 16) -> np.ndarray:
     """max over theta of <p, u(theta)> - h(theta) for a SmoothBody2: the
-    maximum over ``grid`` angles, polished by Newton's method on the
-    support series written out here from the coefficients."""
-    k = np.arange(1, len(body.ac) + 1)
-
-    def support(t):
-        c, s = np.cos(np.outer(t, k)), np.sin(np.outer(t, k))
-        return (body.a0 + c @ body.ac + s @ body.bs,
-                (c * k) @ body.bs - (s * k) @ body.ac,
-                -(c * k**2) @ body.ac - (s * k**2) @ body.bs)
-
+    maximum over ``grid`` angles, polished by Newton's method on
+    ``support_series``."""
     theta = np.arange(grid) * (TWO_PI / grid)
-    h = support(theta)[0]
+    h = support_series(body, theta)[0]
     u = np.stack([np.cos(theta), np.sin(theta)])
     out = []
     for b in range(0, len(pts), 64):
@@ -489,10 +498,91 @@ def support_margin_dense(body, pts, grid: int = 1 << 16) -> np.ndarray:
         j = np.argmax(vals, axis=1)
         t = theta[j]
         for _ in range(6):
-            h0, h1, h2 = support(t)
+            h0, h1, h2 = support_series(body, t)
             pu = p[:, 0] * np.cos(t) + p[:, 1] * np.sin(t)
             pv = p[:, 1] * np.cos(t) - p[:, 0] * np.sin(t)
             t = t - np.clip((pv - h1) / (-pu - h2), -TWO_PI / grid, TWO_PI / grid)
-        polished = p[:, 0] * np.cos(t) + p[:, 1] * np.sin(t) - support(t)[0]
+        polished = p[:, 0] * np.cos(t) + p[:, 1] * np.sin(t) - support_series(body, t)[0]
         out.append(np.maximum(vals[np.arange(len(p)), j], polished))
     return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
+# gauges and inscribed hexagons of norm balls
+
+
+def ball_walk(M_body, t) -> np.ndarray:
+    """Boundary points of a norm ball at parameters t: the normal angle of a
+    SmoothBody2, r = h u + h' u', or the arc length from vertex 0 along a
+    CCW Polygon2."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(M_body, SmoothBody2):
+        h, h1, _ = support_series(M_body, t)
+        c, s = np.cos(t), np.sin(t)
+        return np.stack([h * c - h1 * s, h * s + h1 * c], axis=-1)
+    v = M_body.vertices
+    e = np.roll(v, -1, axis=0) - v
+    cum = np.concatenate([[0.0], np.cumsum(np.hypot(e[:, 0], e[:, 1]))])
+    pos = t % cum[-1]
+    i = np.clip(np.searchsorted(cum, pos, side="right") - 1, 0, len(v) - 1)
+    return v[i] + ((pos - cum[i]) / (cum[i + 1] - cum[i]))[:, None] * e[i]
+
+
+def gauge_radial(M_body, X, table: int = 4096) -> np.ndarray:
+    """gauge(x) = |x| over the radius of the ball in x's direction.
+
+    For a polygon that radius is met on the edge whose line gives the
+    largest cross(x, e_i) / cross(v_i, e_i).  For a smooth ball the boundary
+    point r(theta) along x is the root of cross(r(theta), x): its bracket is
+    read off a table of polar angles of r, and Newton's method on
+    F' = -rho <x, u> finishes it.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if isinstance(M_body, Polygon2):
+        v = M_body.vertices
+        e = np.roll(v, -1, axis=0) - v
+        num = X[:, :1] * e[:, 1] - X[:, 1:] * e[:, 0]
+        return np.max(num / (v[:, 0] * e[:, 1] - v[:, 1] * e[:, 0]), axis=1)
+    theta = np.arange(table + 1) * (TWO_PI / table)
+    r = ball_walk(M_body, theta)
+    polar = np.unwrap(np.arctan2(r[:, 1], r[:, 0]))
+    psi = polar[0] + (np.arctan2(X[:, 1], X[:, 0]) - polar[0]) % TWO_PI
+    j = np.clip(np.searchsorted(polar, psi, side="right") - 1, 0, table - 1)
+    lo, hi = theta[j], theta[j + 1]
+    t = 0.5 * (lo + hi)
+    zero = ~np.any(X != 0.0, axis=1)
+    for _ in range(4):  # quadratic from a bracket of 2*pi/table
+        h, h1, h2 = support_series(M_body, t)
+        c, s = np.cos(t), np.sin(t)
+        f = (h * c - h1 * s) * X[:, 1] - (h * s + h1 * c) * X[:, 0]
+        df = -(h + h2) * (X[:, 0] * c + X[:, 1] * s)
+        t = np.clip(t - f / np.where(zero, 1.0, df), lo, hi)
+    rt = ball_walk(M_body, t)
+    return np.sum(X * rt, axis=1) / np.sum(rt * rt, axis=1)
+
+
+def hexagon_cross(M_body, ts, samples: int = 20000) -> np.ndarray:
+    """3*|cross(u, v)| for u = ``ball_walk`` at each parameter in ts and v
+    the first point of the half-arc after u with gauge(v - u) = 1.
+
+    ``samples`` points of the half-arc are scanned with ``gauge_radial`` for
+    the first one at or above 1, and the step before it is bisected.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if isinstance(M_body, SmoothBody2):
+        half = np.pi
+    else:
+        e = np.roll(M_body.vertices, -1, axis=0) - M_body.vertices
+        half = 0.5 * float(np.sum(np.hypot(e[:, 0], e[:, 1])))
+    u = ball_walk(M_body, ts)
+    steps = half * np.arange(samples + 1) / samples
+    lo, hi = np.empty(len(ts)), np.empty(len(ts))
+    for i, (t, ui) in enumerate(zip(ts, u)):
+        k = int(np.argmax(gauge_radial(M_body, ball_walk(M_body, t + steps) - ui) >= 1.0))
+        lo[i], hi[i] = t + steps[k - 1], t + steps[k]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = gauge_radial(M_body, ball_walk(M_body, mid) - u) < 1.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    v = ball_walk(M_body, lo)
+    return 3.0 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])

@@ -233,6 +233,38 @@ def test_arc_excess_outside_is_the_distance(name):
         assert abs(nc.signed_boundary_excess(body, bisector)[0] - 0.1) < 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(ARC_BODIES) + ["offset_reuleaux"])
+def test_arc_containment_matches_the_excess(name):
+    # containment takes the corners only where the arc excess lies in
+    # (0, tol]; the full excess must put every point on the same side
+    body = oracles.offset_reuleaux() if name == "offset_reuleaux" else ARC_BODIES[name]()
+    lo, hi = nc.bounding_box(body)
+    pts = np.random.default_rng(29).uniform(lo - 0.2, hi + 0.2, (20_000, 2))
+    excess = nc.signed_boundary_excess(body, pts)
+    for tol in (0.0, 1e-9, -1e-9, 0.05, -0.05):
+        assert np.array_equal(nc.contains2_batch(body, pts, tol), excess <= tol)
+
+
+def test_angle_range_tests_match_numpy_remainder():
+    # in_angle_range and _on_line take np.fmod plus the period where
+    # negative, in place of NumPy's floored %
+    from normcount.bodies2d import in_angle_range
+    from normcount.normals import _on_line
+
+    special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 100.0, -100.0]
+    x = np.concatenate([special, np.random.default_rng(31).uniform(-50.0, 50.0, 10_000)])
+    for lo, span in ((0.0, 1.0), (-2.5, math.pi), (4.0, 0.0), (1.0, 2 * math.pi)):
+        assert np.array_equal(in_angle_range(x, lo, span), (x - lo) % (2 * math.pi) <= span)
+        for v in special:
+            assert in_angle_range(v, lo, span) == ((v - lo) % (2 * math.pi) <= span)
+    near = np.concatenate([x, np.pi * np.arange(-5, 6) + 1e-10, np.pi * np.arange(-5, 6) - 1e-10])
+    want = np.abs((near + 0.5 * math.pi) % math.pi - 0.5 * math.pi) < 1e-9
+    assert want.sum() >= 22
+    assert np.array_equal(_on_line(near), want)
+    for v in special:
+        assert _on_line(v) == (abs((v + 0.5 * math.pi) % math.pi - 0.5 * math.pi) < 1e-9)
+
+
 def test_measure2d_pixel_oracle():
     B = nc.SmoothBody2(1.0, (0.0, 0.08), (0.03,))
     area = oracles.pixel_area(

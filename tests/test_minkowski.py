@@ -6,6 +6,7 @@ import pytest
 
 import normcount as nc
 from normcount import DomainError, UnsupportedCombinationError
+from normcount.minkowski import _boundary_walk, _hexagon_objectives
 
 import oracles
 
@@ -232,8 +233,9 @@ def test_tau_pinned(name, want):
 
 
 def test_tau_memory_is_bounded_on_a_many_sided_ball():
-    # the hexagon objectives run in blocks of boundary points x edges, so a
-    # 400-gon at the default coarse grid never builds its full gauge table
+    # the hexagon objectives take one gauge row per u, and gauge_batch runs
+    # polygon rows in blocks of rows x edges, so a 400-gon at the default
+    # coarse grid never builds a table of every u against every edge
     import tracemalloc
 
     M = nc.NormBall2(_regular(400))
@@ -245,3 +247,62 @@ def test_tau_memory_is_bounded_on_a_many_sided_ball():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert tau == pytest.approx(3.0 * math.sqrt(3.0) / (2.0 * math.pi), abs=1e-3)
+
+
+HEXAGON_NORMS = {
+    "square": lambda: _poly_ball("square"), "hexagon": lambda: _poly_ball("hexagon"),
+    "octagon": lambda: nc.NormBall2(_regular(8)),
+    "random4": lambda: nc.NormBall2(oracles.random_symmetric_polygon(np.random.default_rng(3), 4)),
+    "random5": lambda: nc.NormBall2(oracles.random_symmetric_polygon(np.random.default_rng(5), 5)),
+    "degree6": _degree6_ball}
+
+
+def _half_period(M):
+    return math.pi if M.is_smooth else 0.5 * M.body.vertex_arclengths[-1]
+
+
+@pytest.mark.parametrize("name", sorted(HEXAGON_NORMS))
+def test_gauge_from_u_never_falls_along_the_half_arc(name):
+    # the monotonicity lemma that lets one bisection find the hexagon's v
+    M = HEXAGON_NORMS[name]()
+    half = _half_period(M)
+    ts = np.random.default_rng(17).uniform(0.0, 2.0 * half, 20)
+    u = _boundary_walk(M.body, ts)
+    arc = ts[:, None] + half * np.arange(4001) / 4000
+    pts = _boundary_walk(M.body, arc.ravel()).reshape(*arc.shape, 2)
+    g = nc.gauge_batch(M, (pts - u[:, None]).reshape(-1, 2)).reshape(arc.shape)
+    assert np.all(g[:, 0] == 0.0)
+    assert np.all(np.diff(g, axis=1) >= -1e-12)
+    assert np.allclose(g[:, -1], 2.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(HEXAGON_NORMS))
+def test_hexagon_objectives_match_the_scan_oracle(name):
+    M = HEXAGON_NORMS[name]()
+    half = _half_period(M)
+    ts = np.random.default_rng(19).uniform(0.0, 2.0 * half, 50)
+    got = _hexagon_objectives(M, ts, half, 1.0)
+    assert np.allclose(got, oracles.hexagon_cross(M.body, ts), rtol=0.0, atol=1e-9)
+
+
+def test_gauge_batch_memory_is_bounded_on_a_many_sided_ball():
+    # one (rows, edges) table of 20000 rows of a 400-gon takes 64 MB
+    import tracemalloc
+
+    M = nc.NormBall2(_regular(400))
+    X = np.random.default_rng(23).normal(size=(20_000, 2))
+    tracemalloc.start()
+    try:
+        got = nc.gauge_batch(M, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.allclose(got, oracles.gauge_radial(M.body, X), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("coarse", [1, 0, -3])
+@pytest.mark.parametrize("make", [_degree6_ball, lambda: _poly_ball("square")])
+def test_tau_rejects_coarse_below_two(make, coarse):
+    with pytest.raises(DomainError):
+        nc.hexagon_ratio_tau(make(), coarse=coarse)

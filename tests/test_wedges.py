@@ -56,11 +56,7 @@ def test_wedge_areas_match_pixel_oracle():
         if w.area < 1e-3:
             continue
         area = oracles.pixel_area(
-            lambda pts: np.array([
-                oracles.point_in_convex_polygon(w.region, p) for p in pts
-            ]),
-            lo, hi, n=500,
-        )
+            lambda pts: oracles.points_in_convex_polygon(w.region, pts), lo, hi, n=500)
         assert w.area == pytest.approx(area, rel=2e-2)
 
 
