@@ -28,7 +28,8 @@ from .discretization import discretization_race
 from .errors import GeometryError, SpecError, UnsupportedCombinationError
 from .evolute import contains_evolute, curvature_profile, rolling_ball_radius
 from .flows import FlowSpec, evolve_flow
-from .minkowski import NormBall2, hexagon_ratio_tau, minkowski_counter
+from .minkowski import (NormBall2, _width_bound, hexagon_ratio_tau,
+                        minkowski_counter)
 from .normals import count_normals3_by_dim, normal_feet2
 from .wedges import all_wedges, euler_residual, exact_average_normals
 
@@ -222,7 +223,7 @@ def _cmd_tau(args) -> int:
         "version": __version__,
         "norm_hash": body_hash(args.norm),
         "tau": format_float(tau),
-        "bound": format_float(6.0 / (3.0 - 2.0 * tau)),
+        "bound": format_float(_width_bound(tau)),
     }
     path = _write_json(args.out, "tau.json", payload)
     print(f"tau={payload['tau']} bound={payload['bound']}")

@@ -156,9 +156,10 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
 # gauge and the inscribed affine-regular hexagon ratio
 
 
-# refinement rounds: each keeps 2/9 of the bracket, and (2/9)**20 is below
-# 0.618**61, the width that 61 golden-section steps leave
-_ROUNDS = 20
+# refinement rounds of _POINTS interior points: each keeps 2/(_POINTS + 1)
+# of the bracket, so the last leaves (2/65)**3 of two coarse steps
+_ROUNDS = 3
+_POINTS = 64
 
 
 def gauge_batch(M: NormBall2, X) -> np.ndarray:
@@ -247,41 +248,38 @@ def hexagon_ratio_tau(M: NormBall2, coarse: int = 720) -> float:
     and gauge(v - u) = 1; its area is 3*|cross(u, v)|.  The objective is
     taken at ``coarse`` u-parameters on half the boundary (plus the vertices
     of a polygon) in one batched pass, and ``coarse`` below 2 raises
-    DomainError.  The bracket around the best of them is refined in rounds:
-    each round takes the objective at 8 interior points in one batched pass
-    and keeps the best of them +- one step; 20 rounds leave it as narrow as
-    61 golden-section steps would.
+    DomainError.  The bracket of two coarse steps around the best of them is
+    refined in 3 rounds: each takes the objective at 64 interior points in
+    one batched pass and keeps the best of them +- one step, so the last
+    bracket is (2/65)**3 of two coarse steps.
     """
     if coarse < 2:
         raise DomainError(f"coarse must be at least 2, got {coarse}")
     body = M.body
     area = M.area()
     if isinstance(body, SmoothBody2):
-        period, half = TWO_PI, np.pi
-        params = np.arange(coarse) * (period / coarse / 2.0)  # half suffices
+        half = np.pi
+        params = np.arange(coarse) * (half / coarse)  # half suffices
     else:
-        cum = body.vertex_arclengths
-        period, half = cum[-1], 0.5 * cum[-1]
+        half = 0.5 * body.vertex_arclengths[-1]
         params = np.unique(np.concatenate([
-            cum[:-1], np.arange(coarse) * (period / coarse / 2.0)]))
-
-    vals = _hexagon_objectives(M, params, half, area)
-    i = int(np.argmax(vals))
-    lo = params[i] - (params[1] - params[0] if i == 0 else params[i] - params[i - 1])
-    hi = params[i] + (params[i + 1] - params[i] if i + 1 < len(params)
-                      else params[1] - params[0])
-    best = float(vals[i])
-
-    for _ in range(_ROUNDS):
-        ts = np.linspace(lo, hi, 10)  # the bracket and 8 interior points
+            body.vertex_arclengths[:-1], np.arange(coarse) * (half / coarse)]))
+    step = params[1] - params[0]
+    ts = np.concatenate([[params[0] - step], params, [params[-1] + step]])
+    best = 0.0
+    for _ in range(1 + _ROUNDS):  # the coarse pass, then the refinement rounds
         vals = _hexagon_objectives(M, ts[1:-1], half, area)
         j = int(np.argmax(vals))
         best = max(best, float(vals[j]))
-        lo, hi = ts[j], ts[j + 2]
+        ts = np.linspace(ts[j], ts[j + 2], _POINTS + 2)  # best +- one step
     return best
+
+
+def _width_bound(tau: float) -> float:
+    return 6.0 / (3.0 - 2.0 * tau)
 
 
 def normed_width_bound(M: NormBall2) -> float:
     """Upper bound 6/(3 - 2*tau(M)) for the mean Minkowski normal count of
     constant-M-width bodies."""
-    return 6.0 / (3.0 - 2.0 * hexagon_ratio_tau(M))
+    return _width_bound(hexagon_ratio_tau(M))

@@ -100,45 +100,78 @@ def stable_critical_count_2d(body, p, samples: int = 20000) -> int:
 # discrete Morse counts on a triangulated polytope surface
 
 
-def _surface_mesh(poly, res: int):
+def _subdivision(res: int) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric weights (i, j, k)/res of one triangle at resolution
+    ``res``, i outer and j inner, and its small triangles as rows of
+    indices into them."""
+    ij = [(i, j) for i in range(res + 1) for j in range(res + 1 - i)]
+    at = {key: n for n, key in enumerate(ij)}
+    small = []
+    for i in range(res):
+        for j in range(res - i):
+            small.append((at[i, j], at[i + 1, j], at[i, j + 1]))
+            if i + j < res - 1:
+                small.append((at[i + 1, j], at[i + 1, j + 1], at[i, j + 1]))
+    w = np.array([(i, j, res - i - j) for i, j in ij], dtype=float)
+    return w, np.array(small)
+
+
+def _surface_mesh(poly, res: int) -> tuple[np.ndarray, np.ndarray]:
     """Watertight triangle mesh of the boundary: fan-triangulated facets,
-    each triangle subdivided at barycentric resolution ``res``."""
-    key_to_id: dict[tuple, int] = {}
-    verts: list[np.ndarray] = []
-    tris: list[tuple[int, int, int]] = []
-
-    def vid(x: np.ndarray) -> int:
-        key = tuple(np.round(x / poly.scale, 9))
-        if key not in key_to_id:
-            key_to_id[key] = len(verts)
-            verts.append(x)
-        return key_to_id[key]
-
-    def subdivide(a, b, c):
-        grid = {}
-        for i in range(res + 1):
-            for j in range(res + 1 - i):
-                k = res - i - j
-                grid[(i, j)] = vid((i * a + j * b + k * c) / res)
-        for i in range(res):
-            for j in range(res - i):
-                v0, v1, v2 = grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]
-                tris.append((v0, v1, v2))
-                if i + j < res - 1:
-                    tris.append((grid[(i + 1, j)], grid[(i + 1, j + 1)], grid[(i, j + 1)]))
-
+    each triangle subdivided at barycentric resolution ``res``.  Points that
+    agree to 1e-9 of the scale are one vertex, numbered in the order they
+    are first met."""
+    corners = []
     for loop in poly.facets:
         pts = poly.vertices[loop]
         if len(loop) == 3:  # direct; a centroid fan would make obtuse triangles
-            subdivide(pts[0], pts[1], pts[2])
+            corners.append(pts[[0, 1, 2]])
         elif len(loop) == 4:
-            subdivide(pts[0], pts[1], pts[2])
-            subdivide(pts[0], pts[2], pts[3])
+            corners += [pts[[0, 1, 2]], pts[[0, 2, 3]]]
         else:
             center = pts.mean(axis=0)
-            for i in range(len(loop)):
-                subdivide(pts[i], pts[(i + 1) % len(loop)], center)
-    return np.asarray(verts), tris
+            corners += [np.stack([pts[i], pts[(i + 1) % len(loop)], center])
+                        for i in range(len(loop))]
+    w, small = _subdivision(res)
+    abc = np.array(corners)  # (triangles, 3 corners, 3 coordinates)
+    x = (w[None, :, :1] * abc[:, None, 0] + w[None, :, 1:2] * abc[:, None, 1]
+         + w[None, :, 2:] * abc[:, None, 2]) / res
+    x = x.reshape(-1, 3)
+    keys = np.round(x / poly.scale, 9) + 0.0  # one key for -0.0 and 0.0
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    vid = np.argsort(order)[inverse.ravel()]
+    tris = (np.arange(len(abc))[:, None, None] * len(w) + small[None]).reshape(-1, 3)
+    return x[first[order]], vid[tris]
+
+
+_LINKS: dict = {}  # (vertex bytes, res) -> links of the last two meshes built
+
+
+def _surface_links(poly, res: int):
+    """Vertices, undirected edges, degrees and link edges of the mesh.
+
+    Link edge (a, b) of vertex c is the side of a triangle (a, b, c) facing
+    c.  Every edge lies on exactly two triangles, so each link is a closed
+    path, one cycle around the vertex on a convex surface.  Built once per
+    (solid, resolution), as every query point reuses it.
+    """
+    key = (poly.vertices.tobytes(), res)
+    if key not in _LINKS:
+        verts, tris = _surface_mesh(poly, res)
+        n = len(verts)
+        sides = np.sort(tris[:, [[0, 1], [1, 2], [0, 2]]].reshape(-1, 2), axis=1)
+        codes, on = np.unique(sides[:, 0] * n + sides[:, 1], return_counts=True)
+        if np.any(on != 2):
+            raise RuntimeError(f"surface mesh at res={res} is not watertight")
+        edges = np.stack([codes // n, codes % n], axis=1)
+        degree = np.bincount(edges.ravel(), minlength=n)
+        center = tris.ravel()
+        link = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+        if len(_LINKS) == 2:
+            del _LINKS[next(iter(_LINKS))]
+        _LINKS[key] = verts, edges, degree, center, link
+    return _LINKS[key]
 
 
 def surface_critical_counts(poly, p, res: int = 24) -> tuple[int, int, int]:
@@ -148,49 +181,23 @@ def surface_critical_counts(poly, p, res: int = 24) -> tuple[int, int, int]:
     components of its lower link (neighbors with smaller value, connected
     through link edges).  Ties are broken by vertex id (simulation of
     simplicity).  Returns totals; saddle multiplicity counts components - 1.
+    A link is a cycle, so a lower link short of all of it is a set of paths,
+    and its components number its vertices less its edges.
     """
     p = np.asarray(p, dtype=float)
-    verts, tris = _surface_mesh(poly, res)
+    verts, edges, degree, center, link = _surface_links(poly, res)
     n = len(verts)
     d = np.einsum("ij,ij->i", verts - p, verts - p)
-    neighbors: list[set] = [set() for _ in range(n)]
-    link_edges: list[set] = [set() for _ in range(n)]
-    for a, b, c in tris:
-        neighbors[a].update((b, c))
-        neighbors[b].update((a, c))
-        neighbors[c].update((a, b))
-        link_edges[a].add((min(b, c), max(b, c)))
-        link_edges[b].add((min(a, c), max(a, c)))
-        link_edges[c].add((min(a, b), max(a, b)))
-
-    def lower(u, v) -> bool:  # is value at u below value at v (tie: id)
-        return (d[u], u) < (d[v], v)
-
-    minima = saddles = maxima = 0
-    for v in range(n):
-        low = {u for u in neighbors[v] if lower(u, v)}
-        if not low:
-            minima += 1
-            continue
-        if len(low) == len(neighbors[v]):
-            maxima += 1
-            continue
-        parent = {u: u for u in low}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in link_edges[v]:
-            if a in parent and b in parent:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        comps = len({find(u) for u in low})
-        saddles += comps - 1
-    return minima, saddles, maxima
+    rank = np.empty(n, dtype=int)
+    rank[np.lexsort((np.arange(n), d))] = np.arange(n)  # lower: smaller rank
+    upper = np.where(rank[edges[:, 0]] > rank[edges[:, 1]], edges[:, 0], edges[:, 1])
+    low = np.bincount(upper, minlength=n)
+    both = np.all(rank[link] < rank[center][:, None], axis=1)
+    low_edges = np.bincount(center[both], minlength=n)
+    minimum, maximum = low == 0, low == degree
+    saddle = ~(minimum | maximum)
+    saddles = int(np.sum(low[saddle] - low_edges[saddle] - 1))
+    return int(np.sum(minimum)), saddles, int(np.sum(maximum))
 
 
 def surface_critical_counts_converged(poly, p, res_lo: int = 34,

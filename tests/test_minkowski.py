@@ -306,3 +306,37 @@ def test_gauge_batch_memory_is_bounded_on_a_many_sided_ball():
 def test_tau_rejects_coarse_below_two(make, coarse):
     with pytest.raises(DomainError):
         nc.hexagon_ratio_tau(make(), coarse=coarse)
+
+
+@pytest.mark.parametrize("make", [_degree6_ball, lambda: nc.NormBall2(_regular(8))])
+def test_tau_makes_at_most_four_bisections_of_gauge_calls(make, monkeypatch):
+    # the coarse pass and 3 refinement rounds are one 64-halving bisection
+    # each, so one gauge call per halving: 4 * 64 calls in all
+    import normcount.minkowski as minkowski
+
+    calls = []
+    real = minkowski.gauge_batch
+
+    def counting(M, X):
+        calls.append(len(X))
+        return real(M, X)
+
+    monkeypatch.setattr(minkowski, "gauge_batch", counting)
+    nc.hexagon_ratio_tau(make())
+    assert len(calls) <= 256
+
+
+@pytest.mark.parametrize("make, want", [
+    (_degree6_ball, 0.8343848436626603),
+    (lambda: nc.NormBall2(nc.SmoothBody2(1.0, [0.0, 0.0, 0.0, 0.03], [])), 0.8237959414437415),
+    (lambda: nc.NormBall2(oracles.random_symmetric_polygon(np.random.default_rng(5), 7)),
+     0.8473232107996413),
+])
+def test_tau_refinement_does_not_depend_on_coarse(make, want):
+    # want: tau at coarse 720 by 20 refinement rounds of 8 points, which
+    # gave the same values at coarse 24 to 4e-16 on these norms
+    M = make()
+    coarse, fine = nc.hexagon_ratio_tau(M, coarse=24), nc.hexagon_ratio_tau(M, coarse=720)
+    assert coarse == pytest.approx(fine, abs=1e-12)
+    assert fine == pytest.approx(want, abs=1e-12)
+    assert coarse == pytest.approx(want, abs=1e-12)
