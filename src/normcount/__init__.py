@@ -30,9 +30,8 @@ from .errors import (ConvexityError, DegenerateBodyError,
                      TooSingularError, UnsupportedCombinationError)
 from .evolute import (EvolutePoint, contains_evolute, curvature_profile,
                       evolute_points, rolling_ball_radius)
-from .flows import (FlowSpec, FlowTrace, derivative_report,
-                    derivative_residual, evolve_flow, monotonicity_verdict,
-                    offset_body)
+from .flows import (FlowSpec, FlowTrace, derivative_report, evolve_flow,
+                    monotonicity_verdict, offset_body)
 from .minkowski import (NormBall2, birkhoff_direction, count_minkowski_normals,
                         gauge, gauge_batch, hexagon_ratio_tau,
                         mink_counts_batch, minkowski_counter,
@@ -63,7 +62,7 @@ __all__ = [
     "count_diameters", "count_diameters_polygon", "count_diameters_smooth",
     "count_minkowski_normals", "count_normals2", "count_normals2_batch",
     "count_normals3", "count_normals3_batch", "count_normals3_by_dim",
-    "curvature_profile", "derivative_report", "derivative_residual",
+    "curvature_profile", "derivative_report",
     "diameter_chord", "diameter_counts_batch", "difference_body",
     "difference_body_area", "discretization_race", "disk", "edge_wedge",
     "estimate_boundary_average", "estimate_interior_average",

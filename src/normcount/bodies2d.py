@@ -31,7 +31,7 @@ from .trigcount import _RTOL, MAX_GRID, TWO_PI, _start_grid, bisect, row_blocks
 
 # Relative tolerance for strict-convexity cross products and chain closure.
 CONVEXITY_RTOL = 1e-12
-_CHECK_GRID = 4096  # angles at which SmoothBody2 checks rho > 0
+_CHECK_GRID = 4096  # angles of SmoothBody2's least-curvature scan
 
 
 def unit(theta):
@@ -59,11 +59,21 @@ def in_angle_range(gamma, lo, span):
     return r + TWO_PI * (r < 0) <= span
 
 
+def _shoelace(verts) -> float:
+    """Signed area of a closed vertex loop, positive when CCW; 0 below 3
+    vertices.  The one area rule of polygons, arc chords and wedges."""
+    if len(verts) < 3:
+        return 0.0
+    return 0.5 * float(np.sum(cross2(verts, np.roll(verts, -1, axis=0))))
+
+
 class Polygon2:
     """Strictly convex polygon with CCW vertex order.
 
     Derived arrays (edge vectors, outer unit normals, support offsets) are
-    computed once at construction and treated as read only.
+    computed once at construction and treated as read only.  The edge
+    parameter t_i(x) = x . t_normals[i] - t_offsets[i], 0 at v_i and 1 at
+    v_{i+1}, is the one wedge rule of the normal counter and the wedges.
     """
 
     def __init__(self, vertices):
@@ -88,6 +98,8 @@ class Polygon2:
             np.stack([e[:, 1], -e[:, 0]], axis=1) / self.edge_lengths[:, None]
         )
         self.edge_offsets = np.einsum("ij,ij->i", v, self.edge_normals)
+        self.t_normals = e / (self.edge_lengths**2)[:, None]
+        self.t_offsets = np.einsum("ij,ij->i", v, self.t_normals)
         # arc length from vertex 0 to each vertex, closing with the perimeter
         self.vertex_arclengths = np.concatenate([[0.0], np.cumsum(self.edge_lengths)])
         self.scale = scale
@@ -109,8 +121,7 @@ class Polygon2:
         return np.max(u @ self.vertices.T, axis=-1)
 
     def area(self) -> float:
-        v = self.vertices
-        return 0.5 * float(np.sum(cross2(v, np.roll(v, -1, axis=0))))
+        return _shoelace(self.vertices)
 
     def perimeter(self) -> float:
         return float(np.sum(self.edge_lengths))
@@ -126,9 +137,11 @@ class SmoothBody2:
     """Convex body given by a truncated Fourier support function.
 
     h(theta) = a0 + sum_k (ac[k-1] cos k theta + bs[k-1] sin k theta).
-    Validity requires rho = h + h'' > 0 on a grid of ``_CHECK_GRID`` angles;
-    the constructor rejects nonconvex coefficient sets and names the worst
-    angle.
+    ``min_rho`` is the least radius of curvature rho = h + h'': the minimum
+    of rho on ``_CHECK_GRID`` angles, refined at the vertex of the parabola
+    through it and its two grid neighbours.  Validity requires min_rho > 0
+    (beyond 1e-9 of the scale); the constructor rejects nonconvex
+    coefficient sets and names the worst grid angle.
     """
 
     def __init__(self, a0: float, cos_coeffs=(), sin_coeffs=()):
@@ -140,14 +153,20 @@ class SmoothBody2:
         self.bs = np.concatenate([bs, np.zeros(d - len(bs))])
         self.degree = d
         self.k = np.arange(1, d + 1, dtype=float)
-        if not np.isfinite(self.a0) or not np.all(np.isfinite(self.ac)):
+        if not np.all(np.isfinite([self.a0, *self.ac, *self.bs])):
             raise DegenerateBodyError("support coefficients must be finite")
         theta = np.linspace(0.0, TWO_PI, _CHECK_GRID, endpoint=False)
         rho = self.rho(theta)
+        i = int(np.argmin(rho))
+        a, b, c = rho[i - 1], rho[i], rho[(i + 1) % _CHECK_GRID]
+        self.min_rho = float(b)
+        if a - 2.0 * b + c > 0:  # refine at the minimum of the parabola through the three
+            shift = 0.5 * (theta[1] - theta[0]) * (a - c) / (a - 2.0 * b + c)
+            self.min_rho = min(self.min_rho, self.rho(theta[i] + shift))
         scale = abs(self.a0) + float(np.sum(np.abs(self.ac)) + np.sum(np.abs(self.bs)))
         self.scale = max(scale, 1e-300)
-        if rho.min() <= 1e-9 * max(scale, 1e-300):
-            bad = float(theta[int(np.argmin(rho))])
+        if self.min_rho <= 1e-9 * self.scale:
+            bad = float(theta[i])
             raise ConvexityError(
                 f"support function is not convex: rho(theta) <= 0 near theta={bad:.6f}",
                 where=bad,
@@ -316,10 +335,8 @@ class ArcBody2:
 
     def area(self) -> float:
         # chord polygon of the corner points plus one circular segment per arc
-        v = self.corner_points
-        poly = 0.5 * float(np.sum(cross2(v, np.roll(v, -1, axis=0))))
         seg = sum(0.5 * a.radius**2 * (a.span - math.sin(a.span)) for a in self.arcs)
-        return poly + seg
+        return _shoelace(self.corner_points) + seg
 
     def perimeter(self) -> float:
         return float(sum(a.radius * a.span for a in self.arcs))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bodies2d import TWO_PI, SmoothBody2, require_smooth, signed_boundary_excess
 
-_GRID = 8192  # angles of the evolute containment and rolling-ball scans
+_GRID = 8192  # angles of the evolute containment scan
 _RTOL = 1e-9  # containment allowance, relative to the body's scale
 
 
@@ -61,18 +61,7 @@ def contains_evolute(body: SmoothBody2) -> tuple[bool, float]:
 
 
 def rolling_ball_radius(body: SmoothBody2) -> float:
-    """Smallest radius of curvature: the largest r such that a disk of radius
-    r rolls freely inside the body (min over ``_GRID`` angles of rho,
-    parabolic-refined around the grid minimum)."""
+    """Smallest radius of curvature, the largest r such that a disk of radius r
+    rolls freely inside: ``body.min_rho``, from the constructor's rho scan."""
     require_smooth(body, "the evolute machinery")
-    thetas = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
-    rho = body.rho(thetas)
-    i = int(np.argmin(rho))
-    step = thetas[1] - thetas[0]
-    t0 = thetas[i]
-    a, b, c = body.rho(t0 - step), rho[i], body.rho(t0 + step)
-    denom = a - 2.0 * b + c
-    if denom > 0:
-        t_min = t0 + 0.5 * step * (a - c) / denom
-        return min(b, body.rho(t_min))
-    return float(b)
+    return body.min_rho

@@ -152,6 +152,8 @@ def _coupled_pool(bodies: list, signed_times, n_samples: int,
     slice.  Shape-changing flows accept on the smallest slice by area and
     test the prefix against each other slice.
     """
+    if n_samples < 100:
+        raise DomainError("a flow needs n_samples >= 100")
     lo, hi = _shared_box(bodies)
     if signed_times is not None:
         t_min = float(np.min(signed_times))
@@ -171,6 +173,10 @@ def _coupled_pool(bodies: list, signed_times, n_samples: int,
                         for i, b in enumerate(bodies)]
 
 
+def _boundary_samples(n_samples: int) -> int:
+    return max(1000, n_samples // 10)
+
+
 def _signed_times(spec: FlowSpec, times: np.ndarray):
     if spec.kind == "outward_eikonal":
         return times
@@ -179,8 +185,7 @@ def _signed_times(spec: FlowSpec, times: np.ndarray):
     return None
 
 
-def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int, *,
-                boundary_samples: int | None = None) -> FlowTrace:
+def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int) -> FlowTrace:
     """Evolve the body and estimate interior and boundary mean counts per time.
 
     All slices share one candidate stream over one box, so shared points
@@ -192,7 +197,6 @@ def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int, *,
     counter_fn = resolve_counter("normals")
     candidates, masks = _coupled_pool(bodies, _signed_times(spec, times),
                                       n_samples, seed)
-    bs = boundary_samples or max(1000, n_samples // 10)
     n_values = []
     for b, m in zip(bodies, masks):
         vals, flags = counter_fn(b, candidates[m])
@@ -200,7 +204,7 @@ def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int, *,
         n_values.append(EstimateReport.from_values(
             np.asarray(vals, dtype=float)[~flags], int(flags.sum())))
     n_surf_values = [
-        estimate_boundary_average(b, "normals", bs, seed)
+        estimate_boundary_average(b, "normals", _boundary_samples(n_samples), seed)
         for b in bodies
     ]
     return FlowTrace(times, bodies, n_values, n_surf_values, truncated)
@@ -238,8 +242,7 @@ def monotonicity_verdict(trace: FlowTrace) -> dict:
     }
 
 
-def derivative_report(body: SmoothBody2, dt: float, n_samples: int, seed: int, *,
-                      boundary_samples: int | None = None) -> dict:
+def derivative_report(body: SmoothBody2, dt: float, n_samples: int, seed: int) -> dict:
     """Finite-difference vs identity for d/dt of the interior mean count.
 
     Both sides are estimated from matched seeds: the finite difference uses
@@ -280,8 +283,7 @@ def derivative_report(body: SmoothBody2, dt: float, n_samples: int, seed: int, *
     )
     se_fd = math.sqrt(var_fd)
 
-    bs = boundary_samples or max(1000, n_samples // 10)
-    surf = estimate_boundary_average(body, "normals", bs, seed)
+    surf = estimate_boundary_average(body, "normals", _boundary_samples(n_samples), seed)
     m = measure2d(body)
     ratio = m["perimeter"] / m["area"]
     rhs = ratio * (surf.mean - mean0)
@@ -300,9 +302,3 @@ def derivative_report(body: SmoothBody2, dt: float, n_samples: int, seed: int, *
         "se_identity_rhs": se_rhs,
         "samples_used": n1,
     }
-
-
-def derivative_residual(body: SmoothBody2, dt: float, n_samples: int, seed: int,
-                        **kw) -> float:
-    """|finite difference - (perimeter/area)(n_surf - n)| at matched seeds."""
-    return derivative_report(body, dt, n_samples, seed, **kw)["residual"]

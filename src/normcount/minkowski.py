@@ -209,10 +209,7 @@ def gauge_batch(M: NormBall2, X) -> np.ndarray:
 
 
 def gauge(M: NormBall2, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        return 0.0
-    return float(gauge_batch(M, x[None, :])[0])
+    return float(gauge_batch(M, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _boundary_walk(body, ts: np.ndarray) -> np.ndarray:

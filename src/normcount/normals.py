@@ -129,14 +129,14 @@ def _polygon_faces(body: Polygon2, pts: np.ndarray):
     """(t, edge, vertex, flags) for many interior points.
 
     t[:, i] is where p's foot falls on edge i's line: 0 at v_i, 1 at
-    v_{i+1}.  It is the only quantity the wedge tests read.  Edge i carries
-    a foot where 0 < t_i < 1, at v_i + t_i * e_i, and vertex i where
-    t_i >= 0 and t_{i-1} <= 1 (p - v_i lies in its normal cone).  Every
-    wedge boundary is a line t_i = 0 or t_i = 1, so a point with some t_i
-    within 1e-9 of 0 or 1 is flagged.
+    v_{i+1}, read off ``body.t_normals`` and ``body.t_offsets``, the lines
+    that ``wedges`` clips the exact wedges to.  It is the only quantity the
+    wedge tests read.  Edge i carries a foot where 0 < t_i < 1, at
+    v_i + t_i * e_i, and vertex i where t_i >= 0 and t_{i-1} <= 1 (p - v_i
+    lies in its normal cone).  Every wedge boundary is a line t_i = 0 or
+    t_i = 1, so a point with some t_i within 1e-9 of 0 or 1 is flagged.
     """
-    t = np.einsum("pij,ij->pi", pts[:, None, :] - body.vertices[None, :, :],
-                  body.edge_vecs) / body.edge_lengths**2
+    t = pts @ body.t_normals.T - body.t_offsets
     edge = (t > 0.0) & (t < 1.0)
     vertex = (t >= 0.0) & np.roll(t <= 1.0, 1, axis=1)
     flags = np.any((np.abs(t) < 1e-9) | (np.abs(t - 1.0) < 1e-9), axis=1)

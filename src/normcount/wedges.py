@@ -4,13 +4,14 @@ Every normal of a convex polygon through an interior point has its foot
 either on an open edge or at a vertex.  The locus of interior points whose
 foot lies on a fixed face is that face's *wedge*:
 
-* edge wedge  -- the polygon clipped to the perpendicular band over the edge;
-* vertex wedge -- the polygon clipped to the inward normal cone at the vertex.
+* edge wedge  -- the band 0 <= t_i <= 1 over edge i;
+* vertex wedge -- the inward normal cone t_i >= 0, t_{i-1} <= 1 at vertex i.
 
-Both are intersections of the polygon with two half-planes, so every wedge is
-obtained by exact convex clipping and measured by the shoelace formula.  The
-mean number of normals over the interior is then a finite sum of areas --
-no sampling and no quadrature error.
+Here t_i(x) = x . t_normals[i] - t_offsets[i] is the edge parameter of
+``Polygon2`` (0 at v_i, 1 at v_{i+1}) that ``normals._polygon_faces`` tests,
+so every wedge is the polygon clipped to two of its lines and measured by
+the shoelace formula.  The mean number of normals over the interior is then
+a finite sum of areas -- no sampling and no quadrature error.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import (Polygon2, minkowski_sum_polygons, reflect_polygon,
-                       symmetric_under_negation)
+from .bodies2d import (Polygon2, _shoelace, minkowski_sum_polygons,
+                       reflect_polygon, symmetric_under_negation)
 from .errors import DomainError
 
 
@@ -32,13 +33,6 @@ class Wedge:
     region: np.ndarray
     area: float
     parity: int  # +1 for edges, -1 for vertices
-
-
-def _shoelace(verts: np.ndarray) -> float:
-    if len(verts) < 3:
-        return 0.0
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def clip_halfplane(verts: np.ndarray, normal, offset: float) -> np.ndarray:
@@ -76,41 +70,30 @@ def polygon_intersection_area(averts: np.ndarray, bverts: np.ndarray) -> float:
     return _shoelace(region)
 
 
+def _face_wedge(P: Polygon2, face: tuple, hi: int, parity: int) -> Wedge:
+    """P clipped to t_i >= 0 and t_hi <= 1, for the face (kind, i)."""
+    kind, i = face
+    if not 0 <= i < len(P):
+        raise DomainError(f"{kind} index {i} out of range for {len(P)}-gon")
+    region = clip_halfplane(P.vertices, P.t_normals[i], P.t_offsets[i])
+    region = clip_halfplane(region, -P.t_normals[hi], -1.0 - P.t_offsets[hi])
+    return Wedge(face, region, _shoelace(region), parity)
+
+
 def edge_wedge(P: Polygon2, i: int) -> Wedge:
-    """Wedge of edge i: the band between the perpendiculars at its endpoints."""
-    k = len(P.vertices)
-    if not 0 <= i < k:
-        raise DomainError(f"edge index {i} out of range for {k}-gon")
-    a = P.vertices[i]
-    b = P.vertices[(i + 1) % k]
-    e = b - a
-    region = clip_halfplane(P.vertices, e, float(e @ a))
-    region = clip_halfplane(region, -e, float(-e @ b))
-    return Wedge(("edge", i), region, _shoelace(region), +1)
+    """Wedge of edge i: the band 0 <= t_i <= 1 between the perpendiculars at
+    its endpoints."""
+    return _face_wedge(P, ("edge", i), i, +1)
 
 
 def vertex_wedge(P: Polygon2, i: int) -> Wedge:
-    """Wedge of vertex i: points seeing the vertex inside its normal cone.
-
-    A foot at vertex v serves point p exactly when v - p lies in the outward
-    normal cone at v, i.e. when <p - v, w - v> >= 0 for both neighbours w.
-    """
-    k = len(P.vertices)
-    if not 0 <= i < k:
-        raise DomainError(f"vertex index {i} out of range for {k}-gon")
-    v = P.vertices[i]
-    nxt = P.vertices[(i + 1) % k]
-    prv = P.vertices[(i - 1) % k]
-    region = clip_halfplane(P.vertices, nxt - v, float((nxt - v) @ v))
-    region = clip_halfplane(region, prv - v, float((prv - v) @ v))
-    return Wedge(("vertex", i), region, _shoelace(region), -1)
+    """Wedge of vertex i: t_i >= 0 and t_{i-1} <= 1, the points p for which
+    v - p lies in the outward normal cone at v."""
+    return _face_wedge(P, ("vertex", i), i - 1, -1)
 
 
 def all_wedges(P: Polygon2) -> list[Wedge]:
-    k = len(P.vertices)
-    out = [edge_wedge(P, i) for i in range(k)]
-    out += [vertex_wedge(P, i) for i in range(k)]
-    return out
+    return [edge_wedge(P, i) for i in range(len(P))] + [vertex_wedge(P, i) for i in range(len(P))]
 
 
 def exact_average_normals(P: Polygon2) -> tuple[float, float]:
@@ -123,9 +106,7 @@ def euler_residual(P: Polygon2) -> float:
     """Signed wedge-area alternating sum over faces, normalized; zero for all
     valid polygons (the boundary distance function has as many minima as
     maxima from every interior point)."""
-    edges = sum(edge_wedge(P, i).area for i in range(len(P.vertices)))
-    verts = sum(vertex_wedge(P, i).area for i in range(len(P.vertices)))
-    return (edges - verts) / P.area() - 0.0
+    return sum(w.parity * w.area for w in all_wedges(P)) / P.area()
 
 
 def reflected_wedge(P: Polygon2, w: Wedge) -> np.ndarray:

@@ -315,47 +315,43 @@ def polygon_diameter_count(P, p, samples: int = 20000):
     E = np.roll(V, -1, axis=0) - V
     n_ang = np.arctan2(-E[:, 0], E[:, 1])  # outward normal of CCW edge
     n_ang = np.mod(n_ang, TWO_PI)
+    w = V - p
+    rows = np.arange(samples)
 
     def hit(u):
-        # first boundary crossing of the ray p + s u, s > 0
-        denom = u[0] * E[:, 1] - u[1] * E[:, 0]
-        w = V - p
+        # first boundary crossing of each ray p + s u, s > 0: edge i at
+        # parameter t along it, one row per direction
+        denom = u[:, :1] * E[:, 1] - u[:, 1:] * E[:, 0]
         s = (w[:, 0] * E[:, 1] - w[:, 1] * E[:, 0]) / np.where(denom == 0, np.nan, denom)
-        t = (w[:, 0] * u[1] - w[:, 1] * u[0]) / np.where(denom == 0, np.nan, denom)
+        t = (w[:, 0] * u[:, 1:] - w[:, 1] * u[:, :1]) / np.where(denom == 0, np.nan, denom)
         ok = (s > 0) & (t >= -1e-12) & (t <= 1 + 1e-12)
-        i = int(np.flatnonzero(ok)[np.argmin(s[ok])])
-        return i, float(np.clip(t[i], 0.0, 1.0))
+        assert np.all(np.any(ok, axis=1)), "a ray from p misses the boundary"
+        i = np.argmin(np.where(ok, s, np.inf), axis=1)
+        return i, np.clip(t[rows, i], 0.0, 1.0)
 
     def cone(i, t, tol=1e-9):
-        if t < tol:  # vertex i
-            return n_ang[(i - 1) % k], n_ang[i]
-        if t > 1 - tol:  # vertex i+1
-            return n_ang[i], n_ang[(i + 1) % k]
-        return n_ang[i], n_ang[i]
+        # the normal cone at the hit: vertex i below tol, vertex i+1 above
+        # 1 - tol, else the edge normal alone
+        lo = np.where(t < tol, n_ang[(i - 1) % k], n_ang[i])
+        hi = np.where(t > 1 - tol, n_ang[(i + 1) % k], n_ang[i])
+        return lo, hi
 
     def wrap(x):
         return (x + np.pi) % TWO_PI - np.pi
 
-    G = np.empty(samples)
-    for j, phi in enumerate(np.arange(samples) * (np.pi / samples)):
-        u = np.array([np.cos(phi), np.sin(phi)])
-        ia, ta = hit(u)
-        ib, tb = hit(-u)
-        la, ha = cone(ia, ta)
-        lb, hb = cone(ib, tb)
-        wa = (ha - la) % TWO_PI
-        wb = (hb - lb) % TWO_PI
-        c = wrap(la + 0.5 * wa - (lb + 0.5 * wb) - np.pi)
-        G[j] = np.sign(c) * max(0.0, abs(c) - 0.5 * (wa + wb))
+    phi = np.arange(samples) * (np.pi / samples)
+    u = np.column_stack([np.cos(phi), np.sin(phi)])
+    la, ha = cone(*hit(u))
+    lb, hb = cone(*hit(-u))
+    wa = (ha - la) % TWO_PI
+    wb = (hb - lb) % TWO_PI
+    c = wrap(la + 0.5 * wa - (lb + 0.5 * wb) - np.pi)
+    G = np.sign(c) * np.maximum(0.0, np.abs(c) - 0.5 * (wa + wb))
     # chord(phi + pi) is chord(phi) with endpoints swapped, so G is
     # antiperiodic: close the sweep against -G[0]
     closed = np.concatenate([G, -G[:1]])
-    zero_run = 0
-    best_run = 0
-    for g in closed:
-        zero_run = zero_run + 1 if g == 0.0 else 0
-        best_run = max(best_run, zero_run)
-    if best_run >= 3:
+    zero = closed == 0.0
+    if np.any(zero[:-2] & zero[1:-1] & zero[2:]):  # a run of 3 exact zeros
         return np.inf
     return int(np.sum(closed[:-1] * closed[1:] < 0))
 

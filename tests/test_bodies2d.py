@@ -128,6 +128,13 @@ def test_smooth_convexity_guard():
         nc.SmoothBody2(1.0, (0.0, 0.0, 0.4))  # rho dips negative
 
 
+@pytest.mark.parametrize("a0,cos,sin", [(np.nan, [], []), (1.0, [np.inf], []),
+                                         (1.0, [0.0], [np.nan]), (1.0, [], [0.0, -np.inf])])
+def test_smooth_rejects_nonfinite_coefficients(a0, cos, sin):
+    with pytest.raises(nc.DegenerateBodyError):
+        nc.SmoothBody2(a0, cos, sin)
+
+
 def test_fit_support_body_recovers_coefficients():
     B = nc.SmoothBody2(1.0, (0.0, 0.04), (0.0, 0.0, 0.02))
     ths = np.linspace(0, 2 * math.pi, 256, endpoint=False)

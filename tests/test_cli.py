@@ -141,6 +141,32 @@ def test_flow_runs_are_byte_identical(capsys, tmp_path):
     assert len(rows) == 1 + 3  # column names and the times 0, 0.5, 1
 
 
+@pytest.mark.parametrize("samples", ["0", "50"])
+def test_flow_rejects_too_few_samples(capsys, tmp_path, samples):
+    code = cli.run(["flow", "--body", json.dumps(SMOOTH), "--samples", samples,
+                    "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+    assert not any(tmp_path.iterdir())
+
+
+def test_validate_passes_with_only_pass_lines(capsys):
+    code = cli.run(["validate", "--samples", "2000", "--seed", "0"])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert lines and all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_validate_fails_on_a_wrong_exact_mean(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "exact_average_normals", lambda P: (9.0 * P.area(), 9.0))
+    code = cli.run(["validate", "--samples", "2000", "--seed", "0"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert any(line.startswith("[FAIL] square exact n in (4, 8]") for line in out.splitlines())
+
+
 def test_evolute_runs_are_byte_identical(capsys, tmp_path):
     _, text = _reruns(capsys, ["evolute", "--body", json.dumps(SMOOTH), "--steps", "256",
                                "--out", str(tmp_path)], tmp_path / "evolute.csv")

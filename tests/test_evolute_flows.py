@@ -35,6 +35,14 @@ def test_rolling_ball_radius_closed_form():
     assert nc.rolling_ball_radius(_disk(3.0)) == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("a2,phi", [(0.05, 0.3), (0.1, 1.234), (0.2, 2.0)])
+def test_rolling_ball_radius_between_grid_angles(a2, phi):
+    # h = 1 + a2*cos 2(t - phi): rho = 1 - 3*a2*cos 2(t - phi), least at
+    # t = phi, which falls between the angles of the curvature scan
+    body = nc.SmoothBody2(1.0, [0.0, a2 * math.cos(2 * phi)], [0.0, a2 * math.sin(2 * phi)])
+    assert nc.rolling_ball_radius(body) == pytest.approx(1.0 - 3.0 * a2, abs=1e-12)
+
+
 def test_curvature_profile_matches_rho():
     body = _wavy(0.08)
     prof = nc.curvature_profile(body, grid=128)
@@ -138,8 +146,7 @@ def test_monotonicity_verdict_keys_and_endpoints():
 
 def test_derivative_report_identity():
     body = _wavy(0.05)
-    rep = nc.derivative_report(body, 1e-3, 40000, seed=5,
-                               boundary_samples=800)
+    rep = nc.derivative_report(body, 1e-3, 40000, seed=5)
     assert rep["residual"] < rep["combined_ci_width"] + 0.2
     # both sides negative for an evolute-inside body flowing outward
     assert rep["finite_difference"] < 0.0
@@ -147,6 +154,11 @@ def test_derivative_report_identity():
     assert rep["n_mean"] > rep["n_surf_mean"]  # interior mean above boundary mean
     with pytest.raises(DomainError):
         nc.derivative_report(body, 0.0, 1000, seed=0)
+
+
+def test_evolve_flow_rejects_too_few_samples():
+    with pytest.raises(DomainError):
+        nc.evolve_flow(_wavy(0.05), nc.FlowSpec("outward_eikonal", 1.0, 2), 99, seed=0)
 
 
 def test_flow_matches_direct_offset_counts():
