@@ -21,8 +21,8 @@ from .bodies3d import (Polytope3, bounding_box3, build_polytope, contains3,
 from .bodyspec import body_hash, format_float, parse_body
 from .diameters import (INFINITE, DiameterChord, average_diameters,
                         count_diameters, count_diameters_polygon,
-                        count_diameters_smooth, diameter_chord,
-                        diameter_counts_batch, parallel_antipodal_edge_pairs)
+                        diameter_chord, diameter_counts_batch,
+                        parallel_antipodal_edge_pairs)
 from .discretization import RaceRow, discretization_race, inscribe_polygon
 from .errors import (ConvexityError, DegenerateBodyError,
                      DegenerateConfigurationError, DomainError, GeometryError,
@@ -59,7 +59,7 @@ __all__ = [
     "build_polygon", "build_polytope", "build_reuleaux",
     "contains2", "contains2_batch", "contains3", "contains3_batch",
     "contains_evolute", "signed_boundary_excess",
-    "count_diameters", "count_diameters_polygon", "count_diameters_smooth",
+    "count_diameters", "count_diameters_polygon",
     "count_minkowski_normals", "count_normals2", "count_normals2_batch",
     "count_normals3", "count_normals3_batch", "count_normals3_by_dim",
     "curvature_profile", "derivative_report",

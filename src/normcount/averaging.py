@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import (Polygon2, bounding_box, inradius_scale,
-                       sample_boundary2, sample_interior2,
-                       signed_boundary_excess, unit)
+from .bodies2d import (INTERIOR_RTOL, Polygon2, bounding_box, contains2_batch,
+                       measure2d, sample_boundary2, sample_interior2, unit)
 from .bodies3d import Polytope3, sample_interior3
 from .diameters import diameter_counts_batch, parallel_antipodal_edge_pairs
 from .errors import (DomainError, InfiniteDiametersError, TooSingularError,
@@ -30,7 +29,7 @@ from .normals import count_normals2_batch, count_normals3_batch
 from .wedges import exact_average_normals
 
 _MAX_DEGENERATE_FRAC = 0.01  # resampled points allowed, as a fraction of n
-_BOUNDARY_DEPTH = 1e-7  # inward nudge of boundary samples, in inradii
+_BOUNDARY_DEPTH = 1e-7  # inward nudge of boundary samples, in area/perimeter
 
 
 @dataclass(frozen=True)
@@ -144,15 +143,17 @@ def estimate_boundary_average(body, counter, n: int, seed: int) -> EstimateRepor
     """Mean of a counter over n boundary points uniform in arc length.
 
     Counters are defined on the open interior, so each boundary point is
-    nudged inward by ``_BOUNDARY_DEPTH`` inradii along its inner normal, the
-    limit convention.
+    nudged inward by 1e-7*A/P along its inner normal, the limit convention.
+    With inradius r, r/2 <= A/P <= r (inner parallel bodies have perimeter
+    at most P), so the depth is a length of the body, free of its position.
     """
     if n < 100:
         raise DomainError("estimate_boundary_average needs n >= 100")
     if isinstance(body, Polytope3):
         raise UnsupportedCombinationError("boundary averages are planar-only")
     fn = resolve_counter(counter)
-    depth = _BOUNDARY_DEPTH * inradius_scale(body)
+    m = measure2d(body)
+    depth = _BOUNDARY_DEPTH * m["area"] / m["perimeter"]
 
     def draw(m):
         pts, ang = sample_boundary2(body, m, seed)
@@ -163,7 +164,8 @@ def estimate_boundary_average(body, counter, n: int, seed: int) -> EstimateRepor
 
 
 def field_map(body, grid: tuple[int, int], counter="normals") -> np.ndarray:
-    """Counter values on a bounding-box raster: outside -1, degenerate -2.
+    """Counter values on a bounding-box raster: -1 where the cell is not a
+    valid query point (the rule of ``require_interior``), degenerate -2.
 
     Returns an (ny, nx) integer matrix; row iy corresponds to ascending y.
     """
@@ -178,8 +180,7 @@ def field_map(body, grid: tuple[int, int], counter="normals") -> np.ndarray:
     ys = np.linspace(y0, y1, ny)
     X, Y = np.meshgrid(xs, ys)
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    scale = max(x1 - x0, y1 - y0)
-    inside = signed_boundary_excess(body, pts) < -1e-12 * scale
+    inside = contains2_batch(body, pts, tol=-INTERIOR_RTOL * body.scale)
     out = np.full(len(pts), -1, dtype=int)
     if inside.any():
         vals, degen = fn(body, pts[inside])

@@ -13,7 +13,8 @@ which is minus the distance to the boundary inside.  On a smooth body it is
 the maximum of a trigonometric polynomial, certified from its coefficients
 on a coarse grid that is doubled only for the points it leaves undecided;
 ``contains2_batch`` refines a point only until its side of the tolerance is
-certain.
+certain; with tol = -``INTERIOR_RTOL``*scale it decides which points are
+interior queries (``require_interior``; ``contains3`` does so in 3D).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .trigcount import _RTOL, MAX_GRID, TWO_PI, _start_grid, bisect, row_blocks
 
 # Relative tolerance for strict-convexity cross products and chain closure.
 CONVEXITY_RTOL = 1e-12
+INTERIOR_RTOL = 1e-9  # depth, relative to the scale, that proves a query point interior
 _CHECK_GRID = 4096  # angles of SmoothBody2's least-curvature scan
 
 
@@ -341,25 +343,6 @@ class ArcBody2:
     def perimeter(self) -> float:
         return float(sum(a.radius * a.span for a in self.arcs))
 
-    def centroid(self) -> np.ndarray:
-        # Green's theorem with exact arc differentials, trapezoid in gamma
-        num = np.zeros(2)
-        den = 0.0
-        for a in self.arcs:
-            g = np.linspace(a.ang0, a.ang1, 1025)
-            p = a.point(g)
-            x, y = p[:, 0], p[:, 1]
-            dx = -a.radius * np.sin(g)
-            dy = a.radius * np.cos(g)
-            w = x * dy - y * dx
-            den += np.trapezoid(w, g) / 2.0
-            num[0] += np.trapezoid(x * w, g) / 3.0
-            num[1] += np.trapezoid(y * w, g) / 3.0
-        return num / den
-
-
-Body2 = (Polygon2, SmoothBody2, ArcBody2)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -624,20 +607,6 @@ def interior_margin(body, point) -> float:
     return -float(signed_boundary_excess(body, np.asarray(point, dtype=float))[0])
 
 
-def inradius_scale(body) -> float:
-    """Centroid clearance; a positive inscribed radius used as a length scale."""
-    if isinstance(body, Polygon2):
-        c = body.centroid()
-    elif isinstance(body, SmoothBody2):
-        c = body.boundary(np.linspace(0, TWO_PI, 256, endpoint=False)).mean(axis=0)
-    else:
-        c = body.centroid()
-    m = interior_margin(body, c)
-    if m <= 0:
-        raise DegenerateBodyError("centroid clearance is not positive")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -759,9 +728,10 @@ def width_function(body, theta):
 
 
 def require_interior(body, point):
-    """Raise DomainError unless the point is more than 1e-9*scale inside."""
+    """The point as an array; DomainError unless the side test
+    ``contains2_batch`` proves it ``INTERIOR_RTOL``*scale inside (never NaN)."""
     p = np.asarray(point, dtype=float)
-    if interior_margin(body, p) <= 1e-9 * body.scale:
+    if not contains2_batch(body, p[None], tol=-INTERIOR_RTOL * body.scale)[0]:
         raise DomainError("query point must lie strictly inside the body")
     return p
 

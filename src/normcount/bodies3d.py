@@ -15,7 +15,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .bodies2d import symmetric_under_negation
 from .errors import ConvexityError, DegenerateBodyError
@@ -34,6 +34,8 @@ class Polytope3:
         facets = [list(map(int, f)) for f in facets]
         if len(facets) < 4 or any(len(f) < 3 for f in facets):
             raise DegenerateBodyError("need at least 4 facets with 3+ vertices each")
+        if any(not 0 <= i < len(v) for f in facets for i in f):
+            raise DegenerateBodyError(f"facet vertex indices must lie in [0, {len(v)})")
         scale = float(np.max(np.abs(v))) or 1.0
         centroid = v.mean(axis=0)
 
@@ -102,10 +104,6 @@ class Polytope3:
                                for vi in range(len(v))]
         self.scale = scale
 
-    def support(self, directions):
-        d = np.atleast_2d(np.asarray(directions, dtype=float))
-        return np.max(d @ self.vertices.T, axis=-1)
-
 
 def build_polytope(vertices, facets) -> Polytope3:
     return Polytope3(vertices, facets)
@@ -114,7 +112,10 @@ def build_polytope(vertices, facets) -> Polytope3:
 def polytope_from_points(points) -> Polytope3:
     """Convex hull with coplanar triangles merged into polygonal facets."""
     pts = np.asarray(points, dtype=float)
-    hull = ConvexHull(pts)
+    try:
+        hull = ConvexHull(pts)
+    except (QhullError, ValueError) as exc:  # flat, too few or non-finite points
+        raise DegenerateBodyError(f"points do not span a 3d hull: {exc}") from exc
     used = sorted(set(hull.vertices))
     remap = {old: new for new, old in enumerate(used)}
     v = pts[used]

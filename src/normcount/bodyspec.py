@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from numbers import Integral, Real
 
 from .bodies2d import build_polygon, build_reuleaux, disk, SmoothBody2
 from .bodies3d import build_polytope, standard_polytope
@@ -37,6 +38,12 @@ def _require(obj: dict, key: str, kind=None):
         raise SpecError(f"field {key!r} has the wrong type "
                         f"({type(val).__name__})")
     return val
+
+
+def _numeric(val, kind) -> bool:
+    """Is val a kind of number, or a list or tuple of them nested to any depth?"""
+    return isinstance(val, kind) or (isinstance(val, (list, tuple))
+                                     and all(_numeric(v, kind) for v in val))
 
 
 def _load(source):
@@ -64,16 +71,20 @@ def parse_body(source):
     if not isinstance(obj, dict):
         raise SpecError("body description must be a JSON object")
     kind = _require(obj, "type", str)
+    for key, val in obj.items():
+        number = Integral if key == "facets" else Real
+        if key not in ("type", "name") and not _numeric(val, number):
+            raise SpecError(f"field {key!r} must hold {number.__name__.lower()} numbers only")
     if kind == "polygon":
         return build_polygon(_require(obj, "vertices", list))
     if kind == "support2d":
-        a0 = _require(obj, "a0", (int, float))
+        a0 = _require(obj, "a0")
         return SmoothBody2(float(a0), obj.get("cos", []), obj.get("sin", []))
     if kind == "reuleaux":
         return build_reuleaux(int(_require(obj, "sides", int)),
-                              float(_require(obj, "width", (int, float))))
+                              float(_require(obj, "width")))
     if kind == "disk":
-        return disk(float(_require(obj, "radius", (int, float))))
+        return disk(float(_require(obj, "radius")))
     if kind == "polytope3":
         return build_polytope(_require(obj, "vertices", list),
                               _require(obj, "facets", list))

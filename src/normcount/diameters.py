@@ -170,11 +170,6 @@ def count_diameters_polygon(P: Polygon2, p) -> float:
     return count_diameters(P, p)
 
 
-def count_diameters_smooth(body: SmoothBody2, p) -> int:
-    """Number of affine diameters of a smooth body through interior ``p``."""
-    return int(count_diameters(body, p))
-
-
 def average_diameters(body, n: int, seed: int):
     """Monte Carlo mean of the diameter count over uniform interior points.
 

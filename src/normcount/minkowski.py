@@ -117,8 +117,7 @@ def mink_counts_batch(M: NormBall2, K: SmoothBody2,
 
 def count_minkowski_normals(M: NormBall2, K: SmoothBody2, p) -> int:
     """Number of Birkhoff normals of K through interior point p."""
-    require_interior(K, p)
-    counts, _ = mink_counts_batch(M, K, np.asarray(p, dtype=float)[None, :])
+    counts, _ = mink_counts_batch(M, K, require_interior(K, p)[None, :])
     return int(counts[0])
 
 

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .bodies2d import (TWO_PI, ArcBody2, Polygon2, SmoothBody2, bisect,
-                       cross2, in_angle_range, require_interior, unit)
+from .bodies2d import (INTERIOR_RTOL, TWO_PI, ArcBody2, Polygon2, SmoothBody2,
+                       bisect, cross2, in_angle_range, require_interior, unit)
 from .bodies3d import Polytope3, contains3
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
@@ -318,13 +318,14 @@ def count_normals3(poly: Polytope3, point) -> int:
 def count_normals3_by_dim(poly: Polytope3, point):
     """Counts keyed by face dimension {0: vertices, 1: edges, 2: facets}.
 
-    Facet and edge tests compare distances from the ``facet_sides`` and
-    ``edge_sides`` planes with 1e-9*scale, as ``count_normals3_batch`` does.
+    DomainError unless ``contains3`` proves the point ``INTERIOR_RTOL``*scale
+    inside, as in 2D (never NaN).  Facet and edge tests compare distances
+    from the ``facet_sides`` and ``edge_sides`` planes with 1e-9*scale, as ``count_normals3_batch`` does.
     Vertex cones use a nonnegative least-squares test on ``vertex_normals``
     with a residual bound of 1e-9*|p - v|, independent of its polar test.
     """
     p = np.asarray(point, dtype=float)
-    if not contains3(poly, p, tol=-1e-12 * poly.scale):
+    if not contains3(poly, p, tol=-INTERIOR_RTOL * poly.scale):
         raise DomainError("query point must lie strictly inside the polytope")
     tol = 1e-9 * poly.scale
     facets = sum(bool(np.all(sides @ p - offsets >= -tol))

@@ -356,18 +356,26 @@ def polygon_diameter_count(P, p, samples: int = 20000):
     return int(np.sum(closed[:-1] * closed[1:] < 0))
 
 
+_CHORDS: dict = {}  # (coefficient bytes, samples) -> chords of the last body swept
+
+
 def smooth_diameter_count(body, p, samples: int = 200000) -> int:
     """Diameters through p via a dense antiperiodic sign sweep.
 
     The chord between the antipodal support points r(phi), r(phi + pi)
     passes through p exactly when the cross product of (r(phi+pi) - r(phi))
     and (p - r(phi)) vanishes; that function flips sign at phi + pi, so the
-    count is the number of sign changes over half a turn.
+    count is the number of sign changes over half a turn.  The chords are
+    built once per (body, samples), as every query point reuses them.
     """
     p = np.asarray(p, dtype=float)
-    phi = np.arange(samples) * (np.pi / samples)
-    r0 = body.boundary(phi)
-    d = body.boundary(phi + np.pi) - r0
+    key = (np.concatenate([[body.a0], body.ac, body.bs]).tobytes(), samples)
+    if key not in _CHORDS:
+        phi = np.arange(samples) * (np.pi / samples)
+        r0 = body.boundary(phi)
+        _CHORDS.clear()
+        _CHORDS[key] = r0, body.boundary(phi + np.pi) - r0
+    r0, d = _CHORDS[key]
     g = d[:, 0] * (p[1] - r0[:, 1]) - d[:, 1] * (p[0] - r0[:, 0])
     closed = np.concatenate([g, -g[:1]])
     return int(np.sum(closed[:-1] * closed[1:] < 0))

@@ -52,6 +52,13 @@ def test_boundary_average_smooth_evolute_inside_is_two():
     assert rep.std_error == 0.0
 
 
+def test_boundary_average_full_circle_arc_is_two():
+    C = nc.ArcBody2([nc.Arc((0.0, 0.0), 1.0, 0.0, 2 * math.pi)])
+    rep = nc.estimate_boundary_average(C, "normals", 400, seed=5)
+    assert rep.mean == 2.0
+    assert rep.std_error == 0.0
+
+
 def test_reports_are_deterministic():
     B = nc.SmoothBody2(1.0, (0.0, 0.06), (0.02,))
     a = nc.estimate_interior_average(B, "normals", 2000, seed=11)

@@ -1,6 +1,7 @@
 """The command-line front end, called in process through ``cli.run``."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,12 @@ def test_point_smooth_counts(capsys):
     total, stable, _ = nc.count_normals2_batch(nc.parse_body(SMOOTH), [p])
     assert payload == {"count": int(total[0]), "stable": int(stable[0]),
                        "unstable": int(total[0] - stable[0]), "degenerate": False}
+
+
+def test_point_at_nan_is_not_interior(capsys):
+    code, out, err = _point(capsys, HEPTAGON, (math.nan, 0.5))
+    assert code == 1 and out == ""
+    assert err == "error: query point must lie strictly inside the body\n"
 
 
 def test_point_polytope_by_dim(capsys):
@@ -213,3 +220,24 @@ def test_malformed_flag_values_exit_one(capsys, tmp_path, args):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {args[1]}")
     assert not any(tmp_path.iterdir())
+
+
+TETRA_VERTICES = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("desc", [
+    {"type": "standard3", "name": "cube", "side": "abc"},
+    {"type": "standard3", "name": "cube", "side": 0},
+    {"type": "support2d", "a0": 1, "cos": "ab"},
+    {"type": "polygon", "vertices": [["a", 0], [1, 0], [0, 1]]},
+    {"type": "polytope3", "vertices": TETRA_VERTICES,
+     "facets": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 9]]},
+], ids=["side-text", "side-zero", "cos-text", "vertex-text", "facet-index"])
+def test_malformed_bodies_exit_one(capsys, tmp_path, desc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(desc))
+    code = cli.run(["estimate", "--body", str(path), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

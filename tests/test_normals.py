@@ -362,6 +362,30 @@ def test_exterior_point_rejected_3d():
         nc.count_normals3(P, (0.5, 0.0, 0.0))  # on a facet
 
 
+SQUARE = nc.build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("query", [
+    lambda p: nc.normal_feet2(SQUARE, p),
+    lambda p: nc.normal_feet2(nc.build_reuleaux(3), p),
+    lambda p: nc.normal_feet2(GENERIC, p),
+    lambda p: nc.count_diameters_polygon(SQUARE, p),
+    lambda p: nc.count_minkowski_normals(nc.NormBall2(nc.disk(1.0)), GENERIC, p),
+    lambda p: nc.count_normals3_by_dim(nc.standard_polytope("cube"), (*p, 0.0)),
+], ids=["feet-polygon", "feet-reuleaux", "feet-smooth", "diameters-polygon",
+        "minkowski-disk", "by-dim-cube"])
+def test_nan_point_is_never_interior(query):
+    with pytest.raises(nc.DomainError):
+        query((math.nan, 0.5))
+
+
+def test_point_just_inside_a_facet_is_not_interior_3d():
+    # 2D and 3D queries share one strict-interior tolerance, 1e-9 * scale
+    P = nc.standard_polytope("cube")
+    with pytest.raises(nc.DomainError):
+        nc.count_normals3_by_dim(P, (0.5 - 1e-10 * P.scale, 0.1, 0.0))
+
+
 def test_scaled_polytope_edge_test_matches_batch():
     # the edge-slab allowance must scale like the solid, not its square: at
     # scale 2e3 a point 1e-7 * scale outside an edge's normal slab is not a
