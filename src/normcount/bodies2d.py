@@ -28,7 +28,7 @@ from scipy.spatial import ConvexHull
 from .errors import (ConvexityError, DegenerateBodyError, DomainError,
                      UnsupportedCombinationError)
 from .rng import philox_generator, rejection_sample
-from .trigcount import _RTOL, MAX_GRID, TWO_PI, _start_grid, bisect, row_blocks
+from .trigcount import _RTOL, MAX_GRID, TWO_PI, _start_grid, newton, row_blocks
 
 # Relative tolerance for strict-convexity cross products and chain closure.
 CONVEXITY_RTOL = 1e-12
@@ -241,9 +241,10 @@ class SmoothBody2:
 
     def arclength_inverse(self, fraction):
         """Normal angles theta in [0, 2*pi] where arclength_to(theta) is the
-        given fraction of the perimeter."""
+        given fraction of the perimeter: ``newton`` on s - arclength_to,
+        whose slope is -rho."""
         s = np.asarray(fraction, dtype=float) * self.arclength_to(np.array([TWO_PI]))[0]
-        return bisect(lambda t: self.arclength_to(t) < s,
+        return newton(lambda t: (s - self.arclength_to(t), -self.rho(t)),
                       np.zeros(s.shape), np.full(s.shape, TWO_PI))
 
 

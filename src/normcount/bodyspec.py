@@ -20,6 +20,8 @@ import json
 import os
 from numbers import Integral, Real
 
+import numpy as np
+
 from .bodies2d import build_polygon, build_reuleaux, disk, SmoothBody2
 from .bodies3d import build_polytope, standard_polytope
 from .errors import SpecError
@@ -38,6 +40,14 @@ def _require(obj: dict, key: str, kind=None):
         raise SpecError(f"field {key!r} has the wrong type "
                         f"({type(val).__name__})")
     return val
+
+
+def _rows(obj: dict, key: str) -> np.ndarray:
+    """The list field ``key`` as one array; SpecError if its rows are ragged."""
+    try:
+        return np.asarray(_require(obj, key, list), dtype=float)
+    except ValueError as exc:
+        raise SpecError(f"field {key!r} must hold rows of one length") from exc
 
 
 def _numeric(val, kind) -> bool:
@@ -76,7 +86,7 @@ def parse_body(source):
         if key not in ("type", "name") and not _numeric(val, number):
             raise SpecError(f"field {key!r} must hold {number.__name__.lower()} numbers only")
     if kind == "polygon":
-        return build_polygon(_require(obj, "vertices", list))
+        return build_polygon(_rows(obj, "vertices"))
     if kind == "support2d":
         a0 = _require(obj, "a0")
         return SmoothBody2(float(a0), obj.get("cos", []), obj.get("sin", []))
@@ -86,7 +96,7 @@ def parse_body(source):
     if kind == "disk":
         return disk(float(_require(obj, "radius")))
     if kind == "polytope3":
-        return build_polytope(_require(obj, "vertices", list),
+        return build_polytope(_rows(obj, "vertices"),
                               _require(obj, "facets", list))
     if kind == "standard3":
         name = _require(obj, "name", str)

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bodies2d import (TWO_PI, Polygon2, SmoothBody2, bisect, cross2,
-                       measure2d, require_interior, require_smooth,
-                       symmetric_under_negation)
+from .bodies2d import (TWO_PI, Polygon2, SmoothBody2, cross2, measure2d,
+                       require_interior, require_smooth, symmetric_under_negation)
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
-from .trigcount import count_roots, root_angles, row_blocks
+from .trigcount import bisect, count_roots, root_angles, row_blocks
 
 
 _GAUGE_GRID = 2048  # normal angles of the smooth gauge's bracket table
@@ -136,13 +135,15 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
     """Root angles in [0, 2pi), ascending, of the Minkowski normal function
     through p.
 
-    They are the bisected sign changes of the grid on which the certified
-    kernel proves the count of ``mink_counts_batch``, so there are exactly
-    that many; where that counter flags p, DegenerateConfigurationError is
-    raised.
+    Each is the Newton-refined sign change of one interval of the grid on
+    which the certified kernel proves the count of ``mink_counts_batch``, so
+    there are exactly that many.  p must be an interior point of a smooth K,
+    as for ``count_minkowski_normals``; where the counter flags p,
+    DegenerateConfigurationError is raised.
     """
     require_smooth(M.body, "Birkhoff normality")
-    found = root_angles(lambda q, th: _mink_g(M, K, q, th), p,
+    require_smooth(K, "Minkowski counting")
+    found = root_angles(lambda q, th: _mink_g(M, K, q, th), require_interior(K, p),
                         K.degree + M.body.degree + 2, K.scale * M.body.scale)
     if found is None:
         raise DegenerateConfigurationError(

@@ -29,7 +29,8 @@ batch counter counts them with the certified sign-change kernel of
 ``trigcount``: a count is returned only when every grid interval is proven
 monotone or root-free, and points it cannot certify (on the evolute, or the
 centre of a disk, where g vanishes) are DEGENERATE.  The scalar smooth feet
-are the bisected sign changes of the grid that certified the count.
+are the sign changes of the grid that certified the count, refined by
+``trigcount.newton``.
 ``normal_feet2`` raises DegenerateConfigurationError at every point the
 batch counter flags.  Each foot's chord, from the foot through p to the far
 side, is solved without a containment test: the exit is the second root of
@@ -46,11 +47,11 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .bodies2d import (INTERIOR_RTOL, TWO_PI, ArcBody2, Polygon2, SmoothBody2,
-                       bisect, cross2, in_angle_range, require_interior, unit)
+                       cross2, in_angle_range, require_interior, unit)
 from .bodies3d import Polytope3, contains3
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
-from .trigcount import DEGENERATE, count_roots, root_angles, row_blocks
+from .trigcount import DEGENERATE, count_roots, newton, root_angles, row_blocks
 
 
 @dataclass
@@ -90,7 +91,8 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
     the trigonometric polynomial F(phi) = cross(r(phi) - q, d): a strictly
     convex curve crosses a line twice, and F'(theta0) = -rho <u(theta0), d>
     > 0 for an inward d, so F > 0 on (theta0, exit) and < 0 on (exit,
-    theta0 + 2pi), and one bisection over that bracket finds the exit.
+    theta0 + 2pi).  ``newton`` over that bracket finds the exit, with
+    F'(phi) = rho(phi) cross(u_perp(phi), d) from the same ``jet`` as F.
     """
     qs = np.array([q for q, _, _ in feet])
     d = p - qs
@@ -103,8 +105,15 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
         return np.min(t, axis=1)
     if isinstance(body, SmoothBody2):
         theta0 = np.array([source[1] for _, source, _ in feet])
-        exit_ = bisect(lambda phi: cross2(body.boundary(phi) - qs, d) > 0,
-                       theta0, theta0 + TWO_PI)
+        qd = cross2(qs, d)
+
+        def chord(phi):  # F and F' from one jet; cross(u_perp, d) = -<u, d>
+            h, h1, h2 = body.jet(phi)
+            c, s = np.cos(phi), np.sin(phi)
+            along = c * d[:, 0] + s * d[:, 1]
+            return h * (c * d[:, 1] - s * d[:, 0]) - h1 * along - qd, -(h + h2) * along
+
+        exit_ = newton(chord, theta0, theta0 + TWO_PI)
         return np.einsum("ij,ij->i", body.boundary(exit_) - qs, d)
     best = np.zeros(len(qs))
     for c, r, lo, hi, _ in body.pieces:

@@ -27,10 +27,14 @@ oscillating part, are reported as ``DEGENERATE``.  The starting grid only
 changes how much work a count takes, never the count.
 
 ``root_angles`` finds the roots themselves for one point: it settles the
-point exactly as ``count_roots`` does and bisects the sign changes of the
-grid that certified the count, so it finds as many roots as are counted.
-``bisect`` is the package's one bisection, and ``bodies2d`` certifies its
-containment margin with the grid and allowance constants defined here.
+point exactly as ``count_roots`` does and refines each sign change of the
+grid that certified the count by ``newton`` on its interval, where g is
+proven monotone, so it finds as many roots as are counted.  The package
+has two bracketed root finders: ``newton``, for functions with a slope at
+hand (smooth feet, Minkowski roots, smooth chords, arclength inverses), and
+``bisect``, 64 halvings of a predicate with none (the hexagon's gauge).
+``bodies2d`` certifies its containment margin with the grid and allowance
+constants defined here.
 """
 
 from __future__ import annotations
@@ -68,6 +72,41 @@ def bisect(f, lo, hi) -> np.ndarray:
         lo = np.where(left, mid, lo)
         hi = np.where(left, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def newton(f, lo, hi) -> np.ndarray:
+    """Safeguarded Newton iteration on the brackets [lo[i], hi[i]].
+
+    ``f(t)`` returns (value, slope) per bracket, with value > 0 on the
+    ``lo`` side of the crossing (where ``bisect``'s predicate holds).  Each
+    evaluated t becomes the end of its side, so the bracket always keeps the
+    sign change, and the next t is the Newton step where that lands strictly
+    inside the bracket, the midpoint otherwise: a slope of the wrong sign,
+    zero or NaN costs halvings, never the root.  A row stops when a Newton
+    step that points into its bracket is at most 4 ulp of the larger end of
+    its first bracket (applied when it lands inside), when its value is
+    exactly 0, or when no double lies strictly between its ends.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    tiny = 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    t = 0.5 * (lo + hi)
+    done = np.zeros(t.shape, dtype=bool)
+    while not done.all():
+        val, slope = f(t)
+        pos = val > 0
+        lo = np.where(pos, t, lo)  # on stopped rows too: their t no longer moves
+        hi = np.where(pos, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = val / slope
+            nxt = t - step
+            inside = (nxt - lo) * (nxt - hi) < 0
+            mid = 0.5 * (lo + hi)
+            ahead = step * (t - mid) > 0  # the step points into the bracket
+        stop = (val == 0) | (ahead & (np.abs(step) <= tiny)) | (mid == lo) | (mid == hi)
+        t = np.where(done, t, np.where(inside, nxt, np.where(stop, t, mid)))
+        done |= stop
+    return t
 
 
 def _no_zero(f: np.ndarray, delta: float, lip1: np.ndarray, lip2: np.ndarray,
@@ -163,19 +202,22 @@ def root_angles(g, point, degree: int, scale: float):
 
     Returns (angles, descending): the root angles in [0, 2pi), ascending,
     and a mask of the roots where g falls; None where ``count_roots`` flags
-    the point.  Each root is the bisected sign change of one interval of the
-    grid that certified the count, so there are exactly as many roots as
-    ``count_roots`` counts.  The bisection evaluates g from its coefficients.
+    the point.  Each root is the sign change of one interval of the grid
+    that certified the count, refined by ``newton`` with g and g' from one
+    table of exp(i k theta) over its coefficients; g is monotone on that
+    interval, so there are exactly as many roots as ``count_roots`` counts.
     """
     coef, lips = _coefficients(g, np.atleast_2d(np.asarray(point, dtype=float)), degree)
     k = np.arange(degree + 1)
     weights = np.where(k > 0, 2.0, 1.0) * coef[0]
+    table = np.stack([weights, 1j * k * weights], axis=1)  # columns: g, g'
     for idx, grid, pos in _settle(coef, lips, _RTOL * scale, _start_grid(degree)):
         if len(idx):
             pos = pos[0]
             j = np.flatnonzero(pos != np.roll(pos, -1))
             lo = (j + 0.5) * (TWO_PI / grid)
-            theta = bisect(lambda t: ((np.exp(1j * np.outer(t, k)) @ weights).real > 0) == pos[j],
+            sign = np.where(pos[j], 1.0, -1.0)  # g's sign on each lo side
+            theta = newton(lambda t: sign * (np.exp(1j * np.outer(t, k)) @ table).real.T,
                            lo, lo + TWO_PI / grid) % TWO_PI
             order = np.argsort(theta)
             return theta[order], pos[j][order]

@@ -427,6 +427,20 @@ def gauge_bisection(M_body, x, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def bracket_bisection(f, lo, hi) -> np.ndarray:
+    """The crossing in each bracket [lo[i], hi[i]] of f(t) = (value, slope),
+    value > 0 on the lo side, by 64 halvings of the predicate value > 0; the
+    slope is ignored.  A drop-in reference for ``trigcount.newton``."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        left = f(mid)[0] > 0
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def random_convex_polygon(rng, k: int):
     """Convex hull of k standard-normal points (>= 3 hull vertices)."""
     from normcount.bodies2d import build_polygon

@@ -241,3 +241,15 @@ def test_malformed_bodies_exit_one(capsys, tmp_path, desc):
     assert code == 1 and out == ""
     assert err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("desc", [
+    {"type": "polygon", "vertices": [[0, 0], [1, 0, 3], [0, 1]]},
+    {"type": "polytope3", "vertices": [[0, 0, 0], [1, 0], [0, 1, 0], [0, 0, 1]],
+     "facets": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]},
+], ids=["polygon", "polytope3"])
+def test_ragged_vertex_rows_exit_one(capsys, tmp_path, desc):
+    code = cli.run(["estimate", "--body", json.dumps(desc), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: field 'vertices' must hold rows of one length\n"

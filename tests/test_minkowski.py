@@ -105,6 +105,16 @@ def test_minkowski_normals_scale_ball_invariant():
     assert np.array_equal(a, b)
 
 
+def test_refine_mink_roots_rejects_what_the_counter_rejects():
+    M = _disk_ball()
+    K = nc.SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04])
+    for p in [(5.0, 0.0), (math.nan, 0.1)]:  # outside, and never proven inside
+        with pytest.raises(DomainError):
+            nc.refine_mink_roots(M, K, p)
+    with pytest.raises(UnsupportedCombinationError):
+        nc.refine_mink_roots(M, _regular(6), (0.0, 0.1))
+
+
 def test_refine_mink_roots_feet_properties():
     M = _symmetric_smooth(0.03)
     K = nc.SmoothBody2(1.0, [0.0, 0.06], [0.0, 0.0])

@@ -158,3 +158,105 @@ def test_root_angles_are_the_roots_count_roots_counts():
     c = GENERIC.curvature_center(0.3)
     g, degree, scale = kernels["normals"]
     assert trigcount.root_angles(g, c, degree, scale) is None
+
+
+# ---------------------------------------------------------------------------
+# newton, the root finder of root_angles, smooth chords and arclength inverses
+
+ORACLE_BODIES = {
+    "generic": GENERIC, "cos2=.3": nc.SmoothBody2(1.0, [0.0, 0.3]), "deg8": DEG8,
+    "deg4": nc.SmoothBody2(1.0, [0.0, 0.01, 0.004, 0.002], [0.0, 0.0, 0.005, 0.003]),
+    "off_centre": nc.SmoothBody2(2.0, [0.1, 0.15], [0.05, 0.0, 0.06])}
+NORMS = [_disk_ball(), nc.NormBall2(nc.SmoothBody2(1.0, [0.0, 0.15]))]
+
+
+def _use_solver(monkeypatch, solver):
+    """Replace newton wherever the package calls it."""
+    from normcount import bodies2d, normals
+    for module in (trigcount, normals, bodies2d):
+        monkeypatch.setattr(module, "newton", solver)
+
+
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except nc.DegenerateConfigurationError:
+        return None
+
+
+def _solve_all(body, pts):
+    """Per point its feet (or None where flagged) and the Minkowski roots of
+    each norm in NORMS; then the normal angles of 2000 boundary samples."""
+    rows = [(_or_none(nc.normal_feet2, body, p),
+             [_or_none(nc.refine_mink_roots, M, body, p) for M in NORMS]) for p in pts]
+    return rows, nc.sample_boundary2(body, 2000, seed=27)[1]
+
+
+def _angle_gap(a, b):
+    d = np.abs(np.asarray(a) - np.asarray(b))
+    return np.minimum(d, 2 * math.pi - d)
+
+
+@pytest.mark.parametrize("name", ORACLE_BODIES)
+def test_newton_agrees_with_bisection_oracle(name, monkeypatch):
+    body = ORACLE_BODIES[name]
+    pts = nc.sample_interior2(body, 200, seed=26)
+    rows, boundary = _solve_all(body, pts)
+    _use_solver(monkeypatch, oracles.bracket_bisection)
+    want_rows, want_boundary = _solve_all(body, pts)
+    assert np.max(np.abs(boundary - want_boundary)) <= 1e-14
+    solved = 0
+    for p, (feet, roots), (want_feet, want_roots) in zip(pts, rows, want_rows):
+        assert (feet is None) == (want_feet is None)
+        for got, want in zip(roots, want_roots):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert len(got) == len(want) and np.all(_angle_gap(got, want) <= 1e-14)
+        if feet is None:
+            continue
+        solved += 1
+        assert len(feet) == len(want_feet)
+        for f, w in zip(feet, want_feet):
+            assert f.index == w.index and _angle_gap(f.source[1], w.source[1]) <= 1e-14
+            # a chord is ill-conditioned in its foot angle, by about
+            # chord/|p - q|: the bound widens for feet within 1e-2*scale of p
+            reach = max(1.0, 1e-2 * body.scale / np.linalg.norm(p - f.foot))
+            assert abs(f.chord_length - w.chord_length) <= 1e-12 * body.scale * reach
+    assert solved >= 190
+
+
+@pytest.mark.parametrize("slope", [lambda t: -np.sin(t), lambda t: np.sin(t),
+                                   lambda t: 0.0 * t, lambda t: np.nan * t],
+                         ids=["true", "wrong_sign", "zero", "nan"])
+def test_newton_keeps_the_bracketed_root_whatever_the_slope(slope):
+    # cos has its only root in each bracket at pi/2; the last row is
+    # oriented hi < lo, with -cos > 0 on its lo side
+    lo = np.array([0.1, 1.0, 1.2, 1.5707963, 3.0])
+    hi = np.array([2.0, 2.0, 3.0, 1.5707964, 0.5])
+    sign = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
+    got = trigcount.newton(lambda t: (sign * np.cos(t), sign * slope(t)), lo, hi)
+    assert np.all(np.abs(got - math.pi / 2) <= np.spacing(math.pi / 2))
+
+
+def test_feet_chord_and_minkowski_solves_take_at_most_16_evaluations(monkeypatch):
+    evaluations = []
+    newton = trigcount.newton
+
+    def counting(f, lo, hi):
+        calls = [0]
+
+        def counted(t):
+            calls[0] += 1
+            return f(t)
+
+        root = newton(counted, lo, hi)
+        evaluations.append(calls[0])
+        return root
+
+    _use_solver(monkeypatch, counting)
+    for p in nc.sample_interior2(GENERIC, 300, seed=24):
+        nc.normal_feet2(GENERIC, p)  # the feet, then their chords
+        for M in (SMOOTH_BALL, _disk_ball()):
+            nc.refine_mink_roots(M, GENERIC, p)
+    assert len(evaluations) == 4 * 300
+    assert max(evaluations) <= 16
