@@ -241,11 +241,29 @@ class SmoothBody2:
 
     def arclength_inverse(self, fraction):
         """Normal angles theta in [0, 2*pi] where arclength_to(theta) is the
-        given fraction of the perimeter: ``newton`` on s - arclength_to,
-        whose slope is -rho."""
-        s = np.asarray(fraction, dtype=float) * self.arclength_to(np.array([TWO_PI]))[0]
+        given fraction of the perimeter: ``newton`` on s - arclength_to, whose
+        slope is -rho; fractions 0 and 1 are their own brackets, 0 and 2*pi."""
+        fraction = np.asarray(fraction, dtype=float)
+        s = fraction * self.arclength_to(np.array([TWO_PI]))[0]
         return newton(lambda t: (s - self.arclength_to(t), -self.rho(t)),
-                      np.zeros(s.shape), np.full(s.shape, TWO_PI))
+                      TWO_PI * (fraction >= 1.0), TWO_PI * (fraction > 0.0))
+
+    def normal_chord(self, theta):
+        """Inward normal chord L(theta) = h(theta) - <r(e), u(theta)>.  The exit e
+        is the root in (theta, theta + 2pi) of F(phi) = <r(phi) - r(theta),
+        u_perp(theta)> = h(phi) sin(phi - theta) + h'(phi) cos(phi - theta) -
+        h'(theta): a strictly convex curve crosses a line twice and F'(theta) =
+        rho > 0, so ``newton`` finds e, with F'(phi) = rho(phi) cos(phi - theta)."""
+        theta = np.asarray(theta, dtype=float)
+        h, h1, _ = self.jet(theta)
+
+        def exit_(phi):
+            hp, hp1, hp2 = self.jet(phi)
+            c, s = np.cos(phi - theta), np.sin(phi - theta)
+            return hp * s + hp1 * c - h1, (hp + hp2) * c
+
+        e = newton(exit_, theta, theta + TWO_PI)
+        return h - np.sum(self.boundary(e) * unit(theta), axis=-1)
 
 
 @dataclass(frozen=True)

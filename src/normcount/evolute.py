@@ -6,6 +6,10 @@ The evolute (the curve of centres) is the degeneracy locus of normal
 counting: counts jump by 2 across it.  Bodies whose evolute stays inside
 them form the class with at most 6 normals per interior point on average
 and exactly 2 normals through every boundary point.
+
+The centre c = r - rho*u lies on the inward normal chord from r, of length
+L (``SmoothBody2.normal_chord``), so it is inside exactly when rho < L:
+``contains_evolute``'s worst_excess is max(rho - L) over its grid.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import TWO_PI, SmoothBody2, require_smooth, signed_boundary_excess
+from .bodies2d import TWO_PI, SmoothBody2, require_smooth
 
 _GRID = 8192  # angles of the evolute containment scan
 _RTOL = 1e-9  # containment allowance, relative to the body's scale
@@ -48,15 +52,15 @@ def curvature_profile(body: SmoothBody2, grid: int = 512) -> list[EvolutePoint]:
 def contains_evolute(body: SmoothBody2) -> tuple[bool, float]:
     """Does the body contain all its centres of curvature?
 
-    The worst signed support excess of the centres at ``_GRID`` angles,
-    each the certified maximum of ``signed_boundary_excess``; negative means
-    strictly inside, by that distance from the boundary.  Contained means a
-    worst excess of at most ``_RTOL`` times the body's scale.  Returns
-    (contained, worst_excess).
+    worst_excess is max(rho - L) over ``_GRID`` angles, with L the inward
+    normal chord: negative exactly when every grid centre is strictly inside,
+    and at least as far from 0 as those centres are from the boundary.
+    Contained means a worst excess of at most ``_RTOL`` times the body's
+    scale.  Returns (contained, worst_excess).
     """
     require_smooth(body, "the evolute machinery")
-    centers = body.curvature_center(np.linspace(0.0, TWO_PI, _GRID, endpoint=False))
-    worst = float(np.max(signed_boundary_excess(body, centers)))
+    theta = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
+    worst = float(np.max(body.rho(theta) - body.normal_chord(theta)))
     return worst <= _RTOL * body.scale, worst
 
 

@@ -50,8 +50,10 @@ class FlowSpec:
             raise DomainError(f"unknown flow kind {self.kind!r}")
         if self.steps < 1:
             raise DomainError("flow needs at least one step")
-        if self.t_end <= 0:
-            raise DomainError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise DomainError("t_end must be positive and finite")
+        if not math.isfinite(self.r):
+            raise DomainError("r must be finite")
         if self.kind == "curvature_power" and (self.r <= 0 or self.direction not in ("in", "out")):
             raise DomainError("curvature_power needs r > 0 and direction in/out")
 

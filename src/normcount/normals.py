@@ -30,12 +30,10 @@ batch counter counts them with the certified sign-change kernel of
 monotone or root-free, and points it cannot certify (on the evolute, or the
 centre of a disk, where g vanishes) are DEGENERATE.  The scalar smooth feet
 are the sign changes of the grid that certified the count, refined by
-``trigcount.newton``.
-``normal_feet2`` raises DegenerateConfigurationError at every point the
-batch counter flags.  Each foot's chord, from the foot through p to the far
-side, is solved without a containment test: the exit is the second root of
-a trigonometric polynomial on a smooth body, and a line-circle intersection
-on an arc body (see ``_ray_exit``).
+``trigcount.newton``.  ``normal_feet2`` raises DegenerateConfigurationError
+at every point the batch counter flags.  Each foot's chord, from the foot
+through p to the far side, is solved without a containment test, on a smooth
+body by ``SmoothBody2.normal_chord`` (see ``_ray_exit``).
 """
 
 from __future__ import annotations
@@ -46,12 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .bodies2d import (INTERIOR_RTOL, TWO_PI, ArcBody2, Polygon2, SmoothBody2,
+from .bodies2d import (INTERIOR_RTOL, ArcBody2, Polygon2, SmoothBody2,
                        cross2, in_angle_range, require_interior, unit)
 from .bodies3d import Polytope3, contains3
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
-from .trigcount import DEGENERATE, count_roots, newton, root_angles, row_blocks
+from .trigcount import DEGENERATE, count_roots, root_angles, row_blocks
 
 
 @dataclass
@@ -86,14 +84,11 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
     Polygons take the nearest edge line ahead.  Arc bodies take the far
     intersection of the line with each arc's circle in ``body.pieces``,
     kept when it lies in the arc's angle range, and each corner piece the
-    line passes through; the exit is the farthest of these.  On a smooth
-    body the chord from q = r(theta0) along d leaves at the second root of
-    the trigonometric polynomial F(phi) = cross(r(phi) - q, d): a strictly
-    convex curve crosses a line twice, and F'(theta0) = -rho <u(theta0), d>
-    > 0 for an inward d, so F > 0 on (theta0, exit) and < 0 on (exit,
-    theta0 + 2pi).  ``newton`` over that bracket finds the exit, with
-    F'(phi) = rho(phi) cross(u_perp(phi), d) from the same ``jet`` as F.
+    line passes through; the exit is the farthest of these.  A smooth foot
+    r(theta) has p on its normal, so its chord is ``normal_chord(theta)``.
     """
+    if isinstance(body, SmoothBody2):
+        return body.normal_chord(np.array([source[1] for _, source, _ in feet]))
     qs = np.array([q for q, _, _ in feet])
     d = p - qs
     d /= np.linalg.norm(d, axis=1, keepdims=True)
@@ -103,18 +98,6 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(den > 1e-15, num / den, np.inf)
         return np.min(t, axis=1)
-    if isinstance(body, SmoothBody2):
-        theta0 = np.array([source[1] for _, source, _ in feet])
-        qd = cross2(qs, d)
-
-        def chord(phi):  # F and F' from one jet; cross(u_perp, d) = -<u, d>
-            h, h1, h2 = body.jet(phi)
-            c, s = np.cos(phi), np.sin(phi)
-            along = c * d[:, 0] + s * d[:, 1]
-            return h * (c * d[:, 1] - s * d[:, 0]) - h1 * along - qd, -(h + h2) * along
-
-        exit_ = newton(chord, theta0, theta0 + TWO_PI)
-        return np.einsum("ij,ij->i", body.boundary(exit_) - qs, d)
     best = np.zeros(len(qs))
     for c, r, lo, hi, _ in body.pieces:
         rel = qs - c

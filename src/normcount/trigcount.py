@@ -31,8 +31,9 @@ point exactly as ``count_roots`` does and refines each sign change of the
 grid that certified the count by ``newton`` on its interval, where g is
 proven monotone, so it finds as many roots as are counted.  The package
 has two bracketed root finders: ``newton``, for functions with a slope at
-hand (smooth feet, Minkowski roots, smooth chords, arclength inverses), and
-``bisect``, 64 halvings of a predicate with none (the hexagon's gauge).
+hand (smooth feet, Minkowski roots, the normal chords of
+``SmoothBody2.normal_chord``, arclength inverses), and ``bisect``, 64
+halvings of a predicate with none (the hexagon's gauge).
 ``bodies2d`` certifies its containment margin with the grid and allowance
 constants defined here.
 """

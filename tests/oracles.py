@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 These deliberately avoid the production code paths: counts come from dense
-sampling and discrete Morse theory, areas from pixel grids, gauges from
-containment bisection.  Slow but simple enough to audit by eye.
+sampling and discrete Morse theory, areas from pixel grids, gauges and
+normal chords from containment bisection.  Slow but simple enough to audit by eye.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from normcount.bodies2d import (ArcBody2, Polygon2, SmoothBody2,
-                                contains2_batch, signed_boundary_excess)
+                                contains2_batch, signed_boundary_excess, unit)
+from normcount.trigcount import bisect
 
 TWO_PI = 2.0 * np.pi
 
@@ -439,6 +440,18 @@ def bracket_bisection(f, lo, hi) -> np.ndarray:
         lo = np.where(left, mid, lo)
         hi = np.where(left, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def normal_chord_bisection(body: SmoothBody2, theta) -> np.ndarray:
+    """The inward normal chord L(theta) of a smooth body, by ``bisect`` of
+    s over (0, width(theta)) on whether r(theta) - s*u(theta) lies inside
+    (``contains2_batch``): the chord ends within its slab of that width.
+    A reference for ``SmoothBody2.normal_chord``."""
+    theta = np.asarray(theta, dtype=float)
+    r, u = body.boundary(theta), unit(theta)
+    width = body.support(theta) + body.support(theta + np.pi)
+    return bisect(lambda s: contains2_batch(body, r - s[:, None] * u),
+                  np.zeros(theta.shape), width)
 
 
 def random_convex_polygon(rng, k: int):

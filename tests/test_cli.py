@@ -180,6 +180,27 @@ def test_evolute_runs_are_byte_identical(capsys, tmp_path):
     assert "# contains_evolute=true" in text.decode().splitlines()
 
 
+def test_evolute_reports_the_worst_excess(capsys, tmp_path):
+    code = cli.run(["evolute", "--body", json.dumps(SMOOTH), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    notes = [line for line in (tmp_path / "evolute.csv").read_text().splitlines()
+             if line.startswith("# worst_excess=")]
+    worst = nc.contains_evolute(nc.parse_body(SMOOTH))[1]
+    assert worst < 0.0 and notes == [f"# worst_excess={nc.format_float(worst)}"]
+
+
+@pytest.mark.parametrize("kind", ["outward_eikonal", "inward_eikonal", "curvature_power"])
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+def test_flow_rejects_a_non_finite_end_time(capsys, tmp_path, kind, t_end):
+    code = cli.run(["flow", "--body", json.dumps(SMOOTH), "--kind", kind, "--t-end", t_end,
+                    "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: t_end must be positive and finite\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_estimate_diameters_is_average_diameters(capsys, tmp_path):
     out, text = _reruns(capsys, ["estimate", "--body", json.dumps(SMOOTH), "--counter",
                                  "diameters", "--samples", "2000", "--seed", "4",

@@ -96,6 +96,13 @@ def test_flow_spec_validation():
         nc.FlowSpec("curvature_power", 1.0, 5, r=0.0)
 
 
+@pytest.mark.parametrize("field", ["t_end", "r"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_flow_spec_rejects_non_finite_values(field, value):
+    with pytest.raises(DomainError, match=f"^{field} must be"):
+        nc.FlowSpec("curvature_power", **{"t_end": 1.0, "steps": 5, field: value})
+
+
 def test_outward_flow_decreases_mean_count():
     body = _wavy(0.06)
     spec = nc.FlowSpec("outward_eikonal", 1.5, 6)
@@ -172,11 +179,53 @@ def test_flow_matches_direct_offset_counts():
 
 
 def test_contains_evolute_worst_excess_is_pinned():
-    # exact worst excesses of the centres at 4096 and 8192 angles, as first
-    # computed with two passes over the two grids
+    # max(rho - L) over the 8192 grid angles, as first computed with the
+    # normal chord; test_pinned_worst_excess_matches_the_bisection_oracle
+    # confirms it by bisection
     inside = nc.SmoothBody2(2.0, [0.1, 0.05, 0.02], [0.0, 0.03, 0.0, 0.01])
-    assert nc.contains_evolute(inside) == (True, -1.558665933935251)
+    assert nc.contains_evolute(inside) == (True, -1.5861581759218155)
     assert nc.contains_evolute(_wavy(0.3)) == (False, 0.5)
+
+
+@pytest.mark.parametrize("body", [
+    nc.SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04]),
+    nc.SmoothBody2(1.0, [0.0, 0.3]),
+    nc.SmoothBody2(2.0, [0.1, 0.15], [0.05, 0.0, 0.06]),
+    nc.SmoothBody2(1.0, [0.0, 0.01, 0.004, 0.0, 0.0, 0.0, 0.0, 0.0008],
+                   [0.0, 0.0, 0.005, 0.002, 0.0, 0.0, 0.001]),
+], ids=["generic", "cos2=.3", "off_centre", "deg8"])
+def test_normal_chord_matches_the_bisection_oracle(body):
+    theta = np.linspace(0.0, 2.0 * np.pi, 300, endpoint=False) + 0.01
+    want = oracles.normal_chord_bisection(body, theta)
+    assert np.max(np.abs(body.normal_chord(theta) - want)) <= 1e-12 * body.scale
+    assert body.normal_chord(theta[7]) == body.normal_chord(theta)[7]  # a scalar angle
+
+
+def test_pinned_worst_excess_matches_the_bisection_oracle():
+    # the first body of test_contains_evolute_worst_excess_is_pinned
+    inside = nc.SmoothBody2(2.0, [0.1, 0.05, 0.02], [0.0, 0.03, 0.0, 0.01])
+    theta = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
+    worst = np.max(inside.rho(theta) - oracles.normal_chord_bisection(inside, theta))
+    assert abs(worst - -1.5861581759218155) <= 1e-12 * inside.scale
+
+
+def _margin_rule(body):
+    """The margin rule: every centre of the grid at most 1e-9*scale outside."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
+    centres = body.curvature_center(theta)
+    return bool(np.max(nc.signed_boundary_excess(body, centres)) <= 1e-9 * body.scale)
+
+
+def test_contains_evolute_matches_the_margin_rule():
+    # h = s*(1 + a cos 2t + 0.01 cos 3t) contains its evolute for a below
+    # about 0.2; the grid of a crosses that, and two bodies change units
+    bodies = [nc.SmoothBody2(1.0, [0.0, a, 0.01]) for a in np.linspace(0.05, 0.3, 21)]
+    bodies += [nc.SmoothBody2(1e-6, [0.0, 0.2e-6, 0.01e-6]),
+               nc.SmoothBody2(1e4, [0.0, 0.1875e4, 0.01e4])]
+    got = [nc.contains_evolute(body)[0] for body in bodies]
+    assert got == [_margin_rule(body) for body in bodies]
+    assert got[:12] == [True] * 12 and got[12:21] == [False] * 9
+    assert got[21:] == [False, True]
 
 
 def _trace_digest(trace):

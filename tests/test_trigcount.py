@@ -172,8 +172,8 @@ NORMS = [_disk_ball(), nc.NormBall2(nc.SmoothBody2(1.0, [0.0, 0.15]))]
 
 def _use_solver(monkeypatch, solver):
     """Replace newton wherever the package calls it."""
-    from normcount import bodies2d, normals
-    for module in (trigcount, normals, bodies2d):
+    from normcount import bodies2d
+    for module in (trigcount, bodies2d):
         monkeypatch.setattr(module, "newton", solver)
 
 
@@ -260,3 +260,28 @@ def test_feet_chord_and_minkowski_solves_take_at_most_16_evaluations(monkeypatch
             nc.refine_mink_roots(M, GENERIC, p)
     assert len(evaluations) == 4 * 300
     assert max(evaluations) <= 16
+
+
+@pytest.mark.parametrize("name", ["generic", "deg8", "off_centre"])
+def test_inscribe_polygon_takes_at_most_16_evaluations(name, monkeypatch):
+    # fractions 0 and 1 are bracket ends: their rows stop at the first
+    # evaluation, with r(0) as an exact vertex
+    body = ORACLE_BODIES[name]
+    evaluations = [0]
+    newton = trigcount.newton
+
+    def counting(f, lo, hi):
+        def counted(t):
+            evaluations[0] += 1
+            return f(t)
+
+        return newton(counted, lo, hi)
+
+    _use_solver(monkeypatch, counting)
+    poly = nc.inscribe_polygon(body, 64)
+    assert evaluations[0] <= 16
+    assert np.all(poly.vertices == body.boundary(0.0), axis=1).any()
+    fractions = np.array([0.0, 0.25, 0.5, 1.0])
+    theta = body.arclength_inverse(fractions)
+    assert theta[0] == 0.0 and theta[-1] == 2 * math.pi
+    assert np.array_equal(theta[1:-1], body.arclength_inverse(fractions[1:-1]))
