@@ -29,7 +29,7 @@ from .errors import (ConvexityError, DegenerateBodyError,
                      InfiniteDiametersError, SingularFlowError, SpecError,
                      TooSingularError, UnsupportedCombinationError)
 from .evolute import (EvolutePoint, contains_evolute, curvature_profile,
-                      evolute_points, rolling_ball_radius)
+                      evolute_points, normal_means, rolling_ball_radius)
 from .flows import (FlowSpec, FlowTrace, derivative_report, evolve_flow,
                     monotonicity_verdict, offset_body)
 from .minkowski import (NormBall2, birkhoff_direction, count_minkowski_normals,
@@ -71,7 +71,7 @@ __all__ = [
     "gauge", "gauge_batch", "hexagon_ratio_tau", "inscribe_polygon",
     "interior_margin", "is_centrally_symmetric", "measure2d", "measure3d",
     "mink_counts_batch", "minkowski_counter", "minkowski_sum_polygons",
-    "monotonicity_verdict", "normal_feet2", "normed_width_bound",
+    "monotonicity_verdict", "normal_feet2", "normal_means", "normed_width_bound",
     "offset_body", "parallel_antipodal_edge_pairs", "parse_body",
     "polygon_intersection_area", "polytope_from_points", "prism_over",
     "reflect_polygon", "reflected_wedge", "refine_mink_roots",

@@ -244,26 +244,29 @@ class SmoothBody2:
         given fraction of the perimeter: ``newton`` on s - arclength_to, whose
         slope is -rho; fractions 0 and 1 are their own brackets, 0 and 2*pi."""
         fraction = np.asarray(fraction, dtype=float)
-        s = fraction * self.arclength_to(np.array([TWO_PI]))[0]
-        return newton(lambda t: (s - self.arclength_to(t), -self.rho(t)),
+        s = np.ravel(fraction) * self.arclength_to(np.array([TWO_PI]))[0]
+        return newton(lambda t, rows: (s[rows] - self.arclength_to(t), -self.rho(t)),
                       TWO_PI * (fraction >= 1.0), TWO_PI * (fraction > 0.0))
 
     def normal_chord(self, theta):
-        """Inward normal chord L(theta) = h(theta) - <r(e), u(theta)>.  The exit e
-        is the root in (theta, theta + 2pi) of F(phi) = <r(phi) - r(theta),
-        u_perp(theta)> = h(phi) sin(phi - theta) + h'(phi) cos(phi - theta) -
-        h'(theta): a strictly convex curve crosses a line twice and F'(theta) =
-        rho > 0, so ``newton`` finds e, with F'(phi) = rho(phi) cos(phi - theta)."""
+        """Inward normal chord (L, e): L(theta) = h(theta) - <r(e), u(theta)>,
+        where r(e) is the exit point, whose outer normal angle e lies in
+        (theta, theta + 2pi).  e is the root there of F(phi) = <r(phi) -
+        r(theta), u_perp(theta)> = h(phi) sin(phi - theta) + h'(phi) cos(phi -
+        theta) - h'(theta): a strictly convex curve crosses a line twice and
+        F'(theta) = rho > 0, so ``newton`` finds e, with F'(phi) = rho(phi)
+        cos(phi - theta).  Both have the shape of theta."""
         theta = np.asarray(theta, dtype=float)
         h, h1, _ = self.jet(theta)
+        flat, h1 = np.ravel(theta), np.ravel(h1)
 
-        def exit_(phi):
+        def exit_(phi, rows):
             hp, hp1, hp2 = self.jet(phi)
-            c, s = np.cos(phi - theta), np.sin(phi - theta)
-            return hp * s + hp1 * c - h1, (hp + hp2) * c
+            c, s = np.cos(phi - flat[rows]), np.sin(phi - flat[rows])
+            return hp * s + hp1 * c - h1[rows], (hp + hp2) * c
 
         e = newton(exit_, theta, theta + TWO_PI)
-        return h - np.sum(self.boundary(e) * unit(theta), axis=-1)
+        return h - np.sum(self.boundary(e) * unit(theta), axis=-1), e
 
 
 @dataclass(frozen=True)

@@ -177,12 +177,12 @@ def _cmd_flow(args) -> int:
     if trace.truncated:
         lines.append("# truncated=true")
     lines.append("t,n_mean,n_lo,n_hi,n_surf_mean,area,perimeter")
-    for t, b, rep, srep in zip(trace.times, trace.bodies, trace.n_values,
-                               trace.n_surf_values):
+    for t, b, rep, n_surf in zip(trace.times, trace.bodies, trace.n_values,
+                                 trace.n_surf_values):
         m = measure2d(b)
         lines.append(",".join(format_float(v) for v in
                               (t, rep.mean, rep.ci95[0], rep.ci95[1],
-                               srep.mean, m["area"], m["perimeter"])))
+                               n_surf, m["area"], m["perimeter"])))
     path = _write_lines(args.out, "flow.csv", lines)
     print(f"wrote {path}")
     return 0

@@ -10,6 +10,15 @@ and exactly 2 normals through every boundary point.
 The centre c = r - rho*u lies on the inward normal chord from r, of length
 L (``SmoothBody2.normal_chord``), so it is inside exactly when rho < L:
 ``contains_evolute``'s worst_excess is max(rho - L) over its grid.
+
+The same chord gives both mean normal counts by quadrature
+(``normal_means``).  A point p = r(theta) - s*u(theta) of the normal bundle
+has Jacobian |rho - s|, and stable feet equal unstable feet, so the interior
+integral of the count is I = int [rho^2 - (rho - L)_+^2] dtheta.  Under the
+eikonal offset h -> h + t the chord grows by t at its start and by t/c at
+its exit angle e, c = -cos(e - theta) > 0, so the boundary mean is I'(0)/P
+= 2 + (2/P) int (rho - L)_+ / c dtheta: exactly 2 when the evolute lies
+inside the body.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from .bodies2d import TWO_PI, SmoothBody2, require_smooth
 
 _GRID = 8192  # angles of the evolute containment scan
 _RTOL = 1e-9  # containment allowance, relative to the body's scale
+_MEANS_GRID = 1024  # angles of the rectangle rule of normal_means
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,23 @@ def contains_evolute(body: SmoothBody2) -> tuple[bool, float]:
     """
     require_smooth(body, "the evolute machinery")
     theta = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
-    worst = float(np.max(body.rho(theta) - body.normal_chord(theta)))
+    worst = float(np.max(body.rho(theta) - body.normal_chord(theta)[0]))
     return worst <= _RTOL * body.scale, worst
+
+
+def normal_means(body: SmoothBody2) -> tuple[float, float]:
+    """Mean normal counts (n, n_surf) over the interior and over the boundary
+    (uniform in arclength), by the rectangle rule on ``_MEANS_GRID`` angles
+    of the chord integrals in the module docstring.  n_surf is exactly 2.0
+    where rho <= L at every angle of the rule."""
+    require_smooth(body, "the evolute machinery")
+    step = TWO_PI / _MEANS_GRID
+    theta = np.arange(_MEANS_GRID) * step
+    rho = body.rho(theta)
+    chord, e = body.normal_chord(theta)
+    over = np.maximum(rho - chord, 0.0)  # (rho - L)_+
+    n = step * float(np.sum(rho**2 - over**2)) / body.area()
+    return n, 2.0 + 2.0 * step * float(np.sum(over / -np.cos(e - theta))) / body.perimeter()
 
 
 def rolling_ball_radius(body: SmoothBody2) -> float:

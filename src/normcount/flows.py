@@ -4,10 +4,12 @@ The unit-speed (eikonal) flow moves every boundary point along its outer
 normal, which in support-function form is exactly ``h -> h + t``: the flow
 is a coefficient shift, never time-stepped, so the experiments carry no
 solver error.  Normal lines are invariant under the flow, hence the count
-through a fixed interior point does not change; all time slices are
-therefore estimated on one shared candidate stream (one seed, one box),
-which couples the estimates and removes almost all sampling noise from
-time differences.
+through a fixed interior point does not change; the interior means of
+``evolve_flow`` are Monte Carlo (MC) estimates on one shared candidate
+stream (one seed, one box), which couples the estimates and removes almost
+all sampling noise from time differences.  The boundary means, and both
+sides of ``derivative_report``'s identity, are quadrature values of
+``evolute.normal_means`` (no sampling).
 
 The curvature-power flow ``dh/dt = +/- rho^r`` is integrated explicitly on a
 dense angle grid with re-projection onto the finite Fourier basis each step;
@@ -26,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import EstimateReport, estimate_boundary_average, resolve_counter
+from .averaging import EstimateReport, resolve_counter
 from .bodies2d import (TWO_PI, SmoothBody2, bounding_box, contains2_batch,
                        measure2d, require_smooth, signed_boundary_excess)
 from .errors import ConvexityError, DomainError, SingularFlowError
-from .evolute import rolling_ball_radius
+from .evolute import normal_means, rolling_ball_radius
 from .rng import accept_prefix
 
 _KINDS = ("outward_eikonal", "inward_eikonal", "curvature_power")
@@ -60,10 +62,12 @@ class FlowSpec:
 
 @dataclass
 class FlowTrace:
+    """Per time slice: the body, the MC interior mean (an ``EstimateReport``)
+    and the quadrature boundary mean (a float of ``normal_means``)."""
     times: np.ndarray
     bodies: list
     n_values: list
-    n_surf_values: list
+    n_surf_values: np.ndarray
     truncated: bool = False
 
     def means(self) -> np.ndarray:
@@ -175,10 +179,6 @@ def _coupled_pool(bodies: list, signed_times, n_samples: int,
                         for i, b in enumerate(bodies)]
 
 
-def _boundary_samples(n_samples: int) -> int:
-    return max(1000, n_samples // 10)
-
-
 def _signed_times(spec: FlowSpec, times: np.ndarray):
     if spec.kind == "outward_eikonal":
         return times
@@ -188,11 +188,13 @@ def _signed_times(spec: FlowSpec, times: np.ndarray):
 
 
 def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int) -> FlowTrace:
-    """Evolve the body and estimate interior and boundary mean counts per time.
+    """Evolve the body and give the interior and boundary mean counts per time.
 
-    All slices share one candidate stream over one box, so shared points
-    contribute identically at every time and time differences are nearly
-    noise-free.  Flagged (degeneracy-locus) points are excluded and tallied.
+    Interior means are MC: all slices share one candidate stream over one
+    box, so shared points contribute identically at every time and time
+    differences are nearly noise-free.  Flagged (degeneracy-locus) points
+    are excluded and tallied.  Boundary means are the quadrature values of
+    ``normal_means``.
     """
     require_smooth(body, "a flow")
     times, bodies, truncated = _flow_bodies(body, spec)
@@ -205,10 +207,7 @@ def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int) ->
         flags = np.asarray(flags, dtype=bool)
         n_values.append(EstimateReport.from_values(
             np.asarray(vals, dtype=float)[~flags], int(flags.sum())))
-    n_surf_values = [
-        estimate_boundary_average(b, "normals", _boundary_samples(n_samples), seed)
-        for b in bodies
-    ]
+    n_surf_values = np.array([normal_means(b)[1] for b in bodies])
     return FlowTrace(times, bodies, n_values, n_surf_values, truncated)
 
 
@@ -244,63 +243,27 @@ def monotonicity_verdict(trace: FlowTrace) -> dict:
     }
 
 
-def derivative_report(body: SmoothBody2, dt: float, n_samples: int, seed: int) -> dict:
-    """Finite-difference vs identity for d/dt of the interior mean count.
+def derivative_report(body: SmoothBody2, dt: float) -> dict:
+    """Forward difference vs identity for d/dt of the interior mean count.
 
-    Both sides are estimated from matched seeds: the finite difference uses
-    one candidate prefix shared by the body and its offset (the difference is
-    then driven only by the annulus points), and the right-hand side is
-    (perimeter/area) * (n_surf - n).  Returns the residual plus delta-method
-    standard errors for an honest combined CI width.
+    Under h -> h + t the area grows at the rate P, and the integral of the
+    count at the rate P * n_surf, so dn/dt = (P/A) * (n_surf - n).  Both
+    sides are quadrature values of ``normal_means``: the finite difference
+    (n(dt) - n(0)) / dt and the identity's right-hand side at t = 0.  Their
+    residual is the difference's own error, first order in dt.
     """
     require_smooth(body, "a flow")
     if dt <= 0:
         raise DomainError("derivative_report needs dt > 0")
-    grown = offset_body(body, dt)
-    counter_fn = resolve_counter("normals")
-    candidates, (in0, in1) = _coupled_pool([body, grown], np.array([0.0, dt]),
-                                           n_samples, seed)
-    pts1 = candidates[in1]
-    vals1, flags1 = counter_fn(grown, pts1)
-    vals1 = np.asarray(vals1, dtype=float)
-    ann_mask = ~in0[in1]  # annulus points, in grown only
-    keep = ~np.asarray(flags1, dtype=bool)
-    vals0 = vals1[keep & ~ann_mask]
-    valsA = vals1[keep & ann_mask]
-    n0 = len(vals0)
-    n1 = int(np.sum(keep))
-    mean0 = float(np.mean(vals0))
-    mean1 = float(np.mean(vals1[keep]))
-    se0 = float(np.std(vals0, ddof=1)) / math.sqrt(n0)
-    dn = len(valsA)
-    mean_ann = float(np.mean(valsA)) if dn else mean0
-    var_ann = float(np.var(valsA, ddof=1)) if dn > 1 else 0.0
-
-    fd = (mean1 - mean0) / dt
-    rate = dn / (n1 * dt)
-    var_fd = (1.0 / dt ** 2) * (
-        (dn / n1) ** 2 * (var_ann / max(dn, 1))
-        + (mean_ann - mean0) ** 2 * max(dn, 1) / n1 ** 2
-        + (dn / n1) ** 2 * se0 ** 2
-    )
-    se_fd = math.sqrt(var_fd)
-
-    surf = estimate_boundary_average(body, "normals", _boundary_samples(n_samples), seed)
-    m = measure2d(body)
-    ratio = m["perimeter"] / m["area"]
-    rhs = ratio * (surf.mean - mean0)
-    se_rhs = ratio * math.sqrt(surf.std_error ** 2 + se0 ** 2)
-
+    n0, surf = normal_means(body)
+    fd = (normal_means(offset_body(body, dt))[0] - n0) / dt
+    ratio = body.perimeter() / body.area()
+    rhs = ratio * (surf - n0)
     return {
         "residual": abs(fd - rhs),
         "finite_difference": fd,
         "identity_rhs": rhs,
-        "annulus_rate": rate,
         "perimeter_over_area": ratio,
-        "n_mean": mean0,
-        "n_surf_mean": surf.mean,
-        "combined_ci_width": 1.96 * (se_fd + se_rhs),
-        "se_finite_difference": se_fd,
-        "se_identity_rhs": se_rhs,
-        "samples_used": n1,
+        "n_mean": n0,
+        "n_surf_mean": surf,
     }

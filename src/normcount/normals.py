@@ -88,7 +88,7 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
     r(theta) has p on its normal, so its chord is ``normal_chord(theta)``.
     """
     if isinstance(body, SmoothBody2):
-        return body.normal_chord(np.array([source[1] for _, source, _ in feet]))
+        return body.normal_chord(np.array([source[1] for _, source, _ in feet]))[0]
     qs = np.array([q for q, _, _ in feet])
     d = p - qs
     d /= np.linalg.norm(d, axis=1, keepdims=True)

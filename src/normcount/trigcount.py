@@ -78,36 +78,41 @@ def bisect(f, lo, hi) -> np.ndarray:
 def newton(f, lo, hi) -> np.ndarray:
     """Safeguarded Newton iteration on the brackets [lo[i], hi[i]].
 
-    ``f(t)`` returns (value, slope) per bracket, with value > 0 on the
-    ``lo`` side of the crossing (where ``bisect``'s predicate holds).  Each
-    evaluated t becomes the end of its side, so the bracket always keeps the
-    sign change, and the next t is the Newton step where that lands strictly
-    inside the bracket, the midpoint otherwise: a slope of the wrong sign,
-    zero or NaN costs halvings, never the root.  A row stops when a Newton
-    step that points into its bracket is at most 4 ulp of the larger end of
-    its first bracket (applied when it lands inside), when its value is
-    exactly 0, or when no double lies strictly between its ends.
+    ``f(t, rows)`` returns (value, slope) at t for the brackets of the
+    index array ``rows`` (into the flattened brackets), with value > 0 on
+    the ``lo`` side of the crossing (where ``bisect``'s predicate holds).
+    Only the rows not yet stopped are evaluated, so a slow row costs passes
+    over itself alone.  Each evaluated t becomes the end of its side, so the
+    bracket always keeps the sign change, and the next t is the Newton step
+    where that lands strictly inside the bracket, the midpoint otherwise: a
+    slope of the wrong sign, zero or NaN costs halvings, never the root.  A
+    row stops when a Newton step that points into its bracket is at most
+    4 ulp of the larger end of its first bracket (applied when it lands
+    inside), when its value is exactly 0, or when no double lies strictly
+    between its ends.  The result has the shape of the brackets.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
+    shape = np.shape(lo)
+    lo = np.array(lo, dtype=float).ravel()
+    hi = np.array(hi, dtype=float).ravel()
     tiny = 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
     t = 0.5 * (lo + hi)
-    done = np.zeros(t.shape, dtype=bool)
-    while not done.all():
-        val, slope = f(t)
+    rows = np.arange(t.size)
+    while rows.size:
+        now = t[rows]
+        val, slope = f(now, rows)
         pos = val > 0
-        lo = np.where(pos, t, lo)  # on stopped rows too: their t no longer moves
-        hi = np.where(pos, hi, t)
+        lo[rows] = a = np.where(pos, now, lo[rows])
+        hi[rows] = b = np.where(pos, hi[rows], now)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = val / slope
-            nxt = t - step
-            inside = (nxt - lo) * (nxt - hi) < 0
-            mid = 0.5 * (lo + hi)
-            ahead = step * (t - mid) > 0  # the step points into the bracket
-        stop = (val == 0) | (ahead & (np.abs(step) <= tiny)) | (mid == lo) | (mid == hi)
-        t = np.where(done, t, np.where(inside, nxt, np.where(stop, t, mid)))
-        done |= stop
-    return t
+            nxt = now - step
+            inside = (nxt - a) * (nxt - b) < 0
+            mid = 0.5 * (a + b)
+            ahead = step * (now - mid) > 0  # the step points into the bracket
+        stop = (val == 0) | (ahead & (np.abs(step) <= tiny[rows])) | (mid == a) | (mid == b)
+        t[rows] = np.where(inside, nxt, np.where(stop, now, mid))
+        rows = rows[~stop]
+    return t.reshape(shape)
 
 
 def _no_zero(f: np.ndarray, delta: float, lip1: np.ndarray, lip2: np.ndarray,
@@ -218,8 +223,9 @@ def root_angles(g, point, degree: int, scale: float):
             j = np.flatnonzero(pos != np.roll(pos, -1))
             lo = (j + 0.5) * (TWO_PI / grid)
             sign = np.where(pos[j], 1.0, -1.0)  # g's sign on each lo side
-            theta = newton(lambda t: sign * (np.exp(1j * np.outer(t, k)) @ table).real.T,
-                           lo, lo + TWO_PI / grid) % TWO_PI
+            theta = newton(
+                lambda t, rows: sign[rows] * (np.exp(1j * np.outer(t, k)) @ table).real.T,
+                lo, lo + TWO_PI / grid) % TWO_PI
             order = np.argsort(theta)
             return theta[order], pos[j][order]
     return None

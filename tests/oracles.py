@@ -429,17 +429,20 @@ def gauge_bisection(M_body, x, iters: int = 200) -> float:
 
 
 def bracket_bisection(f, lo, hi) -> np.ndarray:
-    """The crossing in each bracket [lo[i], hi[i]] of f(t) = (value, slope),
-    value > 0 on the lo side, by 64 halvings of the predicate value > 0; the
-    slope is ignored.  A drop-in reference for ``trigcount.newton``."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
+    """The crossing in each bracket [lo[i], hi[i]] of f(t, rows) = (value,
+    slope), value > 0 on the lo side, by 64 halvings of the predicate
+    value > 0 on every row; the slope is ignored.  A drop-in reference for
+    ``trigcount.newton``."""
+    shape = np.shape(lo)
+    lo = np.array(lo, dtype=float).ravel()
+    hi = np.array(hi, dtype=float).ravel()
+    rows = np.arange(lo.size)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        left = f(mid)[0] > 0
+        left = f(mid, rows)[0] > 0
         lo = np.where(left, mid, lo)
         hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
+    return (0.5 * (lo + hi)).reshape(shape)
 
 
 def normal_chord_bisection(body: SmoothBody2, theta) -> np.ndarray:

@@ -153,14 +153,16 @@ def test_monotonicity_verdict_keys_and_endpoints():
 
 def test_derivative_report_identity():
     body = _wavy(0.05)
-    rep = nc.derivative_report(body, 1e-3, 40000, seed=5)
-    assert rep["residual"] < rep["combined_ci_width"] + 0.2
+    rep = nc.derivative_report(body, 1e-3)
+    assert set(rep) == {"residual", "finite_difference", "identity_rhs",
+                        "perimeter_over_area", "n_mean", "n_surf_mean"}
+    assert rep["residual"] < 1e-2 * abs(rep["identity_rhs"])  # first order in dt
     # both sides negative for an evolute-inside body flowing outward
     assert rep["finite_difference"] < 0.0
     assert rep["identity_rhs"] < 0.0
-    assert rep["n_mean"] > rep["n_surf_mean"]  # interior mean above boundary mean
+    assert rep["n_surf_mean"] == 2.0 < rep["n_mean"]  # interior mean above boundary mean
     with pytest.raises(DomainError):
-        nc.derivative_report(body, 0.0, 1000, seed=0)
+        nc.derivative_report(body, 0.0)
 
 
 def test_evolve_flow_rejects_too_few_samples():
@@ -197,8 +199,12 @@ def test_contains_evolute_worst_excess_is_pinned():
 def test_normal_chord_matches_the_bisection_oracle(body):
     theta = np.linspace(0.0, 2.0 * np.pi, 300, endpoint=False) + 0.01
     want = oracles.normal_chord_bisection(body, theta)
-    assert np.max(np.abs(body.normal_chord(theta) - want)) <= 1e-12 * body.scale
-    assert body.normal_chord(theta[7]) == body.normal_chord(theta)[7]  # a scalar angle
+    chord, e = body.normal_chord(theta)
+    assert np.max(np.abs(chord - want)) <= 1e-12 * body.scale
+    assert body.normal_chord(theta[7]) == (chord[7], e[7])  # a scalar angle
+    # the exit angle's boundary point is the chord's far end
+    far = body.boundary(theta) - chord[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    assert np.max(np.linalg.norm(body.boundary(e) - far, axis=1)) <= 1e-12 * body.scale
 
 
 def test_pinned_worst_excess_matches_the_bisection_oracle():
@@ -230,27 +236,52 @@ def test_contains_evolute_matches_the_margin_rule():
 
 def _trace_digest(trace):
     rows = [(r.mean, r.std_error, r.ci95[0], r.ci95[1], r.samples_used, r.degenerate_resampled)
-            for r in trace.n_values + trace.n_surf_values]
+            for r in trace.n_values]
     return hashlib.sha256(trace.times.tobytes() + np.array(rows, dtype=float).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("spec,digest", [
     (nc.FlowSpec("outward_eikonal", 1.0, 3),
-     "622a30d3cafa0a69c5d6ebebdc74f3aee5d618b10964b9f1b3fe5e26c133d609"),
+     "aeb31afc53d3cff784fb3d6ba56fce7ce99a876fc9a163fdca6c0001efc7264f"),
     (nc.FlowSpec("inward_eikonal", 0.4, 3),
-     "3e90b7ccd9d7c0e319bbf4762710771dd87069ba649eb8f0561a6979ebfc1653"),
+     "471f9e5815e2e3761c0b29b043e55e4a72b3c007fa063588bcf1d6425defe42e"),
     (nc.FlowSpec("curvature_power", 0.05, 3, r=1.0),
-     "2585380dece8fe88021812598adb39373912fb2ff00a0c3cf5625c4ae4208468"),
+     "705bc1fdd2438773b961e4abe5d5c2ee7e59f12a01ff214aee7072e37db5f578"),
 ], ids=["outward_eikonal", "inward_eikonal", "curvature_power"])
 def test_evolve_flow_is_pinned(spec, digest):
-    # sha256 of the slice reports as first computed with the hand-written
-    # accept loops of the coupled pool
+    # sha256 of the interior (MC) slice reports, as computed when the
+    # boundary means were still sampled; the body contains its evolute at
+    # every slice, so every boundary mean is exactly 2
     trace = nc.evolve_flow(nc.SmoothBody2(1.0, [0.0, 0.0, 0.06]), spec, 2000, seed=4)
     assert _trace_digest(trace) == digest
+    assert np.all(trace.n_surf_values == 2.0)
 
 
-def test_derivative_report_is_pinned():
-    rep = nc.derivative_report(nc.SmoothBody2(1.0, [0.0, 0.0, 0.05]), 1e-3, 5000, seed=5)
-    values = np.array([rep[k] for k in sorted(rep)], dtype=float)
-    assert (hashlib.sha256(values.tobytes()).hexdigest()
-            == "e26da5eb6f761900ed270da82f1236c7b474ea6c086bbc9db7c50dd25c889916")
+# h = 1 + .3 cos 2t and h = 1 + .25 cos 2t + .02 sin 3t: evolutes leave K
+EVOLUTE_OUTSIDE = [nc.SmoothBody2(1.0, [0.0, 0.3]),
+                   nc.SmoothBody2(1.0, [0.0, 0.25], [0.0, 0.0, 0.02])]
+
+
+def test_normal_means_on_a_body_containing_its_evolute():
+    # Parseval: integral of rho^2 = 2pi a0^2 + pi sum (k^2 - 1)^2 (a_k^2 + b_k^2)
+    body = nc.SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04])
+    n, n_surf = nc.normal_means(body)
+    assert n_surf == 2.0
+    assert n == pytest.approx(90 / 41, abs=1e-12)
+
+
+@pytest.mark.parametrize("body", EVOLUTE_OUTSIDE, ids=["cos2=.3", "cos2=.25,sin3=.02"])
+def test_closed_form_boundary_mean_matches_monte_carlo(body):
+    n_surf = nc.normal_means(body)[1]
+    rep = nc.estimate_boundary_average(body, "normals", 200000, seed=1)
+    assert n_surf > 2.0
+    assert abs(n_surf - rep.mean) <= 4.0 * rep.std_error
+
+
+@pytest.mark.parametrize("body", EVOLUTE_OUTSIDE, ids=["cos2=.3", "cos2=.25,sin3=.02"])
+def test_derivative_residual_is_first_order_in_dt(body):
+    # the forward difference errs by n''(0) dt / 2; the quadrature adds none
+    # that shows at these steps
+    coarse = nc.derivative_report(body, 1e-3)["residual"]
+    fine = nc.derivative_report(body, 1e-4)["residual"]
+    assert 0.08 * coarse <= fine <= 0.12 * coarse

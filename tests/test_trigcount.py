@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import normcount as nc
-from normcount import trigcount
+from normcount import bodies2d, trigcount
+from normcount.rng import philox_generator
 
 import oracles
 
@@ -234,7 +235,8 @@ def test_newton_keeps_the_bracketed_root_whatever_the_slope(slope):
     lo = np.array([0.1, 1.0, 1.2, 1.5707963, 3.0])
     hi = np.array([2.0, 2.0, 3.0, 1.5707964, 0.5])
     sign = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
-    got = trigcount.newton(lambda t: (sign * np.cos(t), sign * slope(t)), lo, hi)
+    got = trigcount.newton(lambda t, rows: (sign[rows] * np.cos(t), sign[rows] * slope(t)),
+                           lo, hi)
     assert np.all(np.abs(got - math.pi / 2) <= np.spacing(math.pi / 2))
 
 
@@ -245,9 +247,9 @@ def test_feet_chord_and_minkowski_solves_take_at_most_16_evaluations(monkeypatch
     def counting(f, lo, hi):
         calls = [0]
 
-        def counted(t):
+        def counted(t, rows):
             calls[0] += 1
-            return f(t)
+            return f(t, rows)
 
         root = newton(counted, lo, hi)
         evaluations.append(calls[0])
@@ -271,9 +273,9 @@ def test_inscribe_polygon_takes_at_most_16_evaluations(name, monkeypatch):
     newton = trigcount.newton
 
     def counting(f, lo, hi):
-        def counted(t):
+        def counted(t, rows):
             evaluations[0] += 1
-            return f(t)
+            return f(t, rows)
 
         return newton(counted, lo, hi)
 
@@ -285,3 +287,25 @@ def test_inscribe_polygon_takes_at_most_16_evaluations(name, monkeypatch):
     theta = body.arclength_inverse(fractions)
     assert theta[0] == 0.0 and theta[-1] == 2 * math.pi
     assert np.array_equal(theta[1:-1], body.arclength_inverse(fractions[1:-1]))
+
+
+def test_a_stalled_arclength_row_costs_passes_over_itself_alone(monkeypatch):
+    # one row of this solve (row 21343, theta near 2.47) takes 357
+    # evaluations: near its root s - arclength_to is rounding noise, so its
+    # Newton steps stay a few ulp long and never meet the stop; the rest
+    # take 6.5 on average, so evaluating every row on every pass took 28 s
+    body = nc.SmoothBody2(1.0, [0.0, 0.3])
+    fractions = philox_generator(1).random(200000)
+    evaluated = [0]
+    arclength_to = nc.SmoothBody2.arclength_to
+
+    def counted(self, theta):
+        evaluated[0] += np.size(theta)
+        return arclength_to(self, theta)
+
+    monkeypatch.setattr(nc.SmoothBody2, "arclength_to", counted)
+    theta = body.arclength_inverse(fractions)
+    assert evaluated[0] <= 7 * len(fractions)
+    monkeypatch.setattr(bodies2d, "newton", oracles.bracket_bisection)
+    some = np.r_[21343, 0:len(fractions):100]  # rows are solved independently
+    assert np.max(np.abs(theta[some] - body.arclength_inverse(fractions[some]))) <= 8.9e-15
