@@ -194,12 +194,6 @@ class SmoothBody2:
     def support(self, theta):
         return self.jet(theta)[0]
 
-    def support_d1(self, theta):
-        return self.jet(theta)[1]
-
-    def support_d2(self, theta):
-        return self.jet(theta)[2]
-
     def rho(self, theta):
         """Curvature radius rho(theta) = h + h'', summed as one series (h + h''
         from ``jet`` can round differently in the last place)."""
@@ -214,6 +208,12 @@ class SmoothBody2:
         u = unit(theta)
         up = np.stack([-u[..., 1], u[..., 0]], axis=-1)
         return np.asarray(h)[..., None] * u + np.asarray(h1)[..., None] * up
+
+    def lines(self, pts, theta, d):
+        """G[i, j] = cross(d[j], pts[i] - r(theta[j])), zero on the line of
+        direction d[j] through r(theta[j]); its roots in theta are the normals
+        (d = u), Birkhoff normals (d = r_M), affine diameters (d = r(t + pi) - r(t))."""
+        return pts @ np.stack([-d[:, 1], d[:, 0]]) - cross2(d, self.boundary(theta))
 
     def curvature_center(self, theta):
         """Center of curvature c = r - rho*u; the shape follows theta as in

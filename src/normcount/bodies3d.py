@@ -180,33 +180,43 @@ def _zonotope_points(generators) -> np.ndarray:
     return pts - pts.mean(axis=0)
 
 
-def standard_polytope(name: str, **kw) -> Polytope3:
-    """Named solids used by the averaging experiments.
+# the named solids, each with the sizes it takes and their defaults
+_STANDARD_SIZES = {"cube": {"side": 1.0}, "tetrahedron": {"side": 1.0},
+                   "octahedron": {"side": 1.0},
+                   "hexagonal_prism": {"circumradius": 1.0, "height": 1.0},
+                   "truncated_octahedron": {"edge": math.sqrt(2.0)},
+                   "rhombic_dodecahedron": {"edge": math.sqrt(3.0)},
+                   "elongated_dodecahedron": {"elongation": 2.0}}
 
-    cube(side), tetrahedron(side), octahedron(side),
-    hexagonal_prism(circumradius, height), truncated_octahedron(edge),
-    rhombic_dodecahedron(edge), elongated_dodecahedron(elongation).
-    """
+
+def standard_polytope(name: str, **kw) -> Polytope3:
+    """Named solids used by the averaging experiments, with the sizes of
+    ``_STANDARD_SIZES``.  DegenerateBodyError names an unknown solid, a size
+    the solid does not take and a size that is not positive and finite."""
     name = name.lower().replace("-", "_")
-    if name == "cube":
-        s = 0.5 * float(kw.get("side", 1.0))
-        verts = np.array(list(itertools.product((-s, s), repeat=3)))
-        return polytope_from_points(verts)
-    if name == "tetrahedron":
-        s = float(kw.get("side", 1.0)) / math.sqrt(8.0)
-        verts = s * np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1.0)])
-        return polytope_from_points(verts)
-    if name == "octahedron":
-        s = float(kw.get("side", 1.0)) / math.sqrt(2.0)
-        verts = s * np.vstack([np.eye(3), -np.eye(3)])
-        return polytope_from_points(verts)
+    if name not in _STANDARD_SIZES:
+        raise DegenerateBodyError(f"unknown standard polytope '{name}'")
+    sizes = dict(_STANDARD_SIZES[name])
+    for key, val in kw.items():
+        if key not in sizes:
+            raise DegenerateBodyError(
+                f"{name} takes {' and '.join(map(repr, sizes))}, not {key!r}")
+        sizes[key] = float(val)
+        if not 0 < sizes[key] < math.inf:
+            raise DegenerateBodyError(f"{name} {key} must be positive and finite, got {val!r}")
     if name == "hexagonal_prism":
-        r = float(kw.get("circumradius", 1.0))
-        h = float(kw.get("height", 1.0))
-        return prism_over(_regular_polygon(6, r), h)
-    if name == "truncated_octahedron":
-        edge = float(kw.get("edge", math.sqrt(2.0)))
-        scale = edge / math.sqrt(2.0)
+        return prism_over(_regular_polygon(6, sizes["circumradius"]), sizes["height"])
+    if name == "cube":
+        s = 0.5 * sizes["side"]
+        verts = np.array(list(itertools.product((-s, s), repeat=3)))
+    elif name == "tetrahedron":
+        s = sizes["side"] / math.sqrt(8.0)
+        verts = s * np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1.0)])
+    elif name == "octahedron":
+        s = sizes["side"] / math.sqrt(2.0)
+        verts = s * np.vstack([np.eye(3), -np.eye(3)])
+    elif name == "truncated_octahedron":
+        scale = sizes["edge"] / math.sqrt(2.0)
         base = []
         for perm in itertools.permutations((0.0, 1.0, 2.0)):
             for sx in (-1, 1):
@@ -214,23 +224,20 @@ def standard_polytope(name: str, **kw) -> Polytope3:
                     for sz in (-1, 1):
                         base.append((sx * perm[0], sy * perm[1], sz * perm[2]))
         verts = scale * np.unique(np.asarray(base), axis=0)
-        return polytope_from_points(verts)
-    if name == "rhombic_dodecahedron":
-        edge = float(kw.get("edge", math.sqrt(3.0)))
-        scale = edge / math.sqrt(3.0)
+    elif name == "rhombic_dodecahedron":
+        scale = sizes["edge"] / math.sqrt(3.0)
         cube = list(itertools.product((-1.0, 1.0), repeat=3))
         axes = [
             (2.0, 0, 0), (-2.0, 0, 0), (0, 2.0, 0), (0, -2.0, 0), (0, 0, 2.0), (0, 0, -2.0),
         ]
         verts = scale * np.asarray(cube + axes)
-        return polytope_from_points(verts)
-    if name == "elongated_dodecahedron":
-        c = float(kw.get("elongation", 2.0))
+    else:  # elongated_dodecahedron
+        c = sizes["elongation"]
         gens = np.array(
             [[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0], [0.0, 0.0, c]]
         )
-        return polytope_from_points(_zonotope_points(gens))
-    raise DegenerateBodyError(f"unknown standard polytope '{name}'")
+        verts = _zonotope_points(gens)
+    return polytope_from_points(verts)
 
 
 # ---------------------------------------------------------------------------

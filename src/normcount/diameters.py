@@ -8,9 +8,9 @@ it, so they agree with it by construction.
 For a smooth strictly convex body the chord with supporting-line direction
 ``theta`` joins the boundary points with outer normal angles
 ``theta + pi/2`` and ``theta + 3*pi/2``; the diameters through a point ``p``
-are the roots in ``phi`` of the aligned-chord function
+are the roots in ``phi`` of the line function (``SmoothBody2.lines``)
 
-    G(phi) = cross(p - r(phi), r(phi + pi) - r(phi)),
+    G(phi) = cross(r(phi + pi) - r(phi), p - r(phi)),
 
 which satisfies G(phi + pi) = -G(phi), so each diameter is a single sign
 change of G on [0, pi).  G is a trigonometric polynomial of degree
@@ -60,14 +60,6 @@ def diameter_chord(body: SmoothBody2, theta: float) -> DiameterChord:
     p0 = body.boundary(np.array([phi]))[0]
     p1 = body.boundary(np.array([phi + np.pi]))[0]
     return DiameterChord(np.array([p0, p1]), float(theta), float(np.linalg.norm(p1 - p0)))
-
-
-def _chord_g(body: SmoothBody2, pts: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """G[i, j] = cross(pts[i] - r(phis[j]), r(phis[j] + pi) - r(phis[j]))."""
-    r0 = body.boundary(phis)
-    d = body.boundary(phis + np.pi) - r0
-    base = r0[:, 0] * d[:, 1] - r0[:, 1] * d[:, 0]
-    return pts @ np.stack([d[:, 1], -d[:, 0]]) - base
 
 
 def _antipodal(P: Polygon2):
@@ -147,8 +139,9 @@ def diameter_counts_batch(body, pts) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(body, Polygon2):
         return _polygon_counts(body, pts)
     if isinstance(body, SmoothBody2):
-        total, _, flags = count_roots(lambda q, phis: _chord_g(body, q, phis), pts,
-                                      2 * body.degree + 2, body.scale**2)
+        total, _, flags = count_roots(
+            lambda q, phis: body.lines(q, phis, body.boundary(phis + np.pi) - body.boundary(phis)),
+            pts, 2 * body.degree + 2, body.scale**2)
         return np.where(flags, DEGENERATE, total // 2), flags
     raise UnsupportedCombinationError(
         f"affine-diameter counting is not available for {type(body).__name__}")

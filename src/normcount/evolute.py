@@ -78,7 +78,11 @@ def normal_means(body: SmoothBody2) -> tuple[float, float]:
     """Mean normal counts (n, n_surf) over the interior and over the boundary
     (uniform in arclength), by the rectangle rule on ``_MEANS_GRID`` angles
     of the chord integrals in the module docstring.  n_surf is exactly 2.0
-    where rho <= L at every angle of the rule."""
+    where rho <= L at every angle of the rule.  Where the evolute lies
+    inside the body the rule is exact to rounding; elsewhere the kink of
+    (rho - L)_+ limits it: against 65536 angles it errs by 1.3e-8 in n and
+    2.9e-6 in n_surf on h = 1 + .3 cos 2t, by 7.9e-9 and 2.2e-7 on
+    h = 1 + .25 cos 2t + .02 sin 3t."""
     require_smooth(body, "the evolute machinery")
     step = TWO_PI / _MEANS_GRID
     theta = np.arange(_MEANS_GRID) * step

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -50,8 +51,8 @@ class FlowSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown flow kind {self.kind!r}")
-        if self.steps < 1:
-            raise DomainError("flow needs at least one step")
+        if not isinstance(self.steps, Integral) or self.steps < 1:
+            raise DomainError(f"steps must be a positive integer, got {self.steps!r}")
         if not 0 < self.t_end < math.inf:
             raise DomainError("t_end must be positive and finite")
         if not math.isfinite(self.r):
@@ -63,7 +64,9 @@ class FlowSpec:
 @dataclass
 class FlowTrace:
     """Per time slice: the body, the MC interior mean (an ``EstimateReport``)
-    and the quadrature boundary mean (a float of ``normal_means``)."""
+    and the quadrature boundary mean (a float of ``normal_means``, exact to
+    rounding where the evolute lies inside the slice, elsewhere within the
+    kink error stated there)."""
     times: np.ndarray
     bodies: list
     n_values: list
@@ -82,6 +85,8 @@ def offset_body(body: SmoothBody2, t: float) -> SmoothBody2:
     curvature shifts by exactly t; both are spot-checked.
     """
     require_smooth(body, "a flow")
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     if t < 0 and -t >= rolling_ball_radius(body):
         raise SingularFlowError(
             f"inward offset {t} reaches the evolute (rolling-ball radius "
@@ -250,11 +255,13 @@ def derivative_report(body: SmoothBody2, dt: float) -> dict:
     count at the rate P * n_surf, so dn/dt = (P/A) * (n_surf - n).  Both
     sides are quadrature values of ``normal_means``: the finite difference
     (n(dt) - n(0)) / dt and the identity's right-hand side at t = 0.  Their
-    residual is the difference's own error, first order in dt.
+    residual is the difference's own error, first order in dt, where the
+    evolute lies inside the body (the rule is then exact to rounding);
+    elsewhere the rule's kink error, stated in ``normal_means``, adds to it.
     """
     require_smooth(body, "a flow")
-    if dt <= 0:
-        raise DomainError("derivative_report needs dt > 0")
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
     n0, surf = normal_means(body)
     fd = (normal_means(offset_body(body, dt))[0] - n0) / dt
     ratio = body.perimeter() / body.area()

@@ -7,9 +7,10 @@ supports M.  For smooth strictly convex M this gives a closed form: the
 normal direction at the K-point with outer normal angle theta is the
 direction of the M-boundary point r_M(theta).  With M the Euclidean disk
 this is the classical normal, and the entire counting pipeline reduces to
-the Euclidean one root-for-root.  The normals through a point are the roots
-of a trigonometric polynomial, counted by the certified kernel of
-``trigcount``; a point whose count cannot be certified is DEGENERATE.
+the Euclidean one root-for-root.  The normals through p are the roots of
+cross(r_M(theta), p - r_K(theta)) (``SmoothBody2.lines`` with d = r_M),
+counted by the certified kernel of ``trigcount``; a point whose count cannot
+be certified is DEGENERATE.
 
 tau(M) is the largest area of an affine-regular hexagon inscribed in M,
 relative to the area of M; it is affine-invariant, at most 1 (equality
@@ -84,19 +85,6 @@ def birkhoff_direction(M: NormBall2, phi: float) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _mink_g(M: NormBall2, K: SmoothBody2, pts: np.ndarray,
-            thetas: np.ndarray) -> np.ndarray:
-    """G[i, j] = cross(pts[i] - r_K(theta_j), r_M(theta_j)).
-
-    The tangent of K at r_K(theta) has direction theta + pi/2, whose Birkhoff
-    normal direction is r_M(theta); a root in theta is a normal through p.
-    """
-    rk = K.boundary(thetas)
-    rm = M.body.boundary(thetas)
-    base = rk[:, 0] * rm[:, 1] - rk[:, 1] * rm[:, 0]
-    return pts @ np.stack([rm[:, 1], -rm[:, 0]]) - base
-
-
 def mink_counts_batch(M: NormBall2, K: SmoothBody2,
                       pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count Minkowski normals through each point; returns (counts, flags).
@@ -108,9 +96,8 @@ def mink_counts_batch(M: NormBall2, K: SmoothBody2,
     """
     require_smooth(M.body, "Birkhoff normality")
     require_smooth(K, "Minkowski counting")
-    counts, _, flags = count_roots(lambda q, th: _mink_g(M, K, q, th), pts,
-                                   K.degree + M.body.degree + 2,
-                                   K.scale * M.body.scale)
+    counts, _, flags = count_roots(lambda q, th: K.lines(q, th, M.body.boundary(th)), pts,
+                                   K.degree + M.body.degree + 2, K.scale * M.body.scale)
     return counts, flags
 
 
@@ -143,8 +130,9 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
     """
     require_smooth(M.body, "Birkhoff normality")
     require_smooth(K, "Minkowski counting")
-    found = root_angles(lambda q, th: _mink_g(M, K, q, th), require_interior(K, p),
-                        K.degree + M.body.degree + 2, K.scale * M.body.scale)
+    found = root_angles(lambda q, th: K.lines(q, th, M.body.boundary(th)),
+                        require_interior(K, p), K.degree + M.body.degree + 2,
+                        K.scale * M.body.scale)
     if found is None:
         raise DegenerateConfigurationError(
             "the Minkowski normal count is not certified here: the point lies "

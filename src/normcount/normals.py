@@ -24,16 +24,17 @@ counts and flags do not depend on the body's units.  Every batch counter
 returns a DEGENERATE total wherever it flags.
 
 On a smooth body the feet are the roots of the degree-N trigonometric
-polynomial g(theta) = <p - r(theta), u'(theta)>, N = max(1, deg h).  The
-batch counter counts them with the certified sign-change kernel of
-``trigcount``: a count is returned only when every grid interval is proven
-monotone or root-free, and points it cannot certify (on the evolute, or the
-centre of a disk, where g vanishes) are DEGENERATE.  The scalar smooth feet
-are the sign changes of the grid that certified the count, refined by
-``trigcount.newton``.  ``normal_feet2`` raises DegenerateConfigurationError
-at every point the batch counter flags.  Each foot's chord, from the foot
-through p to the far side, is solved without a containment test, on a smooth
-body by ``SmoothBody2.normal_chord`` (see ``_ray_exit``).
+polynomial g(theta) = <p - r(theta), u'(theta)>, N = max(1, deg h): the line
+function ``SmoothBody2.lines`` with d = u.  The batch counter counts them with
+the certified sign-change kernel of ``trigcount``: a count is returned only
+when every grid interval is proven monotone or root-free, and points it cannot
+certify (on the evolute, or the centre of a disk, where g vanishes) are
+DEGENERATE.  The scalar smooth feet are the sign changes of the grid that
+certified the count, refined by ``trigcount.newton``.  ``normal_feet2`` raises
+DegenerateConfigurationError at every point the batch counter flags.  Each
+foot's chord, from the foot through p to the far side, is solved without a
+containment test, on a smooth body by ``SmoothBody2.normal_chord`` (see
+``_ray_exit``).
 """
 
 from __future__ import annotations
@@ -194,15 +195,9 @@ def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[tuple] | None:
 # smooth bodies
 
 
-def _smooth_g(body: SmoothBody2, pts: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """g(theta) = <p - r(theta), u'(theta)> = <p, u'> - h'(theta), batched."""
-    up = np.stack([-np.sin(theta), np.cos(theta)], axis=0)
-    return pts @ up - body.support_d1(theta)
-
-
 def _smooth_feet(body: SmoothBody2, p: np.ndarray) -> list[tuple] | None:
     """Feet at the roots of g, stable where g falls; None where flagged."""
-    found = root_angles(lambda q, th: _smooth_g(body, q, th), p,
+    found = root_angles(lambda q, th: body.lines(q, th, unit(th)), p,
                         max(1, body.degree), body.scale)
     if found is None:
         return None
@@ -280,7 +275,7 @@ def count_normals2_batch(body, pts):
         total[flags] = DEGENERATE
         return total, stable, flags
     if isinstance(body, SmoothBody2):
-        return count_roots(lambda q, th: _smooth_g(body, q, th), pts,
+        return count_roots(lambda q, th: body.lines(q, th, unit(th)), pts,
                            max(1, body.degree), body.scale)
     if isinstance(body, ArcBody2):
         _ang, near, far, flags = _arc_faces(body, pts)

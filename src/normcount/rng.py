@@ -1,6 +1,6 @@
 """Deterministic sampling streams built on the counter-based Philox generator.
 
-Every sampler in the package draws from ``philox_stream(seed)``.  The stream
+Every sampler in the package draws from ``philox_generator(seed)``.  The stream
 is a pure function of the seed: candidate j always consumes the same block of
 the underlying bit stream, so chunk sizes, worker counts and evaluation order
 cannot change the values produced.

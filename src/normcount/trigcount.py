@@ -1,11 +1,12 @@
 """Certified root counts of real trigonometric polynomials, batched by point.
 
 The smooth counters (normals, affine diameters, Minkowski normals) each
-reduce, at a query point p, to the zeros on the circle of a real
-trigonometric polynomial g_p(theta) of known degree N.  2N + 2 equispaced
-samples give its coefficients c_k exactly (an rfft with no aliasing); a
-zero-padded irfft then gives g and g' on a grid of spacing delta, offset by
-half a step so that a symmetric query point never puts a root on the grid.
+reduce, at a query point p, to the zeros on the circle of one line function
+g_p(theta) = cross(d(theta), p - r(theta)) (``SmoothBody2.lines``), a real
+trigonometric polynomial of known degree N.  2N + 2 equispaced samples give
+its coefficients c_k exactly (an rfft with no aliasing); a zero-padded irfft
+then gives g and g' on a grid of spacing delta, offset by half a step so
+that a symmetric query point never puts a root on the grid.
 
 A grid interval is settled when g' has no zero on it (g is monotone there,
 so it holds a root exactly when its end values differ in sign) or when g has

@@ -101,7 +101,7 @@ def test_smooth_boundary_shape_follows_input():
 
 def test_smooth_series_shape_follows_input():
     B = nc.SmoothBody2(1.0, (0.0, 0.05), (0.0, 0.0, 0.02))
-    for method in (B.support, B.support_d1, B.support_d2, B.rho):
+    for method in (B.support, lambda t: B.jet(t)[1], lambda t: B.jet(t)[2], B.rho):
         assert method(np.zeros(0)).shape == (0,)
         one = method(np.array([0.7]))
         assert one.shape == (1,)
@@ -115,12 +115,13 @@ def test_smooth_support_derivatives_match_finite_differences():
     B = nc.SmoothBody2(1.0, (0.02, 0.0, 0.03), (0.01,))
     ths = np.linspace(0, 2 * math.pi, 11)
     eps = 1e-5
+    h, h1, h2 = B.jet(ths)
     d1 = (B.support(ths + eps) - B.support(ths - eps)) / (2 * eps)
-    assert np.allclose(B.support_d1(ths), d1, atol=1e-8)
+    assert np.allclose(h1, d1, atol=1e-8)
     eps = 1e-4
     d2 = (B.support(ths + eps) - 2 * B.support(ths) + B.support(ths - eps)) / eps**2
-    assert np.allclose(B.support_d2(ths), d2, atol=1e-6)
-    assert np.allclose(B.rho(ths), B.support(ths) + B.support_d2(ths), atol=1e-12)
+    assert np.allclose(h2, d2, atol=1e-6)
+    assert np.allclose(B.rho(ths), h + h2, atol=1e-12)
 
 
 def test_smooth_convexity_guard():

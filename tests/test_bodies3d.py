@@ -51,6 +51,25 @@ def test_unknown_solid_raises():
         nc.standard_polytope("dodecahedron_of_unusual_size")
 
 
+@pytest.mark.parametrize("desc, message", [
+    ({"name": "cube", "sidee": 2}, "cube takes 'side', not 'sidee'"),
+    ({"name": "tetrahedron", "edge": 2}, "tetrahedron takes 'side', not 'edge'"),
+    ({"name": "cube", "side": -2}, "cube side must be positive and finite, got -2"),
+    ({"name": "cube", "side": 0}, "cube side must be positive and finite, got 0"),
+], ids=["misspelt", "foreign", "negative", "zero"])
+def test_standard_solid_rejects_bad_sizes(desc, message):
+    with pytest.raises(nc.DegenerateBodyError) as info:
+        nc.parse_body({"type": "standard3", **desc})
+    assert str(info.value) == message
+
+
+def test_standard_solid_sizes_scale_it():
+    cube = nc.parse_body({"type": "standard3", "name": "cube", "side": 2})
+    assert nc.measure3d(cube)["volume"] == pytest.approx(8.0, rel=1e-12)
+    prism = nc.standard_polytope("hexagonal_prism", circumradius=2, height=3)
+    assert nc.measure3d(prism)["volume"] == pytest.approx(1.5 * math.sqrt(3) * 4 * 3, rel=1e-12)
+
+
 def test_polytope_from_points_strips_interior_points():
     cube = nc.standard_polytope("cube")
     rng = np.random.default_rng(2)

@@ -249,11 +249,12 @@ TETRA_VERTICES = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 @pytest.mark.parametrize("desc", [
     {"type": "standard3", "name": "cube", "side": "abc"},
     {"type": "standard3", "name": "cube", "side": 0},
+    {"type": "standard3", "name": "cube", "sidee": 2},
     {"type": "support2d", "a0": 1, "cos": "ab"},
     {"type": "polygon", "vertices": [["a", 0], [1, 0], [0, 1]]},
     {"type": "polytope3", "vertices": TETRA_VERTICES,
      "facets": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 9]]},
-], ids=["side-text", "side-zero", "cos-text", "vertex-text", "facet-index"])
+], ids=["side-text", "side-zero", "side-misspelt", "cos-text", "vertex-text", "facet-index"])
 def test_malformed_bodies_exit_one(capsys, tmp_path, desc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(desc))
@@ -262,6 +263,14 @@ def test_malformed_bodies_exit_one(capsys, tmp_path, desc):
     assert code == 1 and out == ""
     assert err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_zero_cube_side_is_named_in_one_line(capsys, tmp_path):
+    desc = json.dumps({"type": "standard3", "name": "cube", "side": 0})
+    code = cli.run(["estimate", "--body", desc, "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: cube side must be positive and finite, got 0\n"
 
 
 @pytest.mark.parametrize("desc", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import normcount as nc
-from normcount import DomainError, SingularFlowError
+from normcount import DomainError, SingularFlowError, evolute
 
 import oracles
 
@@ -101,6 +101,22 @@ def test_flow_spec_validation():
 def test_flow_spec_rejects_non_finite_values(field, value):
     with pytest.raises(DomainError, match=f"^{field} must be"):
         nc.FlowSpec("curvature_power", **{"t_end": 1.0, "steps": 5, field: value})
+
+
+def test_flow_spec_rejects_a_fractional_step_count():
+    with pytest.raises(DomainError, match="^steps must be a positive integer, got 2.5$"):
+        nc.FlowSpec("outward_eikonal", 1.0, 2.5)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_derivative_report_rejects_non_finite_dt(dt):
+    with pytest.raises(DomainError, match=f"^dt must be positive and finite, got {dt}$"):
+        nc.derivative_report(_wavy(0.05), dt)
+
+
+def test_offset_body_rejects_a_non_finite_offset():
+    with pytest.raises(DomainError, match="^t must be finite, got nan$"):
+        nc.offset_body(_wavy(0.05), math.nan)
 
 
 def test_outward_flow_decreases_mean_count():
@@ -268,6 +284,17 @@ def test_normal_means_on_a_body_containing_its_evolute():
     n, n_surf = nc.normal_means(body)
     assert n_surf == 2.0
     assert n == pytest.approx(90 / 41, abs=1e-12)
+
+
+def test_normal_means_kink_error_is_within_its_stated_bound(monkeypatch):
+    # where the evolute leaves K, (rho - L)_+ has a kink that limits the
+    # 1024-angle rule: compare it with the same rule on 16384 angles
+    body = EVOLUTE_OUTSIDE[0]
+    n, n_surf = nc.normal_means(body)
+    monkeypatch.setattr(evolute, "_MEANS_GRID", 16384)
+    fine_n, fine_surf = nc.normal_means(body)
+    assert abs(n - fine_n) < 2e-8
+    assert abs(n_surf - fine_surf) < 5e-6
 
 
 @pytest.mark.parametrize("body", EVOLUTE_OUTSIDE, ids=["cos2=.3", "cos2=.25,sin3=.02"])

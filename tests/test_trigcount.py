@@ -136,13 +136,14 @@ def test_curvature_centre_is_degenerate_for_normals_and_disk_norm():
 
 
 def test_root_angles_are_the_roots_count_roots_counts():
-    from normcount import diameters, minkowski, normals
+    # the three counters' line functions, with their degrees and scales
     kernels = {
-        "normals": (lambda q, th: normals._smooth_g(GENERIC, q, th),
+        "normals": (lambda q, th: GENERIC.lines(q, th, bodies2d.unit(th)),
                     max(1, GENERIC.degree), GENERIC.scale),
-        "diameters": (lambda q, th: diameters._chord_g(GENERIC, q, th),
+        "diameters": (lambda q, th: GENERIC.lines(
+                          q, th, GENERIC.boundary(th + math.pi) - GENERIC.boundary(th)),
                       2 * GENERIC.degree + 2, GENERIC.scale**2),
-        "minkowski": (lambda q, th: minkowski._mink_g(SMOOTH_BALL, GENERIC, q, th),
+        "minkowski": (lambda q, th: GENERIC.lines(q, th, SMOOTH_BALL.body.boundary(th)),
                       GENERIC.degree + SMOOTH_BALL.body.degree + 2,
                       GENERIC.scale * SMOOTH_BALL.body.scale),
     }
@@ -159,6 +160,19 @@ def test_root_angles_are_the_roots_count_roots_counts():
     c = GENERIC.curvature_center(0.3)
     g, degree, scale = kernels["normals"]
     assert trigcount.root_angles(g, c, degree, scale) is None
+
+
+def test_birkhoff_lines_of_the_unit_disk_are_the_normal_lines():
+    # r_M(theta) = u(theta) exactly when M is the unit disk, so the Birkhoff
+    # line values are the Euclidean ones bit for bit
+    pts = nc.sample_interior2(DEG8, 500, seed=31)
+    theta = np.arange(64) * (2 * math.pi / 64)
+    euclid = DEG8.lines(pts, theta, bodies2d.unit(theta))
+    assert np.array_equal(DEG8.lines(pts, theta, _disk_ball().body.boundary(theta)), euclid)
+    # with d = u, G is <p - r, u'>, whose descending roots are the stable feet
+    up = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    want = np.einsum("ijk,jk->ij", pts[:, None, :] - DEG8.boundary(theta)[None], up)
+    assert np.max(np.abs(euclid - want)) < 1e-13 * DEG8.scale
 
 
 # ---------------------------------------------------------------------------
