@@ -3,10 +3,8 @@
 Facets are stored as vertex-index loops ordered counterclockwise when seen
 from outside; the constructor validates planarity, convexity, outward
 orientation and the Euler relation V - E + F = 2.  It also builds, once, the
-face table that the normal counters read: the edges, each facet's side
-planes (the prism over it), each edge's two slab planes (the dihedral slab
-over it) and each vertex's inward facet normals (its normal cone), so no
-query recomputes fixed geometry.
+face tables that the normal counter reads (see ``Polytope3``), so no query
+recomputes fixed geometry.
 """
 
 from __future__ import annotations
@@ -25,6 +23,21 @@ PLANARITY_RTOL = 1e-9
 
 
 class Polytope3:
+    """A convex polytope and the face tables of its normal counter.
+
+    p has a foot on a face where it lies in the face's normal region.  The
+    tables hold the planes x @ n = c that bound these regions as rows
+    (n, -c), so that [x, 1] @ row = x @ n - c: one table of shape (faces,
+    width, 4) per face dimension, where a face with fewer rows repeats its
+    own.  ``facet_sides``: the unit normals of a facet's sides, in its plane
+    and pointing into it (the prism over it).  ``edge_sides``: the edge's
+    parameter t, 0 at its first vertex and 1 at its second (as
+    ``Polygon2.t_normals``), then the two unit sides of its dihedral slab,
+    n_k x e for each inward facet normal n_k, turned towards the other one.
+    ``vertex_sides``: the t of each edge at the vertex, seen from it (t at
+    the edge's first vertex, 1 - t at its second): its normal cone.
+    """
+
     def __init__(self, vertices, facets):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3 or len(v) < 4:
@@ -81,28 +94,31 @@ class Polytope3:
         self.facet_offsets = offsets
         self.edges = np.asarray(edges, dtype=int)
         self.edge_facets = np.asarray([edge_map[e] for e in edges], dtype=int)
-        # per facet, the unit normals of its sides, in its plane and pointing
-        # into it, and their offsets: p's foot on the facet's plane lies in
-        # the facet where p @ sides.T >= offsets
-        self.facet_sides = []
-        for loop, nrm in zip(facets, normals):
+        width = max(map(len, facets))
+        self.facet_sides = np.zeros((len(facets), width, 4))
+        for fi, (loop, nrm) in enumerate(zip(facets, normals)):
             sides = np.cross(nrm, np.roll(v[loop], -1, axis=0) - v[loop])
             sides /= np.linalg.norm(sides, axis=1, keepdims=True)
-            self.facet_sides.append((sides, np.einsum("ij,ij->i", sides, v[loop])))
-        # per edge, the unit normals of the sides of its dihedral slab, each
-        # n_k x e for an inward facet normal n_k, turned towards the other
-        # one, and their offsets: p lies in the slab where p @ sides.T >= offsets
+            self.facet_sides[fi] = np.resize(_rows(sides, v[loop]), (width, 4))
         a = v[self.edges[:, 0]]
-        e = v[self.edges[:, 1]] - a
-        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        d = v[self.edges[:, 1]] - a
+        e = d / np.linalg.norm(d, axis=1, keepdims=True)
         n1, n2 = -normals[self.edge_facets[:, 0]], -normals[self.edge_facets[:, 1]]
         turn = np.copysign(1.0, np.einsum("ij,ij->i", e, np.cross(n1, n2)))[:, None]
-        self.edge_sides = np.stack([-turn * np.cross(n1, e), turn * np.cross(n2, e)], axis=1)
-        self.edge_offsets = np.einsum("ekj,ej->ek", self.edge_sides, a)
-        # per vertex, the inward normals of the facets at it, as columns
-        self.vertex_normals = [-normals[[fi for fi, loop in enumerate(facets) if vi in loop]].T
-                               for vi in range(len(v))]
+        self.edge_sides = np.stack([_rows(d / np.einsum("ij,ij->i", d, d)[:, None], a),
+                                    _rows(-turn * np.cross(n1, e), a),
+                                    _rows(turn * np.cross(n2, e), a)], axis=1)
+        # each edge's t row at its first vertex, and 1 - t at its second
+        t = self.edge_sides[:, 0]
+        rows, ends = np.concatenate([t, [0.0, 0.0, 0.0, 1.0] - t]), self.edges.T.ravel()
+        at = [np.flatnonzero(ends == vi) for vi in range(len(v))]
+        self.vertex_sides = np.array([np.resize(rows[k], (max(map(len, at)), 4)) for k in at])
         self.scale = scale
+
+
+def _rows(normals, points) -> np.ndarray:
+    """Table rows (n, -n @ q) of the planes through q with normal n."""
+    return np.concatenate([normals, -np.einsum("ij,ij->i", normals, points)[:, None]], axis=1)
 
 
 def build_polytope(vertices, facets) -> Polytope3:

@@ -119,7 +119,7 @@ def _cmd_field(args) -> int:
         raise SpecError(f"--grid: {args.grid!r} is not NXxNY")
     nx, ny = map(int, grid)
     mat = field_map(body, (nx, ny), _counter(args))
-    lines = _header(args.seed, args.body)
+    lines = _header(None, args.body)
     lines += [",".join(str(v) for v in row) for row in mat]
     csv_path = _write_lines(args.out, "field.csv", lines)
     top = max(1, int(mat.max()))
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("field", help="counter values on a raster")
     common(sp, seeded=False)
-    sp.add_argument("--seed", type=int, default=0, help="written to the header only")
     sp.add_argument("--grid", default="101x101")
     sp.add_argument("--counter", default="normals",
                     choices=["normals", "diameters", "minkowski"])

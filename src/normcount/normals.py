@@ -21,7 +21,9 @@ foot where 0 < t < 1, and a vertex where t seen from it is >= 0 on every
 edge at it.  t is compared against 1e-9 and every other comparison of these
 tests (facet prisms, dihedral slabs) is a distance against 1e-9*scale, so
 counts and flags do not depend on the body's units.  Every batch counter
-returns a DEGENERATE total wherever it flags.
+returns a DEGENERATE total wherever it flags.  A polytope's face tests are
+the ``Polytope3`` tables, one matmul per face dimension and no loop over
+faces; ``count_normals3_by_dim`` is the one-point call of that counter.
 
 On a smooth body the feet are the roots of the degree-N trigonometric
 polynomial g(theta) = <p - r(theta), u'(theta)>, N = max(1, deg h): the line
@@ -43,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .bodies2d import (INTERIOR_RTOL, ArcBody2, Polygon2, SmoothBody2,
                        cross2, in_angle_range, require_interior, unit)
@@ -289,89 +290,72 @@ def count_normals2_batch(body, pts):
 # ---------------------------------------------------------------------------
 # polytopes in R^3
 
-
-def _in_vertex_cone_nnls(poly: Polytope3, vi: int, y: np.ndarray) -> bool:
-    """Conical-hull membership of y in the inward facet normals at vertex vi."""
-    _, resid = nnls(poly.vertex_normals[vi], y)
-    return resid <= 1e-9 * float(np.linalg.norm(y))
-
-
 def count_normals3(poly: Polytope3, point) -> int:
     """Normals of a polytope through an interior point, one per face foot."""
-    by_dim = count_normals3_by_dim(poly, point)
-    return by_dim[0] + by_dim[1] + by_dim[2]
+    return sum(count_normals3_by_dim(poly, point).values())
 
 
 def count_normals3_by_dim(poly: Polytope3, point):
-    """Counts keyed by face dimension {0: vertices, 1: edges, 2: facets}.
+    """Counts keyed by face dimension {0: vertices, 1: edges, 2: facets}:
+    the point's row of ``count_normals3_batch``.
 
     DomainError unless ``contains3`` proves the point ``INTERIOR_RTOL``*scale
-    inside, as in 2D (never NaN).  Facet and edge tests compare distances
-    from the ``facet_sides`` and ``edge_sides`` planes with 1e-9*scale, as ``count_normals3_batch`` does.
-    Vertex cones use a nonnegative least-squares test on ``vertex_normals``
-    with a residual bound of 1e-9*|p - v|, independent of its polar test.
+    inside, as in 2D (never NaN).  Like ``normal_feet2``, raises
+    DegenerateConfigurationError wherever the batch counter flags the point,
+    so the counts always satisfy facets - edges + vertices = 2.
     """
     p = np.asarray(point, dtype=float)
     if not contains3(poly, p, tol=-INTERIOR_RTOL * poly.scale):
         raise DomainError("query point must lie strictly inside the polytope")
-    tol = 1e-9 * poly.scale
-    facets = sum(bool(np.all(sides @ p - offsets >= -tol))
-                 for sides, offsets in poly.facet_sides)
-    a = poly.vertices[poly.edges[:, 0]]
-    d = poly.vertices[poly.edges[:, 1]] - a
-    t = np.einsum("ij,ij->i", p - a, d) / np.einsum("ij,ij->i", d, d)
-    slab = np.all(poly.edge_sides @ p - poly.edge_offsets >= -tol, axis=1)
-    edges = np.sum((t > 0.0) & (t < 1.0) & slab)
-    vertices = sum(_in_vertex_cone_nnls(poly, vi, p - v) for vi, v in enumerate(poly.vertices))
-    return {0: int(vertices), 1: int(edges), 2: int(facets)}
+    _total, (stable, saddle, peak), flags = count_normals3_batch(poly, p[None, :])
+    if flags[0]:
+        raise DegenerateConfigurationError("the normal count is not certified at this "
+                                           "point (a face region's boundary)")
+    return {0: int(peak[0]), 1: int(saddle[0]), 2: int(stable[0])}
+
+
+def _side_values(table, x):
+    """[x, 1] @ row for every row of a face table, as (faces, width, points)."""
+    return (table.reshape(-1, 4) @ x).reshape(*table.shape[:2], -1)
 
 
 def count_normals3_batch(poly: Polytope3, pts):
     """Vectorized polytope counts; returns (total, by_index tuple, flags).
 
     by_index is (facet, edge, vertex) feet, the stable, saddle and peak
-    counts.  Every face test reads the table that ``Polytope3`` builds once.
-    A facet carries a foot where p lies in the prism over it: its distance
-    from each of the ``facet_sides`` planes is >= -tol.  An edge carries one
-    where its parameter t (0 at its first vertex, 1 at its second) lies in
-    (0, 1) and p lies in the dihedral slab between the two facet normals:
-    its distance from each of the ``edge_sides`` planes is >= -tol.  A
-    vertex carries one where t seen from it (t at its first vertex, 1 - t
-    at its second) is >= -1e-9 on every edge at it: the polar edge-direction
-    test, equivalent to the nonnegative-combination test on facet normals by
-    cone duality.  tol is 1e-9*scale, so counts do not depend on the
-    solid's units.  A point within tol (1e-9 for t) of a boundary of a
-    region that holds it is flagged, and its total is DEGENERATE.
+    counts.  Per block of points each ``Polytope3`` table is one matmul,
+    reduced over its width.  A facet carries a foot where its rows are all
+    >= -tol, an edge where 0 < t < 1 and its slab rows are >= -tol, and a
+    vertex where its rows are all >= -1e-9: the polar test on edge
+    directions, equivalent by cone duality to the nonnegative-combination
+    test on facet normals.  tol is 1e-9*scale, so counts do not depend on
+    the solid's units.  A point within tol (1e-9 for t) of a boundary of a
+    region that holds it is flagged, and its total is DEGENERATE.  Points
+    run in ``trigcount.row_blocks`` of at most ``_BLOCK`` table values.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = len(pts)
     tol = 1e-9 * poly.scale
-    stable = np.zeros(n, dtype=int)
-    saddle = np.zeros(n, dtype=int)
-    flags = np.zeros(n, dtype=bool)
-    for sides, offsets in poly.facet_sides:
-        dist = sides @ pts.T - offsets[:, None]
-        inside = np.all(dist >= -tol, axis=0)
-        stable += inside
-        flags |= inside & np.any(np.abs(dist) < tol, axis=0)
-    cone = np.ones((len(poly.vertices), n), dtype=bool)
-    cone_near = np.zeros((len(poly.vertices), n), dtype=bool)
-    for (a_i, b_i), sides, offsets in zip(poly.edges, poly.edge_sides, poly.edge_offsets):
-        a = poly.vertices[a_i]
-        d = poly.vertices[b_i] - a
-        t = (pts - a) @ d / float(d @ d)
-        dist = sides @ pts.T - offsets[:, None]
-        inside = (t > 0.0) & (t < 1.0) & np.all(dist >= -tol, axis=0)
-        saddle += inside
-        near = np.any(np.abs(dist) < tol, axis=0)
-        for vi, seen in ((a_i, t), (b_i, 1.0 - t)):
-            at_vertex = np.abs(seen) < 1e-9
-            cone[vi] &= seen >= -1e-9
-            cone_near[vi] |= at_vertex
-            near |= at_vertex
-        flags |= inside & near
-    peak = np.sum(cone, axis=0)
-    flags |= np.any(cone & cone_near, axis=0)
+    per_point = sum(table[..., 0].size
+                    for table in (poly.facet_sides, poly.edge_sides, poly.vertex_sides))
+    stable, saddle, peak = (np.empty(n, dtype=int) for _ in range(3))
+    flags = np.empty(n, dtype=bool)
+    for rows in row_blocks(n, per_point):
+        x = np.vstack([pts[rows].T, np.ones(len(pts[rows]))])
+        low = np.min(_side_values(poly.facet_sides, x), axis=1)
+        inside = low >= -tol
+        flagged = np.any(inside & (low < tol), axis=0)
+        stable[rows] = np.count_nonzero(inside, axis=0)
+        edge = _side_values(poly.edge_sides, x)
+        t, low = edge[:, 0], np.min(edge[:, 1:], axis=1)
+        inside = (t > 0.0) & (t < 1.0) & (low >= -tol)
+        flagged |= np.any(inside & ((low < tol) | (np.minimum(t, 1.0 - t) < 1e-9)), axis=0)
+        saddle[rows] = np.count_nonzero(inside, axis=0)
+        low = np.min(_side_values(poly.vertex_sides, x), axis=1)
+        inside = low >= -1e-9
+        flagged |= np.any(inside & (low < 1e-9), axis=0)
+        peak[rows] = np.count_nonzero(inside, axis=0)
+        flags[rows] = flagged
     total = stable + saddle + peak
     total[flags] = DEGENERATE
     return total, (stable, saddle, peak), flags

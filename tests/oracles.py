@@ -8,6 +8,7 @@ normal chords from containment bisection.  Slow but simple enough to audit by ey
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import nnls
 
 from normcount.bodies2d import (ArcBody2, Polygon2, SmoothBody2,
                                 contains2_batch, signed_boundary_excess, unit)
@@ -259,6 +260,21 @@ def candidate_feet_separation(poly, p) -> float:
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     iu = np.triu_indices(len(pts), 1)
     return float(np.sqrt(np.min(d2[iu])))
+
+
+def in_vertex_cone_nnls(poly, vi: int, y: np.ndarray) -> bool:
+    """Conical-hull membership of y in the inward facet normals at vertex
+    vi, by nonnegative least squares on the facet normals themselves: no
+    edge parameter, so independent of the counter's polar test."""
+    normals = -poly.facet_normals[[fi for fi, loop in enumerate(poly.facets) if vi in loop]].T
+    _, resid = nnls(normals, y)
+    return resid <= 1e-9 * float(np.linalg.norm(y))
+
+
+def vertex_feet_nnls(poly, p) -> int:
+    """Vertices whose normal cone holds p - v, by ``in_vertex_cone_nnls``."""
+    p = np.asarray(p, dtype=float)
+    return sum(in_vertex_cone_nnls(poly, vi, p - v) for vi, v in enumerate(poly.vertices))
 
 
 def max_facet_diameter(poly) -> float:
@@ -524,27 +540,30 @@ def support_series(body, t):
             -(c * k**2) @ body.ac - (s * k**2) @ body.bs)
 
 
-def support_margin_dense(body, pts, grid: int = 1 << 16) -> np.ndarray:
-    """max over theta of <p, u(theta)> - h(theta) for a SmoothBody2: the
-    maximum over ``grid`` angles, polished by Newton's method on
-    ``support_series``."""
+def support_margin_dense(body, pts, grid: int = 4096) -> np.ndarray:
+    """max over theta of <p, u(theta)> - h(theta) for a SmoothBody2: every
+    local maximum over ``grid`` angles, polished by Newton's method on
+    ``support_series``, and the largest value kept."""
     theta = np.arange(grid) * (TWO_PI / grid)
     h = support_series(body, theta)[0]
     u = np.stack([np.cos(theta), np.sin(theta)])
     out = []
-    for b in range(0, len(pts), 64):
-        p = np.asarray(pts[b:b + 64], dtype=float)
+    for b in range(0, len(pts), 256):
+        p = np.asarray(pts[b:b + 256], dtype=float)
         vals = p @ u
         vals -= h
-        j = np.argmax(vals, axis=1)
-        t = theta[j]
+        peaks = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
+        row, j = np.nonzero(peaks)
+        q, t = p[row], theta[j]
         for _ in range(6):
-            h0, h1, h2 = support_series(body, t)
-            pu = p[:, 0] * np.cos(t) + p[:, 1] * np.sin(t)
-            pv = p[:, 1] * np.cos(t) - p[:, 0] * np.sin(t)
+            _, h1, h2 = support_series(body, t)
+            pu = q[:, 0] * np.cos(t) + q[:, 1] * np.sin(t)
+            pv = q[:, 1] * np.cos(t) - q[:, 0] * np.sin(t)
             t = t - np.clip((pv - h1) / (-pu - h2), -TWO_PI / grid, TWO_PI / grid)
-        polished = p[:, 0] * np.cos(t) + p[:, 1] * np.sin(t) - support_series(body, t)[0]
-        out.append(np.maximum(vals[np.arange(len(p)), j], polished))
+        polished = q[:, 0] * np.cos(t) + q[:, 1] * np.sin(t) - support_series(body, t)[0]
+        best = np.full(len(p), -np.inf)
+        np.maximum.at(best, row, np.maximum(vals[row, j], polished))
+        out.append(best)
     return np.concatenate(out)
 
 

@@ -49,6 +49,15 @@ def test_point_polytope_by_dim(capsys):
     assert payload["count"] == sum(by_dim.values())
 
 
+def test_point_on_a_flagged_polytope_point_fails(capsys):
+    # on a vertex-cone boundary; the counts here would break
+    # facets - edges + vertices = 2
+    p = (0.6322166801342028, -0.36778332269422426, -0.6633924822023877)
+    code, out, err = _point(capsys, TRUNC_OCT, p)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_point_on_the_evolute_fails(capsys):
     c = nc.parse_body(SMOOTH).curvature_center(0.3)
     code, out, err = _point(capsys, SMOOTH, c.tolist())
@@ -124,8 +133,9 @@ def test_field_rows_equal_field_map(capsys, tmp_path):
     lines = (tmp_path / "field.csv").read_text().splitlines()
     rows = [[int(v) for v in line.split(",")] for line in lines if not line.startswith("#")]
     assert np.array_equal(np.array(rows), nc.field_map(nc.parse_body(SMOOTH), (17, 13)))
-    with pytest.raises(SystemExit):  # the field is not sampled
-        cli.run(["field", "--body", json.dumps(SMOOTH), "--samples", "10"])
+    for knob in ("--samples", "--seed"):
+        with pytest.raises(SystemExit):  # the field is not sampled
+            cli.run(["field", "--body", json.dumps(SMOOTH), knob, "10"])
     capsys.readouterr()
 
 

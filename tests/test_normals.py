@@ -1,11 +1,15 @@
 """Normal counting through interior points, in the plane and in space."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import normcount as nc
+from normcount.trigcount import bisect
 
 import oracles
 
@@ -332,6 +336,8 @@ def test_euler_relation_pointwise_3d():
 
 
 def test_batch_matches_scalar_3d():
+    # the vertex feet against a nonnegative least-squares test on the facet
+    # normals, independent of the counter's polar test on edge parameters
     P = nc.standard_polytope("truncated_octahedron")
     pts = nc.sample_interior3(P, 50, seed=23)
     total, by_index, flags = nc.count_normals3_batch(P, pts)
@@ -342,6 +348,7 @@ def test_batch_matches_scalar_3d():
         bd = nc.count_normals3_by_dim(P, p)
         assert nc.count_normals3(P, p) == total[i]
         assert (bd[2], bd[1], bd[0]) == (stable[i], saddle[i], peak[i])
+        assert peak[i] == oracles.vertex_feet_nnls(P, p)
 
 
 def test_surface_morse_oracle_agrees():
@@ -463,6 +470,65 @@ def test_flagged_polytope_totals_are_degenerate():
     total, _, flags = nc.count_normals3_batch(nc.standard_polytope("cube"),
                                               [(0.5 - 1e-12, 0.1, 0.0)])
     assert flags[0] and total[0] == nc.DEGENERATE
+
+
+@pytest.mark.parametrize("name", ["truncated_octahedron", "hexagonal_prism",
+                                  "rhombic_dodecahedron"])
+def test_flagged_polytope_points_raise(name):
+    # probes bisected onto the jumps of the counts between interior samples:
+    # the by-dimension counts either satisfy facets - edges + vertices = 2
+    # or raise where the counter flags the point, never a silent best effort
+    P = nc.standard_polytope(name)
+    pts = nc.sample_interior3(P, 400, seed=3)
+
+    def parts(x):
+        return np.array(nc.count_normals3_batch(P, x)[1])
+
+    a, b = pts[:-1], pts[1:]
+    jump = np.any(parts(a) != parts(b), axis=0)
+    a, d = a[jump], (b - a)[jump]
+    at_a = parts(a)
+    s = bisect(lambda m: np.all(parts(a + m[:, None] * d) == at_a, axis=0),
+               np.zeros(len(a)), np.ones(len(a)))
+    raised = 0
+    for p in a + s[:, None] * d:
+        flagged = nc.count_normals3_batch(P, [p])[2][0]
+        try:
+            bd = nc.count_normals3_by_dim(P, p)
+        except nc.DegenerateConfigurationError:
+            assert flagged
+            with pytest.raises(nc.DegenerateConfigurationError):
+                nc.count_normals3(P, p)
+            raised += 1
+            continue
+        assert not flagged and bd[2] - bd[1] + bd[0] == 2, p
+    assert raised >= 0.2 * len(a)
+
+
+def test_polytope_counter_runs_in_bounded_memory():
+    # points run in row blocks of at most ``trigcount._BLOCK`` table values,
+    # so 500k points never build their full (faces, width, points) tables:
+    # the peak is the outputs and a block
+    import tracemalloc
+
+    pts = nc.sample_interior3(TRUNC_OCT, 500000, seed=12)
+    tracemalloc.start()
+    try:
+        total, parts, flags = nc.count_normals3_batch(TRUNC_OCT, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = total.nbytes + sum(part.nbytes for part in parts) + flags.nbytes
+    assert peak - outputs < 16 * 2**20
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize costs a fresh process 0.1-0.2 s and about 12 MB
+    code = "import sys, normcount; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(nc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_polygon_face_tests_run_in_bounded_memory():
