@@ -49,11 +49,6 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _norm_angle(t: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    return float(t) % TWO_PI
-
-
 def in_angle_range(gamma, lo, span):
     """Does the angle gamma lie in [lo, lo + span] modulo 2*pi?  The one
     range test of arcs and of corner normal cones."""
@@ -294,10 +289,13 @@ class ArcBody2:
     at corners whose normal cones fill the gaps, so spans plus gaps sum to
     2*pi.  Corner chains with zero gaps describe C^1 boundaries.
 
-    ``pieces``, the one face table of counters, feet, chords and excess,
-    holds a (centre, radius, lo, hi, source) per arc, source ("arc", i), then
-    one per corner j with a cone wider than 1e-14, source ("corner", j): an
-    arc of radius 0 about the corner, whose normal range is the cone.
+    ``pieces``, the one face table of counters, feet, chords, the excess,
+    the boundary sampler and the difference body, is a (pieces, 5) array of
+    rows (cx, cy, r, lo, hi): one per arc, then one per corner with a cone
+    wider than 1e-14, an arc of radius 0 about the corner whose normal range
+    [lo, hi] is the cone.  ``sources`` names each row, ("arc", i) or
+    ("corner", j).  ``arcs`` keeps the constructor's input and
+    ``corner_points`` every corner, cones of width 0 included.
     """
 
     def __init__(self, arcs):
@@ -314,8 +312,8 @@ class ArcBody2:
         scale = max(a.radius + float(np.hypot(*a.center)) for a in items)
         total = 0.0
         corners = []
-        cone_lo = []
-        cone_hi = []
+        rows = [(*a.center, a.radius, a.ang0, a.ang1) for a in items]
+        sources = [("arc", i) for i in range(len(items))]
         for i, a in enumerate(items):
             b = items[(i + 1) % len(items)]
             gap = (b.ang0 - a.ang1) if i + 1 < len(items) else (b.ang0 + TWO_PI - a.ang1)
@@ -329,19 +327,16 @@ class ArcBody2:
                 raise DegenerateBodyError(f"arc chain is not closed at junction {i}")
             total += a.span + gap
             corners.append(p_end)
-            cone_lo.append(a.ang1)
-            cone_hi.append(a.ang1 + gap)
+            lo, hi = a.ang1, a.ang1 + gap
+            if hi - lo > 1e-14:
+                rows.append((*p_end, 0.0, lo, hi))
+                sources.append(("corner", i))
         if abs(total - TWO_PI) > 1e-9:
             raise ConvexityError("arc spans plus corner gaps must equal 2*pi")
         self.arcs = items
         self.corner_points = np.asarray(corners)
-        self.corner_lo = np.asarray(cone_lo)
-        self.corner_hi = np.asarray(cone_hi)
-        self.pieces = (
-            [(np.asarray(a.center), a.radius, a.ang0, a.ang1, ("arc", i))
-             for i, a in enumerate(items)]
-            + [(p, 0.0, lo, hi, ("corner", j))
-               for j, (p, lo, hi) in enumerate(zip(corners, cone_lo, cone_hi)) if hi - lo > 1e-14])
+        self.pieces = np.array(rows)
+        self.sources = sources
         self.scale = scale
 
     def support(self, theta):
@@ -571,8 +566,8 @@ def signed_boundary_excess(body, pts) -> np.ndarray:
     normal range of every piece of ``ArcBody2.pieces``, corners included.
     For polygons, whose maximum runs over the edge normals only, it is the
     distance only away from the vertex regions, and below it there.  Smooth
-    bodies get the certified maximum of ``_smooth_margin``; polygon points
-    run in ``row_blocks`` of at most ``_BLOCK`` point times edge entries.
+    bodies get the certified maximum of ``_smooth_margin``; polygon and arc
+    body points run in ``row_blocks`` of at most ``_BLOCK`` values.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, Polygon2):
@@ -588,23 +583,33 @@ def signed_boundary_excess(body, pts) -> np.ndarray:
 
 
 def _arc_excess(body: ArcBody2, pts: np.ndarray, upto: float) -> np.ndarray:
-    """The excess of an arc body where it is at most ``upto``.  The corners
-    come last in ``body.pieces`` and are taken only on rows whose arc excess
-    lies in (0, upto]: a cone narrower than pi raises only rows that the
-    arcs at its ends already put above 0, and a row above upto stays so."""
-    worst = np.full(len(pts), -np.inf)
-    rows = slice(None)
-    for i, (c, r, lo, hi, _) in enumerate(body.pieces):
-        if i == len(body.arcs):
-            rows = np.flatnonzero((worst > 0.0) & (worst <= upto))
-            if not len(rows):
-                break
-        rel = pts[rows] - c
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        val = np.where(in_angle_range(ang, lo, hi - lo), np.hypot(rel[:, 0], rel[:, 1]) - r,
-                       np.maximum(rel @ unit(lo), rel @ unit(hi)) - r)
-        worst[rows] = np.maximum(worst[rows], val)
+    """The excess of an arc body where it is at most ``upto``, in
+    ``row_blocks``.  The corner rows of ``body.pieces`` are taken only on
+    rows whose arc excess lies in (0, upto]: a cone narrower than pi raises
+    only rows that the arcs at its ends already put above 0, and a row above
+    upto stays so."""
+    arcs, corners = body.pieces[:len(body.arcs)], body.pieces[len(body.arcs):]
+    worst = np.empty(len(pts))
+    for rows in row_blocks(len(pts), 16 * len(arcs)):
+        block = _piece_excess(arcs, pts[rows])
+        near = np.flatnonzero((block > 0.0) & (block <= upto))
+        block[near] = np.maximum(block[near], _piece_excess(corners, pts[rows][near]))
+        worst[rows] = block
     return worst
+
+
+def _piece_excess(table: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """max over the rows (cx, cy, r, lo, hi) of a piece table of the excess
+    of each point over the row's normal range: |p - c| - r where the angle of
+    p about c lies in [lo, hi], else the larger end projection less r, taken
+    as one matmul per row so that it rounds as a single row's would."""
+    rel = pts - table[:, None, :2]
+    r, lo, hi = table[:, 2:3], table[:, 3], table[:, 4]
+    ang = np.arctan2(rel[..., 1], rel[..., 0])
+    ends = np.maximum(rel @ unit(lo)[..., None], rel @ unit(hi)[..., None])[..., 0]
+    val = np.where(in_angle_range(ang, lo[:, None], (hi - lo)[:, None]),
+                   np.hypot(rel[..., 0], rel[..., 1]) - r, ends - r)
+    return np.max(val, axis=0, initial=-np.inf)
 
 
 def contains2(body, point, tol: float = 0.0) -> bool:
@@ -656,20 +661,12 @@ def sample_boundary2(body, n: int, seed: int):
         theta = body.arclength_inverse(s)
         return np.atleast_2d(body.boundary(theta)), theta
     if isinstance(body, ArcBody2):
-        lens = np.array([a.radius * a.span for a in body.arcs])
-        cum = np.concatenate([[0.0], np.cumsum(lens)])
+        c, r, lo, hi = np.hsplit(body.pieces[:len(body.arcs)], [2, 3, 4])
+        cum = np.concatenate([[0.0], np.cumsum(r * (hi - lo))])
         pos = s * cum[-1]
-        idx = np.clip(np.searchsorted(cum, pos, side="right") - 1, 0, len(lens) - 1)
-        pts = np.empty((n, 2))
-        ang = np.empty(n)
-        for i, a in enumerate(body.arcs):
-            m = idx == i
-            if not np.any(m):
-                continue
-            gamma = a.ang0 + (pos[m] - cum[i]) / a.radius
-            pts[m] = a.point(gamma)
-            ang[m] = gamma
-        return pts, ang
+        idx = np.clip(np.searchsorted(cum, pos, side="right") - 1, 0, len(r) - 1)
+        ang = lo[idx, 0] + (pos - cum[idx]) / r[idx, 0]
+        return c[idx] + r[idx] * unit(ang), ang
     raise DegenerateBodyError(f"unsupported planar body {type(body).__name__}")
 
 
@@ -708,38 +705,26 @@ def difference_body_area(body) -> float:
 
 def _arc_difference_body(body: ArcBody2) -> ArcBody2:
     """K - K for an arc body: supports add piecewise over merged angle ranges
-    of ``body.pieces``, whose corners are arcs of radius 0."""
-    own = [(_norm_angle(lo), hi - lo, c, r) for c, r, lo, hi, _ in body.pieces]
-    # -K pieces: normal angle shifts by pi, center negates
-    neg = [(_norm_angle(lo + math.pi), span, -c, r) for lo, span, c, r in own]
-    cuts = sorted(
-        {0.0}
-        | {_norm_angle(lo) for lo, *_ in own}
-        | {_norm_angle(lo + span) for lo, span, *_ in own}
-        | {_norm_angle(lo) for lo, *_ in neg}
-        | {_norm_angle(lo + span) for lo, span, *_ in neg}
-    )
-
-    def piece_at(pieces, ang):
-        for lo, span, c, r in pieces:
-            if in_angle_range(ang, lo, span + 1e-12):
-                return c, r
+    of ``body.pieces``, whose corners are arcs of radius 0; the pieces of -K
+    are those of K turned by pi about the origin."""
+    c, r = body.pieces[:, :2], body.pieces[:, 2]
+    lo = body.pieces[:, 3] % TWO_PI
+    span = body.pieces[:, 4] - body.pieces[:, 3]
+    neg = (lo + math.pi) % TWO_PI
+    cuts = np.unique(np.concatenate([[0.0], lo, (lo + span) % TWO_PI,
+                                     neg, (neg + span) % TWO_PI]))
+    ends = np.append(cuts[1:], cuts[0] + TWO_PI)
+    keep = ends - cuts >= 1e-13
+    cuts, ends = cuts[keep], ends[keep]
+    mid = (0.5 * (cuts + ends))[:, None]
+    own = in_angle_range(mid, lo, span + 1e-12)
+    turned = in_angle_range(mid, neg, span + 1e-12)
+    if not (own.any(axis=1).all() and turned.any(axis=1).all()):
         raise DegenerateBodyError("angular coverage gap in arc pieces")
-
-    arcs = []
-    m = len(cuts)
-    for i in range(m):
-        lo = cuts[i]
-        hi = cuts[(i + 1) % m] if i + 1 < m else cuts[0] + TWO_PI
-        if hi - lo < 1e-13:
-            continue
-        mid = 0.5 * (lo + hi)
-        c1, r1 = piece_at(own, mid)
-        c2, r2 = piece_at(neg, mid)
-        if r1 + r2 <= 0:
-            continue  # genuine corner of the sum
-        arcs.append(Arc(tuple(c1 + c2), r1 + r2, lo, hi))
-    return ArcBody2(arcs)
+    i, j = own.argmax(axis=1), turned.argmax(axis=1)
+    # a sum of radius 0 is a genuine corner of K - K
+    return ArcBody2([Arc(tuple(c[a] - c[b]), r[a] + r[b], a0, a1)
+                     for a, b, a0, a1 in zip(i, j, cuts, ends) if r[a] + r[b] > 0])
 
 
 def width_function(body, theta):

@@ -3,7 +3,8 @@
 A chord is an affine diameter when the body admits parallel supporting lines
 at its two endpoints.  ``diameter_counts_batch`` is the one counter, for
 smooth bodies and polygons alike; the scalar counts are one-point calls of
-it, so they agree with it by construction.
+it.  A one-point and a many-point matmul can round differently, so the two
+can disagree on a flag for a point within an ulp of the edge of a flag band.
 
 For a smooth strictly convex body the chord with supporting-line direction
 ``theta`` joins the boundary points with outer normal angles

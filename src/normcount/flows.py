@@ -12,8 +12,8 @@ sides of ``derivative_report``'s identity, are quadrature values of
 ``evolute.normal_means`` (no sampling).
 
 The curvature-power flow ``dh/dt = +/- rho^r`` is integrated explicitly on a
-dense angle grid with re-projection onto the finite Fourier basis each step;
-it is exploratory and truncates the trace if convexity is lost.
+dense angle grid, refit to the finite Fourier basis by ``fit_support_body``
+each step; it is exploratory and truncates the trace if convexity is lost.
 
 Empirically (and provably for bodies containing their evolute) the interior
 mean count DEcreases toward 2 under the outward flow and INcreases under the
@@ -31,7 +31,8 @@ import numpy as np
 
 from .averaging import EstimateReport, resolve_counter
 from .bodies2d import (TWO_PI, SmoothBody2, bounding_box, contains2_batch,
-                       measure2d, require_smooth, signed_boundary_excess)
+                       fit_support_body, measure2d, require_smooth,
+                       signed_boundary_excess)
 from .errors import ConvexityError, DomainError, SingularFlowError
 from .evolute import normal_means, rolling_ball_radius
 from .rng import accept_prefix
@@ -99,16 +100,6 @@ def offset_body(body: SmoothBody2, t: float) -> SmoothBody2:
     return out
 
 
-def _project_support(h_vals: np.ndarray, degree: int) -> tuple[float, np.ndarray, np.ndarray]:
-    g = len(h_vals)
-    spec = np.fft.rfft(h_vals)
-    a0 = float(spec[0].real) / g
-    k = np.arange(1, degree + 1)
-    cos_c = 2.0 * spec[k].real / g
-    sin_c = -2.0 * spec[k].imag / g
-    return a0, cos_c, sin_c
-
-
 def _curvature_power_bodies(body: SmoothBody2, spec: FlowSpec) -> tuple[list, bool]:
     sign = 1.0 if spec.direction == "out" else -1.0
     degree = max(len(body.ac), len(body.bs), 1)
@@ -123,8 +114,7 @@ def _curvature_power_bodies(body: SmoothBody2, spec: FlowSpec) -> tuple[list, bo
                 rho = cur.rho(thetas)
                 dt = min(remaining, 0.2 * float(np.min(rho)) ** spec.r * (TWO_PI / _GRID))
                 h = cur.support(thetas) + sign * dt * rho ** spec.r
-                a0, cos_c, sin_c = _project_support(h, degree)
-                cur = SmoothBody2(a0, cos_c, sin_c)
+                cur = fit_support_body(np.column_stack([thetas, h]), degree)
                 remaining -= dt
         except ConvexityError:
             return bodies, True

@@ -9,13 +9,18 @@ stable and vertex feet always unstable; circular-arc near feet are stable,
 far feet and corner feet unstable.
 
 Polygons and arc bodies each have one face test, ``_polygon_faces`` and
-``_arc_faces``: for a batch of points it returns, per face, the mask of the
-points whose normal foot lies on that face, plus the flags of the points on
-a wedge boundary or at an arc centre (an arc body's faces are the rows of
-``ArcBody2.pieces``).  ``count_normals2_batch`` sums the masks, and
-``normal_feet2`` reads its feet off the point's single row, so scalar and
-batch answers agree by construction.  Polygon and polytope face
-tests read one quantity per edge, its parameter t (where p's foot falls on
+``_arc_faces``, with one contract: for a block of points it returns one row
+per point and one column per face, the masks of the faces that hold a
+stable and an unstable foot of the point, plus the flags of the points on a
+wedge boundary or at an arc centre.  A polygon's faces are its edges and
+vertices, an arc body's the rows of the ``ArcBody2.pieces`` table, read with
+one broadcast and no loop over pieces.  ``count_normals2_batch`` sums the
+masks over row blocks of points, and ``normal_feet2`` reads its feet off the
+point's single row.  Both run the same tests, but a one-point and a
+many-point matmul can round differently, so the scalar and batch answers can
+disagree on a flag for a point within an ulp of the edge of a flag band (9
+to 71 of 265 to 391 bisected probes per polytope).  Polygon and polytope
+face tests read one quantity per edge, its parameter t (where p's foot falls on
 the edge's line: 0 at its first vertex, 1 at its second): an edge holds a
 foot where 0 < t < 1, and a vertex where t seen from it is >= 0 on every
 edge at it.  t is compared against 1e-9 and every other comparison of these
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies2d import (INTERIOR_RTOL, ArcBody2, Polygon2, SmoothBody2,
-                       cross2, in_angle_range, require_interior, unit)
+                       in_angle_range, require_interior, unit)
 from .bodies3d import Polytope3, contains3
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
@@ -83,11 +88,9 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
     """Lengths of the normal chords from each foot q through p to the far
     side of the body.
 
-    Polygons take the nearest edge line ahead.  Arc bodies take the far
-    intersection of the line with each arc's circle in ``body.pieces``,
-    kept when it lies in the arc's angle range, and each corner piece the
-    line passes through; the exit is the farthest of these.  A smooth foot
-    r(theta) has p on its normal, so its chord is ``normal_chord(theta)``.
+    Polygons take the nearest edge line ahead, and arc bodies the farthest
+    exit of ``_arc_chords``.  A smooth foot r(theta) has p on its normal, so
+    its chord is ``normal_chord(theta)``.
     """
     if isinstance(body, SmoothBody2):
         return body.normal_chord(np.array([source[1] for _, source, _ in feet]))[0]
@@ -100,19 +103,27 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(den > 1e-15, num / den, np.inf)
         return np.min(t, axis=1)
-    best = np.zeros(len(qs))
-    for c, r, lo, hi, _ in body.pieces:
-        rel = qs - c
-        b = np.einsum("ij,ij->i", rel, d)
-        if r == 0.0:  # a corner: the exit where the line passes through it
-            t, on = -b, np.abs(cross2(d, rel)) <= 1e-12 * body.scale
-        else:  # an arc: the far crossing of its circle, within its range
-            disc = b * b - (np.einsum("ij,ij->i", rel, rel) - r * r)
-            t = -b + np.sqrt(np.maximum(disc, 0.0))
-            hit = rel + t[:, None] * d
-            on = (disc >= 0) & in_angle_range(np.arctan2(hit[:, 1], hit[:, 0]), lo, hi - lo)
-        best = np.where(on, np.maximum(best, t), best)
-    return best
+    return _arc_chords(body, qs, d)
+
+
+def _arc_chords(body: ArcBody2, starts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Length from each boundary start along its unit direction to the far
+    exit: the farthest of the far crossings of the line with each arc's
+    circle in ``body.pieces``, kept where it lies in the arc's angle range,
+    and of each corner row the line passes through."""
+    rel = starts[:, None, :] - body.pieces[:, :2]
+    c_x, c_y = rel[..., 0], rel[..., 1]
+    d_x, d_y = dirs[:, :1], dirs[:, 1:]
+    r, lo, hi = body.pieces[:, 2:].T
+    b = c_x * d_x + c_y * d_y
+    disc = b * b - ((c_x * c_x + c_y * c_y) - r * r)
+    t = -b + np.sqrt(np.maximum(disc, 0.0))
+    hit = np.arctan2(c_y + t * d_y, c_x + t * d_x)
+    on = (disc >= 0) & in_angle_range(hit, lo, hi - lo)
+    corner = r == 0.0
+    t = np.where(corner, -b, t)
+    on = np.where(corner, np.abs(d_x * c_y - d_y * c_x) <= 1e-12 * body.scale, on)
+    return np.max(np.where(on, t, 0.0), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +156,7 @@ def _on_line(x):
 
 def _arc_faces(body: ArcBody2, pts: np.ndarray):
     """(ang, near, far, flags) for many interior points, one column per
-    piece of ``body.pieces``.
+    row of ``body.pieces``.
 
     ang[:, i] is the angle of p about piece i's centre.  The near foot of a
     piece is at that angle and the far foot at the opposite one, each
@@ -155,18 +166,15 @@ def _arc_faces(body: ArcBody2, pts: np.ndarray):
     centre, or whose line to a centre is within 1e-9 of a range end, is
     flagged.
     """
-    flags = np.zeros(len(pts), dtype=bool)
-    angs, near, far = [], [], []
-    for c, r, lo, hi, _ in body.pieces:
-        rel = pts - c
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        angs.append(ang)
-        near.append(in_angle_range(ang, lo, hi - lo))
-        far.append(in_angle_range(ang + math.pi, lo, hi - lo))
-        # the line through p and the centre runs along a range end
-        flags |= (_on_line(ang - lo) | _on_line(ang - hi)
-                  | (np.hypot(rel[:, 0], rel[:, 1]) < 1e-9 * r))
-    return np.array(angs).T, np.array(near).T, np.array(far).T, flags
+    c_x, c_y, r, lo, hi = body.pieces.T[:, :, None]  # piece-major: sums run along points
+    dx, dy = pts[:, 0] - c_x, pts[:, 1] - c_y
+    ang = np.arctan2(dy, dx)
+    near = in_angle_range(ang, lo, hi - lo)
+    far = in_angle_range(ang + math.pi, lo, hi - lo)
+    # the line through p and the centre runs along a range end
+    flags = np.any(_on_line(ang - lo) | _on_line(ang - hi) | (np.hypot(dx, dy) < 1e-9 * r),
+                   axis=0)
+    return ang.T, near.T, far.T, flags
 
 
 def _polygon_feet(body: Polygon2, p: np.ndarray) -> list[tuple] | None:
@@ -180,16 +188,15 @@ def _polygon_feet(body: Polygon2, p: np.ndarray) -> list[tuple] | None:
 
 
 def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[tuple] | None:
-    """Feet read off the point's row of ``_arc_faces``; None where flagged."""
+    """Feet read off the point's row of ``_arc_faces``, per piece its near
+    then its far foot; None where flagged."""
     ang, near, far, flags = _arc_faces(body, p[None, :])
     if flags[0]:
         return None
-    feet = []
-    for i, (c, r, _lo, _hi, source) in enumerate(body.pieces):
-        for gamma, idx, hit in ((ang[0, i], 0, near[0, i]), (ang[0, i] + math.pi, 1, far[0, i])):
-            if hit:
-                feet.append((c + r * unit(gamma), source, idx))
-    return feet
+    k = np.flatnonzero(np.column_stack([near[0], far[0]]))
+    i, index = k // 2, k % 2
+    qs = body.pieces[i, :2] + body.pieces[i, 2:3] * unit(ang[0, i] + math.pi * index)
+    return [(q, body.sources[j], int(x)) for q, j, x in zip(qs, i, index)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,31 +267,29 @@ def count_normals2_batch(body, pts):
     the certified kernel cannot prove every grid interval monotone or
     root-free by MAX_GRID (the evolute) or g vanishes (a disk centre).  At a
     root g' = |p - q| - rho(q), so the stable feet are the descending roots
-    of g.  Polygon points run in ``trigcount.row_blocks`` of at most
-    ``_BLOCK`` point times edge entries, so memory does not grow with the
-    number of points.
+    of g.  Polygon and arc body points run in ``trigcount.row_blocks`` of at
+    most ``_BLOCK`` values, a point holding one per edge or 16 per piece, so
+    memory does not grow with the number of points.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if isinstance(body, Polygon2):
-        total = np.empty(len(pts), dtype=int)
-        stable = np.empty(len(pts), dtype=int)
-        flags = np.empty(len(pts), dtype=bool)
-        for rows in row_blocks(len(pts), len(body)):
-            _t, edge, vertex, flags[rows] = _polygon_faces(body, pts[rows])
-            stable[rows] = np.sum(edge, axis=1)
-            total[rows] = stable[rows] + np.sum(vertex, axis=1)
-        total[flags] = DEGENERATE
-        return total, stable, flags
     if isinstance(body, SmoothBody2):
         return count_roots(lambda q, th: body.lines(q, th, unit(th)), pts,
                            max(1, body.degree), body.scale)
-    if isinstance(body, ArcBody2):
-        _ang, near, far, flags = _arc_faces(body, pts)
-        stable = np.sum(near, axis=1)
-        total = stable + np.sum(far, axis=1)
-        total[flags] = DEGENERATE
-        return total, stable, flags
-    raise UnsupportedCombinationError(f"no normal counter for {type(body).__name__}")
+    if isinstance(body, Polygon2):
+        faces, width = _polygon_faces, len(body)
+    elif isinstance(body, ArcBody2):
+        faces, width = _arc_faces, 16 * len(body.pieces)
+    else:
+        raise UnsupportedCombinationError(f"no normal counter for {type(body).__name__}")
+    total = np.empty(len(pts), dtype=int)
+    stable = np.empty(len(pts), dtype=int)
+    flags = np.empty(len(pts), dtype=bool)
+    for rows in row_blocks(len(pts), width):
+        _, stable_mask, unstable_mask, flags[rows] = faces(body, pts[rows])
+        stable[rows] = np.sum(stable_mask, axis=1)
+        total[rows] = stable[rows] + np.sum(unstable_mask, axis=1)
+    total[flags] = DEGENERATE
+    return total, stable, flags
 
 
 # ---------------------------------------------------------------------------

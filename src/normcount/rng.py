@@ -14,8 +14,6 @@ keeps the whole prefix and tests it against several bodies.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 CHUNK = 8192
@@ -26,37 +24,27 @@ def philox_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
 
-def uniform_chunks(seed: int, dim: int) -> Iterator[np.ndarray]:
-    """Yield (CHUNK, dim) arrays of U[0,1) draws, a fixed function of seed."""
-    gen = philox_generator(seed)
-    while True:
-        yield gen.random((CHUNK, dim))
-
-
-def box_candidates(seed: int, lo: np.ndarray, hi: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield chunks of uniform candidates in the axis box [lo, hi]."""
-    lo = np.asarray(lo, dtype=float)
-    span = np.asarray(hi, dtype=float) - lo
-    for u in uniform_chunks(seed, lo.size):
-        yield lo + span * u
-
-
 def accept_prefix(seed: int, lo, hi, inside, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The candidates of ``box_candidates(seed, lo, hi)`` up to and including
-    the n-th that ``inside`` accepts, and the accept mask over them;
-    ``inside`` maps a chunk to a mask and sees each chunk once, in order."""
+    """The candidates lo + (hi - lo) * u, uniform in the axis box [lo, hi],
+    for the rows u of ``philox_generator(seed)``'s U[0,1) stream, up to and
+    including the n-th that ``inside`` accepts, and the accept mask over
+    them.  ``inside`` maps a chunk to a mask and sees each candidate once,
+    in order; a chunk holds min(CHUNK, 2*(n - have) + 64) rows, with have
+    the number accepted so far, so few candidates past the n-th are drawn."""
+    lo = np.asarray(lo, dtype=float)
     if n <= 0:
-        return np.zeros((0, np.size(lo))), np.zeros(0, dtype=bool)
+        return np.zeros((0, lo.size)), np.zeros(0, dtype=bool)
+    span = np.asarray(hi, dtype=float) - lo
+    gen = philox_generator(seed)
     chunks, masks = [], []
     have = 0
-    for cand in box_candidates(seed, lo, hi):
+    while have < n:
+        cand = lo + span * gen.random((min(CHUNK, 2 * (n - have) + 64), lo.size))
         ok = inside(cand)
         hits = np.flatnonzero(ok)
         if have + len(hits) >= n:
             stop = hits[n - have - 1] + 1
-            chunks.append(cand[:stop])
-            masks.append(ok[:stop])
-            break
+            cand, ok = cand[:stop], ok[:stop]
         have += len(hits)
         chunks.append(cand)
         masks.append(ok)
@@ -64,7 +52,7 @@ def accept_prefix(seed: int, lo, hi, inside, n: int) -> tuple[np.ndarray, np.nda
 
 
 def rejection_sample(seed: int, lo, hi, inside, n: int) -> np.ndarray:
-    """The first n candidates of ``box_candidates(seed, lo, hi)`` that
-    ``inside`` accepts, in stream order."""
+    """The candidates of ``accept_prefix`` that ``inside`` accepts: the
+    first n of the stream, in stream order."""
     cand, ok = accept_prefix(seed, lo, hi, inside, n)
     return cand[ok]

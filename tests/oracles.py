@@ -524,7 +524,7 @@ def offset_reuleaux(width: float = 1.0, offset: float = 0.15) -> ArcBody2:
 
     R = build_reuleaux(3, width)
     arcs = []
-    for a, v, lo, hi in zip(R.arcs, R.corner_points, R.corner_lo, R.corner_hi):
+    for a, (*v, _r, lo, hi) in zip(R.arcs, R.pieces[len(R.arcs):]):
         arcs += [Arc(a.center, a.radius + offset, a.ang0, a.ang1), Arc(tuple(v), offset, lo, hi)]
     return ArcBody2(arcs)
 

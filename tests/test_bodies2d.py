@@ -206,6 +206,35 @@ def test_sample_interior_inside_and_deterministic():
     assert np.array_equal(pts, again)
 
 
+def test_samples_are_the_accepted_rows_of_one_philox_draw():
+    # candidate j of the stream is the same whatever chunk it is drawn in,
+    # so the samples are the first accepted rows of one draw
+    from normcount.rng import philox_generator
+
+    for body in (nc.build_reuleaux(5), nc.SmoothBody2(1.0, (0.0, 0.05), (0.02,))):
+        lo, hi = nc.bounding_box(body)
+        cand = lo + (hi - lo) * philox_generator(9).random((30000, 2))
+        inside = cand[nc.contains2_batch(body, cand)]
+        for n in (1, 7, 500, 9000, 20000):
+            assert np.array_equal(nc.sample_interior2(body, n, seed=9), inside[:n])
+
+
+def test_sampler_tests_only_the_candidates_it_needs(monkeypatch):
+    # a chunk holds 2*(n - have) + 64 candidates, not a full CHUNK of 8192
+    import normcount.bodies2d as b2
+
+    tested = []
+    side_test = b2.contains2_batch
+
+    def counting(body, cand, tol=0.0):
+        tested.append(len(cand))
+        return side_test(body, cand, tol)
+
+    monkeypatch.setattr(b2, "contains2_batch", counting)
+    pts = nc.sample_interior2(nc.SmoothBody2(1.0, (0.0, 0.05), (0.02,)), 500, seed=42)
+    assert len(pts) == 500 and sum(tested) <= 2 * 500 + 64
+
+
 def test_sample_boundary_lies_on_boundary():
     B = nc.SmoothBody2(1.0, (0.03,), (0.0, 0.02))
     pts, _ = nc.sample_boundary2(B, 400, seed=5)
@@ -236,7 +265,7 @@ def test_arc_excess_outside_is_the_distance(name):
     assert len(pts) > 300
     err = nc.signed_boundary_excess(body, pts) - oracles.polyline_distance(poly, pts)
     assert np.max(np.abs(err)) < 1e-8
-    for v, a, b in zip(body.corner_points, body.corner_lo, body.corner_hi):
+    for *v, _r, a, b in body.pieces[len(body.arcs):]:
         bisector = v + 0.1 * np.array([math.cos(0.5 * (a + b)), math.sin(0.5 * (a + b))])
         assert abs(nc.signed_boundary_excess(body, bisector)[0] - 0.1) < 1e-12
 

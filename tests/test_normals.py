@@ -242,7 +242,7 @@ def test_reuleaux_feet_lie_on_their_arcs_and_corners(sides):
                 assert np.array_equal(f.foot, v)
                 # the outer normal v - p lies in the corner's normal cone
                 ang = math.atan2(v[1] - p[1], v[0] - p[0])
-                lo, hi = R.corner_lo[i], R.corner_hi[i]
+                lo, hi = R.pieces[R.sources.index(f.source), 3:]
                 assert (ang - lo) % (2 * math.pi) <= hi - lo + 1e-12
                 assert f.index == 1
                 kinds["corner"] += 1
@@ -520,6 +520,24 @@ def test_polytope_counter_runs_in_bounded_memory():
         tracemalloc.stop()
     outputs = total.nbytes + sum(part.nbytes for part in parts) + flags.nbytes
     assert peak - outputs < 16 * 2**20
+
+
+def test_arc_counter_and_excess_run_in_bounded_memory():
+    # arc body points run in row blocks of the piece table, so 500k points
+    # never build their full (pieces, points) tables
+    import tracemalloc
+
+    R = nc.build_reuleaux(5)
+    pts = nc.sample_interior2(R, 500000, seed=12)
+    for kernel in (nc.count_normals2_batch, nc.signed_boundary_excess):
+        tracemalloc.start()
+        try:
+            out = kernel(R, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(x.nbytes for x in (out if isinstance(out, tuple) else (out,)))
+        assert peak - outputs < 16 * 2**20, kernel.__name__
 
 
 def test_import_leaves_out_scipy_optimize():
