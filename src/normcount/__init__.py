@@ -1,13 +1,13 @@
 """Counting normals, equilibria and affine diameters of convex bodies.
 
 Exact wedge decompositions for polygons and polytopes, root counting for
-smooth support-parameterized bodies, Monte Carlo interior/boundary averages,
-offset and curvature flows, normed-plane (Minkowski) variants, and
-inscribed-polygon discretization experiments.
+smooth support-parameterized bodies, exact and Monte Carlo interior averages
+and Monte Carlo boundary averages, offset and curvature flows, normed-plane
+(Minkowski) variants, and inscribed-polygon discretization experiments.
 """
 
 from .averaging import (EstimateReport, estimate_boundary_average,
-                        estimate_interior_average, field_map)
+                        estimate_interior_average, exact_average, field_map)
 from .bodies2d import (Arc, ArcBody2, Polygon2, SmoothBody2, bounding_box,
                        build_polygon, build_reuleaux, contains2,
                        contains2_batch, difference_body, difference_body_area,
@@ -66,7 +66,7 @@ __all__ = [
     "diameter_chord", "diameter_counts_batch", "difference_body",
     "difference_body_area", "discretization_race", "disk", "edge_wedge",
     "estimate_boundary_average", "estimate_interior_average",
-    "euler_residual", "evolute_points", "evolve_flow",
+    "euler_residual", "evolute_points", "evolve_flow", "exact_average",
     "exact_average_normals", "field_map", "fit_support_body", "format_float",
     "gauge", "gauge_batch", "hexagon_ratio_tau", "inscribe_polygon",
     "interior_margin", "is_centrally_symmetric", "measure2d", "measure3d",

@@ -1,9 +1,14 @@
-"""Seeded Monte Carlo averages of pointwise counters over convex bodies.
+"""Averages of pointwise counters over convex bodies: exact where a closed
+form is implemented, and seeded Monte Carlo (MC) always, as the fallback and
+the cross-check.
 
 A counter is a batch function ``fn(body, pts) -> (values, flags)``: the
 names "normals" and "diameters" resolve to the batch counters of
 ``normals`` and ``diameters``, and ``minkowski_counter(M)`` builds one for a
-norm ball.  Every average evaluates its counter on whole arrays of points.
+norm ball.  Every MC average evaluates its counter on whole arrays of
+points.  ``exact_average`` gives the interior mean of the normal count of
+polygons, smooth bodies and arc bodies, which ``estimate_interior_average``
+reports next to its MC mean.
 
 Sample ``i`` is always the ``i``-th accepted candidate of a counter-based
 RNG stream keyed by the seed, so a report is a pure function of
@@ -19,13 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import (INTERIOR_RTOL, Polygon2, bounding_box, contains2_batch,
-                       measure2d, sample_boundary2, sample_interior2, unit)
+from .bodies2d import (INTERIOR_RTOL, TWO_PI, ArcBody2, Polygon2, SmoothBody2,
+                       bounding_box, contains2_batch, measure2d, sample_boundary2,
+                       sample_interior2, unit)
 from .bodies3d import Polytope3, sample_interior3
 from .diameters import diameter_counts_batch, parallel_antipodal_edge_pairs
 from .errors import (DomainError, InfiniteDiametersError, TooSingularError,
                      UnsupportedCombinationError)
-from .normals import count_normals2_batch, count_normals3_batch
+from .evolute import normal_means
+from .normals import _arc_chords, count_normals2_batch, count_normals3_batch
+from .trigcount import gauss_panels, row_blocks
 from .wedges import exact_average_normals
 
 _MAX_DEGENERATE_FRAC = 0.01  # resampled points allowed, as a fraction of n
@@ -34,7 +42,10 @@ _BOUNDARY_DEPTH = 1e-7  # inward nudge of boundary samples, in area/perimeter
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Monte Carlo summary: mean, standard error, normal 95% CI."""
+    """An interior or boundary average: the MC mean, standard error and
+    normal 95% CI of its samples, and ``exact``, the exact mean where
+    ``exact_average`` has one (else None).  ``method`` names which of the
+    two answers the question: "exact" or "mc"."""
 
     mean: float
     std_error: float
@@ -51,6 +62,10 @@ class EstimateReport:
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
         return cls(mean, se, (mean - 1.96 * se, mean + 1.96 * se), n, resampled, exact)
+
+    @property
+    def method(self) -> str:
+        return "mc" if self.exact is None else "exact"
 
 
 def _normals(body, pts):
@@ -90,9 +105,45 @@ def resolve_counter(counter):
     raise UnsupportedCombinationError(f"unknown counter {counter!r}")
 
 
-def _closed_form(body, counter):
-    if counter == "normals" and isinstance(body, Polygon2):
+def _arc_normals_mean(body: ArcBody2) -> float:
+    """Mean normal count of an arc body: the sum over its arcs of
+    int [r^2 - (r - L)_+^2] dgamma over the arc's normal range, over the
+    area, with L the chord of ``_arc_chords`` from c + r*u(gamma) along
+    -u(gamma).  Corners (r = 0) add nothing.  The chord's exit piece changes
+    only where the line through the centre c passes a corner q, at the
+    angles of +-(q - c), so each arc splits there into panels on which L is
+    analytic, integrated by ``gauss_panels``."""
+    arcs = body.pieces[body.pieces[:, 2] > 0.0]
+    c, r, lo, hi = arcs[:, :2], arcs[:, 2], arcs[:, 3:4], arcs[:, 4:5]
+    rel = body.corner_points - c[:, None]
+    ang = np.arctan2(rel[..., 1], rel[..., 0])
+    cuts = lo + np.mod(np.hstack([ang, ang + np.pi]) - lo, TWO_PI)  # into [lo, lo + 2pi)
+    cuts = np.sort(np.hstack([lo, np.minimum(cuts, hi), hi]), axis=1)
+    keep = cuts[:, 1:] > cuts[:, :-1]
+    arc = np.nonzero(keep)[0]
+    gamma, w = gauss_panels(cuts[:, :-1][keep], cuts[:, 1:][keep])
+    gamma, w, arc = gamma.ravel(), w.ravel(), np.repeat(arc, gamma.shape[1])
+    over = np.empty(len(gamma))
+    for rows in row_blocks(len(gamma), 16 * len(body.pieces)):
+        u = unit(gamma[rows])
+        chord = _arc_chords(body, c[arc[rows]] + r[arc[rows], None] * u, -u)
+        over[rows] = np.maximum(r[arc[rows]] - chord, 0.0)
+    return (float(np.sum(r**2 * (hi - lo)[:, 0])) - float(np.sum(w * over**2))) / body.area()
+
+
+def exact_average(body, counter) -> float | None:
+    """The exact interior mean of a counter, or None where none is
+    implemented.  Normals only: polygons by their wedges
+    (``exact_average_normals``), smooth bodies by ``normal_means`` and arc
+    bodies by ``_arc_normals_mean``."""
+    if counter != "normals":
+        return None
+    if isinstance(body, Polygon2):
         return exact_average_normals(body)[1]
+    if isinstance(body, SmoothBody2):
+        return normal_means(body)[0]
+    if isinstance(body, ArcBody2):
+        return _arc_normals_mean(body)
     return None
 
 
@@ -123,7 +174,9 @@ def _run_with_resampling(draw, fn, body, n: int) -> tuple[np.ndarray, int]:
 
 
 def estimate_interior_average(body, counter, n: int, seed: int) -> EstimateReport:
-    """Mean of a pointwise counter over n uniform interior points."""
+    """Mean of a pointwise counter over n uniform interior points, with the
+    ``exact_average`` where there is one; the MC mean always runs, as the
+    cross-check."""
     if n < 100:
         raise DomainError("estimate_interior_average needs n >= 100")
     fn = resolve_counter(counter)
@@ -136,7 +189,7 @@ def estimate_interior_average(body, counter, n: int, seed: int) -> EstimateRepor
             return sample_interior2(body, m, seed)
 
     vals, resampled = _run_with_resampling(draw, fn, body, n)
-    return EstimateReport.from_values(vals, resampled, _closed_form(body, counter))
+    return EstimateReport.from_values(vals, resampled, exact_average(body, counter))
 
 
 def estimate_boundary_average(body, counter, n: int, seed: int) -> EstimateReport:

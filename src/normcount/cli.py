@@ -71,6 +71,7 @@ def _report_payload(report, seed, body_source) -> dict:
         "samples_used": report.samples_used,
         "degenerate_resampled": report.degenerate_resampled,
         "exact": None if report.exact is None else format_float(report.exact),
+        "method": report.method,
     }
 
 
@@ -108,6 +109,8 @@ def _cmd_estimate(args) -> int:
     for line in _header(args.seed, args.body):
         print(line)
     print(f"mean={payload['mean']} ci95=[{payload['ci95'][0]},{payload['ci95'][1]}]")
+    if report.exact is not None:
+        print(f"exact={payload['exact']}")
     print(f"wrote {path}")
     return 0
 
@@ -254,6 +257,9 @@ def _cmd_point(args) -> int:
 
 def _validate_corpus(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     out = []
+    # the planar bounds are decided by the exact mean, to a relative 1e-9 (the
+    # Reuleaux equality case); the polytope bounds by the CI's lower end
+    at_most = lambda rep, bound: rep.exact <= bound * (1.0 + 1e-9)  # noqa: E731
     slack = lambda rep: rep.mean - 1.96 * rep.std_error  # noqa: E731
 
     square = build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -280,19 +286,19 @@ def _validate_corpus(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     ev = SmoothBody2(1.0, [0.0, 0.0, 0.05])
     contained, _ = contains_evolute(ev)
     rep = estimate_interior_average(ev, "normals", samples, seed)
-    out.append(("evolute-inside body n <= 6", contained and slack(rep) <= 6.0,
-                f"mean={rep.mean:.4f}"))
+    out.append(("evolute-inside body n <= 6", contained and at_most(rep, 6.0),
+                f"exact={rep.exact:.12f} mean={rep.mean:.4f}"))
 
     generic = SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04])
     rep = estimate_interior_average(generic, "normals", samples, seed)
-    out.append(("smooth planar body n <= 12", slack(rep) <= 12.0,
-                f"mean={rep.mean:.4f}"))
+    out.append(("smooth planar body n <= 12", at_most(rep, 12.0),
+                f"exact={rep.exact:.12f} mean={rep.mean:.4f}"))
 
     reuleaux = build_reuleaux(3, 1.0)
     bound_cw = 2.0 * np.pi / (np.pi - np.sqrt(3.0))
     rep = estimate_interior_average(reuleaux, "normals", samples, seed)
-    out.append(("constant width n <= 2*pi/(pi - sqrt(3))", slack(rep) <= bound_cw,
-                f"mean={rep.mean:.4f} bound={bound_cw:.4f}"))
+    out.append(("constant width n <= 2*pi/(pi - sqrt(3))", at_most(rep, bound_cw),
+                f"exact={rep.exact:.12f} mean={rep.mean:.4f} bound={bound_cw:.12f}"))
 
     for name in ("cube", "truncated_octahedron"):
         solid = standard_polytope(name)
@@ -324,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=".", help="output directory")
 
-    sp = sub.add_parser("estimate", help="Monte Carlo interior average")
+    sp = sub.add_parser("estimate", help="interior average: exact where a closed form "
+                                         "exists, Monte Carlo always")
     common(sp)
     sp.add_argument("--counter", default="normals",
                     choices=["normals", "diameters", "minkowski"])

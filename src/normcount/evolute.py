@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies2d import TWO_PI, SmoothBody2, require_smooth
+from .trigcount import bisect, gauss_panels
 
 _GRID = 8192  # angles of the evolute containment scan
 _RTOL = 1e-9  # containment allowance, relative to the body's scale
-_MEANS_GRID = 1024  # angles of the rectangle rule of normal_means
+_MEANS_GRID = 1024  # angles of normal_means' rule and root scan
 
 
 @dataclass(frozen=True)
@@ -76,21 +77,42 @@ def contains_evolute(body: SmoothBody2) -> tuple[bool, float]:
 
 def normal_means(body: SmoothBody2) -> tuple[float, float]:
     """Mean normal counts (n, n_surf) over the interior and over the boundary
-    (uniform in arclength), by the rectangle rule on ``_MEANS_GRID`` angles
-    of the chord integrals in the module docstring.  n_surf is exactly 2.0
-    where rho <= L at every angle of the rule.  Where the evolute lies
-    inside the body the rule is exact to rounding; elsewhere the kink of
-    (rho - L)_+ limits it: against 65536 angles it errs by 1.3e-8 in n and
-    2.9e-6 in n_surf on h = 1 + .3 cos 2t, by 7.9e-9 and 2.2e-7 on
-    h = 1 + .25 cos 2t + .02 sin 3t."""
+    (uniform in arclength): the chord integrals of the module docstring.
+
+    One ``normal_chord`` pass on ``_MEANS_GRID`` angles gives rho - L.
+    Where rho <= L at every angle (the evolute inside the body) n is the
+    rectangle rule of rho^2, a trigonometric polynomial, so exact to
+    rounding, and n_surf is exactly 2.0.  Elsewhere (rho - L)_+ has a kink at
+    each root of rho - L, where the evolute crosses the boundary: one
+    ``bisect`` finds the roots in the grid intervals where rho - L changes
+    sign, and the (rho - L)_+ terms are integrated by ``gauss_panels``
+    between them, so both values are exact to rounding there too (doubling
+    the order moves them by less than 1e-12).  A pair of roots closer than
+    the grid spacing is not seen.
+    """
     require_smooth(body, "the evolute machinery")
     step = TWO_PI / _MEANS_GRID
     theta = np.arange(_MEANS_GRID) * step
     rho = body.rho(theta)
     chord, e = body.normal_chord(theta)
-    over = np.maximum(rho - chord, 0.0)  # (rho - L)_+
-    n = step * float(np.sum(rho**2 - over**2)) / body.area()
-    return n, 2.0 + 2.0 * step * float(np.sum(over / -np.cos(e - theta))) / body.perimeter()
+    over = rho - chord
+    ups = over > 0.0
+    cut = np.flatnonzero(ups != np.roll(ups, -1))  # sign changes on [theta_j, theta_j+1]
+    if not len(cut):
+        over = np.maximum(over, 0.0)
+        n = step * float(np.sum(rho**2 - over**2)) / body.area()
+        return n, 2.0 + 2.0 * step * float(np.sum(over / -np.cos(e - theta))) / body.perimeter()
+    rising = ~ups[cut]  # rho - L rises through its root there
+    roots = bisect(lambda t: (body.rho(t) - body.normal_chord(t)[0] > 0.0) != rising,
+                   theta[cut], theta[cut] + step)
+    # (rho - L)_+ is positive from each rising root to the next root
+    ends = np.roll(roots, -1)[rising]
+    starts = roots[rising]
+    t, w = gauss_panels(starts, ends + TWO_PI * (ends < starts))
+    chord, e = body.normal_chord(t)
+    over = np.maximum(body.rho(t) - chord, 0.0)
+    return ((step * float(np.sum(rho**2)) - float(np.sum(w * over**2))) / body.area(),
+            2.0 + 2.0 * float(np.sum(w * over / -np.cos(e - t))) / body.perimeter())
 
 
 def rolling_ball_radius(body: SmoothBody2) -> float:

@@ -66,8 +66,7 @@ class FlowSpec:
 class FlowTrace:
     """Per time slice: the body, the MC interior mean (an ``EstimateReport``)
     and the quadrature boundary mean (a float of ``normal_means``, exact to
-    rounding where the evolute lies inside the slice, elsewhere within the
-    kink error stated there)."""
+    rounding)."""
     times: np.ndarray
     bodies: list
     n_values: list
@@ -245,9 +244,8 @@ def derivative_report(body: SmoothBody2, dt: float) -> dict:
     count at the rate P * n_surf, so dn/dt = (P/A) * (n_surf - n).  Both
     sides are quadrature values of ``normal_means``: the finite difference
     (n(dt) - n(0)) / dt and the identity's right-hand side at t = 0.  Their
-    residual is the difference's own error, first order in dt, where the
-    evolute lies inside the body (the rule is then exact to rounding);
-    elsewhere the rule's kink error, stated in ``normal_means``, adds to it.
+    residual is the difference's own error, first order in dt: both
+    quadratures are exact to rounding.
     """
     require_smooth(body, "a flow")
     if not 0 < dt < math.inf:

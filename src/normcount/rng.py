@@ -29,17 +29,23 @@ def accept_prefix(seed: int, lo, hi, inside, n: int) -> tuple[np.ndarray, np.nda
     for the rows u of ``philox_generator(seed)``'s U[0,1) stream, up to and
     including the n-th that ``inside`` accepts, and the accept mask over
     them.  ``inside`` maps a chunk to a mask and sees each candidate once,
-    in order; a chunk holds min(CHUNK, 2*(n - have) + 64) rows, with have
-    the number accepted so far, so few candidates past the n-th are drawn."""
+    in order.  A chunk holds min(CHUNK, 2*(n - have)/rate + 64) rows, with
+    have the number accepted so far and rate the fraction of the rows drawn
+    so far that were accepted (1 for the first chunk, 0 until one is), so
+    few candidates past the n-th are drawn and a thin body takes few
+    chunks."""
     lo = np.asarray(lo, dtype=float)
     if n <= 0:
         return np.zeros((0, lo.size)), np.zeros(0, dtype=bool)
     span = np.asarray(hi, dtype=float) - lo
     gen = philox_generator(seed)
     chunks, masks = [], []
-    have = 0
+    drawn = have = 0
     while have < n:
-        cand = lo + span * gen.random((min(CHUNK, 2 * (n - have) + 64), lo.size))
+        per_hit = drawn / have if have else (CHUNK if drawn else 1)  # 1/rate
+        cand = lo + span * gen.random((min(CHUNK, int(2 * (n - have) * per_hit) + 64),
+                                       lo.size))
+        drawn += len(cand)
         ok = inside(cand)
         hits = np.flatnonzero(ok)
         if have + len(hits) >= n:

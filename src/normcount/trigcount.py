@@ -34,12 +34,17 @@ proven monotone, so it finds as many roots as are counted.  The package
 has two bracketed root finders: ``newton``, for functions with a slope at
 hand (smooth feet, Minkowski roots, the normal chords of
 ``SmoothBody2.normal_chord``, arclength inverses), and ``bisect``, 64
-halvings of a predicate with none (the hexagon's gauge).
+halvings of a predicate with none (the hexagon's gauge, the roots of
+rho - L in ``evolute.normal_means``).  ``gauss_panels`` is the one
+quadrature rule of the exact averages, ``GAUSS_ORDER`` Gauss-Legendre nodes
+per panel between the kinks of an integrand.
 ``bodies2d`` certifies its containment margin with the grid and allowance
 constants defined here.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +53,7 @@ DEGENERATE = -2
 MAX_GRID = 65536
 _BLOCK = 1 << 20  # rows x grid values per evaluated block
 _RTOL = 1e-12  # rounding allowance, relative to the scale of g's terms
+GAUSS_ORDER = 32  # Gauss-Legendre nodes per panel of ``gauss_panels``
 
 
 def row_blocks(n: int, width: int) -> list[slice]:
@@ -74,6 +80,22 @@ def bisect(f, lo, hi) -> np.ndarray:
         lo = np.where(left, mid, lo)
         hi = np.where(left, hi, mid)
     return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=4)
+def _legendre(order: int):
+    return np.polynomial.legendre.leggauss(order)
+
+
+def gauss_panels(lo, hi):
+    """Nodes and weights of the ``GAUSS_ORDER``-point Gauss-Legendre rule on
+    each panel [lo[i], hi[i]], as two arrays of shape (panels, order): the
+    weighted sum of an integrand analytic on each panel is its integral to
+    rounding.  The nodes of an order are built on its first use."""
+    x, w = _legendre(GAUSS_ORDER)
+    lo = np.asarray(lo, dtype=float)[:, None]
+    half = 0.5 * (np.asarray(hi, dtype=float)[:, None] - lo)
+    return lo + half * (x + 1.0), half * w
 
 
 def newton(f, lo, hi) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Monte Carlo averaging of pointwise counters, and the exact shortcuts."""
+"""Monte Carlo averaging of pointwise counters, and the exact averages."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import normcount as nc
+from normcount import trigcount
 
 import oracles
 
@@ -36,6 +37,49 @@ def test_polygon_report_carries_exact_value():
     rep = nc.estimate_interior_average(P, "normals", 5000, seed=3)
     assert rep.exact == pytest.approx(n, abs=1e-12)
     assert abs(rep.mean - n) < 4 * rep.std_error + 1e-12
+
+
+# h = 1 + .3 cos 2t and h = 1 + .25 cos 2t + .02 sin 3t: evolutes leave K, so
+# (rho - L)_+ has kinks; the lens and the offset Reuleaux triangle have chords
+# whose exit piece changes along an arc; a Reuleaux polygon's arc centres lie
+# on its boundary, so r - L is zero up to rounding
+KINKED = {"cos2=.3": lambda: nc.SmoothBody2(1.0, [0.0, 0.3]),
+          "cos2=.25,sin3=.02": lambda: nc.SmoothBody2(1.0, [0.0, 0.25], [0.0, 0.0, 0.02]),
+          "lens": oracles.lens, "offset_reuleaux": oracles.offset_reuleaux,
+          "reuleaux3": lambda: nc.build_reuleaux(3, 1.0), "reuleaux5": lambda: nc.build_reuleaux(5)}
+
+
+@pytest.mark.parametrize("body, want", [
+    (nc.SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04]), 90 / 41),
+    (nc.SmoothBody2(1.0, [0.0, 0.0, 0.05]), 24 / 11),
+    (nc.build_reuleaux(3, 1.0), 2 * math.pi / (math.pi - math.sqrt(3.0))),
+    (nc.build_reuleaux(5), math.pi / nc.build_reuleaux(5).area()),
+], ids=["generic", "cos3=.05", "reuleaux3", "reuleaux5"])
+def test_exact_normal_averages_are_pinned(body, want):
+    assert nc.exact_average(body, "normals") == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["cos2=.3", "cos2=.25,sin3=.02", "lens", "offset_reuleaux"])
+def test_exact_normal_averages_match_monte_carlo(name):
+    rep = nc.estimate_interior_average(KINKED[name](), "normals", 100000, seed=1)
+    assert rep.method == "exact"
+    assert abs(rep.mean - rep.exact) <= 4.0 * rep.std_error
+
+
+@pytest.mark.parametrize("name", sorted(KINKED))
+def test_doubling_the_gauss_order_moves_exact_averages_below_1e12(name, monkeypatch):
+    body = KINKED[name]()
+    value = nc.exact_average(body, "normals")
+    monkeypatch.setattr(trigcount, "GAUSS_ORDER", 2 * trigcount.GAUSS_ORDER)
+    assert abs(nc.exact_average(body, "normals") - value) < 1e-12
+
+
+def test_only_normals_have_exact_averages():
+    body = nc.SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04])
+    for counter in ("diameters", nc.minkowski_counter(nc.NormBall2(nc.disk(1.0)))):
+        rep = nc.estimate_interior_average(body, counter, 500, seed=1)
+        assert rep.exact is None and rep.method == "mc"
+        assert nc.exact_average(body, counter) is None
 
 
 def test_boundary_average_square_is_eight():

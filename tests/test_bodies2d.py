@@ -235,6 +235,30 @@ def test_sampler_tests_only_the_candidates_it_needs(monkeypatch):
     assert len(pts) == 500 and sum(tested) <= 2 * 500 + 64
 
 
+@pytest.mark.parametrize("n, calls", [(100, 2), (1000, 8), (10000, 64)])
+def test_thin_body_sampler_sizes_chunks_by_its_accept_rate(monkeypatch, n, calls):
+    # the triangle fills about 2% of its box: after the first chunk each
+    # chunk is sized by the accept rate seen so far, not by 2*(n - have) + 64
+    import normcount.bodies2d as b2
+    from normcount.rng import philox_generator
+
+    tested = []
+    side_test = b2.contains2_batch
+
+    def counting(body, cand, tol=0.0):
+        tested.append(len(cand))
+        return side_test(body, cand, tol)
+
+    thin = nc.build_polygon([(0, 0), (1, 1.02), (1.02, 1)])
+    lo, hi = nc.bounding_box(thin)
+    cand = lo + (hi - lo) * philox_generator(1).random((520000, 2))
+    inside = cand[side_test(thin, cand)]
+    monkeypatch.setattr(b2, "contains2_batch", counting)
+    pts = nc.sample_interior2(thin, n, seed=1)
+    assert np.array_equal(pts, inside[:n])
+    assert len(tested) <= calls
+
+
 def test_sample_boundary_lies_on_boundary():
     B = nc.SmoothBody2(1.0, (0.03,), (0.0, 0.02))
     pts, _ = nc.sample_boundary2(B, 400, seed=5)

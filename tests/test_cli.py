@@ -176,6 +176,35 @@ def test_validate_passes_with_only_pass_lines(capsys):
     assert lines and all(line.startswith("[PASS] ") for line in lines)
 
 
+def test_validate_decides_the_reuleaux_equality_case_exactly(capsys):
+    # at seed 67 the 500-sample Reuleaux mean less 1.96 standard errors lies
+    # above 2 pi/(pi - sqrt 3), which the exact mean attains
+    bound = 2 * math.pi / (math.pi - math.sqrt(3.0))
+    rep = nc.estimate_interior_average(nc.build_reuleaux(3, 1.0), "normals", 500, 67)
+    assert rep.mean - 1.96 * rep.std_error > bound
+    code = cli.run(["validate", "--samples", "500", "--seed", "67"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    line, = [x for x in out.splitlines() if "constant width" in x]
+    assert line.startswith("[PASS] ") and f"exact={rep.exact:.12f}" in line
+
+
+def test_estimate_reports_its_method_and_exact_mean(capsys, tmp_path):
+    code = cli.run(["estimate", "--body", json.dumps(SMOOTH), "--samples", "500",
+                    "--out", str(tmp_path)])
+    out, _ = capsys.readouterr()
+    payload = json.loads((tmp_path / "estimate.json").read_text())
+    assert code == 0 and payload["method"] == "exact"
+    assert payload["exact"] == nc.format_float(90 / 41)
+    assert f"exact={payload['exact']}" in out.splitlines()
+    code = cli.run(["estimate", "--body", json.dumps(SMOOTH), "--counter", "diameters",
+                    "--samples", "500", "--out", str(tmp_path)])
+    out, _ = capsys.readouterr()
+    payload = json.loads((tmp_path / "estimate.json").read_text())
+    assert code == 0 and payload["method"] == "mc" and payload["exact"] is None
+    assert not any(x.startswith("exact=") for x in out.splitlines())
+
+
 def test_validate_fails_on_a_wrong_exact_mean(capsys, monkeypatch):
     monkeypatch.setattr(cli, "exact_average_normals", lambda P: (9.0 * P.area(), 9.0))
     code = cli.run(["validate", "--samples", "2000", "--seed", "0"])

@@ -287,14 +287,15 @@ def test_normal_means_on_a_body_containing_its_evolute():
 
 
 def test_normal_means_kink_error_is_within_its_stated_bound(monkeypatch):
-    # where the evolute leaves K, (rho - L)_+ has a kink that limits the
-    # 1024-angle rule: compare it with the same rule on 16384 angles
+    # where the evolute leaves K, (rho - L)_+ has a kink at each root of
+    # rho - L; with Gauss-Legendre panels between the roots the 1024-angle
+    # scan agrees with a 16384-angle one to rounding
     body = EVOLUTE_OUTSIDE[0]
     n, n_surf = nc.normal_means(body)
     monkeypatch.setattr(evolute, "_MEANS_GRID", 16384)
     fine_n, fine_surf = nc.normal_means(body)
-    assert abs(n - fine_n) < 2e-8
-    assert abs(n_surf - fine_surf) < 5e-6
+    assert abs(n - fine_n) < 1e-12
+    assert abs(n_surf - fine_surf) < 1e-12
 
 
 @pytest.mark.parametrize("body", EVOLUTE_OUTSIDE, ids=["cos2=.3", "cos2=.25,sin3=.02"])
