@@ -29,11 +29,11 @@ from .errors import (ConvexityError, DegenerateBodyError,
                      InfiniteDiametersError, SingularFlowError, SpecError,
                      TooSingularError, UnsupportedCombinationError)
 from .evolute import (EvolutePoint, contains_evolute, curvature_profile,
-                      evolute_points, normal_means, rolling_ball_radius)
+                      normal_means, rolling_ball_radius)
 from .flows import (FlowSpec, FlowTrace, derivative_report, evolve_flow,
                     monotonicity_verdict, offset_body)
-from .minkowski import (NormBall2, birkhoff_direction, count_minkowski_normals,
-                        gauge, gauge_batch, hexagon_ratio_tau,
+from .minkowski import (NormBall2, count_minkowski_normals, gauge,
+                        gauge_batch, hexagon_ratio_tau,
                         mink_counts_batch, minkowski_counter,
                         normed_width_bound, refine_mink_roots)
 from .normals import (NormalFoot, count_normals2, count_normals2_batch,
@@ -54,7 +54,7 @@ __all__ = [
     "INFINITE", "InfiniteDiametersError", "NormBall2", "NormalFoot",
     "Polygon2", "Polytope3", "RaceRow", "SingularFlowError", "SmoothBody2",
     "SpecError", "TooSingularError", "UnsupportedCombinationError", "Wedge",
-    "all_wedges", "average_diameters", "birkhoff_direction", "body_hash",
+    "all_wedges", "average_diameters", "body_hash",
     "bounding_box", "bounding_box3",
     "build_polygon", "build_polytope", "build_reuleaux",
     "contains2", "contains2_batch", "contains3", "contains3_batch",
@@ -66,7 +66,7 @@ __all__ = [
     "diameter_chord", "diameter_counts_batch", "difference_body",
     "difference_body_area", "discretization_race", "disk", "edge_wedge",
     "estimate_boundary_average", "estimate_interior_average",
-    "euler_residual", "evolute_points", "evolve_flow", "exact_average",
+    "euler_residual", "evolve_flow", "exact_average",
     "exact_average_normals", "field_map", "fit_support_body", "format_float",
     "gauge", "gauge_batch", "hexagon_ratio_tau", "inscribe_polygon",
     "interior_margin", "is_centrally_symmetric", "measure2d", "measure3d",

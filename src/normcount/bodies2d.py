@@ -340,25 +340,25 @@ class ArcBody2:
         self.scale = scale
 
     def support(self, theta):
-        scalar = np.ndim(theta) == 0
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        best = np.full(theta.shape, -np.inf)
-        u = unit(theta)
-        for a in self.arcs:
-            val = u @ np.asarray(a.center) + a.radius
-            hit = in_angle_range(theta, a.ang0, a.span + 1e-15)
-            best = np.where(hit, np.maximum(best, val), best)
-        sup_c = u @ self.corner_points.T
-        best = np.maximum(best, np.max(sup_c, axis=-1))
-        return float(best[0]) if scalar else best
+        """max of <c, u(theta)> + r over the rows of ``pieces`` whose normal
+        range, widened by 1e-14 (the narrowest cone that has a row), holds
+        theta; the shape follows theta."""
+        theta = np.asarray(theta, dtype=float)
+        r, lo, hi = self.pieces[:, 2:].T
+        hit = in_angle_range(theta[..., None], lo, hi - lo + 1e-14)
+        best = np.max(np.where(hit, unit(theta) @ self.pieces[:, :2].T + r, -np.inf), axis=-1)
+        return float(best) if theta.ndim == 0 else best
 
     def area(self) -> float:
-        # chord polygon of the corner points plus one circular segment per arc
-        seg = sum(0.5 * a.radius**2 * (a.span - math.sin(a.span)) for a in self.arcs)
-        return _shoelace(self.corner_points) + seg
+        # chord polygon of the corner points plus one circular segment per
+        # row; corner rows have r = 0
+        r, lo, hi = self.pieces[:, 2:].T
+        span = hi - lo
+        return _shoelace(self.corner_points) + float(np.sum(0.5 * r**2 * (span - np.sin(span))))
 
     def perimeter(self) -> float:
-        return float(sum(a.radius * a.span for a in self.arcs))
+        r, lo, hi = self.pieces[:, 2:].T
+        return float(np.sum(r * (hi - lo)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ eikonal offset h -> h + t the chord grows by t at its start and by t/c at
 its exit angle e, c = -cos(e - theta) > 0, so the boundary mean is I'(0)/P
 = 2 + (2/P) int (rho - L)_+ / c dtheta: exactly 2 when the evolute lies
 inside the body.
+
+Differentiating the exit point gives L' = (rho - L) tan(e - theta), so
+f = rho - L has slope f' = rho' - f tan(e - theta), which is rho' at every
+root of f.  Between two critical points of rho in a row f therefore crosses
+0 at most once, in the direction of rho', and the kinks of (rho - L)_+ need
+no grid.
 """
 
 from __future__ import annotations
@@ -28,11 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies2d import TWO_PI, SmoothBody2, require_smooth
-from .trigcount import bisect, gauss_panels
+from .trigcount import gauss_panels, newton
 
 _GRID = 8192  # angles of the evolute containment scan
 _RTOL = 1e-9  # containment allowance, relative to the body's scale
-_MEANS_GRID = 1024  # angles of normal_means' rule and root scan
 
 
 @dataclass(frozen=True)
@@ -41,12 +46,6 @@ class EvolutePoint:
     rho: float
     boundary_point: np.ndarray
     center: np.ndarray
-
-
-def evolute_points(body: SmoothBody2, thetas) -> np.ndarray:
-    """Centres of curvature c(theta) = r(theta) - rho(theta) * u(theta)."""
-    require_smooth(body, "the evolute machinery")
-    return body.curvature_center(np.asarray(thetas, dtype=float))
 
 
 def curvature_profile(body: SmoothBody2, grid: int = 512) -> list[EvolutePoint]:
@@ -79,40 +78,44 @@ def normal_means(body: SmoothBody2) -> tuple[float, float]:
     """Mean normal counts (n, n_surf) over the interior and over the boundary
     (uniform in arclength): the chord integrals of the module docstring.
 
-    One ``normal_chord`` pass on ``_MEANS_GRID`` angles gives rho - L.
-    Where rho <= L at every angle (the evolute inside the body) n is the
-    rectangle rule of rho^2, a trigonometric polynomial, so exact to
-    rounding, and n_surf is exactly 2.0.  Elsewhere (rho - L)_+ has a kink at
-    each root of rho - L, where the evolute crosses the boundary: one
-    ``bisect`` finds the roots in the grid intervals where rho - L changes
-    sign, and the (rho - L)_+ terms are integrated by ``gauss_panels``
-    between them, so both values are exact to rounding there too (doubling
-    the order moves them by less than 1e-12).  A pair of roots closer than
-    the grid spacing is not seen.
+    The integral of rho^2 is Parseval's.  The circle is cut at 0 and at the
+    angles of all 2N roots of rho' = z^-N P(z), z = exp(i theta), from
+    ``np.roots``: a root off the circle only adds a cut.  f = rho - L has a
+    root between two cuts in a row exactly when its values there differ in
+    sign; ``newton`` with slope f' finds it, and ``gauss_panels`` integrates
+    the (rho - L)_+ terms between these kinks.  Both values are exact to rounding (doubling
+    the order moves them by less than 1e-12); where f < 0 at every cut there
+    are no panels and n_surf is exactly 2.0.
     """
     require_smooth(body, "the evolute machinery")
-    step = TWO_PI / _MEANS_GRID
-    theta = np.arange(_MEANS_GRID) * step
-    rho = body.rho(theta)
-    chord, e = body.normal_chord(theta)
-    over = rho - chord
-    ups = over > 0.0
-    cut = np.flatnonzero(ups != np.roll(ups, -1))  # sign changes on [theta_j, theta_j+1]
-    if not len(cut):
-        over = np.maximum(over, 0.0)
-        n = step * float(np.sum(rho**2 - over**2)) / body.area()
-        return n, 2.0 + 2.0 * step * float(np.sum(over / -np.cos(e - theta))) / body.perimeter()
-    rising = ~ups[cut]  # rho - L rises through its root there
-    roots = bisect(lambda t: (body.rho(t) - body.normal_chord(t)[0] > 0.0) != rising,
-                   theta[cut], theta[cut] + step)
+    k, w = body.k, 1.0 - body.k**2
+    rho2 = TWO_PI * body.a0**2 + np.pi * float(np.sum(w**2 * (body.ac**2 + body.bs**2)))
+    q = 0.5 * k * w * (body.bs + 1j * body.ac)
+    poly = np.concatenate([q[::-1], [0.0], np.conj(q)])  # P, highest power first
+
+    def slope(t):  # rho'
+        z = np.exp(1j * t)
+        return (np.polyval(poly, z) * z ** -body.degree).real
+
+    cut = np.sort(np.append(np.angle(np.roots(poly)) % TWO_PI, 0.0))
+    ups = body.rho(cut) > body.normal_chord(cut)[0]
+    j = np.flatnonzero(ups != np.roll(ups, -1))  # f changes sign on [cut_j, cut_j+1]
+    sign = np.where(ups[j], 1.0, -1.0)  # f's sign at cut_j
+
+    def kink(t, rows):
+        chord, e = body.normal_chord(t)
+        f = body.rho(t) - chord
+        return sign[rows] * f, sign[rows] * (slope(t) - f * np.tan(e - t))
+
+    roots = newton(kink, cut[j], np.append(cut[1:], cut[0] + TWO_PI)[j])
     # (rho - L)_+ is positive from each rising root to the next root
-    ends = np.roll(roots, -1)[rising]
-    starts = roots[rising]
-    t, w = gauss_panels(starts, ends + TWO_PI * (ends < starts))
+    rising = sign < 0
+    ends, starts = np.roll(roots, -1)[rising], roots[rising]
+    t, wt = gauss_panels(starts, ends + TWO_PI * (ends < starts))
     chord, e = body.normal_chord(t)
     over = np.maximum(body.rho(t) - chord, 0.0)
-    return ((step * float(np.sum(rho**2)) - float(np.sum(w * over**2))) / body.area(),
-            2.0 + 2.0 * float(np.sum(w * over / -np.cos(e - t))) / body.perimeter())
+    return ((rho2 - float(np.sum(wt * over**2))) / body.area(),
+            2.0 + 2.0 * float(np.sum(wt * over / -np.cos(e - t))) / body.perimeter())
 
 
 def rolling_ball_radius(body: SmoothBody2) -> float:

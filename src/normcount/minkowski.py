@@ -75,16 +75,6 @@ class NormBall2:
         return measure2d(self.body)["area"]
 
 
-def birkhoff_direction(M: NormBall2, phi: float) -> np.ndarray:
-    """Unit direction of the M-normal at a boundary point with outer normal
-    angle ``phi``: the M-boundary point r_M(phi) sharing that outer normal
-    (its tangent is parallel to the supporting line; the antipode defines the
-    same undirected normal line).  For the Euclidean disk this is u(phi)."""
-    require_smooth(M.body, "Birkhoff normality")
-    v = M.body.boundary(np.array([phi]))[0]
-    return v / np.linalg.norm(v)
-
-
 def mink_counts_batch(M: NormBall2, K: SmoothBody2,
                       pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count Minkowski normals through each point; returns (counts, flags).

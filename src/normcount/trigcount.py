@@ -33,9 +33,9 @@ grid that certified the count by ``newton`` on its interval, where g is
 proven monotone, so it finds as many roots as are counted.  The package
 has two bracketed root finders: ``newton``, for functions with a slope at
 hand (smooth feet, Minkowski roots, the normal chords of
-``SmoothBody2.normal_chord``, arclength inverses), and ``bisect``, 64
-halvings of a predicate with none (the hexagon's gauge, the roots of
-rho - L in ``evolute.normal_means``).  ``gauss_panels`` is the one
+``SmoothBody2.normal_chord``, the kinks of ``evolute.normal_means``,
+arclength inverses), and ``bisect``, 64 halvings of a predicate with none,
+which serves only the hexagon's gauge.  ``gauss_panels`` is the one
 quadrature rule of the exact averages, ``GAUSS_ORDER`` Gauss-Legendre nodes
 per panel between the kinks of an integrand.
 ``bodies2d`` certifies its containment margin with the grid and allowance
@@ -65,7 +65,8 @@ def row_blocks(n: int, width: int) -> list[slice]:
 
 
 def bisect(f, lo, hi) -> np.ndarray:
-    """Vectorized bisection of the brackets [lo[i], hi[i]].
+    """Vectorized bisection of the brackets [lo[i], hi[i]]: the root finder
+    of the hexagon's gauge, which has no slope at hand.
 
     ``f(t)`` returns, per bracket, whether t lies on the ``lo`` side of the
     crossing (f holds at lo and fails at hi).  64 halvings take every bracket

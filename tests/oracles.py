@@ -12,7 +12,7 @@ from scipy.optimize import nnls
 
 from normcount.bodies2d import (ArcBody2, Polygon2, SmoothBody2,
                                 contains2_batch, signed_boundary_excess, unit)
-from normcount.trigcount import bisect
+from normcount.trigcount import bisect, gauss_panels
 
 TWO_PI = 2.0 * np.pi
 
@@ -471,6 +471,31 @@ def normal_chord_bisection(body: SmoothBody2, theta) -> np.ndarray:
     width = body.support(theta) + body.support(theta + np.pi)
     return bisect(lambda s: contains2_batch(body, r - s[:, None] * u),
                   np.zeros(theta.shape), width)
+
+
+def normal_means_dense(body: SmoothBody2, grid: int):
+    """(n, n_surf, kinks) of a smooth body, with the kinks of (rho - L)_+
+    found by a scan of f = rho - L on ``grid`` angles and ``bisect`` of f's
+    sign in each interval where it changes: a reference for
+    ``evolute.normal_means`` that sees every pair of kinks further apart
+    than the grid spacing.  rho^2 is summed by the rectangle rule (exact for
+    a trigonometric polynomial of degree below grid / 2) and the (rho - L)_+
+    terms by ``gauss_panels`` between the kinks.  L is
+    ``SmoothBody2.normal_chord``, which ``normal_chord_bisection`` checks."""
+    step = TWO_PI / grid
+    theta = np.arange(grid) * step
+    rho = body.rho(theta)
+    ups = rho > body.normal_chord(theta)[0]
+    cut = np.flatnonzero(ups != np.roll(ups, -1))
+    rising = ~ups[cut]  # f rises through its root there
+    kinks = bisect(lambda t: (body.rho(t) > body.normal_chord(t)[0]) != rising,
+                   theta[cut], theta[cut] + step)
+    ends, starts = np.roll(kinks, -1)[rising], kinks[rising]
+    t, w = gauss_panels(starts, ends + TWO_PI * (ends < starts))
+    chord, e = body.normal_chord(t)
+    over = np.maximum(body.rho(t) - chord, 0.0)
+    return ((step * np.sum(rho**2) - np.sum(w * over**2)) / body.area(),
+            2.0 + 2.0 * np.sum(w * over / -np.cos(e - t)) / body.perimeter(), kinks)
 
 
 def random_convex_polygon(rng, k: int):

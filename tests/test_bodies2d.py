@@ -376,7 +376,6 @@ def test_jet_and_curvature_center_shapes_follow_input():
         for part in B.jet(theta):
             assert np.shape(part) == shape
         assert B.curvature_center(theta).shape == shape + (2,)
-        assert nc.evolute_points(B, theta).shape == shape + (2,)
     c = B.curvature_center(0.3)
     u = np.array([math.cos(0.3), math.sin(0.3)])
     assert np.allclose(c, B.boundary(0.3) - B.rho(0.3) * u, atol=1e-15)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import normcount as nc
-from normcount import DomainError, SingularFlowError, evolute
+from normcount import DomainError, SingularFlowError, trigcount
 
 import oracles
 
@@ -22,7 +22,7 @@ def _wavy(a2=0.05):
 
 def test_disk_evolute_collapses_to_center():
     thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    pts = nc.evolute_points(_disk(2.0), thetas)
+    pts = _disk(2.0).curvature_center(thetas)
     assert pts.shape == (64, 2)
     assert np.max(np.abs(pts)) < 1e-12
 
@@ -49,7 +49,7 @@ def test_curvature_profile_matches_rho():
     assert len(prof) == 128
     for ep in prof[:16]:
         assert ep.rho == pytest.approx(float(body.rho(ep.theta)), abs=1e-12)
-        c = nc.evolute_points(body, ep.theta)  # single angle -> shape (2,)
+        c = body.curvature_center(ep.theta)  # single angle -> shape (2,)
         assert np.allclose(ep.center, c, atol=1e-12)
 
 
@@ -288,14 +288,63 @@ def test_normal_means_on_a_body_containing_its_evolute():
 
 def test_normal_means_kink_error_is_within_its_stated_bound(monkeypatch):
     # where the evolute leaves K, (rho - L)_+ has a kink at each root of
-    # rho - L; with Gauss-Legendre panels between the roots the 1024-angle
-    # scan agrees with a 16384-angle one to rounding
-    body = EVOLUTE_OUTSIDE[0]
+    # rho - L; with Gauss-Legendre panels between the roots the means agree
+    # with a 16384-angle kink scan, and with the doubled order, to rounding
+    for body in EVOLUTE_OUTSIDE:
+        n, n_surf = nc.normal_means(body)
+        dense_n, dense_surf, _ = oracles.normal_means_dense(body, 16384)
+        assert abs(n - dense_n) < 1e-12
+        assert abs(n_surf - dense_surf) < 1e-12
+        with monkeypatch.context() as m:
+            m.setattr(trigcount, "GAUSS_ORDER", 2 * trigcount.GAUSS_ORDER)
+            fine_n, fine_surf = nc.normal_means(body)
+        assert abs(n - fine_n) < 1e-12
+        assert abs(n_surf - fine_surf) < 1e-12
+
+
+def test_normal_means_sees_kinks_closer_than_any_scan():
+    # h = 1 + a cos 2t + .01 cos 3t with a just past the value where the
+    # evolute first touches the boundary: rho - L has two pairs of roots,
+    # each 1.25e-3 rad apart, within one step of a 1024-angle scan
+    body = nc.SmoothBody2(1.0, [0.0, 0.1976357236135098 + 1e-7, 0.01])
+    assert not nc.contains_evolute(body)[0]
     n, n_surf = nc.normal_means(body)
-    monkeypatch.setattr(evolute, "_MEANS_GRID", 16384)
-    fine_n, fine_surf = nc.normal_means(body)
-    assert abs(n - fine_n) < 1e-12
-    assert abs(n_surf - fine_surf) < 1e-12
+    dense_n, dense_surf, kinks = oracles.normal_means_dense(body, 1 << 15)
+    assert len(kinks) == 4 and np.all(np.diff(kinks)[::2] < 2e-3)
+    assert n_surf > 2.0
+    assert abs(n_surf - dense_surf) < 1e-12
+    assert abs(n - dense_n) < 1e-12
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7])
+def test_normal_means_at_a_triple_root_of_the_curvature_slope(phi):
+    # h = 1 - .18 cos 2t + .03 cos 3t, turned by phi: rho' = -1.08 sin 2t
+    # + .72 sin 3t has a triple root at t = phi, which np.roots places off
+    # the circle; its angle is still a cut
+    k = np.arange(1, 4)
+    a = np.array([0.0, -0.18, 0.03])
+    body = nc.SmoothBody2(1.0, a * np.cos(k * phi), a * np.sin(k * phi))
+    n, n_surf = nc.normal_means(body)
+    dense_n, dense_surf, kinks = oracles.normal_means_dense(body, 16384)
+    assert len(kinks) == 2
+    assert abs(n - dense_n) < 1e-12 and abs(n_surf - dense_surf) < 1e-12
+    assert n == pytest.approx(2.4767539610560263, abs=1e-12)
+    assert n_surf == pytest.approx(2.015623282468261, abs=1e-12)
+
+
+def test_normal_means_solves_few_normal_chords(monkeypatch):
+    # the chord is solved at the cuts, the Newton steps on the kinks and
+    # the Gauss nodes between them: far fewer angles than a 1024-angle scan
+    angles = []
+    real = nc.SmoothBody2.normal_chord
+
+    def counting(body, theta):
+        angles.append(np.size(theta))
+        return real(body, theta)
+
+    monkeypatch.setattr(nc.SmoothBody2, "normal_chord", counting)
+    nc.normal_means(EVOLUTE_OUTSIDE[0])
+    assert sum(angles) <= 256
 
 
 @pytest.mark.parametrize("body", EVOLUTE_OUTSIDE, ids=["cos2=.3", "cos2=.25,sin3=.02"])

@@ -75,15 +75,6 @@ def test_gauge_against_bisection_oracle():
     assert nc.gauge(M, -x) == pytest.approx(nc.gauge(M, x), rel=1e-9)
 
 
-def test_birkhoff_direction_disk_and_validation():
-    M = _disk_ball(2.0)
-    for phi in np.linspace(0.0, 2.0 * np.pi, 9):
-        d = nc.birkhoff_direction(M, phi)
-        assert np.allclose(d, [math.cos(phi), math.sin(phi)], atol=1e-12)
-    with pytest.raises(UnsupportedCombinationError):
-        nc.birkhoff_direction(_poly_ball("square"), 0.3)
-
-
 def test_disk_ball_counts_match_euclidean_bitwise():
     M = _disk_ball()
     K = nc.SmoothBody2(1.0, [0.0, 0.04], [0.0, 0.01])
@@ -124,7 +115,7 @@ def test_refine_mink_roots_feet_properties():
     # each root's chord p - r_K(theta) is parallel to the Birkhoff direction
     for th in roots:
         foot = K.boundary(np.array([th]))[0]
-        d = nc.birkhoff_direction(M, th)
+        d = M.body.boundary(th)
         w = p - foot
         assert abs(w[0] * d[1] - w[1] * d[0]) < 1e-7 * np.linalg.norm(w)
 
