@@ -1,8 +1,8 @@
 """Counting normals, equilibria and affine diameters of convex bodies.
 
 Exact wedge decompositions for polygons and polytopes, root counting for
-smooth support-parameterized bodies, exact and Monte Carlo interior averages
-and Monte Carlo boundary averages, offset and curvature flows, normed-plane
+smooth support-parameterized bodies, exact and Monte Carlo interior and
+boundary averages, offset and curvature flows, normed-plane
 (Minkowski) variants, and inscribed-polygon discretization experiments.
 """
 

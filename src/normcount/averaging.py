@@ -8,7 +8,7 @@ names "normals" and "diameters" resolve to the batch counters of
 norm ball.  Every MC average evaluates its counter on whole arrays of
 points.  ``exact_average`` gives the interior mean of the normal count of
 polygons, smooth bodies and arc bodies, which ``estimate_interior_average``
-reports next to its MC mean.
+reports next to its MC mean, as the boundary average does n_surf.
 
 Sample ``i`` is always the ``i``-th accepted candidate of a counter-based
 RNG stream keyed by the seed, so a report is a pure function of
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import (INTERIOR_RTOL, TWO_PI, ArcBody2, Polygon2, SmoothBody2,
+from .bodies2d import (INTERIOR_RTOL, ArcBody2, Polygon2, SmoothBody2,
                        bounding_box, contains2_batch, measure2d, sample_boundary2,
                        sample_interior2, unit)
 from .bodies3d import Polytope3, sample_interior3
@@ -32,8 +32,7 @@ from .diameters import diameter_counts_batch, parallel_antipodal_edge_pairs
 from .errors import (DomainError, InfiniteDiametersError, TooSingularError,
                      UnsupportedCombinationError)
 from .evolute import normal_means
-from .normals import _arc_chords, count_normals2_batch, count_normals3_batch
-from .trigcount import gauss_panels, row_blocks
+from .normals import count_normals2_batch, count_normals3_batch
 from .wedges import exact_average_normals
 
 _MAX_DEGENERATE_FRAC = 0.01  # resampled points allowed, as a fraction of n
@@ -43,9 +42,10 @@ _BOUNDARY_DEPTH = 1e-7  # inward nudge of boundary samples, in area/perimeter
 @dataclass(frozen=True)
 class EstimateReport:
     """An interior or boundary average: the MC mean, standard error and
-    normal 95% CI of its samples, and ``exact``, the exact mean where
-    ``exact_average`` has one (else None).  ``method`` names which of the
-    two answers the question: "exact" or "mc"."""
+    normal 95% CI of its samples, and ``exact``, the exact mean where one
+    is implemented (else None): ``exact_average`` inside, n_surf of
+    ``normal_means`` on the boundary.  ``method`` names which of the two
+    answers the question: "exact" or "mc"."""
 
     mean: float
     std_error: float
@@ -105,45 +105,16 @@ def resolve_counter(counter):
     raise UnsupportedCombinationError(f"unknown counter {counter!r}")
 
 
-def _arc_normals_mean(body: ArcBody2) -> float:
-    """Mean normal count of an arc body: the sum over its arcs of
-    int [r^2 - (r - L)_+^2] dgamma over the arc's normal range, over the
-    area, with L the chord of ``_arc_chords`` from c + r*u(gamma) along
-    -u(gamma).  Corners (r = 0) add nothing.  The chord's exit piece changes
-    only where the line through the centre c passes a corner q, at the
-    angles of +-(q - c), so each arc splits there into panels on which L is
-    analytic, integrated by ``gauss_panels``."""
-    arcs = body.pieces[body.pieces[:, 2] > 0.0]
-    c, r, lo, hi = arcs[:, :2], arcs[:, 2], arcs[:, 3:4], arcs[:, 4:5]
-    rel = body.corner_points - c[:, None]
-    ang = np.arctan2(rel[..., 1], rel[..., 0])
-    cuts = lo + np.mod(np.hstack([ang, ang + np.pi]) - lo, TWO_PI)  # into [lo, lo + 2pi)
-    cuts = np.sort(np.hstack([lo, np.minimum(cuts, hi), hi]), axis=1)
-    keep = cuts[:, 1:] > cuts[:, :-1]
-    arc = np.nonzero(keep)[0]
-    gamma, w = gauss_panels(cuts[:, :-1][keep], cuts[:, 1:][keep])
-    gamma, w, arc = gamma.ravel(), w.ravel(), np.repeat(arc, gamma.shape[1])
-    over = np.empty(len(gamma))
-    for rows in row_blocks(len(gamma), 16 * len(body.pieces)):
-        u = unit(gamma[rows])
-        chord = _arc_chords(body, c[arc[rows]] + r[arc[rows], None] * u, -u)
-        over[rows] = np.maximum(r[arc[rows]] - chord, 0.0)
-    return (float(np.sum(r**2 * (hi - lo)[:, 0])) - float(np.sum(w * over**2))) / body.area()
-
-
 def exact_average(body, counter) -> float | None:
     """The exact interior mean of a counter, or None where none is
     implemented.  Normals only: polygons by their wedges
-    (``exact_average_normals``), smooth bodies by ``normal_means`` and arc
-    bodies by ``_arc_normals_mean``."""
+    (``exact_average_normals``), smooth and arc bodies by ``normal_means``."""
     if counter != "normals":
         return None
     if isinstance(body, Polygon2):
         return exact_average_normals(body)[1]
-    if isinstance(body, SmoothBody2):
+    if isinstance(body, (SmoothBody2, ArcBody2)):
         return normal_means(body)[0]
-    if isinstance(body, ArcBody2):
-        return _arc_normals_mean(body)
     return None
 
 
@@ -199,6 +170,7 @@ def estimate_boundary_average(body, counter, n: int, seed: int) -> EstimateRepor
     nudged inward by 1e-7*A/P along its inner normal, the limit convention.
     With inradius r, r/2 <= A/P <= r (inner parallel bodies have perimeter
     at most P), so the depth is a length of the body, free of its position.
+    Normals of a smooth or arc body have ``normal_means``'s exact n_surf.
     """
     if n < 100:
         raise DomainError("estimate_boundary_average needs n >= 100")
@@ -213,7 +185,9 @@ def estimate_boundary_average(body, counter, n: int, seed: int) -> EstimateRepor
         return pts - depth * unit(ang)
 
     vals, resampled = _run_with_resampling(draw, fn, body, n)
-    return EstimateReport.from_values(vals, resampled)
+    exact = (normal_means(body)[1] if counter == "normals"
+             and isinstance(body, (SmoothBody2, ArcBody2)) else None)
+    return EstimateReport.from_values(vals, resampled, exact)
 
 
 def field_map(body, grid: tuple[int, int], counter="normals") -> np.ndarray:

@@ -33,7 +33,6 @@ from .trigcount import _RTOL, MAX_GRID, TWO_PI, _start_grid, newton, row_blocks
 # Relative tolerance for strict-convexity cross products and chain closure.
 CONVEXITY_RTOL = 1e-12
 INTERIOR_RTOL = 1e-9  # depth, relative to the scale, that proves a query point interior
-_CHECK_GRID = 4096  # angles of SmoothBody2's least-curvature scan
 
 
 def unit(theta):
@@ -134,11 +133,11 @@ class SmoothBody2:
     """Convex body given by a truncated Fourier support function.
 
     h(theta) = a0 + sum_k (ac[k-1] cos k theta + bs[k-1] sin k theta).
-    ``min_rho`` is the least radius of curvature rho = h + h'': the minimum
-    of rho on ``_CHECK_GRID`` angles, refined at the vertex of the parabola
-    through it and its two grid neighbours.  Validity requires min_rho > 0
-    (beyond 1e-9 of the scale); the constructor rejects nonconvex
-    coefficient sets and names the worst grid angle.
+    ``min_rho`` is the least radius of curvature rho = h + h'': the least
+    value of rho at the angles of ``rho_turns``, which hold every critical
+    point of rho.  Validity requires min_rho > 0 (beyond 1e-9 of the
+    scale); the constructor rejects nonconvex coefficient sets and names
+    the angle of the least rho.
     """
 
     def __init__(self, a0: float, cos_coeffs=(), sin_coeffs=()):
@@ -152,18 +151,14 @@ class SmoothBody2:
         self.k = np.arange(1, d + 1, dtype=float)
         if not np.all(np.isfinite([self.a0, *self.ac, *self.bs])):
             raise DegenerateBodyError("support coefficients must be finite")
-        theta = np.linspace(0.0, TWO_PI, _CHECK_GRID, endpoint=False)
-        rho = self.rho(theta)
+        turns = self.rho_turns()[0]
+        rho = self.rho(turns)
         i = int(np.argmin(rho))
-        a, b, c = rho[i - 1], rho[i], rho[(i + 1) % _CHECK_GRID]
-        self.min_rho = float(b)
-        if a - 2.0 * b + c > 0:  # refine at the minimum of the parabola through the three
-            shift = 0.5 * (theta[1] - theta[0]) * (a - c) / (a - 2.0 * b + c)
-            self.min_rho = min(self.min_rho, self.rho(theta[i] + shift))
+        self.min_rho = float(rho[i])
         scale = abs(self.a0) + float(np.sum(np.abs(self.ac)) + np.sum(np.abs(self.bs)))
         self.scale = max(scale, 1e-300)
         if self.min_rho <= 1e-9 * self.scale:
-            bad = float(theta[i])
+            bad = float(turns[i])
             raise ConvexityError(
                 f"support function is not convex: rho(theta) <= 0 near theta={bad:.6f}",
                 where=bad,
@@ -195,6 +190,19 @@ class SmoothBody2:
         w = 1.0 - self.k**2
         return self._series(theta, lambda c, s: (
             self.a0 + (c * w) @ self.ac + (s * w) @ self.bs,))[0]
+
+    def rho_turns(self):
+        """(angles, slope): 0 and the angles in [0, 2pi), ascending, of all 2N
+        roots of rho' = z^-N P(z), z = exp(i theta), from ``np.roots`` (a
+        root off the circle only adds an angle), and rho' read from P."""
+        q = 0.5 * self.k * (1.0 - self.k**2) * (self.bs + 1j * self.ac)
+        poly = np.concatenate([q[::-1], [0.0], np.conj(q)])  # P, highest power first
+
+        def slope(theta):
+            z = np.exp(1j * theta)
+            return (np.polyval(poly, z) * z ** -self.degree).real
+
+        return np.sort(np.append(np.angle(np.roots(poly)) % TWO_PI, 0.0)), slope
 
     def boundary(self, theta):
         """Boundary point(s) r = h*u + h'*u_perp with outer normal angle theta;
@@ -359,6 +367,31 @@ class ArcBody2:
     def perimeter(self) -> float:
         r, lo, hi = self.pieces[:, 2:].T
         return float(np.sum(r * (hi - lo)))
+
+    def chord(self, starts, dirs):
+        """Chords (L, e), a (2, n) array, from n boundary starts along their
+        unit directions: L to the farthest far crossing of the line with an
+        arc's circle in ``pieces`` inside the arc's normal range (widened by
+        1e-14 as in ``support``: an exit at a C^1 junction can miss both
+        ranges by rounding) or with a corner row on the line, and e the
+        exit's angle about its piece's centre, at a corner the direction's.
+        Starts run in ``trigcount.row_blocks`` of 16 values per piece."""
+        out = np.empty((2, len(starts)))
+        r, lo, hi = self.pieces[:, 2:].T
+        corner = r == 0.0
+        for rows in row_blocks(len(starts), 16 * len(self.pieces)):
+            c_x, c_y = np.moveaxis(starts[rows, None, :] - self.pieces[:, :2], -1, 0)
+            d_x, d_y = dirs[rows, :1], dirs[rows, 1:]
+            b = c_x * d_x + c_y * d_y
+            disc = b * b - ((c_x * c_x + c_y * c_y) - r * r)
+            t = np.where(corner, -b, -b + np.sqrt(np.maximum(disc, 0.0)))
+            hit = np.where(corner, np.arctan2(d_y, d_x), np.arctan2(c_y + t * d_y, c_x + t * d_x))
+            on = np.where(corner, np.abs(d_x * c_y - d_y * c_x) <= 1e-12 * self.scale,
+                          (disc >= 0) & in_angle_range(hit, lo, hi - lo + 1e-14))
+            t = np.where(on, t, 0.0)
+            j = np.argmax(t, axis=1)
+            out[:, rows] = t[np.arange(len(j)), j], hit[np.arange(len(j)), j]
+        return out
 
 
 # ---------------------------------------------------------------------------

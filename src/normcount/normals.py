@@ -89,8 +89,8 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
     side of the body.
 
     Polygons take the nearest edge line ahead, and arc bodies the farthest
-    exit of ``_arc_chords``.  A smooth foot r(theta) has p on its normal, so
-    its chord is ``normal_chord(theta)``.
+    exit of ``ArcBody2.chord``.  A smooth foot r(theta) has p on its
+    normal, so its chord is ``normal_chord(theta)``.
     """
     if isinstance(body, SmoothBody2):
         return body.normal_chord(np.array([source[1] for _, source, _ in feet]))[0]
@@ -103,27 +103,7 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(den > 1e-15, num / den, np.inf)
         return np.min(t, axis=1)
-    return _arc_chords(body, qs, d)
-
-
-def _arc_chords(body: ArcBody2, starts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Length from each boundary start along its unit direction to the far
-    exit: the farthest of the far crossings of the line with each arc's
-    circle in ``body.pieces``, kept where it lies in the arc's angle range,
-    and of each corner row the line passes through."""
-    rel = starts[:, None, :] - body.pieces[:, :2]
-    c_x, c_y = rel[..., 0], rel[..., 1]
-    d_x, d_y = dirs[:, :1], dirs[:, 1:]
-    r, lo, hi = body.pieces[:, 2:].T
-    b = c_x * d_x + c_y * d_y
-    disc = b * b - ((c_x * c_x + c_y * c_y) - r * r)
-    t = -b + np.sqrt(np.maximum(disc, 0.0))
-    hit = np.arctan2(c_y + t * d_y, c_x + t * d_x)
-    on = (disc >= 0) & in_angle_range(hit, lo, hi - lo)
-    corner = r == 0.0
-    t = np.where(corner, -b, t)
-    on = np.where(corner, np.abs(d_x * c_y - d_y * c_x) <= 1e-12 * body.scale, on)
-    return np.max(np.where(on, t, 0.0), axis=1)
+    return body.chord(qs, d)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -461,16 +461,22 @@ def bracket_bisection(f, lo, hi) -> np.ndarray:
     return (0.5 * (lo + hi)).reshape(shape)
 
 
+def chord_bisection(body, starts, dirs, length) -> np.ndarray:
+    """The chord from each boundary start along its unit direction, by
+    ``bisect`` of s over (0, length) on whether start + s*dir lies inside
+    (``contains2_batch``); length must reach past the exit.  A reference
+    for ``ArcBody2.chord``."""
+    return bisect(lambda s: contains2_batch(body, starts + s[:, None] * dirs),
+                  np.zeros(len(starts)), length)
+
+
 def normal_chord_bisection(body: SmoothBody2, theta) -> np.ndarray:
-    """The inward normal chord L(theta) of a smooth body, by ``bisect`` of
-    s over (0, width(theta)) on whether r(theta) - s*u(theta) lies inside
-    (``contains2_batch``): the chord ends within its slab of that width.
-    A reference for ``SmoothBody2.normal_chord``."""
+    """The inward normal chord L(theta) of a smooth body, by
+    ``chord_bisection`` over (0, width(theta)): the chord ends within its
+    slab of that width.  A reference for ``SmoothBody2.normal_chord``."""
     theta = np.asarray(theta, dtype=float)
-    r, u = body.boundary(theta), unit(theta)
     width = body.support(theta) + body.support(theta + np.pi)
-    return bisect(lambda s: contains2_batch(body, r - s[:, None] * u),
-                  np.zeros(theta.shape), width)
+    return chord_bisection(body, body.boundary(theta), -unit(theta), width)
 
 
 def normal_means_dense(body: SmoothBody2, grid: int):

@@ -69,9 +69,19 @@ def test_exact_normal_averages_match_monte_carlo(name):
 @pytest.mark.parametrize("name", sorted(KINKED))
 def test_doubling_the_gauss_order_moves_exact_averages_below_1e12(name, monkeypatch):
     body = KINKED[name]()
-    value = nc.exact_average(body, "normals")
+    n, n_surf = nc.normal_means(body)
+    assert nc.exact_average(body, "normals") == n
     monkeypatch.setattr(trigcount, "GAUSS_ORDER", 2 * trigcount.GAUSS_ORDER)
-    assert abs(nc.exact_average(body, "normals") - value) < 1e-12
+    fine_n, fine_surf = nc.normal_means(body)
+    assert abs(fine_n - n) < 1e-12
+    # the lens's n_surf moves by 3.8e-11: its 1/c grows at the arc ends,
+    # where the chord's exit runs towards tangency with the other arc
+    assert abs(fine_surf - n_surf) < (1e-10 if name == "lens" else 1e-12)
+
+
+def test_normal_means_need_a_smooth_or_arc_body():
+    with pytest.raises(nc.UnsupportedCombinationError):
+        nc.normal_means(nc.build_polygon(UNIT_SQUARE))
 
 
 def test_only_normals_have_exact_averages():
@@ -94,6 +104,7 @@ def test_boundary_average_smooth_evolute_inside_is_two():
     rep = nc.estimate_boundary_average(B, "normals", 400, seed=5)
     assert rep.mean == 2.0
     assert rep.std_error == 0.0
+    assert rep.exact == 2.0 and rep.method == "exact"
 
 
 def test_boundary_average_full_circle_arc_is_two():
@@ -101,6 +112,20 @@ def test_boundary_average_full_circle_arc_is_two():
     rep = nc.estimate_boundary_average(C, "normals", 400, seed=5)
     assert rep.mean == 2.0
     assert rep.std_error == 0.0
+    assert rep.exact == 2.0
+
+
+@pytest.mark.parametrize("name", ["reuleaux3", "reuleaux5", "offset_reuleaux"])
+def test_arc_bodies_of_constant_width_have_exact_boundary_mean_two(name):
+    # every normal chord has the width, which no radius exceeds
+    rep = nc.estimate_boundary_average(KINKED[name](), "normals", 400, seed=5)
+    assert rep.exact == 2.0
+
+
+def test_lens_boundary_mean_matches_monte_carlo():
+    rep = nc.estimate_boundary_average(oracles.lens(), "normals", 100000, seed=1)
+    assert rep.exact == pytest.approx(2.7758198092354025, abs=1e-12)
+    assert abs(rep.mean - rep.exact) <= 4.0 * rep.std_error
 
 
 def test_reports_are_deterministic():

@@ -38,9 +38,21 @@ def test_rolling_ball_radius_closed_form():
 @pytest.mark.parametrize("a2,phi", [(0.05, 0.3), (0.1, 1.234), (0.2, 2.0)])
 def test_rolling_ball_radius_between_grid_angles(a2, phi):
     # h = 1 + a2*cos 2(t - phi): rho = 1 - 3*a2*cos 2(t - phi), least at
-    # t = phi, which falls between the angles of the curvature scan
+    # t = phi, which lies on no regular grid of angles
     body = nc.SmoothBody2(1.0, [0.0, a2 * math.cos(2 * phi)], [0.0, a2 * math.sin(2 * phi)])
-    assert nc.rolling_ball_radius(body) == pytest.approx(1.0 - 3.0 * a2, abs=1e-12)
+    assert nc.rolling_ball_radius(body) == pytest.approx(1.0 - 3.0 * a2, abs=1e-15)
+
+
+def test_rolling_ball_radius_is_the_least_rho_at_a_root_of_its_slope():
+    # least rho 0.37177159104959942 at theta = 3.2551890227105972, from a
+    # 40-digit root of rho' (mpmath)
+    body = nc.SmoothBody2(1.0, [0.024, 0.1, -0.002, 0.003, 0.001, 0.001, -0.004],
+                          [0.265, 0.032, -0.036, 0.018, -0.001, -0.005, 0.0])
+    turns, slope = body.rho_turns()
+    assert np.min(np.abs(turns - 3.2551890227105972)) < 1e-12
+    assert abs(slope(3.2551890227105972)) < 1e-12
+    assert nc.rolling_ball_radius(body) == body.min_rho
+    assert body.min_rho == pytest.approx(0.37177159104959942, abs=1e-15)
 
 
 def test_curvature_profile_matches_rho():

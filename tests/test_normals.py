@@ -282,6 +282,39 @@ def test_normal_chords_of_constant_width_bodies_have_the_width(body, width):
     assert np.max(np.abs(np.array(chords) - width)) <= 1e-13 * width
 
 
+ARC_CHORD_BODIES = {"reuleaux3": lambda: nc.build_reuleaux(3, 1.0),
+                    "reuleaux5": lambda: nc.build_reuleaux(5), "lens": oracles.lens,
+                    "offset_reuleaux": oracles.offset_reuleaux}
+
+
+@pytest.mark.parametrize("name", sorted(ARC_CHORD_BODIES))
+def test_arc_chords_at_panel_cuts_match_the_bisection_oracle(name):
+    # an arc's normal chord changes its exit piece where the line through
+    # the arc's centre passes a corner point; there, and one double to
+    # either side, the exit can sit on a junction of two arcs, outside both
+    # normal ranges by rounding
+    body = ARC_CHORD_BODIES[name]()
+    starts, dirs = [], []
+    for cx, cy, r, lo, hi in body.pieces[body.pieces[:, 2] > 0.0]:
+        rel = body.corner_points - (cx, cy)
+        ang = np.arctan2(rel[:, 1], rel[:, 0])
+        cuts = lo + np.mod(np.concatenate([ang, ang + math.pi]) - lo, 2 * math.pi)
+        cuts = np.unique(np.concatenate([[lo, hi], cuts[cuts <= hi]]))
+        gamma = np.concatenate([np.nextafter(cuts, -np.inf), cuts, np.nextafter(cuts, np.inf)])
+        u = np.column_stack([np.cos(gamma), np.sin(gamma)])
+        starts.append((cx, cy) + r * u)
+        dirs.append(-u)
+    starts, dirs = np.vstack(starts), np.vstack(dirs)
+    chord, e = body.chord(starts, dirs)
+    assert np.all(chord > 0.0)
+    want = oracles.chord_bisection(body, starts, dirs, np.full(len(chord), 2.0 * body.scale))
+    assert np.max(np.abs(chord - want)) <= 1e-12 * body.scale
+    # the exit is the body's support point in the direction e
+    exits = starts + chord[:, None] * dirs
+    assert np.max(np.abs(body.support(e) - np.sum(exits * np.column_stack(
+        [np.cos(e), np.sin(e)]), axis=1))) <= 1e-12 * body.scale
+
+
 @pytest.mark.parametrize("maker,outside", [
     (lambda: nc.build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), (2.0, 2.0)),
     (lambda: nc.disk(1.0), (1.5, 0.0)),
