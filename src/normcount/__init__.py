@@ -41,7 +41,8 @@ from .normals import (NormalFoot, count_normals2, count_normals2_batch,
                       count_normals3_by_dim, normal_feet2, stable_count)
 from .trigcount import DEGENERATE
 from .wedges import (Wedge, all_wedges, edge_wedge, euler_residual,
-                     exact_average_normals, is_centrally_symmetric,
+                     exact_average_normals, exact_average_normals3,
+                     is_centrally_symmetric,
                      polygon_intersection_area, reflected_wedge, vertex_wedge,
                      wedge_fill_deficiency)
 
@@ -67,7 +68,8 @@ __all__ = [
     "difference_body_area", "discretization_race", "disk", "edge_wedge",
     "estimate_boundary_average", "estimate_interior_average",
     "euler_residual", "evolve_flow", "exact_average",
-    "exact_average_normals", "field_map", "fit_support_body", "format_float",
+    "exact_average_normals", "exact_average_normals3", "field_map",
+    "fit_support_body", "format_float",
     "gauge", "gauge_batch", "hexagon_ratio_tau", "inscribe_polygon",
     "interior_margin", "is_centrally_symmetric", "measure2d", "measure3d",
     "mink_counts_batch", "minkowski_counter", "minkowski_sum_polygons",

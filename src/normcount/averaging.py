@@ -7,8 +7,9 @@ names "normals" and "diameters" resolve to the batch counters of
 ``normals`` and ``diameters``, and ``minkowski_counter(M)`` builds one for a
 norm ball.  Every MC average evaluates its counter on whole arrays of
 points.  ``exact_average`` gives the interior mean of the normal count of
-polygons, smooth bodies and arc bodies, which ``estimate_interior_average``
-reports next to its MC mean, as the boundary average does n_surf.
+polygons, smooth bodies, arc bodies and polytopes, which
+``estimate_interior_average`` reports next to its MC mean, as the boundary
+average does n_surf.
 
 Sample ``i`` is always the ``i``-th accepted candidate of a counter-based
 RNG stream keyed by the seed, so a report is a pure function of
@@ -33,7 +34,7 @@ from .errors import (DomainError, InfiniteDiametersError, TooSingularError,
                      UnsupportedCombinationError)
 from .evolute import normal_means
 from .normals import count_normals2_batch, count_normals3_batch
-from .wedges import exact_average_normals
+from .wedges import exact_average_normals, exact_average_normals3
 
 _MAX_DEGENERATE_FRAC = 0.01  # resampled points allowed, as a fraction of n
 _BOUNDARY_DEPTH = 1e-7  # inward nudge of boundary samples, in area/perimeter
@@ -43,7 +44,8 @@ _BOUNDARY_DEPTH = 1e-7  # inward nudge of boundary samples, in area/perimeter
 class EstimateReport:
     """An interior or boundary average: the MC mean, standard error and
     normal 95% CI of its samples, and ``exact``, the exact mean where one
-    is implemented (else None): ``exact_average`` inside, n_surf of
+    is implemented (else None): ``exact_average`` inside (normals of
+    polygons, smooth and arc bodies and polytopes), n_surf of
     ``normal_means`` on the boundary.  ``method`` names which of the two
     answers the question: "exact" or "mc"."""
 
@@ -108,11 +110,14 @@ def resolve_counter(counter):
 def exact_average(body, counter) -> float | None:
     """The exact interior mean of a counter, or None where none is
     implemented.  Normals only: polygons by their wedges
-    (``exact_average_normals``), smooth and arc bodies by ``normal_means``."""
+    (``exact_average_normals``), smooth and arc bodies by ``normal_means``,
+    polytopes by their edge regions (``exact_average_normals3``)."""
     if counter != "normals":
         return None
     if isinstance(body, Polygon2):
         return exact_average_normals(body)[1]
+    if isinstance(body, Polytope3):
+        return exact_average_normals3(body)[1]
     if isinstance(body, (SmoothBody2, ArcBody2)):
         return normal_means(body)[0]
     return None

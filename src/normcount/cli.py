@@ -257,10 +257,9 @@ def _cmd_point(args) -> int:
 
 def _validate_corpus(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     out = []
-    # the planar bounds are decided by the exact mean, to a relative 1e-9 (the
-    # Reuleaux equality case); the polytope bounds by the CI's lower end
+    # each bound is decided by the exact mean, to a relative 1e-9 (the
+    # Reuleaux and truncated-octahedron equality cases)
     at_most = lambda rep, bound: rep.exact <= bound * (1.0 + 1e-9)  # noqa: E731
-    slack = lambda rep: rep.mean - 1.96 * rep.std_error  # noqa: E731
 
     square = build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     _, n_sq = exact_average_normals(square)
@@ -303,7 +302,8 @@ def _validate_corpus(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     for name in ("cube", "truncated_octahedron"):
         solid = standard_polytope(name)
         rep = estimate_interior_average(solid, "normals", samples, seed)
-        out.append((f"{name} n <= 26", slack(rep) <= 26.0, f"mean={rep.mean:.4f}"))
+        out.append((f"{name} n <= 26", at_most(rep, 26.0),
+                    f"exact={rep.exact:.12f} mean={rep.mean:.4f}"))
     return out
 
 

@@ -12,6 +12,14 @@ Here t_i(x) = x . t_normals[i] - t_offsets[i] is the edge parameter of
 so every wedge is the polygon clipped to two of its lines and measured by
 the shoelace formula.  The mean number of normals over the interior is then
 a finite sum of areas -- no sampling and no quadrature error.
+
+The 3D twin, ``exact_average_normals3``, uses the Morse form instead.  On a
+polytope P a facet foot is a stable equilibrium, an edge foot a saddle and a
+vertex foot an unstable one, and stable - saddle + unstable = 2 at every
+interior point, so the count is 2 + 2 * (edge feet).  Hence the mean is
+2 + 2 * sum_e vol(R_e) / vol(P), where R_e, the region in which edge e
+carries a foot, is P cut by the edge's rows of ``Polytope3.edge_sides``
+that ``normals.count_normals3_batch`` tests, and measured by qhull.
 """
 
 from __future__ import annotations
@@ -19,10 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .bodies2d import (Polygon2, _shoelace, minkowski_sum_polygons,
                        reflect_polygon, symmetric_under_negation)
-from .errors import DomainError
+from .bodies3d import Polytope3, measure3d
+from .errors import DegenerateBodyError, DomainError
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,44 @@ def exact_average_normals(P: Polygon2) -> tuple[float, float]:
     """Return (I, n): the integral of the normal count and its interior mean."""
     I = sum(w.area for w in all_wedges(P))
     return I, I / P.area()
+
+
+def exact_average_normals3(poly: Polytope3) -> tuple[float, float]:
+    """Return (I, n) for a polytope: n = 2 + 2 * sum of vol(R_e) / vol(P).
+
+    R_e is P cut by edge e's rows of ``Polytope3.edge_sides`` and by 1 - t,
+    measured by qhull from an interior point found in closed form
+    (``_edge_interior_point``).  Facet and vertex regions are not needed.
+    """
+    vol = measure3d(poly)["volume"]
+    facets = np.column_stack([-poly.facet_normals, poly.facet_offsets])
+    I = 2.0 * vol
+    for e, sides in enumerate(poly.edge_sides):
+        rows = np.vstack([facets, sides, [0.0, 0.0, 0.0, 1.0] - sides[0]])
+        inside = _edge_interior_point(poly, e, rows)
+        # a row holds where [x, 1] @ row >= 0, qhull's half-spaces where <= 0
+        I += 2.0 * ConvexHull(HalfspaceIntersection(-rows, inside).intersections).volume
+    return I, I / vol
+
+
+def _edge_interior_point(poly: Polytope3, e: int, rows: np.ndarray) -> np.ndarray:
+    """A point strictly inside every row: from the edge's midpoint, half the
+    step along -(n1 + n2) at which the first falling row reaches 0.
+
+    -(n1 + n2) lies strictly inside both the edge's normal cone and P's
+    tangent cone at the edge, so every row that is 0 at the midpoint rises.
+    DegenerateBodyError if rounding leaves the point within 1e-12*scale of a
+    row's plane, which qhull would not reliably reject.
+    """
+    mid = poly.vertices[poly.edges[e]].mean(axis=0)
+    d = -poly.facet_normals[poly.edge_facets[e]].sum(axis=0)
+    value, slope = rows[:, :3] @ mid + rows[:, 3], rows[:, :3] @ d
+    falling = slope < 0.0
+    x = mid + 0.5 * np.min(value[falling] / -slope[falling]) * d
+    distance = (rows[:, :3] @ x + rows[:, 3]) / np.linalg.norm(rows[:, :3], axis=1)
+    if not np.all(distance > 1e-12 * poly.scale):
+        raise DegenerateBodyError(f"edge {e}'s normal region has no certified interior point")
+    return x
 
 
 def euler_residual(P: Polygon2) -> float:

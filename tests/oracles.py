@@ -8,7 +8,8 @@ normal chords from containment bisection.  Slow but simple enough to audit by ey
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from normcount.bodies2d import (ArcBody2, Polygon2, SmoothBody2,
                                 contains2_batch, signed_boundary_excess, unit)
@@ -275,6 +276,44 @@ def vertex_feet_nnls(poly, p) -> int:
     """Vertices whose normal cone holds p - v, by ``in_vertex_cone_nnls``."""
     p = np.asarray(p, dtype=float)
     return sum(in_vertex_cone_nnls(poly, vi, p - v) for vi, v in enumerate(poly.vertices))
+
+
+def _region_volume(A: np.ndarray, b: np.ndarray, scale: float) -> float:
+    """Volume of {x : A x <= b}, from qhull at the linprog Chebyshev centre;
+    0 where the largest inscribed ball has radius below 1e-12*scale."""
+    norms = np.linalg.norm(A, axis=1)
+    res = linprog([0.0, 0.0, 0.0, -1.0], A_ub=np.column_stack([A, norms]), b_ub=b,
+                  bounds=[(None, None)] * 3 + [(0.0, None)])
+    if res.status != 0 or res.x[3] <= 1e-12 * scale:
+        return 0.0
+    return ConvexHull(HalfspaceIntersection(np.column_stack([A, -b]), res.x[:3])
+                      .intersections).volume
+
+
+def polytope_mean_from_facets_and_vertices(poly) -> float:
+    """Mean normal count of a polytope from its facet and vertex regions:
+    by Morse, edges = facets + vertices - 2 feet at every interior point, so
+    n = 2 (vol of facet regions + vol of vertex regions) / vol - 2.
+
+    Regions come from the vertices and facet loops, not from the counter's
+    tables: a facet's is the prism (p - a) . (n x (b - a)) >= 0 over its
+    sides ab, a vertex's the cone (p - v) . (w - v) >= 0 over its neighbours
+    w.  Both are cut by the facet planes; empty regions are skipped.
+    """
+    V, N, c = poly.vertices, poly.facet_normals, poly.facet_offsets
+    total = 0.0
+    for loop, nrm in zip(poly.facets, N):
+        a = V[loop]
+        inward = np.cross(nrm, np.roll(a, -1, axis=0) - a)
+        total += _region_volume(np.vstack([N, -inward]),
+                                np.concatenate([c, -np.einsum("ij,ij->i", inward, a)]),
+                                poly.scale)
+    edges = _edge_list(poly)
+    for vi, v in enumerate(V):
+        w = V[[b if a == vi else a for a, b in edges if vi in (a, b)]] - v
+        total += _region_volume(np.vstack([N, -w]), np.concatenate([c, -w @ v]), poly.scale)
+    vol = ConvexHull(V).volume
+    return 2.0 * total / vol - 2.0
 
 
 def max_facet_diameter(poly) -> float:

@@ -56,6 +56,6 @@ def test_bench_workload_answers_pass_their_checks(workload, monkeypatch, tmp_pat
     if workload == "estimate":
         # an exact mean stops these jobs at their pilot: losing it would
         # otherwise show only as a slower benchmark
-        for name in ("normals/smooth", "normals/reuleaux"):
+        for name in ("normals/smooth", "normals/reuleaux", "normals/trunc_oct"):
             rep, ns = answers[name]
             assert rep.exact is not None and len(ns) == 1, name

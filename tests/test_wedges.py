@@ -167,3 +167,71 @@ def test_clip_and_intersection_primitives():
     assert _shoelace(half) == pytest.approx(0.5, abs=1e-12)
     other = sq + np.array([0.5, 0.5])
     assert nc.polygon_intersection_area(sq, other) == pytest.approx(0.25, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# polytopes: n = 2 + 2 * (edge regions) / vol, by the Morse relation
+
+NAMED_SOLID_MEANS = {"cube": 26.0, "hexagonal_prism": 26.0, "truncated_octahedron": 26.0,
+                     "tetrahedron": 14.0, "octahedron": 62 / 3,
+                     "rhombic_dodecahedron": 76 / 3, "elongated_dodecahedron": 22.5}
+
+
+def _gaussian_hulls():
+    # hulls of 30 Gaussian points; the last three flattened to a fifth in z
+    rng = np.random.default_rng(5)
+    hulls = []
+    for k in range(6):
+        pts = rng.standard_normal((30, 3))
+        pts[:, 2] *= 0.2 if k >= 3 else 1.0
+        hulls.append(nc.polytope_from_points(pts))
+    return hulls
+
+
+GAUSSIAN_HULLS = _gaussian_hulls()
+SOLIDS = {**{name: nc.standard_polytope(name) for name in NAMED_SOLID_MEANS},
+          **{f"hull{k}": P for k, P in enumerate(GAUSSIAN_HULLS)}}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SOLID_MEANS))
+def test_polytope_exact_means_are_pinned(name):
+    I, n = nc.exact_average_normals3(SOLIDS[name])
+    assert n == pytest.approx(NAMED_SOLID_MEANS[name], rel=1e-12)
+    assert I == pytest.approx(n * nc.measure3d(SOLIDS[name])["volume"], rel=1e-15)
+    assert nc.exact_average(SOLIDS[name], "normals") == n
+
+
+@pytest.mark.parametrize("name", sorted(SOLIDS))
+def test_polytope_exact_means_match_the_facet_and_vertex_oracle(name):
+    want = oracles.polytope_mean_from_facets_and_vertices(SOLIDS[name])
+    assert nc.exact_average_normals3(SOLIDS[name])[1] == pytest.approx(want, rel=1e-12)
+
+
+def test_polytope_exact_means_match_monte_carlo():
+    for P in GAUSSIAN_HULLS:
+        rep = nc.estimate_interior_average(P, "normals", 100_000, 7)
+        assert rep.method == "exact"
+        assert abs(rep.mean - rep.exact) <= 4.0 * rep.std_error
+
+
+def test_polytope_exact_mean_does_not_depend_on_units_or_position():
+    T = SOLIDS["truncated_octahedron"]
+    for verts in (T.vertices * 1e-6, T.vertices * 1e-4, T.vertices * 1e4,
+                  T.vertices + [100.0, -50.0, 3.0]):
+        P = nc.build_polytope(verts, T.facets)
+        before = set(vars(P))
+        assert nc.exact_average(P, "normals") == pytest.approx(26.0, rel=1e-14)
+        assert set(vars(P)) == before  # nothing cached on the body
+
+
+def test_edge_interior_point_must_clear_every_row():
+    from normcount.wedges import _edge_interior_point
+
+    P = SOLIDS["cube"]
+    rows = np.vstack([np.column_stack([-P.facet_normals, P.facet_offsets]),
+                      P.edge_sides[0], [0.0, 0.0, 0.0, 1.0] - P.edge_sides[0, 0]])
+    x = _edge_interior_point(P, 0, rows)
+    assert np.all(rows[:, :3] @ x + rows[:, 3] > 0.0)
+    # a row that no point of the cube satisfies: x . (1, 0, 0) >= 2
+    with pytest.raises(nc.DegenerateBodyError, match="edge 0"):
+        _edge_interior_point(P, 0, np.vstack([rows, [1.0, 0.0, 0.0, -2.0]]))
