@@ -31,7 +31,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .bodies2d import (Polygon2, _shoelace, minkowski_sum_polygons,
                        reflect_polygon, symmetric_under_negation)
-from .bodies3d import Polytope3, measure3d
+from .bodies3d import PLANARITY_RTOL, Polytope3, measure3d
 from .errors import DegenerateBodyError, DomainError
 
 
@@ -118,11 +118,17 @@ def exact_average_normals3(poly: Polytope3) -> tuple[float, float]:
     R_e is P cut by edge e's rows of ``Polytope3.edge_sides`` and by 1 - t,
     measured by qhull from an interior point found in closed form
     (``_edge_interior_point``).  Facet and vertex regions are not needed.
+    An edge between two facets of one plane, |n1 x n2| <= PLANARITY_RTOL
+    (a square face given as two triangles), is no crease: its slab sides
+    coincide, so R_e has volume 0 and the edge is skipped.
     """
     vol = measure3d(poly)["volume"]
     facets = np.column_stack([-poly.facet_normals, poly.facet_offsets])
+    n1, n2 = poly.facet_normals[poly.edge_facets.T]
+    creases = np.linalg.norm(np.cross(n1, n2), axis=1) > PLANARITY_RTOL
     I = 2.0 * vol
-    for e, sides in enumerate(poly.edge_sides):
+    for e in np.flatnonzero(creases):
+        sides = poly.edge_sides[e]
         rows = np.vstack([facets, sides, [0.0, 0.0, 0.0, 1.0] - sides[0]])
         inside = _edge_interior_point(poly, e, rows)
         # a row holds where [x, 1] @ row >= 0, qhull's half-spaces where <= 0
@@ -134,8 +140,9 @@ def _edge_interior_point(poly: Polytope3, e: int, rows: np.ndarray) -> np.ndarra
     """A point strictly inside every row: from the edge's midpoint, half the
     step along -(n1 + n2) at which the first falling row reaches 0.
 
-    -(n1 + n2) lies strictly inside both the edge's normal cone and P's
-    tangent cone at the edge, so every row that is 0 at the midpoint rises.
+    For an edge whose facet normals n1, n2 are not parallel, -(n1 + n2)
+    lies strictly inside both the edge's normal cone and P's tangent cone at
+    the edge, so every row that is 0 at the midpoint rises.
     DegenerateBodyError if rounding leaves the point within 1e-12*scale of a
     row's plane, which qhull would not reliably reject.
     """

@@ -224,6 +224,29 @@ def test_polytope_exact_mean_does_not_depend_on_units_or_position():
         assert set(vars(P)) == before  # nothing cached on the body
 
 
+CUBE = np.array([[x, y, z] for z in (0, 1) for y in (0, 1) for x in (0, 1)], dtype=float)
+CUBE_SIDES = [[0, 2, 3, 1], [0, 1, 5, 4], [1, 3, 7, 5], [3, 2, 6, 7], [2, 0, 4, 6]]
+
+
+def test_polytope_exact_mean_skips_an_edge_inside_a_face():
+    # the top face as two triangles: their shared diagonal bounds no region
+    P = nc.build_polytope(CUBE, CUBE_SIDES + [[4, 5, 7], [4, 7, 6]])
+    assert nc.exact_average(P, "normals") == pytest.approx(26.0, rel=1e-15)
+    assert oracles.polytope_mean_from_facets_and_vertices(P) == pytest.approx(26.0, rel=1e-12)
+    rep = nc.estimate_interior_average(P, "normals", 2000, 7)
+    assert rep.method == "exact"
+    assert abs(rep.mean - rep.exact) <= 4.0 * rep.std_error
+
+
+@pytest.mark.parametrize("height", [1e-6, 1e-9, 1e-12])
+def test_polytope_exact_mean_is_continuous_as_a_roof_flattens(height):
+    # a pyramid of the given height over the top face: its creases are kept
+    # at 1e-6 and skipped at 1e-12, and n stays within O(height) of the cube's 26
+    P = nc.build_polytope(np.vstack([CUBE, [0.5, 0.5, 1.0 + height]]),
+                          CUBE_SIDES + [[4, 5, 8], [5, 7, 8], [7, 6, 8], [6, 4, 8]])
+    assert abs(nc.exact_average(P, "normals") - 26.0) <= 20.0 * height
+
+
 def test_edge_interior_point_must_clear_every_row():
     from normcount.wedges import _edge_interior_point
 
