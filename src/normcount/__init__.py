@@ -28,7 +28,7 @@ from .errors import (ConvexityError, DegenerateBodyError,
                      DegenerateConfigurationError, DomainError, GeometryError,
                      InfiniteDiametersError, SingularFlowError, SpecError,
                      TooSingularError, UnsupportedCombinationError)
-from .evolute import (EvolutePoint, contains_evolute, curvature_profile,
+from .evolute import (contains_evolute, curvature_profile,
                       normal_means, rolling_ball_radius)
 from .flows import (FlowSpec, FlowTrace, derivative_report, evolve_flow,
                     monotonicity_verdict, offset_body)
@@ -51,7 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Arc", "ArcBody2", "ConvexityError", "DEGENERATE", "DegenerateBodyError",
     "DegenerateConfigurationError", "DiameterChord", "DomainError",
-    "EstimateReport", "EvolutePoint", "FlowSpec", "FlowTrace", "GeometryError",
+    "EstimateReport", "FlowSpec", "FlowTrace", "GeometryError",
     "INFINITE", "InfiniteDiametersError", "NormBall2", "NormalFoot",
     "Polygon2", "Polytope3", "RaceRow", "SingularFlowError", "SmoothBody2",
     "SpecError", "TooSingularError", "UnsupportedCombinationError", "Wedge",

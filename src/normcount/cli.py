@@ -163,9 +163,8 @@ def _cmd_evolute(args) -> int:
     lines.append(f"# worst_excess={format_float(worst)}")
     lines.append(f"# rolling_ball_radius={format_float(rolling_ball_radius(body))}")
     lines.append("theta,rho,cx,cy")
-    for pt in curvature_profile(body, grid=steps):
-        lines.append(",".join(format_float(v) for v in
-                              (pt.theta, pt.rho, pt.center[0], pt.center[1])))
+    lines.extend(",".join(map(format_float, row))
+                 for row in curvature_profile(body, grid=steps).tolist())
     path = _write_lines(args.out, "evolute.csv", lines)
     print(f"contains_evolute={contained}")
     print(f"wrote {path}")

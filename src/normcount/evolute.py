@@ -33,8 +33,6 @@ keeps one sign between the angles where the chord's exit piece changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bodies2d import TWO_PI, ArcBody2, SmoothBody2, require_smooth, unit
@@ -44,23 +42,12 @@ _GRID = 8192  # angles of the evolute containment scan
 _RTOL = 1e-9  # containment allowance, relative to the body's scale
 
 
-@dataclass(frozen=True)
-class EvolutePoint:
-    theta: float
-    rho: float
-    boundary_point: np.ndarray
-    center: np.ndarray
-
-
-def curvature_profile(body: SmoothBody2, grid: int = 512) -> list[EvolutePoint]:
-    """Evolute samples with exact Fourier derivatives at ``grid`` angles."""
+def curvature_profile(body: SmoothBody2, grid: int = 512) -> np.ndarray:
+    """Evolute samples with exact Fourier derivatives at ``grid`` angles:
+    one row (theta, rho, cx, cy) per angle, c the centre of curvature."""
     require_smooth(body, "the evolute machinery")
     thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    rho = body.rho(thetas)
-    r = body.boundary(thetas)
-    c = body.curvature_center(thetas)
-    return [EvolutePoint(float(t), float(p), r[i].copy(), c[i].copy())
-            for i, (t, p) in enumerate(zip(thetas, rho))]
+    return np.column_stack([thetas, body.rho(thetas), body.curvature_center(thetas)])
 
 
 def contains_evolute(body: SmoothBody2) -> tuple[bool, float]:

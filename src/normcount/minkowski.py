@@ -17,7 +17,9 @@ relative to the area of M; it is affine-invariant, at most 1 (equality
 exactly for affine-regular hexagons), and 3*sqrt(3)/(2*pi) for ellipses.
 Its vertices are +-u, +-v, +-(v - u) with u, v on the boundary and
 gauge(v - u) = 1; that gauge never falls as v runs from u to -u, so each v
-is one bisection, and all u of a pass bisect together.
+is the one root of 1 - gauge(v - u) along the half-arc after u, and all u of
+a pass solve for it together by ``newton``, whose slope is the gauge's
+gradient along the boundary.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from .bodies2d import (TWO_PI, Polygon2, SmoothBody2, cross2, measure2d,
-                       require_interior, require_smooth, symmetric_under_negation)
+                       require_interior, require_smooth, symmetric_under_negation,
+                       unit)
 from .errors import (DegenerateConfigurationError, DomainError,
                      UnsupportedCombinationError)
-from .trigcount import bisect, count_roots, root_angles, row_blocks
+from .trigcount import count_roots, newton, root_angles, row_blocks
 
 
 _GAUGE_GRID = 2048  # normal angles of the smooth gauge's bracket table
@@ -140,26 +143,33 @@ _ROUNDS = 3
 _POINTS = 64
 
 
-def gauge_batch(M: NormBall2, X) -> np.ndarray:
-    """Minkowski functional of each row of X: the scale at which the point
-    hits the boundary of M, and 0 for a zero row.
+def _gauge_and_gradient(M: NormBall2, X) -> tuple[np.ndarray, np.ndarray]:
+    """(gauge, gradient) of each row of X: the Minkowski functional, the
+    scale at which the point hits the boundary of M (0 for a zero row), and
+    its gradient u(a)/h_M(a), with a the outer normal angle of M at the
+    point x/gauge(x) that attains it.
 
-    Exact over facet normals for polygons, whose rows run in ``row_blocks``
-    of at most ``_BLOCK`` row times edge entries, so memory does not grow
-    with the number of rows.  For smooth balls it is the maximum over theta
+    Exact over facet normals for polygons, where a is that of the edge of
+    the largest <x, n>/offset; their rows run in ``row_blocks`` of at most
+    ``_BLOCK`` row times edge entries, so memory does not grow with the
+    number of rows.  For smooth balls the gauge is the maximum over theta
     of <x, u(theta)>/h_M(theta).  That ratio has two critical points, where
     r_M(theta) points along x (the maximum) and along -x, so the maximum
     lies in the one grid interval whose r_M polar angles bracket atan2(x),
     found by one ``searchsorted``.  The better end of that bracket is the
-    grid maximum; two clipped Newton steps polish it.
+    grid maximum; two clipped Newton steps polish it, and a is the polished
+    angle or the grid end, whichever gives the larger ratio.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     body = M.body
     if isinstance(body, Polygon2):
         out = np.empty(len(X))
+        edge = np.empty(len(X), dtype=int)
         for rows in row_blocks(len(X), len(body)):
-            out[rows] = np.max((X[rows] @ body.edge_normals.T) / body.edge_offsets, axis=1)
-        return out
+            ratios = (X[rows] @ body.edge_normals.T) / body.edge_offsets
+            edge[rows] = np.argmax(ratios, axis=1)
+            out[rows] = ratios[np.arange(len(ratios)), edge[rows]]
+        return out, body.edge_normals[edge] / body.edge_offsets[edge, None]
     thetas, h, polar = M.gauge_table
     psi = polar[0] + (np.arctan2(X[:, 1], X[:, 0]) - polar[0]) % TWO_PI
     j = np.searchsorted(polar, psi, side="right") - 1
@@ -168,7 +178,8 @@ def gauge_batch(M: NormBall2, X) -> np.ndarray:
     k = np.argmax(ratios, axis=1)
     rows = np.arange(len(X))
     grid_best = ratios[rows, k]
-    t = thetas[ends[rows, k]]
+    grid_end = ends[rows, k]
+    t = thetas[grid_end]
     step_cap = 1.5 * (TWO_PI / _GAUGE_GRID)
     for _ in range(2):
         c, s = np.cos(t), np.sin(t)
@@ -181,21 +192,37 @@ def gauge_batch(M: NormBall2, X) -> np.ndarray:
         safe = np.abs(dnum) > 1e-300
         t = t - np.clip(np.where(safe, num / np.where(safe, dnum, 1.0), 0.0),
                         -step_cap, step_cap)
-    xu = X[:, 0] * np.cos(t) + X[:, 1] * np.sin(t)
-    polished = xu / body.support(t)
-    return np.maximum(grid_best, polished)
+    ht = body.support(t)
+    polished = (X[:, 0] * np.cos(t) + X[:, 1] * np.sin(t)) / ht
+    better = polished >= grid_best
+    a = np.where(better, t, thetas[grid_end])
+    return (np.where(better, polished, grid_best),
+            unit(a) / np.where(better, ht, h[grid_end])[:, None])
+
+
+def gauge_batch(M: NormBall2, X) -> np.ndarray:
+    """Minkowski functional of each row of X: the scale at which the point
+    hits the boundary of M, and 0 for a zero row (see
+    ``_gauge_and_gradient``)."""
+    return _gauge_and_gradient(M, X)[0]
 
 
 def gauge(M: NormBall2, x) -> float:
     return float(gauge_batch(M, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _boundary_walk(body, ts: np.ndarray) -> np.ndarray:
-    """Boundary points at parameters ts: normal angle for smooth bodies,
-    arc length along the polyline for polygons."""
+def _boundary_walk(body, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary points at parameters ts, and their derivatives in ts: the
+    parameter is the normal angle of a smooth body, where the derivative is
+    rho(t) u_perp(t), and the arc length along the polyline of a polygon,
+    where it is the unit vector of the edge holding the point."""
     if isinstance(body, SmoothBody2):
-        return body.boundary(ts)
-    return body.walk(np.asarray(ts, dtype=float) % body.vertex_arclengths[-1])[0]
+        h, h1, h2 = body.jet(ts)
+        u = unit(ts)
+        up = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        return h[..., None] * u + h1[..., None] * up, (h + h2)[..., None] * up
+    pts, edge = body.walk(np.asarray(ts, dtype=float) % body.vertex_arclengths[-1])
+    return pts, body.edge_vecs[edge] / body.edge_lengths[edge, None]
 
 
 def _hexagon_objectives(M: NormBall2, ts: np.ndarray, half: float,
@@ -203,17 +230,26 @@ def _hexagon_objectives(M: NormBall2, ts: np.ndarray, half: float,
     """3*|cross(u, v)|/area for u at each parameter in ts and v on the
     half-arc after u with gauge(v - u) = 1.
 
-    As v runs from u to -u, gauge(v - u) rises from 0 to 2 and never falls
-    (the monotonicity lemma of normed planes), so one bisection of all rows
-    finds v.  A sub-arc with gauge(v - u) = 1 lies on the boundaries of
-    both M and M + u, which share interior points (u/2), so it is one edge
-    of M on the line of its translate by u: parallel to u, it holds one
-    value of cross(u, v).
+    As v = w(t) runs from u to -u, gauge(v - u) rises from 0 to 2 and never
+    falls (the monotonicity lemma of normed planes), so v is the one root of
+    f(t) = 1 - gauge(w(t) - u) on [t_u, t_u + half], found for all rows by
+    ``newton`` with the slope -<grad gauge, w'(t)>; its bracket safeguard
+    covers the kinks of polygon balls and the plateaus where the slope is 0.
+    A sub-arc with gauge(v - u) = 1 lies on the boundaries of both M and
+    M + u, which share interior points (u/2), so it is one edge of M on the
+    line of its translate by u: parallel to u, it holds one value of
+    cross(u, v).
     """
     body = M.body
-    u = _boundary_walk(body, ts)
-    t = bisect(lambda t: gauge_batch(M, _boundary_walk(body, t) - u) < 1.0, ts, ts + half)
-    return 3.0 * np.abs(cross2(u, _boundary_walk(body, t))) / area
+    u = _boundary_walk(body, ts)[0]
+
+    def f(t, rows):
+        w, dw = _boundary_walk(body, t)
+        g, grad = _gauge_and_gradient(M, w - u[rows])
+        return 1.0 - g, -np.einsum("ij,ij->i", grad, dw)
+
+    v = _boundary_walk(body, newton(f, ts, ts + half))[0]
+    return 3.0 * np.abs(cross2(u, v)) / area
 
 
 def hexagon_ratio_tau(M: NormBall2, coarse: int = 720) -> float:

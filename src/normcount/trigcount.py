@@ -30,12 +30,11 @@ changes how much work a count takes, never the count.
 ``root_angles`` finds the roots themselves for one point: it settles the
 point exactly as ``count_roots`` does and refines each sign change of the
 grid that certified the count by ``newton`` on its interval, where g is
-proven monotone, so it finds as many roots as are counted.  The package
-has two bracketed root finders: ``newton``, for functions with a slope at
-hand (smooth feet, Minkowski roots, the normal chords of
-``SmoothBody2.normal_chord``, the kinks of ``evolute.normal_means``,
-arclength inverses), and ``bisect``, 64 halvings of a predicate with none,
-which serves only the hexagon's gauge.  ``gauss_panels`` is the one
+proven monotone, so it finds as many roots as are counted.  ``newton``
+is the package's one bracketed root finder: smooth feet, Minkowski roots,
+the normal chords of ``SmoothBody2.normal_chord``, the kinks of
+``evolute.normal_means``, arclength inverses and the hexagon's second
+vertex all have a slope at hand.  ``gauss_panels`` is the one
 quadrature rule of the exact averages, ``GAUSS_ORDER`` Gauss-Legendre nodes
 per panel between the kinks of an integrand.
 ``bodies2d`` certifies its containment margin with the grid and allowance
@@ -64,25 +63,6 @@ def row_blocks(n: int, width: int) -> list[slice]:
     return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
-def bisect(f, lo, hi) -> np.ndarray:
-    """Vectorized bisection of the brackets [lo[i], hi[i]]: the root finder
-    of the hexagon's gauge, which has no slope at hand.
-
-    ``f(t)`` returns, per bracket, whether t lies on the ``lo`` side of the
-    crossing (f holds at lo and fails at hi).  64 halvings take every bracket
-    below 2**-64 of its width, past double resolution, so no tolerance is
-    needed.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        left = f(mid)
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 @lru_cache(maxsize=4)
 def _legendre(order: int):
     return np.polynomial.legendre.leggauss(order)
@@ -104,9 +84,8 @@ def newton(f, lo, hi) -> np.ndarray:
 
     ``f(t, rows)`` returns (value, slope) at t for the brackets of the
     index array ``rows`` (into the flattened brackets), with value > 0 on
-    the ``lo`` side of the crossing (where ``bisect``'s predicate holds).
-    Only the rows not yet stopped are evaluated, so a slow row costs passes
-    over itself alone.  Each evaluated t becomes the end of its side, so the
+    the ``lo`` side of the crossing.  Only the rows not yet stopped are
+    evaluated, so a slow row costs passes over itself alone.  Each evaluated t becomes the end of its side, so the
     bracket always keeps the sign change, and the next t is the Newton step
     where that lands strictly inside the bracket, the midpoint otherwise: a
     slope of the wrong sign, zero or NaN costs halvings, never the root.  A

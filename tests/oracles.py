@@ -13,7 +13,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from normcount.bodies2d import (ArcBody2, Polygon2, SmoothBody2,
                                 contains2_batch, signed_boundary_excess, unit)
-from normcount.trigcount import bisect, gauss_panels
+from normcount.trigcount import gauss_panels
 
 TWO_PI = 2.0 * np.pi
 
@@ -480,6 +480,24 @@ def gauge_bisection(M_body, x, iters: int = 200) -> float:
             lo = mid
         else:
             hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisect(f, lo, hi) -> np.ndarray:
+    """Vectorized bisection of the brackets [lo[i], hi[i]].
+
+    ``f(t)`` returns, per bracket, whether t lies on the ``lo`` side of the
+    crossing (f holds at lo and fails at hi).  64 halvings take every bracket
+    below 2**-64 of its width, past double resolution, so no tolerance is
+    needed.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        left = f(mid)
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
     return 0.5 * (lo + hi)
 
 

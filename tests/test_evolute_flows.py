@@ -58,11 +58,12 @@ def test_rolling_ball_radius_is_the_least_rho_at_a_root_of_its_slope():
 def test_curvature_profile_matches_rho():
     body = _wavy(0.08)
     prof = nc.curvature_profile(body, grid=128)
-    assert len(prof) == 128
-    for ep in prof[:16]:
-        assert ep.rho == pytest.approx(float(body.rho(ep.theta)), abs=1e-12)
-        c = body.curvature_center(ep.theta)  # single angle -> shape (2,)
-        assert np.allclose(ep.center, c, atol=1e-12)
+    assert prof.shape == (128, 4)
+    assert np.allclose(prof[:, 0], np.arange(128) * (2.0 * np.pi / 128), rtol=0.0, atol=1e-15)
+    for theta, rho, cx, cy in prof[:16]:
+        assert rho == pytest.approx(float(body.rho(theta)), abs=1e-12)
+        c = body.curvature_center(theta)  # single angle -> shape (2,)
+        assert np.allclose((cx, cy), c, atol=1e-12)
 
 
 def test_contains_evolute_round_vs_eccentric():

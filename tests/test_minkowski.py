@@ -6,7 +6,8 @@ import pytest
 
 import normcount as nc
 from normcount import DomainError, UnsupportedCombinationError
-from normcount.minkowski import _boundary_walk, _hexagon_objectives
+from normcount.bodies2d import cross2
+from normcount.minkowski import _boundary_walk, _gauge_and_gradient, _hexagon_objectives
 
 import oracles
 
@@ -215,6 +216,20 @@ def test_gauge_batch_equals_row_by_row():
     assert np.allclose(nc.gauge_batch(M, X), rows, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("make", [_degree6_ball, lambda: nc.NormBall2(_regular(8))])
+def test_gauge_gradient_matches_central_differences(make):
+    # the slope newton takes for the hexagon's v; the gauge is positively
+    # homogeneous of degree 1, so <x, grad> is the gauge itself
+    M = make()
+    X = np.random.default_rng(31).normal(size=(40, 2))
+    g, grad = _gauge_and_gradient(M, X)
+    assert np.array_equal(g, nc.gauge_batch(M, X))
+    assert np.allclose(np.einsum("ij,ij->i", X, grad), g, rtol=1e-12, atol=0.0)
+    for e in 1e-6 * np.eye(2):
+        slope = (nc.gauge_batch(M, X + e) - nc.gauge_batch(M, X - e)) / 2e-6
+        assert np.allclose(grad @ e / 1e-6, slope, rtol=0.0, atol=1e-6)
+
+
 @pytest.mark.parametrize("make", [_degree6_ball, _disk_ball, lambda: _poly_ball("hexagon")])
 def test_gauge_batch_of_no_points_is_empty(make):
     assert nc.gauge_batch(make(), np.zeros((0, 2))).shape == (0,)
@@ -264,13 +279,14 @@ def _half_period(M):
 
 @pytest.mark.parametrize("name", sorted(HEXAGON_NORMS))
 def test_gauge_from_u_never_falls_along_the_half_arc(name):
-    # the monotonicity lemma that lets one bisection find the hexagon's v
+    # the monotonicity lemma that makes the hexagon's v the one root of
+    # 1 - gauge(v - u) on the half-arc after u
     M = HEXAGON_NORMS[name]()
     half = _half_period(M)
     ts = np.random.default_rng(17).uniform(0.0, 2.0 * half, 20)
-    u = _boundary_walk(M.body, ts)
+    u = _boundary_walk(M.body, ts)[0]
     arc = ts[:, None] + half * np.arange(4001) / 4000
-    pts = _boundary_walk(M.body, arc.ravel()).reshape(*arc.shape, 2)
+    pts = _boundary_walk(M.body, arc.ravel())[0].reshape(*arc.shape, 2)
     g = nc.gauge_batch(M, (pts - u[:, None]).reshape(-1, 2)).reshape(arc.shape)
     assert np.all(g[:, 0] == 0.0)
     assert np.all(np.diff(g, axis=1) >= -1e-12)
@@ -310,21 +326,78 @@ def test_tau_rejects_coarse_below_two(make, coarse):
 
 
 @pytest.mark.parametrize("make", [_degree6_ball, lambda: nc.NormBall2(_regular(8))])
-def test_tau_makes_at_most_four_bisections_of_gauge_calls(make, monkeypatch):
-    # the coarse pass and 3 refinement rounds are one 64-halving bisection
-    # each, so one gauge call per halving: 4 * 64 calls in all
+def test_tau_makes_at_most_64_gauge_evaluations(make, monkeypatch):
+    # the coarse pass and 3 refinement rounds each solve for v by newton,
+    # one gauge evaluation per step of the rows still unfinished; 64 calls
+    # are a quarter of the 4 * 64 halvings of a bisection
     import normcount.minkowski as minkowski
 
     calls = []
-    real = minkowski.gauge_batch
+    real = minkowski._gauge_and_gradient
 
     def counting(M, X):
         calls.append(len(X))
         return real(M, X)
 
-    monkeypatch.setattr(minkowski, "gauge_batch", counting)
+    monkeypatch.setattr(minkowski, "_gauge_and_gradient", counting)
     nc.hexagon_ratio_tau(make())
-    assert len(calls) <= 256
+    assert 0 < len(calls) <= 64
+
+
+def _newton_and_bisected_v(M, ts, monkeypatch):
+    """v of ``_hexagon_objectives`` at each u-parameter in ts, from the
+    newton it calls, and v from 64 halvings of gauge(v - u) < 1."""
+    import normcount.minkowski as minkowski
+
+    found = []
+    real = minkowski.newton
+
+    def recording(f, lo, hi):
+        found.append(real(f, lo, hi))
+        return found[-1]
+
+    monkeypatch.setattr(minkowski, "newton", recording)
+    half = _half_period(M)
+    objectives = _hexagon_objectives(M, ts, half, 1.0)
+    u = _boundary_walk(M.body, ts)[0]
+    bisected = oracles.bisect(
+        lambda t: nc.gauge_batch(M, _boundary_walk(M.body, t)[0] - u) < 1.0, ts, ts + half)
+    return (u, _boundary_walk(M.body, found[0])[0], _boundary_walk(M.body, bisected)[0],
+            objectives)
+
+
+@pytest.mark.parametrize("name", sorted(HEXAGON_NORMS))
+def test_hexagon_v_by_newton_matches_bisection(name, monkeypatch):
+    # u at random parameters and, on polygons, at every vertex; on the
+    # regular hexagon v - u sits on a vertex of M, a kink of the gauge
+    M = HEXAGON_NORMS[name]()
+    ts = np.random.default_rng(29).uniform(0.0, 2.0 * _half_period(M), 50)
+    if not M.is_smooth:
+        ts = np.concatenate([ts, M.body.vertex_arclengths[:-1]])
+    u, v, want, objectives = _newton_and_bisected_v(M, ts, monkeypatch)
+    assert np.allclose(v, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(objectives, 3.0 * np.abs(cross2(u, want)), rtol=0.0, atol=1e-12)
+
+
+def test_hexagon_v_on_the_square_plateau(monkeypatch):
+    # u at an edge midpoint of the square: gauge(v - u) = 1 along half of
+    # the next edge, which is parallel to u, so v may stop anywhere there,
+    # and cross(u, v) = 1 for each such v
+    M = _poly_ball("square")
+    ts = np.array([1.0, 3.0, 5.0, 7.0])
+    u, v, want, objectives = _newton_and_bisected_v(M, ts, monkeypatch)
+    assert np.allclose(nc.gauge_batch(M, v - u), 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(objectives, 3.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(3.0 * np.abs(cross2(u, want)), 3.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha, scale", [(0.0, 1.0), (0.3, 1.7), (1.0, 0.6),
+                                          (2.5, 1e-3), (-0.7, 1e3)])
+def test_tau_of_rotated_scaled_hexagons_is_one(alpha, scale):
+    ang = alpha + np.arange(6) * (np.pi / 3.0)
+    M = nc.NormBall2(nc.build_polygon(scale * np.column_stack([np.cos(ang), np.sin(ang)])))
+    tau = nc.hexagon_ratio_tau(M)
+    assert 1.0 - 1e-12 <= tau <= 1.0 + 1e-15
 
 
 @pytest.mark.parametrize("make, want", [

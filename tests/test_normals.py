@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import normcount as nc
-from normcount.trigcount import bisect
 
 import oracles
 
@@ -521,8 +520,8 @@ def test_flagged_polytope_points_raise(name):
     jump = np.any(parts(a) != parts(b), axis=0)
     a, d = a[jump], (b - a)[jump]
     at_a = parts(a)
-    s = bisect(lambda m: np.all(parts(a + m[:, None] * d) == at_a, axis=0),
-               np.zeros(len(a)), np.ones(len(a)))
+    s = oracles.bisect(lambda m: np.all(parts(a + m[:, None] * d) == at_a, axis=0),
+                       np.zeros(len(a)), np.ones(len(a)))
     raised = 0
     for p in a + s[:, None] * d:
         flagged = nc.count_normals3_batch(P, [p])[2][0]
