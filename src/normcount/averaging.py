@@ -34,6 +34,7 @@ from .errors import (DomainError, InfiniteDiametersError, TooSingularError,
                      UnsupportedCombinationError)
 from .evolute import normal_means
 from .normals import count_normals2_batch, count_normals3_batch
+from .rng import require_count
 from .wedges import exact_average_normals, exact_average_normals3
 
 _MAX_DEGENERATE_FRAC = 0.01  # resampled points allowed, as a fraction of n
@@ -153,8 +154,7 @@ def estimate_interior_average(body, counter, n: int, seed: int) -> EstimateRepor
     """Mean of a pointwise counter over n uniform interior points, with the
     ``exact_average`` where there is one; the MC mean always runs, as the
     cross-check."""
-    if n < 100:
-        raise DomainError("estimate_interior_average needs n >= 100")
+    require_count(n, 100)
     fn = resolve_counter(counter)
 
     if isinstance(body, Polytope3):
@@ -177,8 +177,7 @@ def estimate_boundary_average(body, counter, n: int, seed: int) -> EstimateRepor
     at most P), so the depth is a length of the body, free of its position.
     Normals of a smooth or arc body have ``normal_means``'s exact n_surf.
     """
-    if n < 100:
-        raise DomainError("estimate_boundary_average needs n >= 100")
+    require_count(n, 100)
     if isinstance(body, Polytope3):
         raise UnsupportedCombinationError("boundary averages are planar-only")
     fn = resolve_counter(counter)

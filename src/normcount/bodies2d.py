@@ -27,7 +27,7 @@ from scipy.spatial import ConvexHull
 
 from .errors import (ConvexityError, DegenerateBodyError, DomainError,
                      UnsupportedCombinationError)
-from .rng import philox_generator, rejection_sample
+from .rng import philox_generator, rejection_sample, require_count
 from .trigcount import _RTOL, MAX_GRID, TWO_PI, _start_grid, newton, row_blocks
 
 # Relative tolerance for strict-convexity cross products and chain closure.
@@ -682,7 +682,8 @@ def sample_interior2(body, n: int, seed: int) -> np.ndarray:
 
 def sample_boundary2(body, n: int, seed: int):
     """n boundary points uniform in arc length; returns (points, normal angles)."""
-    if n <= 0:
+    require_count(n)
+    if n == 0:
         return np.zeros((0, 2)), np.zeros(0)
     gen = philox_generator(seed)
     s = gen.random(n)

@@ -193,13 +193,12 @@ def _cmd_flow(args) -> int:
 def _cmd_discretize(args) -> int:
     body = parse_body(args.body)
     ks = _numbers("--k", args.k, int)
-    rows = discretization_race(body, ks, args.samples, args.seed)
-    lines = _header(args.seed, args.body)
-    lines.append("k,n_polygon_exact,n_body_mean,ci_lo,ci_hi,margin")
+    rows = discretization_race(body, ks)
+    lines = _header(None, args.body)
+    lines.append("k,n_polygon_exact,n_body_exact,margin")
     for row in rows:
-        r = row.n_body
         lines.append(",".join([str(row.k)] + [format_float(v) for v in
-                              (row.n_polygon, r.mean, r.ci95[0], r.ci95[1], row.margin)]))
+                              (row.n_polygon, row.n_body, row.margin)]))
     path = _write_lines(args.out, "discretize.csv", lines)
     print(f"wrote {path}")
     return 0
@@ -363,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_flow)
 
     sp = sub.add_parser("discretize", help="inscribed-polygon race")
-    common(sp)
+    common(sp, seeded=False)
     sp.add_argument("--k", default="8,16,32,64")
     sp.set_defaults(fn=_cmd_discretize)
 

@@ -2,9 +2,10 @@
 
 Placing k vertices on the boundary at equal arc-length spacing gives a
 polygon P_k whose exact mean normal count eventually exceeds the parent
-body's sampled mean: discretization strictly increases the average.  The
-polygon side is computed exactly by the wedge decomposition, so the margin
-n(P_k) - upper-CI(n(K)) carries only the parent's sampling noise.
+body's: discretization strictly increases the average.  Both sides are
+exact, the polygon by the wedge decomposition and the parent by the chord
+integral of ``evolute.normal_means``, so the margin n(P_k) - n(K) carries
+no sampling noise.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import EstimateReport, estimate_interior_average
 from .bodies2d import Polygon2, SmoothBody2, build_polygon, require_smooth
 from .errors import DomainError
+from .evolute import normal_means
 from .wedges import exact_average_normals
 
 
@@ -23,8 +24,8 @@ from .wedges import exact_average_normals
 class RaceRow:
     k: int
     n_polygon: float  # exact
-    n_body: EstimateReport  # sampled
-    margin: float  # n_polygon - upper CI bound of n_body
+    n_body: float  # exact
+    margin: float  # n_polygon - n_body
 
 
 def inscribe_polygon(body: SmoothBody2, k: int) -> Polygon2:
@@ -36,13 +37,11 @@ def inscribe_polygon(body: SmoothBody2, k: int) -> Polygon2:
     return build_polygon(body.boundary(thetas))
 
 
-def discretization_race(body: SmoothBody2, k_list, n_samples: int,
-                        seed: int) -> list[RaceRow]:
-    """Exact n(P_k) against the sampled n(K) for each k."""
-    report = estimate_interior_average(body, "normals", n_samples, seed)
+def discretization_race(body: SmoothBody2, k_list) -> list[RaceRow]:
+    """Exact n(P_k) against the exact n(K) for each k."""
+    n_body = normal_means(body)[0]
     rows = []
     for k in k_list:
-        poly = inscribe_polygon(body, int(k))
-        _, n_exact = exact_average_normals(poly)
-        rows.append(RaceRow(int(k), n_exact, report, n_exact - report.ci95[1]))
+        _, n_exact = exact_average_normals(inscribe_polygon(body, int(k)))
+        rows.append(RaceRow(int(k), n_exact, n_body, n_exact - n_body))
     return rows

@@ -8,8 +8,7 @@ them form the class with at most 6 normals per interior point on average
 and exactly 2 normals through every boundary point.
 
 The centre c = r - rho*u lies on the inward normal chord from r, of length
-L (``SmoothBody2.normal_chord``), so it is inside exactly when rho < L:
-``contains_evolute``'s worst_excess is max(rho - L) over its grid.
+L (``SmoothBody2.normal_chord``), so it is inside exactly when rho < L.
 
 The same chord gives both mean normal counts by quadrature
 (``normal_means``).  A point p = r(theta) - s*u(theta) of the normal bundle
@@ -24,7 +23,10 @@ Differentiating the exit point gives L' = (rho - L) tan(e - theta), so
 f = rho - L has slope f' = rho' - f tan(e - theta), which is rho' at every
 root of f.  Between two critical points of rho in a row f therefore crosses
 0 at most once, in the direction of rho', and the kinks of (rho - L)_+ need
-no grid.
+no grid.  For the same reason f < 0 at every critical point of rho exactly
+when f < 0 on the whole circle: ``contains_evolute``'s worst_excess, the
+largest rho - L at the critical points of rho, has the sign of the largest
+rho - L over the circle.
 
 On an arc body rho is piecewise constant (an arc's radius over its normal
 range, 0 over a corner's cone), so rho' = 0, f' = -f tan(e - theta) and f
@@ -38,7 +40,6 @@ import numpy as np
 from .bodies2d import TWO_PI, ArcBody2, SmoothBody2, require_smooth, unit
 from .trigcount import gauss_panels, newton
 
-_GRID = 8192  # angles of the evolute containment scan
 _RTOL = 1e-9  # containment allowance, relative to the body's scale
 
 
@@ -53,16 +54,23 @@ def curvature_profile(body: SmoothBody2, grid: int = 512) -> np.ndarray:
 def contains_evolute(body: SmoothBody2) -> tuple[bool, float]:
     """Does the body contain all its centres of curvature?
 
-    worst_excess is max(rho - L) over ``_GRID`` angles, with L the inward
-    normal chord: negative exactly when every grid centre is strictly inside,
-    and at least as far from 0 as those centres are from the boundary.
-    Contained means a worst excess of at most ``_RTOL`` times the body's
-    scale.  Returns (contained, worst_excess).
+    worst_excess is the largest rho - L at the critical points of rho
+    (``SmoothBody2.rho_turns``), with L the inward normal chord.  It has the
+    sign of the largest rho - L over the circle (module docstring), so it is
+    negative exactly when every centre is strictly inside.  Contained means
+    a worst excess of at most ``_RTOL`` times the body's scale.  Returns
+    (contained, worst_excess).
     """
     require_smooth(body, "the evolute machinery")
-    theta = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
-    worst = float(np.max(body.rho(theta) - body.normal_chord(theta)[0]))
+    worst = float(np.max(_turn_excess(body)[2]))
     return worst <= _RTOL * body.scale, worst
+
+
+def _turn_excess(body: SmoothBody2):
+    """(cut, slope, f): the angles and slope rho' of ``rho_turns``, and
+    f = rho - L at those angles."""
+    cut, slope = body.rho_turns()
+    return cut, slope, body.rho(cut) - body.normal_chord(cut)[0]
 
 
 def normal_means(body) -> tuple[float, float]:
@@ -74,17 +82,18 @@ def normal_means(body) -> tuple[float, float]:
     ``rho_turns``; f = rho - L has a root between two cuts in a row exactly
     when it changes sign there, found by ``newton`` with slope f'.  An arc
     body takes the sum of r^2 times the span, and splits each arc where the
-    line through its centre c passes a corner q, at the angles of +-(q - c).
-    Doubling the order moves n by less than 1e-12, and n_surf too on smooth
-    bodies (by 3.8e-11 on a lens, whose 1/c grows at the arc ends).  Where
-    rho < L at every node n_surf is exactly 2.0."""
+    line through its centre c passes a corner q, at the angles of +-(q - c),
+    and an eighth of its span from each end, since 1/c can be singular just
+    past an arc's ends (a lens).  Doubling the order moves n and n_surf by
+    less than 1e-12.  Where rho < L at every node n_surf is exactly 2.0."""
     if isinstance(body, ArcBody2):
         arcs = body.pieces[body.pieces[:, 2] > 0.0]
         c, r, lo, hi = arcs[:, :2], arcs[:, 2], arcs[:, 3:4], arcs[:, 4:5]
         rel = body.corner_points - c[:, None]
         ang = np.arctan2(rel[..., 1], rel[..., 0])
         cuts = lo + np.mod(np.hstack([ang, ang + np.pi]) - lo, TWO_PI)  # into [lo, lo + 2pi)
-        cuts = np.sort(np.hstack([lo, np.minimum(cuts, hi), hi]), axis=1)
+        end = (hi - lo) / 8.0  # end panels: 1/c is singular just past the arc's ends
+        cuts = np.sort(np.hstack([lo, lo + end, np.minimum(cuts, hi), hi - end, hi]), axis=1)
         keep = cuts[:, 1:] > cuts[:, :-1]
         t, wt = gauss_panels(cuts[:, :-1][keep], cuts[:, 1:][keep])
         arc = np.repeat(np.nonzero(keep)[0], t.shape[1])
@@ -95,8 +104,8 @@ def normal_means(body) -> tuple[float, float]:
         require_smooth(body, "normal_means, unless given an arc body,")
         w = 1.0 - body.k**2
         rho2 = TWO_PI * body.a0**2 + np.pi * float(np.sum(w**2 * (body.ac**2 + body.bs**2)))
-        cut, slope = body.rho_turns()
-        ups = body.rho(cut) > body.normal_chord(cut)[0]
+        cut, slope, f = _turn_excess(body)
+        ups = f > 0.0
         j = np.flatnonzero(ups != np.roll(ups, -1))  # f changes sign on [cut_j, cut_j+1]
         sign = np.where(ups[j], 1.0, -1.0)  # f's sign at cut_j
 

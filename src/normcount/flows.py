@@ -35,7 +35,7 @@ from .bodies2d import (TWO_PI, SmoothBody2, bounding_box, contains2_batch,
                        signed_boundary_excess)
 from .errors import ConvexityError, DomainError, SingularFlowError
 from .evolute import normal_means, rolling_ball_radius
-from .rng import accept_prefix
+from .rng import accept_prefix, require_count
 
 _KINDS = ("outward_eikonal", "inward_eikonal", "curvature_power")
 _GRID = 512  # angles at which a curvature-power step moves the support
@@ -152,8 +152,7 @@ def _coupled_pool(bodies: list, signed_times, n_samples: int,
     slice.  Shape-changing flows accept on the smallest slice by area and
     test the prefix against each other slice.
     """
-    if n_samples < 100:
-        raise DomainError("a flow needs n_samples >= 100")
+    require_count(n_samples, 100)
     lo, hi = _shared_box(bodies)
     if signed_times is not None:
         t_min = float(np.min(signed_times))

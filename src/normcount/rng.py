@@ -14,9 +14,19 @@ keeps the whole prefix and tests it against several bodies.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
+from .errors import DomainError
+
 CHUNK = 8192
+
+
+def require_count(n, least: int = 0) -> None:
+    """The one rule for sample counts: an integer of at least ``least``."""
+    if not isinstance(n, Integral) or n < least:
+        raise DomainError(f"sample count must be an integer >= {least}, got {n!r}")
 
 
 def philox_generator(seed: int) -> np.random.Generator:
@@ -34,8 +44,9 @@ def accept_prefix(seed: int, lo, hi, inside, n: int) -> tuple[np.ndarray, np.nda
     so far that were accepted (1 for the first chunk, 0 until one is), so
     few candidates past the n-th are drawn and a thin body takes few
     chunks."""
+    require_count(n)
     lo = np.asarray(lo, dtype=float)
-    if n <= 0:
+    if n == 0:
         return np.zeros((0, lo.size)), np.zeros(0, dtype=bool)
     span = np.asarray(hi, dtype=float) - lo
     gen = philox_generator(seed)

@@ -264,10 +264,15 @@ def test_estimate_diameters_is_average_diameters(capsys, tmp_path):
 
 def test_discretize_runs_are_byte_identical(capsys, tmp_path):
     _, text = _reruns(capsys, ["discretize", "--body", json.dumps(SMOOTH), "--k", "8,16",
-                               "--samples", "500", "--seed", "2", "--out", str(tmp_path)],
-                      tmp_path / "discretize.csv")
-    rows = [line.split(",")[0] for line in text.decode().splitlines() if not line.startswith("#")]
-    assert rows == ["k", "8", "16"]
+                               "--out", str(tmp_path)], tmp_path / "discretize.csv")
+    rows = [line.split(",") for line in text.decode().splitlines() if not line.startswith("#")]
+    assert rows[0] == ["k", "n_polygon_exact", "n_body_exact", "margin"]
+    assert [row[0] for row in rows[1:]] == ["8", "16"]
+    n_body = nc.normal_means(nc.parse_body(SMOOTH))[0]
+    assert {row[2] for row in rows[1:]} == {nc.format_float(n_body)}
+    with pytest.raises(SystemExit):  # the race samples nothing
+        cli.run(["discretize", "--body", json.dumps(SMOOTH), "--samples", "500"])
+    capsys.readouterr()
 
 
 def test_diameters_runs_are_byte_identical(capsys, tmp_path):

@@ -210,11 +210,11 @@ def test_flow_matches_direct_offset_counts():
 
 
 def test_contains_evolute_worst_excess_is_pinned():
-    # max(rho - L) over the 8192 grid angles, as first computed with the
-    # normal chord; test_pinned_worst_excess_matches_the_bisection_oracle
+    # the largest rho - L at the critical points of rho, as first computed
+    # with the normal chord; test_pinned_worst_excess_matches_the_bisection_oracle
     # confirms it by bisection
     inside = nc.SmoothBody2(2.0, [0.1, 0.05, 0.02], [0.0, 0.03, 0.0, 0.01])
-    assert nc.contains_evolute(inside) == (True, -1.5861581759218155)
+    assert nc.contains_evolute(inside) == (True, -1.5891758336263226)
     assert nc.contains_evolute(_wavy(0.3)) == (False, 0.5)
 
 
@@ -239,9 +239,9 @@ def test_normal_chord_matches_the_bisection_oracle(body):
 def test_pinned_worst_excess_matches_the_bisection_oracle():
     # the first body of test_contains_evolute_worst_excess_is_pinned
     inside = nc.SmoothBody2(2.0, [0.1, 0.05, 0.02], [0.0, 0.03, 0.0, 0.01])
-    theta = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
+    theta = inside.rho_turns()[0]
     worst = np.max(inside.rho(theta) - oracles.normal_chord_bisection(inside, theta))
-    assert abs(worst - -1.5861581759218155) <= 1e-12 * inside.scale
+    assert abs(worst - -1.5891758336263226) <= 1e-12 * inside.scale
 
 
 def _margin_rule(body):
@@ -261,6 +261,34 @@ def test_contains_evolute_matches_the_margin_rule():
     assert got == [_margin_rule(body) for body in bodies]
     assert got[:12] == [True] * 12 and got[12:21] == [False] * 9
     assert got[21:] == [False, True]
+
+
+# h = 1 + a cos 2t + .01 cos 3t: the evolute first touches the boundary at a*
+A_TOUCH = 0.1976357236135098
+
+
+@pytest.mark.parametrize("da", [1e-7, 1e-8, 1e-9, -1e-9])
+def test_contains_evolute_agrees_with_the_exact_boundary_mean(da):
+    # n_surf is exactly 2 where rho < L at every angle; an 8192-angle scan
+    # called the body at a* + 1e-9 contained, where rho - L reaches 5.1e-9
+    body = nc.SmoothBody2(1.0, [0.0, A_TOUCH + da, 0.01])
+    assert nc.contains_evolute(body)[0] == (nc.normal_means(body)[1] == 2.0) == (da < 0.0)
+
+
+def test_contains_evolute_solves_few_normal_chords(monkeypatch):
+    # one chord per critical angle of rho: at most 2N + 1
+    angles = []
+    real = nc.SmoothBody2.normal_chord
+
+    def counting(body, theta):
+        angles.append(np.size(theta))
+        return real(body, theta)
+
+    monkeypatch.setattr(nc.SmoothBody2, "normal_chord", counting)
+    for body in EVOLUTE_OUTSIDE + [_wavy(0.05), nc.SmoothBody2(1.0, [0.0, A_TOUCH, 0.01])]:
+        angles.clear()
+        nc.contains_evolute(body)
+        assert 0 < sum(angles) <= 2 * body.degree + 1
 
 
 def _trace_digest(trace):
@@ -319,7 +347,7 @@ def test_normal_means_sees_kinks_closer_than_any_scan():
     # h = 1 + a cos 2t + .01 cos 3t with a just past the value where the
     # evolute first touches the boundary: rho - L has two pairs of roots,
     # each 1.25e-3 rad apart, within one step of a 1024-angle scan
-    body = nc.SmoothBody2(1.0, [0.0, 0.1976357236135098 + 1e-7, 0.01])
+    body = nc.SmoothBody2(1.0, [0.0, A_TOUCH + 1e-7, 0.01])
     assert not nc.contains_evolute(body)[0]
     n, n_surf = nc.normal_means(body)
     dense_n, dense_surf, kinks = oracles.normal_means_dense(body, 1 << 15)
