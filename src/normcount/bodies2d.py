@@ -11,16 +11,18 @@ cos k*theta and sin k*theta.  ``ArcBody2`` is a CCW chain of circular arcs
 Containment is decided by the signed support excess max_u <p, u> - h(u),
 which is minus the distance to the boundary inside.  On a smooth body it is
 the maximum of a trigonometric polynomial, certified from its coefficients
-on a coarse grid that is doubled only for the points it leaves undecided;
-``contains2_batch`` refines a point only until its side of the tolerance is
-certain; with tol = -``INTERIOR_RTOL``*scale it decides which points are
-interior queries (``require_interior``; ``contains3`` does so in 3D).
+on a grid doubled only for the points it leaves undecided, and
+``contains2_batch`` needs it only in the thin band between the two 16-gons
+of the body's table at the normal angles 2*pi*j/16 (``SmoothBody2.sides``);
+with tol = -``INTERIOR_RTOL``*scale it decides which points are interior
+queries (``require_interior``; ``contains3`` does so in 3D).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -163,6 +165,17 @@ class SmoothBody2:
                 f"support function is not convex: rho(theta) <= 0 near theta={bad:.6f}",
                 where=bad,
             )
+
+    @cached_property
+    def sides(self):
+        """``contains2_batch``'s table, built on first use: one row (a, b, c)
+        per line a*x + b*y = c with unit normal (a, b), 16 support lines at
+        theta_j = 2*pi*j/16, then the inscribed polygon's edges r_j r_j+1."""
+        theta = np.arange(16) * (TWO_PI / 16)
+        r = self.boundary(theta)
+        e = np.roll(r, -1, axis=0) - r
+        normals = np.vstack([unit(theta), e[:, ::-1] * [1.0, -1.0] / np.hypot(e[:, :1], e[:, 1:])])
+        return np.column_stack([normals, np.sum(np.vstack([r, r]) * normals, axis=1)])
 
     def _series(self, theta, terms):
         """The tuple of series ``terms(cos k*theta, sin k*theta)`` over the
@@ -507,7 +520,7 @@ def _polish(body: SmoothBody2, pts: np.ndarray, start: np.ndarray, delta: float)
     return derivatives(t)[:2]
 
 
-def _smooth_margin(body: SmoothBody2, pts: np.ndarray, tol=None) -> np.ndarray:
+def _smooth_margin(body: SmoothBody2, pts: np.ndarray) -> np.ndarray:
     """Certified max over theta of f_p(theta) = <p, u(theta)> - h(theta).
 
     f_p is a trigonometric polynomial of degree N = max(1, deg h); with A_k
@@ -527,11 +540,6 @@ def _smooth_margin(body: SmoothBody2, pts: np.ndarray, tol=None) -> np.ndarray:
     such a run.  Only the other rows move to the doubled grid; a row not
     certified by MAX_GRID (a maximum flat to fourth order, at an end of the
     medial axis) keeps its best value.
-
-    With ``tol``, a row also stops once its grid decides its side of tol:
-    the grid maximum is above tol, or every interval bound is at or below
-    it.  Its value is then the best value found, on the same side of tol
-    as the margin.
     """
     n = len(pts)
     k = np.arange(1, max(1, body.degree) + 1, dtype=float)
@@ -559,11 +567,7 @@ def _smooth_margin(body: SmoothBody2, pts: np.ndarray, tol=None) -> np.ndarray:
             concave = np.minimum(bend, bend_next) - err > allow[idx, None]
             hi = np.maximum(f, np.roll(f, -1, axis=1)) + 0.125 * delta**2 * np.maximum(
                 np.maximum(bend, bend_next) + err, 0.0)
-            top = f.max(axis=1)
-            best[idx] = np.maximum(best[idx], top)
-            if tol is not None:
-                keep = (top <= tol) & (hi.max(axis=1) + allow[idx] > tol)
-                idx, f, hi, concave = idx[keep], f[keep], hi[keep], concave[keep]
+            best[idx] = np.maximum(best[idx], f.max(axis=1))
             # polish the grid peaks inside concave runs that might beat the best
             slack = best[idx] + allow[idx]
             peak = ((f >= np.roll(f, 1, axis=1)) & (f >= np.roll(f, -1, axis=1))
@@ -580,10 +584,7 @@ def _smooth_margin(body: SmoothBody2, pts: np.ndarray, tol=None) -> np.ndarray:
             certified = np.zeros((len(idx), grid + 1), dtype=bool)
             certified[r[ok], run[r[ok], j[ok]]] = True
             covered = concave & np.take_along_axis(certified, run, axis=1)
-            still = np.any((hi > slack[:, None]) & ~covered, axis=1)
-            if tol is not None:
-                still &= best[idx] <= tol
-            left.append(idx[still])
+            left.append(idx[np.any((hi > slack[:, None]) & ~covered, axis=1)])
         active = np.concatenate(left)
         grid *= 2
     return best
@@ -651,12 +652,22 @@ def contains2(body, point, tol: float = 0.0) -> bool:
 
 
 def contains2_batch(body, pts, tol: float = 0.0) -> np.ndarray:
-    """Per point, is the signed boundary excess at most tol?  A point of a
-    smooth body is refined only until its side of tol is certain, and the
-    corners of an arc body are taken only where they can decide it."""
+    """Per point, is the signed boundary excess at most tol?  On a smooth
+    body a point lying more than tol + allow (the margin's rounding
+    allowance) beyond a support line of ``SmoothBody2.sides`` is outside,
+    one allow - min(tol, 0) inside every inscribed edge is inside, and only
+    the band between (never a NaN point) gets the certified margin.  An arc
+    body's corners are taken only where they can decide a point."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, SmoothBody2):
-        return _smooth_margin(body, pts, tol) <= tol
+        f = body.sides[:, :2] @ pts.T  # a row per line: the maxima run over contiguous rows
+        f -= body.sides[:, 2:]
+        allow = _RTOL * (body.scale + np.hypot(pts[:, 0], pts[:, 1]))
+        inside = f[16:].max(axis=0) <= min(tol, 0.0) - allow
+        band = np.flatnonzero(~inside & (f[:16].max(axis=0) <= tol + allow))
+        if len(band):
+            inside[band] = _smooth_margin(body, pts[band]) <= tol
+        return inside
     if isinstance(body, ArcBody2):
         return _arc_excess(body, pts, tol) <= tol
     return signed_boundary_excess(body, pts) <= tol

@@ -40,8 +40,6 @@ import numpy as np
 from .bodies2d import TWO_PI, ArcBody2, SmoothBody2, require_smooth, unit
 from .trigcount import gauss_panels, newton
 
-_RTOL = 1e-9  # containment allowance, relative to the body's scale
-
 
 def curvature_profile(body: SmoothBody2, grid: int = 512) -> np.ndarray:
     """Evolute samples with exact Fourier derivatives at ``grid`` angles:
@@ -58,12 +56,13 @@ def contains_evolute(body: SmoothBody2) -> tuple[bool, float]:
     (``SmoothBody2.rho_turns``), with L the inward normal chord.  It has the
     sign of the largest rho - L over the circle (module docstring), so it is
     negative exactly when every centre is strictly inside.  Contained means
-    a worst excess of at most ``_RTOL`` times the body's scale.  Returns
-    (contained, worst_excess).
+    no rho - L above 0 at those angles, the rule by which ``normal_means``
+    finds no kink and gives n_surf exactly 2.  Returns (contained,
+    worst_excess).
     """
     require_smooth(body, "the evolute machinery")
     worst = float(np.max(_turn_excess(body)[2]))
-    return worst <= _RTOL * body.scale, worst
+    return worst <= 0.0, worst
 
 
 def _turn_excess(body: SmoothBody2):

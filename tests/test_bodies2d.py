@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import normcount as nc
+from normcount.bodies2d import INTERIOR_RTOL, require_interior
 
 import oracles
 
@@ -367,6 +368,74 @@ def test_smooth_margin_next_to_the_boundary_is_exact(name):
         assert np.max(np.abs(excess - side * eps)) <= 1e-13 * B.scale
         assert np.all(nc.contains2_batch(B, pts) == (side < 0))
         assert np.all(nc.contains2_batch(B, pts, tol=side * 2 * eps) == (side > 0))
+
+
+GENERIC = ((0.0, 0.08), (0.0, 0.0, 0.04))
+TABLE_BODIES = {
+    "generic": GENERIC,
+    "cos2=.3": ((0.0, 0.3), ()),
+    "deg8": ((0.0, 0.01, 0.004, 0.0, 0.0, 0.0, 0.0, 0.0008),
+             (0.0, 0.0, 0.005, 0.002, 0.0, 0.0, 0.001)),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
+@pytest.mark.parametrize("name", sorted(TABLE_BODIES))
+def test_two_sided_table_matches_the_excess(name, scale):
+    # the 16-gon table decides most points and the certified margin the
+    # rest; together they must put every point on the excess's side of tol.
+    # Past a vertex r(theta_j) of the inscribed 16-gon along u_j the excess
+    # is the distance, while the 16-gon's edges pushed out by a positive tol
+    # reach farther than tol there
+    cos, sin = TABLE_BODIES[name]
+    B = nc.SmoothBody2(scale, np.multiply(scale, cos), np.multiply(scale, sin))
+    lo, hi = nc.bounding_box(B)
+    box = lo + (hi - lo) * np.random.default_rng(5).random((4000, 2))
+    theta = np.concatenate([np.random.default_rng(6).uniform(0.0, 2 * math.pi, 500),
+                            np.arange(16) * (2 * math.pi / 16)])
+    r, u = B.boundary(theta), np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    out = [r + d * B.scale * u for d in (1e-6, 1e-9, 1e-11, -1e-6, -1e-9, -1e-11, 0.0099, 0.0101)]
+    pts = np.concatenate([box, *out])
+    excess = nc.signed_boundary_excess(B, pts)
+    for tol in (0.0, -INTERIOR_RTOL * B.scale, 0.01 * B.scale):
+        assert np.array_equal(nc.contains2_batch(B, pts, tol), excess <= tol)
+
+
+def test_two_sided_table_leaves_few_points_to_the_margin(monkeypatch):
+    import normcount.bodies2d as b2
+
+    seen = []
+    margin = b2._smooth_margin
+
+    def counting(body, pts):
+        seen.append(len(pts))
+        return margin(body, pts)
+
+    B = nc.SmoothBody2(1.0, *GENERIC)
+    lo, hi = nc.bounding_box(B)
+    box = lo + (hi - lo) * np.random.default_rng(3).random((20000, 2))
+    monkeypatch.setattr(b2, "_smooth_margin", counting)
+    nc.contains2_batch(B, box)
+    assert 0 < sum(seen) < 0.05 * len(box)
+
+
+def test_nonfinite_points_are_never_inside():
+    B = nc.SmoothBody2(1.0, *GENERIC)
+    bad = [math.nan, math.inf, -math.inf]
+    pts = np.array([(x, y) for x in bad + [0.1] for y in bad + [0.1]])[:-1]
+    with np.errstate(invalid="ignore"):
+        for tol in (0.0, -INTERIOR_RTOL, 1.0):
+            assert not nc.contains2_batch(B, pts, tol).any()
+    with pytest.raises(nc.DomainError):
+        require_interior(B, (math.nan, 0.0))
+
+
+def test_sample_interior_2000_is_pinned():
+    # sha256 as drawn before the two-sided table: it must accept exactly the
+    # candidates that the certified margin accepts
+    pts = nc.sample_interior2(nc.SmoothBody2(1.0, *GENERIC), 2000, seed=3)
+    assert (hashlib.sha256(pts.tobytes()).hexdigest()
+            == "2715fd46eb3da6e7849b0e5d8209bc488fcc14233a6377002c71f586b128eb91")
 
 
 def test_jet_and_curvature_center_shapes_follow_input():

@@ -275,6 +275,18 @@ def test_contains_evolute_agrees_with_the_exact_boundary_mean(da):
     assert nc.contains_evolute(body)[0] == (nc.normal_means(body)[1] == 2.0) == (da < 0.0)
 
 
+@pytest.mark.parametrize("da", [3e-10, 1e-10, 3e-11, 0.0])
+def test_contains_evolute_has_no_allowance(da):
+    # rho - L peaks between 1.3e-10 and 1.6e-9 here, mostly within the
+    # 1e-9*scale allowance contains_evolute once had: any excess above 0
+    # means not contained, as n_surf > 2 says.  At a* itself, the case
+    # nearest to rounding, only agreement is asserted
+    body = nc.SmoothBody2(1.0, [0.0, A_TOUCH + da, 0.01])
+    contained = nc.contains_evolute(body)[0]
+    assert contained == (nc.normal_means(body)[1] == 2.0)
+    assert da == 0.0 or not contained
+
+
 def test_contains_evolute_solves_few_normal_chords(monkeypatch):
     # one chord per critical angle of rho: at most 2N + 1
     angles = []
