@@ -780,10 +780,11 @@ def width_function(body, theta):
 
 
 def require_interior(body, point):
-    """The point as an array; DomainError unless the side test
-    ``contains2_batch`` proves it ``INTERIOR_RTOL``*scale inside (never NaN)."""
+    """The point as an array; DomainError unless it is finite and the side
+    test ``contains2_batch`` proves it ``INTERIOR_RTOL``*scale inside."""
     p = np.asarray(point, dtype=float)
-    if not contains2_batch(body, p[None], tol=-INTERIOR_RTOL * body.scale)[0]:
+    if not (all(map(math.isfinite, p.tolist()))
+            and contains2_batch(body, p[None], tol=-INTERIOR_RTOL * body.scale)[0]):
         raise DomainError("query point must lie strictly inside the body")
     return p
 

@@ -11,9 +11,11 @@ all sampling noise from time differences.  The boundary means, and both
 sides of ``derivative_report``'s identity, are quadrature values of
 ``evolute.normal_means`` (no sampling).
 
-The curvature-power flow ``dh/dt = +/- rho^r`` is integrated explicitly on a
-dense angle grid, refit to the finite Fourier basis by ``fit_support_body``
-each step; it is exploratory and truncates the trace if convexity is lost.
+The curvature flow ``dh/dt = +/- rho`` is a coefficient map too: rho = h + h''
+is diagonal in the Fourier basis, so a0 -> a0*e^(+/-t) and a_k, b_k ->
+a_k, b_k*e^(+/-(1 - k^2)t), with no time step.  Outward it is e^t times the
+heat semigroup acting on rho and stays convex; inward the first slice that is
+not convex truncates the trace.
 
 Empirically (and provably for bodies containing their evolute) the interior
 mean count DEcreases toward 2 under the outward flow and INcreases under the
@@ -31,23 +33,22 @@ import numpy as np
 
 from .averaging import EstimateReport, resolve_counter
 from .bodies2d import (TWO_PI, SmoothBody2, bounding_box, contains2_batch,
-                       fit_support_body, measure2d, require_smooth,
-                       signed_boundary_excess)
+                       measure2d, require_smooth, signed_boundary_excess)
 from .errors import ConvexityError, DomainError, SingularFlowError
 from .evolute import normal_means, rolling_ball_radius
 from .rng import accept_prefix, require_count
 
 _KINDS = ("outward_eikonal", "inward_eikonal", "curvature_power")
-_GRID = 512  # angles at which a curvature-power step moves the support
 
 
 @dataclass(frozen=True)
 class FlowSpec:
+    """``steps`` + 1 equal times in [0, t_end]; ``direction`` ("out" or
+    "in") applies only to ``curvature_power``."""
     kind: str
     t_end: float
     steps: int
-    r: float = 1.0  # curvature-power exponent
-    direction: str = "out"  # curvature-power direction
+    direction: str = "out"
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -56,17 +57,16 @@ class FlowSpec:
             raise DomainError(f"steps must be a positive integer, got {self.steps!r}")
         if not 0 < self.t_end < math.inf:
             raise DomainError("t_end must be positive and finite")
-        if not math.isfinite(self.r):
-            raise DomainError("r must be finite")
-        if self.kind == "curvature_power" and (self.r <= 0 or self.direction not in ("in", "out")):
-            raise DomainError("curvature_power needs r > 0 and direction in/out")
+        if self.direction not in ("in", "out"):
+            raise DomainError(f"direction must be 'in' or 'out', got {self.direction!r}")
 
 
 @dataclass
 class FlowTrace:
     """Per time slice: the body, the MC interior mean (an ``EstimateReport``)
     and the quadrature boundary mean (a float of ``normal_means``, exact to
-    rounding)."""
+    rounding).  ``truncated`` is set only by an inward ``curvature_power``
+    flow that lost convexity before t_end; the slices end before that time."""
     times: np.ndarray
     bodies: list
     n_values: list
@@ -99,26 +99,12 @@ def offset_body(body: SmoothBody2, t: float) -> SmoothBody2:
     return out
 
 
-def _curvature_power_bodies(body: SmoothBody2, spec: FlowSpec) -> tuple[list, bool]:
-    sign = 1.0 if spec.direction == "out" else -1.0
-    degree = max(len(body.ac), len(body.bs), 1)
-    thetas = np.arange(_GRID) * (TWO_PI / _GRID)
-    bodies = [body]
-    cur = body
-    dt_out = spec.t_end / spec.steps
-    for _ in range(spec.steps):
-        remaining = dt_out
-        try:
-            while remaining > 1e-15:
-                rho = cur.rho(thetas)
-                dt = min(remaining, 0.2 * float(np.min(rho)) ** spec.r * (TWO_PI / _GRID))
-                h = cur.support(thetas) + sign * dt * rho ** spec.r
-                cur = fit_support_body(np.column_stack([thetas, h]), degree)
-                remaining -= dt
-        except ConvexityError:
-            return bodies, True
-        bodies.append(cur)
-    return bodies, False
+def _curvature_body(body: SmoothBody2, t: float) -> SmoothBody2:
+    """The curvature flow dh/dt = rho at signed time t: a0 -> a0*e^t and
+    a_k, b_k -> a_k, b_k*e^((1 - k^2)t).  ConvexityError where the slice is
+    not convex."""
+    decay = np.exp((1.0 - body.k**2) * t)
+    return SmoothBody2(body.a0 * math.exp(t), body.ac * decay, body.bs * decay)
 
 
 def _flow_bodies(body: SmoothBody2, spec: FlowSpec) -> tuple[np.ndarray, list, bool]:
@@ -130,8 +116,14 @@ def _flow_bodies(body: SmoothBody2, spec: FlowSpec) -> tuple[np.ndarray, list, b
             raise SingularFlowError(
                 "inward eikonal t_end reaches the evolute before the trace ends")
         return times, [offset_body(body, -t) for t in times], False
-    bodies, truncated = _curvature_power_bodies(body, spec)
-    return times[:len(bodies)], bodies, truncated
+    sign = 1.0 if spec.direction == "out" else -1.0
+    bodies = []
+    for t in times:
+        try:
+            bodies.append(_curvature_body(body, sign * t))
+        except ConvexityError:
+            return times[:len(bodies)], bodies, True
+    return times, bodies, False
 
 
 def _shared_box(bodies: list) -> tuple[np.ndarray, np.ndarray]:

@@ -285,12 +285,13 @@ def count_normals3_by_dim(poly: Polytope3, point):
     the point's row of ``count_normals3_batch``.
 
     DomainError unless ``contains3`` proves the point ``INTERIOR_RTOL``*scale
-    inside, as in 2D (never NaN).  Like ``normal_feet2``, raises
+    inside, as in 2D (never NaN or inf).  Like ``normal_feet2``, raises
     DegenerateConfigurationError wherever the batch counter flags the point,
     so the counts always satisfy facets - edges + vertices = 2.
     """
     p = np.asarray(point, dtype=float)
-    if not contains3(poly, p, tol=-INTERIOR_RTOL * poly.scale):
+    if not (all(map(math.isfinite, p.tolist()))
+            and contains3(poly, p, tol=-INTERIOR_RTOL * poly.scale)):
         raise DomainError("query point must lie strictly inside the polytope")
     _total, (stable, saddle, peak), flags = count_normals3_batch(poly, p[None, :])
     if flags[0]:

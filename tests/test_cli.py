@@ -16,7 +16,8 @@ HEPTAGON = {"type": "polygon",
 
 
 def _point(capsys, body, at):
-    code = cli.run(["point", "--body", json.dumps(body), "--at", ",".join(map(repr, at))])
+    # "--at=" so that a value with a leading minus is not read as an option
+    code = cli.run(["point", "--body", json.dumps(body), "--at=" + ",".join(map(repr, at))])
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -33,9 +34,16 @@ def test_point_smooth_counts(capsys):
 
 
 def test_point_at_nan_is_not_interior(capsys):
-    code, out, err = _point(capsys, HEPTAGON, (math.nan, 0.5))
-    assert code == 1 and out == ""
-    assert err == "error: query point must lie strictly inside the body\n"
+    # a NaN or infinite coordinate is never proven inside, and raises no
+    # RuntimeWarning on the way (the suite turns those into errors)
+    cases = [(HEPTAGON, (math.nan, 0.5), "body")]
+    for x in (math.inf, -math.inf):
+        cases += [(HEPTAGON, (x, 0.5), "body"), (SMOOTH, (x, 0.1), "body"),
+                  (TRUNC_OCT, (x, 0.1, 0.2), "polytope")]
+    for body, at, noun in cases:
+        code, out, err = _point(capsys, body, at)
+        assert code == 1 and out == ""
+        assert err == f"error: query point must lie strictly inside the {noun}\n"
 
 
 def test_point_polytope_by_dim(capsys):
@@ -150,12 +158,17 @@ def _reruns(capsys, args, name):
     return runs[0]
 
 
-def test_flow_runs_are_byte_identical(capsys, tmp_path):
+@pytest.mark.parametrize("kind,t_end", [("outward_eikonal", "1"), ("inward_eikonal", "0.2"),
+                                         ("curvature_power", "1")],
+                         ids=["outward_eikonal", "inward_eikonal", "curvature_power"])
+def test_flow_runs_are_byte_identical(capsys, tmp_path, kind, t_end):
+    # inward, t_end stays below the body's rolling-ball radius (0.53)
     _, text = _reruns(capsys, ["flow", "--body", json.dumps(SMOOTH), "--samples", "500",
-                               "--steps", "2", "--seed", "3", "--out", str(tmp_path)],
+                               "--kind", kind, "--t-end", t_end, "--steps", "2",
+                               "--seed", "3", "--out", str(tmp_path)],
                       tmp_path / "flow.csv")
     rows = [line for line in text.decode().splitlines() if not line.startswith("#")]
-    assert len(rows) == 1 + 3  # column names and the times 0, 0.5, 1
+    assert len(rows) == 1 + 3  # column names and the times 0, t_end/2, t_end
 
 
 @pytest.mark.parametrize("samples", ["0", "50"])

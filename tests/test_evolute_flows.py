@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import normcount as nc
-from normcount import DomainError, SingularFlowError, trigcount
+from normcount import DomainError, SingularFlowError, flows, trigcount
 
 import oracles
 
@@ -105,11 +105,11 @@ def test_flow_spec_validation():
         nc.FlowSpec("outward_eikonal", 1.0, 0)
     with pytest.raises(DomainError):
         nc.FlowSpec("outward_eikonal", -1.0, 5)
-    with pytest.raises(DomainError):
-        nc.FlowSpec("curvature_power", 1.0, 5, r=0.0)
+    with pytest.raises(DomainError, match="^direction must be 'in' or 'out', got 'up'$"):
+        nc.FlowSpec("curvature_power", 1.0, 5, direction="up")
 
 
-@pytest.mark.parametrize("field", ["t_end", "r"])
+@pytest.mark.parametrize("field", ["t_end"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_flow_spec_rejects_non_finite_values(field, value):
     with pytest.raises(DomainError, match=f"^{field} must be"):
@@ -161,14 +161,39 @@ def test_inward_flow_past_singularity_raises():
 
 
 def test_curvature_power_flow_truncation_flag():
+    # inward, rho = e^-t - 3a e^3t cos 2t on h = 1 + a cos 2t: convexity is
+    # lost at t = ln(1/(3a))/4 = 0.301, between the slices at 0.2 and 0.4
     body = _wavy(0.1)
-    spec = nc.FlowSpec("curvature_power", 8.0, 40, r=1.0, direction="in")
+    spec = nc.FlowSpec("curvature_power", 8.0, 40, direction="in")
     trace = nc.evolve_flow(body, spec, 400, seed=2)
     assert trace.truncated
-    assert len(trace.bodies) < 41
-    ok = nc.evolve_flow(body, nc.FlowSpec("curvature_power", 0.05, 3, r=1.0),
-                        400, seed=2)
+    assert len(trace.bodies) == 2 and list(trace.times) == [0.0, 0.2]
+    ok = nc.evolve_flow(body, nc.FlowSpec("curvature_power", 0.05, 3), 400, seed=2)
     assert not ok.truncated and len(ok.bodies) == 4
+
+
+GENERIC = nc.SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04])
+
+
+def test_curvature_flow_rates_on_the_generic_body():
+    # the slices solve dh/dt = rho (central difference of the support), and
+    # their area grows at the integral of rho^2, by Parseval
+    t, dt = 0.5, 1e-4
+    before, now, after = (flows._curvature_body(GENERIC, s) for s in (t - dt, t, t + dt))
+    ths = np.linspace(0.0, 2 * np.pi, 97)
+    rate = (after.support(ths) - before.support(ths)) / (2 * dt)
+    assert np.max(np.abs(rate - now.rho(ths))) < 1e-7
+    area_rate = (after.area() - before.area()) / (2 * dt)
+    parseval = (2 * np.pi * now.a0**2
+                + np.pi * np.sum((now.k**2 - 1) ** 2 * (now.ac**2 + now.bs**2)))
+    assert area_rate == pytest.approx(parseval, rel=1e-6)
+
+
+@pytest.mark.parametrize("direction", ["out", "in"])
+def test_curvature_flow_starts_at_the_input_body(direction):
+    _, bodies, _ = flows._flow_bodies(GENERIC, nc.FlowSpec("curvature_power", 0.1, 2, direction))
+    assert bodies[0].a0 == GENERIC.a0
+    assert np.array_equal(bodies[0].ac, GENERIC.ac) and np.array_equal(bodies[0].bs, GENERIC.bs)
 
 
 def test_monotonicity_verdict_keys_and_endpoints():
@@ -314,13 +339,14 @@ def _trace_digest(trace):
      "aeb31afc53d3cff784fb3d6ba56fce7ce99a876fc9a163fdca6c0001efc7264f"),
     (nc.FlowSpec("inward_eikonal", 0.4, 3),
      "471f9e5815e2e3761c0b29b043e55e4a72b3c007fa063588bcf1d6425defe42e"),
-    (nc.FlowSpec("curvature_power", 0.05, 3, r=1.0),
-     "705bc1fdd2438773b961e4abe5d5c2ee7e59f12a01ff214aee7072e37db5f578"),
+    (nc.FlowSpec("curvature_power", 0.05, 3),
+     "6e7fc1e735ac12dd9abcc1993806cc0455a86f0ee238cfd6ef7684589904791b"),
 ], ids=["outward_eikonal", "inward_eikonal", "curvature_power"])
 def test_evolve_flow_is_pinned(spec, digest):
     # sha256 of the interior (MC) slice reports, as computed when the
-    # boundary means were still sampled; the body contains its evolute at
-    # every slice, so every boundary mean is exactly 2
+    # boundary means were still sampled (curvature_power: since its slices
+    # are the exact coefficient map); the body contains its evolute at every
+    # slice, so every boundary mean is exactly 2
     trace = nc.evolve_flow(nc.SmoothBody2(1.0, [0.0, 0.0, 0.06]), spec, 2000, seed=4)
     assert _trace_digest(trace) == digest
     assert np.all(trace.n_surf_values == 2.0)
