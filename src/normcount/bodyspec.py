@@ -10,7 +10,8 @@ Accepted forms::
     {"type": "standard3", "name": "cube", ...constructor keywords}
 
 Numbers are decimal, angles radians.  Canonical serialization fixes float
-formatting at 12 significant digits so hashes and golden files are stable.
+formatting at 17 significant digits, which read back as the same double,
+so hashes and golden files are stable.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .errors import SpecError
 
 
 def format_float(x: float) -> str:
-    """Fixed scientific notation with 12 significant digits."""
-    return f"{float(x):.11e}"
+    """Fixed scientific notation with 17 significant digits: enough that
+    ``float(format_float(x)) == x`` for every double."""
+    return f"{float(x):.16e}"
 
 
 def _require(obj: dict, key: str, kind=None):

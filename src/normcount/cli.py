@@ -1,8 +1,9 @@
 """Command-line front end: body ingestion, experiments, reproducible reports.
 
 Every run prints a reproducibility header (version, seed, body hash) and
-writes its primary output under --out with fixed 12-significant-digit float
-formatting, so identical arguments produce byte-identical files.
+writes its primary output under --out with fixed 17-significant-digit float
+formatting, so identical arguments produce byte-identical files and every
+printed float reads back as the same double.
 
 Exit codes: 0 success, 1 failure or malformed input, 2 unsupported
 combination (machine-readable reason on stderr).
@@ -174,8 +175,8 @@ def _cmd_evolute(args) -> int:
 def _cmd_flow(args) -> int:
     body = parse_body(args.body)
     spec = FlowSpec(args.kind, args.t_end, args.steps)
-    trace = evolve_flow(body, spec, args.samples, args.seed)
-    lines = _header(args.seed, args.body)
+    trace = evolve_flow(body, spec)
+    lines = _header(None, args.body)
     if trace.truncated:
         lines.append("# truncated=true")
     lines.append("t,n_mean,n_lo,n_hi,n_surf_mean,area,perimeter")
@@ -354,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_evolute)
 
     sp = sub.add_parser("flow", help="evolve a smooth body and track counts")
-    common(sp)
+    common(sp, seeded=False)
+    for knob in ("--samples", "--seed"):
+        sp.add_argument(knob, type=int, help="ignored: flow means are exact")
     sp.add_argument("--kind", default="outward_eikonal",
                     choices=["outward_eikonal", "inward_eikonal", "curvature_power"])
     sp.add_argument("--t-end", dest="t_end", type=float, default=1.0)
@@ -389,9 +392,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_at(argv) -> list[str]:
+    """argv with ``--at V`` as ``--at=V``, so that a value with a leading
+    minus, such as -0.5,0.2, is not read as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--at":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_at(argv))
     try:
         return args.fn(args)
     except UnsupportedCombinationError as exc:

@@ -4,12 +4,11 @@ The unit-speed (eikonal) flow moves every boundary point along its outer
 normal, which in support-function form is exactly ``h -> h + t``: the flow
 is a coefficient shift, never time-stepped, so the experiments carry no
 solver error.  Normal lines are invariant under the flow, hence the count
-through a fixed interior point does not change; the interior means of
-``evolve_flow`` are Monte Carlo (MC) estimates on one shared candidate
-stream (one seed, one box), which couples the estimates and removes almost
-all sampling noise from time differences.  The boundary means, and both
-sides of ``derivative_report``'s identity, are quadrature values of
-``evolute.normal_means`` (no sampling).
+through a fixed interior point does not change.  Every mean of a flow is a
+quadrature value of ``evolute.normal_means``, exact to rounding: the
+interior and boundary means of each ``evolve_flow`` slice, and both sides of
+``derivative_report``'s identity.  Nothing is sampled, so a trace has no
+seed and no sampling noise.
 
 The curvature flow ``dh/dt = +/- rho`` is a coefficient map too: rho = h + h''
 is diagonal in the Fourier basis, so a0 -> a0*e^(+/-t) and a_k, b_k ->
@@ -31,12 +30,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .averaging import EstimateReport, resolve_counter
-from .bodies2d import (TWO_PI, SmoothBody2, bounding_box, contains2_batch,
-                       measure2d, require_smooth, signed_boundary_excess)
+from .averaging import EstimateReport
+from .bodies2d import TWO_PI, SmoothBody2, require_smooth
 from .errors import ConvexityError, DomainError, SingularFlowError
 from .evolute import normal_means, rolling_ball_radius
-from .rng import accept_prefix, require_count
 
 _KINDS = ("outward_eikonal", "inward_eikonal", "curvature_power")
 
@@ -63,9 +60,10 @@ class FlowSpec:
 
 @dataclass
 class FlowTrace:
-    """Per time slice: the body, the MC interior mean (an ``EstimateReport``)
-    and the quadrature boundary mean (a float of ``normal_means``, exact to
-    rounding).  ``truncated`` is set only by an inward ``curvature_power``
+    """Per time slice: the body, the interior mean (an ``EstimateReport``
+    whose mean, CI bounds and ``exact`` are all the ``normal_means`` value)
+    and the boundary mean (a float of ``normal_means``); both are exact to
+    rounding.  ``truncated`` is set only by an inward ``curvature_power``
     flow that lost convexity before t_end; the slices end before that time."""
     times: np.ndarray
     bodies: list
@@ -126,73 +124,18 @@ def _flow_bodies(body: SmoothBody2, spec: FlowSpec) -> tuple[np.ndarray, list, b
     return times, bodies, False
 
 
-def _shared_box(bodies: list) -> tuple[np.ndarray, np.ndarray]:
-    los = np.array([bounding_box(b)[0] for b in bodies])
-    his = np.array([bounding_box(b)[1] for b in bodies])
-    return los.min(axis=0), his.max(axis=0)
-
-
-def _coupled_pool(bodies: list, signed_times, n_samples: int,
-                  seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One candidate prefix plus per-slice inside masks.
-
-    The prefix is the one ``rng.accept_prefix`` returns for the shared box
-    and the slice least likely to accept, so every slice holds at least
-    n_samples of its points.  Eikonal slices are support offsets of the
-    first body, so inside(K_t) reduces to margin(K_0) <= t: the accept test
-    keeps the margins it computes, and that single margin pass serves every
-    slice.  Shape-changing flows accept on the smallest slice by area and
-    test the prefix against each other slice.
-    """
-    require_count(n_samples, 100)
-    lo, hi = _shared_box(bodies)
-    if signed_times is not None:
-        t_min = float(np.min(signed_times))
-        margins: list[np.ndarray] = []
-
-        def inside(cand):
-            margins.append(signed_boundary_excess(bodies[0], cand))
-            return margins[-1] <= t_min
-
-        candidates, _ = accept_prefix(seed, lo, hi, inside, n_samples)
-        margin = np.concatenate(margins)[:len(candidates)]
-        return candidates, [margin <= t for t in signed_times]
-    smallest = int(np.argmin([measure2d(b)["area"] for b in bodies]))
-    candidates, accepted = accept_prefix(
-        seed, lo, hi, lambda c: contains2_batch(bodies[smallest], c), n_samples)
-    return candidates, [accepted if i == smallest else contains2_batch(b, candidates)
-                        for i, b in enumerate(bodies)]
-
-
-def _signed_times(spec: FlowSpec, times: np.ndarray):
-    if spec.kind == "outward_eikonal":
-        return times
-    if spec.kind == "inward_eikonal":
-        return -times
-    return None
-
-
-def evolve_flow(body: SmoothBody2, spec: FlowSpec, n_samples: int, seed: int) -> FlowTrace:
+def evolve_flow(body: SmoothBody2, spec: FlowSpec) -> FlowTrace:
     """Evolve the body and give the interior and boundary mean counts per time.
 
-    Interior means are MC: all slices share one candidate stream over one
-    box, so shared points contribute identically at every time and time
-    differences are nearly noise-free.  Flagged (degeneracy-locus) points
-    are excluded and tallied.  Boundary means are the quadrature values of
-    ``normal_means``.
+    Both means of a slice are the quadrature values of ``normal_means``,
+    exact to rounding: the interior one is reported as an ``EstimateReport``
+    with a zero-width CI and ``exact`` set, so nothing is sampled.
     """
     require_smooth(body, "a flow")
     times, bodies, truncated = _flow_bodies(body, spec)
-    counter_fn = resolve_counter("normals")
-    candidates, masks = _coupled_pool(bodies, _signed_times(spec, times),
-                                      n_samples, seed)
-    n_values = []
-    for b, m in zip(bodies, masks):
-        vals, flags = counter_fn(b, candidates[m])
-        flags = np.asarray(flags, dtype=bool)
-        n_values.append(EstimateReport.from_values(
-            np.asarray(vals, dtype=float)[~flags], int(flags.sum())))
-    n_surf_values = np.array([normal_means(b)[1] for b in bodies])
+    means = [normal_means(b) for b in bodies]
+    n_values = [EstimateReport(n, 0.0, (n, n), 0, 0, exact=n) for n, _ in means]
+    n_surf_values = np.array([surf for _, surf in means])
     return FlowTrace(times, bodies, n_values, n_surf_values, truncated)
 
 

@@ -161,9 +161,7 @@ _SMOOTH = nc.SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04])
     lambda n: nc.sample_interior2(_SMOOTH, n, 1),
     lambda n: nc.sample_boundary2(_SMOOTH, n, 1),
     lambda n: nc.sample_interior3(nc.standard_polytope("cube"), n, 1),
-    lambda n: nc.evolve_flow(_SMOOTH, nc.FlowSpec("outward_eikonal", 1.0, 2), n, 1),
-], ids=["estimate_interior", "estimate_boundary", "interior2", "boundary2", "interior3",
-        "flow"])
+], ids=["estimate_interior", "estimate_boundary", "interior2", "boundary2", "interior3"])
 def test_sample_counts_must_be_integers(call):
     # one rule for every sampler and estimator, checked before any draw
     with pytest.raises(nc.DomainError,

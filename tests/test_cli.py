@@ -16,8 +16,7 @@ HEPTAGON = {"type": "polygon",
 
 
 def _point(capsys, body, at):
-    # "--at=" so that a value with a leading minus is not read as an option
-    code = cli.run(["point", "--body", json.dumps(body), "--at=" + ",".join(map(repr, at))])
+    code = cli.run(["point", "--body", json.dumps(body), "--at", ",".join(map(repr, at))])
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -31,6 +30,32 @@ def test_point_smooth_counts(capsys):
     total, stable, _ = nc.count_normals2_batch(nc.parse_body(SMOOTH), [p])
     assert payload == {"count": int(total[0]), "stable": int(stable[0]),
                        "unstable": int(total[0] - stable[0]), "degenerate": False}
+
+
+def test_point_at_a_negative_value(capsys):
+    # "--at -0.5,0.2" is the value of --at, not an unknown option
+    runs = [cli.run(["point", "--body", json.dumps(SMOOTH)] + at) for at in
+            (["--at", "-0.5,0.2"], ["--at=-0.5,0.2"])]
+    out = capsys.readouterr().out.splitlines()
+    assert runs == [0, 0] and len(out) == 2 and out[0] == out[1]
+
+
+_RNG = np.random.default_rng(17)
+
+
+@pytest.mark.parametrize("xs", [
+    _RNG.standard_normal(1000),
+    _RNG.integers(0, 2**64, 1000, dtype=np.uint64).view(np.float64),  # any bit pattern
+    [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3.3e-320],
+    [0.0, -0.0],
+    _RNG.standard_normal(1000) * 10.0 ** _RNG.integers(-300, 300, 1000),
+    [1.7976931348623157e308, -1.7976931348623157e308, 2.0**1023, 2.0**-1022],
+], ids=["normal", "random_bits", "subnormal", "zeros", "wide_exponents", "extremes"])
+def test_format_float_reads_back_as_the_same_double(xs):
+    xs = np.asarray(xs, dtype=float)
+    for x in xs[np.isfinite(xs)].tolist():
+        back = float(nc.format_float(x))
+        assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x), x
 
 
 def test_point_at_nan_is_not_interior(capsys):
@@ -171,14 +196,20 @@ def test_flow_runs_are_byte_identical(capsys, tmp_path, kind, t_end):
     assert len(rows) == 1 + 3  # column names and the times 0, t_end/2, t_end
 
 
-@pytest.mark.parametrize("samples", ["0", "50"])
-def test_flow_rejects_too_few_samples(capsys, tmp_path, samples):
-    code = cli.run(["flow", "--body", json.dumps(SMOOTH), "--samples", samples,
-                    "--out", str(tmp_path)])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert err.startswith("error:")
-    assert not any(tmp_path.iterdir())
+def test_flow_means_are_exact_and_ignore_samples_and_seed(capsys, tmp_path):
+    texts = []
+    for samples, seed in (("500", "3"), ("100000", "11")):
+        _, text = _reruns(capsys, ["flow", "--body", json.dumps(SMOOTH), "--samples", samples,
+                                   "--seed", seed, "--steps", "2", "--out", str(tmp_path)],
+                          tmp_path / "flow.csv")
+        texts.append(text)
+    assert texts[0] == texts[1]
+    lines = texts[0].decode().splitlines()
+    assert not any(line.startswith("# seed=") for line in lines)
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert rows[0][1:4] == ["n_mean", "n_lo", "n_hi"]
+    assert all(row[1] == row[2] == row[3] for row in rows[1:])
+    assert float(rows[1][1]) == nc.normal_means(nc.parse_body(SMOOTH))[0]
 
 
 def test_validate_passes_with_only_pass_lines(capsys):
@@ -219,7 +250,7 @@ def test_estimate_reports_its_method_and_exact_mean(capsys, tmp_path):
     out, _ = capsys.readouterr()
     payload = json.loads((tmp_path / "estimate.json").read_text())
     assert code == 0 and payload["method"] == "exact"
-    assert payload["exact"] == nc.format_float(90 / 41)
+    assert float(payload["exact"]) == pytest.approx(90 / 41, rel=1e-15, abs=0.0)
     assert f"exact={payload['exact']}" in out.splitlines()
     code = cli.run(["estimate", "--body", json.dumps(SMOOTH), "--counter", "diameters",
                     "--samples", "500", "--out", str(tmp_path)])
