@@ -130,6 +130,31 @@ class Polygon2:
         c = (v + np.roll(v, -1, axis=0)) * w[:, None]
         return np.sum(c, axis=0) / (6.0 * self.area())
 
+    @cached_property
+    def antipodal(self):
+        """The affine diameter table, built on first use: (sides, pairs).
+
+        Vertex i and edge j are antipodal when edge j's inward normal lies
+        in vertex i's normal cone; edges j < l are a parallel pair when they
+        are parallel with opposite outer normals, and ``pairs`` lists them,
+        shape (pairs, 2).  ``sides`` holds one row (n, -c) per side (a, b)
+        of a CCW polygon, [x, 1] @ row = x @ n - c = cross(b - a, x - a):
+        first the 3 sides of each antipodal triangle (v_i, v_j, v_j+1), then
+        the 4 sides of each pair's trapezoid (v_j, v_j+1, v_l, v_l+1).
+        """
+        n, v, k = self.edge_normals, self.vertices, len(self)
+        m = -n[None, :, :]
+        cone = ((cross2(np.roll(n, 1, axis=0)[:, None, :], m) >= -1e-12)
+                & (cross2(m, n[:, None, :]) >= -1e-12))
+        opposite = n[:, None, 0] * n[None, :, 0] + n[:, None, 1] * n[None, :, 1] < 0.0
+        pairs = np.argwhere(
+            np.triu((np.abs(cross2(n[:, None, :], n[None, :, :])) <= 1e-12) & opposite, 1))
+        i, j = np.nonzero(cone)
+        loops = [np.stack([i, j, j + 1], axis=1) % k, (pairs[:, [0, 0, 1, 1]] + [0, 1, 0, 1]) % k]
+        a = np.concatenate([v[q].reshape(-1, 2) for q in loops])
+        e = np.concatenate([v[np.roll(q, -1, axis=1)].reshape(-1, 2) for q in loops]) - a
+        return np.column_stack([-e[:, 1], e[:, 0], -cross2(e, a)]), pairs
+
 
 class SmoothBody2:
     """Convex body given by a truncated Fourier support function.
@@ -225,11 +250,37 @@ class SmoothBody2:
         up = np.stack([-u[..., 1], u[..., 0]], axis=-1)
         return np.asarray(h)[..., None] * u + np.asarray(h1)[..., None] * up
 
-    def lines(self, pts, theta, d):
-        """G[i, j] = cross(d[j], pts[i] - r(theta[j])), zero on the line of
-        direction d[j] through r(theta[j]); its roots in theta are the normals
-        (d = u), Birkhoff normals (d = r_M), affine diameters (d = r(t + pi) - r(t))."""
-        return pts @ np.stack([-d[:, 1], d[:, 0]]) - cross2(d, self.boundary(theta))
+    @cached_property
+    def R(self):
+        """Laurent coefficients of the boundary as a complex number, r(theta)
+        = sum_e R[e - 1 + N] exp(i e theta) for e = 1 - N .. 1 + N, from
+        r = (h + i h') exp(i theta): R_1 = a0, R_{1+k} = (1 - k)(a_k - i b_k)/2
+        and R_{1-k} = (1 + k)(a_k + i b_k)/2."""
+        c = 0.5 * (self.ac - 1j * self.bs)
+        return np.concatenate([((1.0 + self.k) * np.conj(c))[::-1], [self.a0],
+                               (1.0 - self.k) * c])
+
+    def lines(self, D, lo: int, degree: int):
+        """The coefficient table of the line function g_p(theta) =
+        cross(d(theta), p - r(theta)), zero on the line of direction d(theta)
+        through r(theta): its roots in theta are the normals (d = u),
+        Birkhoff normals (d = r_M) and affine diameters (d = r(theta + pi) -
+        r(theta)) through p.  d(theta) = sum_e D[e - lo] exp(i e theta).
+
+        g_p is affine in p = (x, y): its coefficients c_0..c_degree (as in
+        ``trigcount``) are [1, x, y] @ table, a complex (3, degree + 1) array.
+        With F = conj(d) (x + iy - r), c_k = (F_k - conj F_{-k}) / 2i, and
+        conj(d) r is one ``np.convolve``.  ``degree`` must be at least that
+        of g_p; the columns beyond it are 0.
+        """
+        cd = np.conj(np.asarray(D, dtype=complex)[::-1])
+        top = lo + len(cd) - 1  # conj(d) runs over the exponents -top .. -lo
+        F = np.zeros((3, 2 * degree + 1), dtype=complex)  # exponents -degree .. degree
+        start = degree - top - self.degree + 1
+        F[0, start:start + len(cd) + 2 * self.degree] = -np.convolve(cd, self.R)
+        F[1, degree - top:degree - lo + 1] = cd
+        F[2, degree - top:degree - lo + 1] = 1j * cd
+        return -0.5j * (F[:, degree:] - np.conj(F[:, degree::-1]))
 
     def curvature_center(self, theta):
         """Center of curvature c = r - rho*u; the shape follows theta as in

@@ -14,14 +14,17 @@ are the roots in ``phi`` of the line function (``SmoothBody2.lines``)
     G(phi) = cross(r(phi + pi) - r(phi), p - r(phi)),
 
 which satisfies G(phi + pi) = -G(phi), so each diameter is a single sign
-change of G on [0, pi).  G is a trigonometric polynomial of degree
-2*deg h + 2; its roots are counted by the certified kernel of ``trigcount``.
+change of G on [0, pi).  G is a trigonometric polynomial of degree 2*deg h
+(at least 1); its table is padded to the bound 2*deg h + 2, whose start
+grid and rounding allowance the kernel uses, and its roots are counted by
+the certified kernel of ``trigcount``.
 
 A polygon has one diameter through p for each antipodal vertex--edge pair
 (edge j's inward normal lies in vertex i's normal cone) whose triangle
 contains p; a pair of parallel antipodal edges carries a continuum of
 diameters through every point strictly inside their trapezoid, reported as
-``INFINITE``.
+``INFINITE``.  The sides of these triangles and trapezoids are one table per
+polygon, ``Polygon2.antipodal``.
 
 A point whose count is not certified is flagged and its count is
 DEGENERATE, never a best effort: on a polygon, a point within the rounding
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies2d import Polygon2, SmoothBody2, cross2, require_interior, require_smooth
+from .bodies2d import Polygon2, SmoothBody2, require_interior, require_smooth
 from .errors import UnsupportedCombinationError
 from .trigcount import DEGENERATE, count_roots, row_blocks
 
@@ -63,63 +66,39 @@ def diameter_chord(body: SmoothBody2, theta: float) -> DiameterChord:
     return DiameterChord(np.array([p0, p1]), float(theta), float(np.linalg.norm(p1 - p0)))
 
 
-def _antipodal(P: Polygon2):
-    """(k, k) masks: vertex i and edge j are antipodal (edge j's inward
-    normal lies in vertex i's normal cone), and edges j < l are parallel
-    with opposite outer normals."""
-    n = P.edge_normals
-    m = -n[None, :, :]
-    cone = ((cross2(np.roll(n, 1, axis=0)[:, None, :], m) >= -1e-12)
-            & (cross2(m, n[:, None, :]) >= -1e-12))
-    opposite = n[:, None, 0] * n[None, :, 0] + n[:, None, 1] * n[None, :, 1] < 0.0
-    parallel = np.triu((np.abs(cross2(n[:, None, :], n[None, :, :])) <= 1e-12) & opposite, 1)
-    return cone, parallel
+def _lines(body: SmoothBody2) -> np.ndarray:
+    """The line table of d = r(phi + pi) - r(phi), whose Laurent
+    coefficients are R_e ((-1)^e - 1): -2 R_e at odd e, 0 at even e."""
+    N = body.degree
+    return body.lines(body.R * np.where(np.arange(1 - N, 2 + N) % 2, -2.0, 0.0),
+                      1 - N, 2 * N + 2)
 
 
 def parallel_antipodal_edge_pairs(P: Polygon2) -> list[tuple[int, int]]:
     """Index pairs of parallel edges with opposite outer normals."""
-    return [(int(j), int(l)) for j, l in zip(*np.nonzero(_antipodal(P)[1]))]
-
-
-def _lowest_side(corners: list[np.ndarray], pts: np.ndarray) -> np.ndarray:
-    """min over the sides (a, b) of CCW polygons of cross(b - a, p - a), per
-    point and polygon; ``corners`` lists the polygons' corners in order, one
-    (polygons, 2) array per corner.  Computed in place, so that it holds
-    three (points, polygons) arrays at a time."""
-    low = None
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        e = b - a
-        s = np.subtract.outer(pts[:, 1], a[:, 1])
-        s *= e[:, 0]
-        dx = np.subtract.outer(pts[:, 0], a[:, 0])
-        dx *= e[:, 1]
-        s -= dx
-        low = s if low is None else np.minimum(low, s, out=low)
-    return low
+    return [(int(j), int(l)) for j, l in P.antipodal[1]]
 
 
 def _polygon_counts(P: Polygon2, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(counts, flags) of a polygon: one diameter per antipodal triangle
     holding the point strictly, flagged within the allowance of a triangle
     side, INFINITE (and not flagged) strictly inside a parallel antipodal
-    edge trapezoid."""
-    v = P.vertices
-    k = len(v)
-    cone, parallel = _antipodal(P)
-    i, j = np.nonzero(cone)
-    # CCW: vertex i lies on the inner side of edge j
-    tris = [v[i], v[j], v[(j + 1) % k]]
-    j, l = np.nonzero(parallel)
-    # CCW: four vertices of the polygon in its order
-    quads = [v[j], v[(j + 1) % k], v[l], v[(l + 1) % k]]
+    edge trapezoid.  Per block of points the ``Polygon2.antipodal`` table
+    is one matmul, reduced over each triangle's 3 rows and each
+    trapezoid's 4."""
+    sides, pairs = P.antipodal
+    tris = (len(sides) - 4 * len(pairs)) // 3
     tol = 1e-12 * P.scale * P.scale
     counts = np.empty(len(pts))
     flags = np.empty(len(pts), dtype=bool)
-    for rows in row_blocks(len(pts), len(tris[0])):
-        low = _lowest_side(tris, pts[rows])
-        flag = np.any(np.abs(low) <= tol, axis=1)
-        count = np.where(flag, DEGENERATE, np.count_nonzero(low > tol, axis=1))
-        infinite = np.any(_lowest_side(quads, pts[rows]) > tol, axis=1)
+    for rows in row_blocks(len(pts), len(sides)):
+        n = len(pts[rows])
+        vals = sides @ np.vstack([pts[rows].T, np.ones(n)])
+        low = np.min(vals[:3 * tris].reshape(tris, 3, n), axis=1)
+        flag = np.any(np.abs(low) <= tol, axis=0)
+        count = np.where(flag, DEGENERATE, np.count_nonzero(low > tol, axis=0))
+        trapezoids = vals[3 * tris:].reshape(len(pairs), 4, n)
+        infinite = np.any(np.min(trapezoids, axis=1) > tol, axis=0)
         counts[rows] = np.where(infinite, INFINITE, count)
         flags[rows] = flag & ~infinite
     return counts, flags
@@ -133,16 +112,14 @@ def diameter_counts_batch(body, pts) -> tuple[np.ndarray, np.ndarray]:
     A polygon's counts are floats: INFINITE, and never flagged, strictly
     inside a parallel antipodal edge trapezoid.  Its allowance is
     1e-12*scale**2 on the triangle cross products, and its points run in
-    blocks of at most ``_BLOCK`` point times triangle entries, so memory
+    blocks of at most ``_BLOCK`` point times table row entries, so memory
     does not grow with the number of points.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, Polygon2):
         return _polygon_counts(body, pts)
     if isinstance(body, SmoothBody2):
-        total, _, flags = count_roots(
-            lambda q, phis: body.lines(q, phis, body.boundary(phis + np.pi) - body.boundary(phis)),
-            pts, 2 * body.degree + 2, body.scale**2)
+        total, _, flags = count_roots(_lines(body), pts, body.scale**2)
         return np.where(flags, DEGENERATE, total // 2), flags
     raise UnsupportedCombinationError(
         f"affine-diameter counting is not available for {type(body).__name__}")

@@ -8,9 +8,10 @@ normal direction at the K-point with outer normal angle theta is the
 direction of the M-boundary point r_M(theta).  With M the Euclidean disk
 this is the classical normal, and the entire counting pipeline reduces to
 the Euclidean one root-for-root.  The normals through p are the roots of
-cross(r_M(theta), p - r_K(theta)) (``SmoothBody2.lines`` with d = r_M),
-counted by the certified kernel of ``trigcount``; a point whose count cannot
-be certified is DEGENERATE.
+cross(r_M(theta), p - r_K(theta)), the line function with d = r_M: K's
+table of it (``SmoothBody2.lines``) comes from M's Laurent coefficients
+``R``, and its roots are counted by the certified kernel of ``trigcount``; a
+point whose count cannot be certified is DEGENERATE.
 
 tau(M) is the largest area of an affine-regular hexagon inscribed in M,
 relative to the area of M; it is affine-invariant, at most 1 (equality
@@ -78,19 +79,24 @@ class NormBall2:
         return measure2d(self.body)["area"]
 
 
+def _lines(M: NormBall2, K: SmoothBody2) -> np.ndarray:
+    """K's line table of d = r_M, whose Laurent coefficients are M's own."""
+    return K.lines(M.body.R, 1 - M.body.degree, K.degree + M.body.degree + 2)
+
+
 def mink_counts_batch(M: NormBall2, K: SmoothBody2,
                       pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count Minkowski normals through each point; returns (counts, flags).
 
-    G has degree N = deg h_K + deg h_M + 2; its roots are counted by the
-    certified kernel of ``trigcount``.  Counts are DEGENERATE where G
-    vanishes or its roots cannot be certified by the kernel's finest grid
-    (the M-evolute).
+    G has degree deg h_M + max(1, deg h_K); its table is padded to the
+    bound deg h_K + deg h_M + 2, whose start grid and rounding allowance
+    the kernel uses, and its roots are counted by the certified kernel of
+    ``trigcount``.  Counts are DEGENERATE where G vanishes or its roots
+    cannot be certified by the kernel's finest grid (the M-evolute).
     """
     require_smooth(M.body, "Birkhoff normality")
     require_smooth(K, "Minkowski counting")
-    counts, _, flags = count_roots(lambda q, th: K.lines(q, th, M.body.boundary(th)), pts,
-                                   K.degree + M.body.degree + 2, K.scale * M.body.scale)
+    counts, _, flags = count_roots(_lines(M, K), pts, K.scale * M.body.scale)
     return counts, flags
 
 
@@ -123,9 +129,7 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
     """
     require_smooth(M.body, "Birkhoff normality")
     require_smooth(K, "Minkowski counting")
-    found = root_angles(lambda q, th: K.lines(q, th, M.body.boundary(th)),
-                        require_interior(K, p), K.degree + M.body.degree + 2,
-                        K.scale * M.body.scale)
+    found = root_angles(_lines(M, K), require_interior(K, p), K.scale * M.body.scale)
     if found is None:
         raise DegenerateConfigurationError(
             "the Minkowski normal count is not certified here: the point lies "

@@ -32,7 +32,8 @@ faces; ``count_normals3_by_dim`` is the one-point call of that counter.
 
 On a smooth body the feet are the roots of the degree-N trigonometric
 polynomial g(theta) = <p - r(theta), u'(theta)>, N = max(1, deg h): the line
-function ``SmoothBody2.lines`` with d = u.  The batch counter counts them with
+function with d = u, whose coefficients are [1, x, y] @ the body's table
+(``SmoothBody2.lines``).  The batch counter counts them with
 the certified sign-change kernel of ``trigcount``: a count is returned only
 when every grid interval is proven monotone or root-free, and points it cannot
 certify (on the evolute, or the centre of a disk, where g vanishes) are
@@ -183,10 +184,14 @@ def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[tuple] | None:
 # smooth bodies
 
 
+def _lines(body: SmoothBody2) -> np.ndarray:
+    """The line table of d = u, whose one Laurent coefficient is 1 at e = 1."""
+    return body.lines([1.0], 1, max(1, body.degree))
+
+
 def _smooth_feet(body: SmoothBody2, p: np.ndarray) -> list[tuple] | None:
     """Feet at the roots of g, stable where g falls; None where flagged."""
-    found = root_angles(lambda q, th: body.lines(q, th, unit(th)), p,
-                        max(1, body.degree), body.scale)
+    found = root_angles(_lines(body), p, body.scale)
     if found is None:
         return None
     angles, down = found
@@ -253,8 +258,7 @@ def count_normals2_batch(body, pts):
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, SmoothBody2):
-        return count_roots(lambda q, th: body.lines(q, th, unit(th)), pts,
-                           max(1, body.degree), body.scale)
+        return count_roots(_lines(body), pts, body.scale)
     if isinstance(body, Polygon2):
         faces, width = _polygon_faces, len(body)
     elif isinstance(body, ArcBody2):

@@ -1,12 +1,16 @@
 """Certified root counts of real trigonometric polynomials, batched by point.
 
 The smooth counters (normals, affine diameters, Minkowski normals) each
-reduce, at a query point p, to the zeros on the circle of one line function
-g_p(theta) = cross(d(theta), p - r(theta)) (``SmoothBody2.lines``), a real
-trigonometric polynomial of known degree N.  2N + 2 equispaced samples give
-its coefficients c_k exactly (an rfft with no aliasing); a zero-padded irfft
-then gives g and g' on a grid of spacing delta, offset by half a step so
-that a symmetric query point never puts a root on the grid.
+reduce, at a query point p = (x, y), to the zeros on the circle of one line
+function g_p(theta) = cross(d(theta), p - r(theta)), a real trigonometric
+polynomial of degree at most N.  It is affine in p, so its coefficients
+c_0..c_N (g = Re sum_k w_k c_k exp(i k theta), w_0 = 1, w_k = 2) are
+[1, x, y] @ table for one complex (3, N + 1) table per body and direction d
+(``SmoothBody2.lines``), one matmul per block of points.  A zero-padded
+irfft then gives g and g' on a grid of spacing delta, offset by half a step
+so that a symmetric query point never puts a root on the grid, with the
+first column repeated at the end so that interval j runs from column j to
+column j + 1.
 
 A grid interval is settled when g' has no zero on it (g is monotone there,
 so it holds a root exactly when its end values differ in sign) or when g has
@@ -122,46 +126,51 @@ def _no_zero(f: np.ndarray, delta: float, lip1: np.ndarray, lip2: np.ndarray,
              tol: float) -> np.ndarray:
     """Per grid interval (j, j+1): is f certainly free of zeros there?
 
-    ``f`` holds the values at the grid, ``lip1`` and ``lip2`` bound |f'| and
-    |f''| per row, ``tol`` is the rounding allowance of one value.
+    ``f`` holds the values at the grid, its first column repeated at the
+    end, ``lip1`` and ``lip2`` bound |f'| and |f''| per row, ``tol`` is the
+    rounding allowance of one value.
     """
     a = np.abs(f)
-    b = np.roll(a, -1, axis=1)
-    one_sign = (f > 0) == np.roll(f > 0, -1, axis=1)
-    first = a + b > delta * lip1 + 2.0 * tol
-    second = np.minimum(a, b) > (0.125 * delta * delta) * lip2 + tol
-    return one_sign & (first | second)
+    lo, hi = a[:, :-1], a[:, 1:]
+    pos = f > 0
+    first = lo + hi > delta * lip1 + 2.0 * tol
+    second = np.minimum(lo, hi) > (0.125 * delta * delta) * lip2 + tol
+    return (pos[:, :-1] == pos[:, 1:]) & (first | second)
 
 
 def _grid_values(coef: np.ndarray, grid: int) -> np.ndarray:
-    """g and g' at theta_j = (j + 1/2) * 2pi/grid; shape (2, rows, grid)."""
+    """g and g' at theta_j = (j + 1/2) * 2pi/grid, j = 0..grid, the last
+    column repeating the first; shape (2, rows, grid + 1)."""
     k = np.arange(coef.shape[1])
     spec = np.zeros((2, len(coef), grid // 2 + 1), dtype=complex)
     spec[0, :, :len(k)] = coef * (grid * np.exp(1j * np.pi / grid * k))
     spec[1, :, :len(k)] = spec[0, :, :len(k)] * (1j * k)
-    return np.fft.irfft(spec, n=grid, axis=-1)
+    out = np.empty((2, len(coef), grid + 1))
+    np.fft.irfft(spec, n=grid, axis=-1, out=out[..., :grid])
+    out[..., grid] = out[..., 0]
+    return out
 
 
-def _coefficients(g, pts: np.ndarray, degree: int):
-    """Exact coefficients c_0..c_N of each row of g, and lips[e] >= max|g^(e)|
-    per row (e = 0 only measures oscillation)."""
-    m = 2 * degree + 2
-    thetas = np.arange(m) * (TWO_PI / m)
-    coef = np.fft.rfft(g(pts, thetas), axis=1)[:, :degree + 1] / m
+def _coefficients(table: np.ndarray, pts: np.ndarray):
+    """Coefficients c_0..c_N of each point's line function, [1, x, y] @
+    ``table``, and lips[e] >= max|g^(e)| per row (e = 0 only measures
+    oscillation)."""
+    coef = table[0] + pts @ table[1:]
     amp = 2.0 * np.abs(coef[:, 1:])
-    k = np.arange(1, degree + 1)
+    k = np.arange(1, coef.shape[1])
     return coef, np.stack([(amp * k**e).sum(axis=1, keepdims=True) for e in range(4)])
 
 
 def _start_grid(degree: int) -> int:
-    # the 2N + 2 samples rounded up to a power of two: coarse grids settle
-    # most points and only the rest refine
+    # 2N + 2 rounded up to a power of two: coarse grids settle most points
+    # and only the rest refine
     return 1 << (2 * degree + 1).bit_length()
 
 
 def _settle(coef: np.ndarray, lips: np.ndarray, tol: float, grid: int):
     """Yield (rows, grid, signs) per evaluated block: the rows of ``coef``
-    settled on this grid and the signs g > 0 of those rows at its points.
+    settled on this grid and the signs g > 0 of those rows at its points,
+    the first repeated at the end.
 
     Rows that no grid up to MAX_GRID settles are never yielded."""
     tol_d = (coef.shape[1] - 1) * tol
@@ -174,7 +183,7 @@ def _settle(coef: np.ndarray, lips: np.ndarray, tol: float, grid: int):
             val, der = _grid_values(coef[idx], grid)
             lip = lips[:, idx]
             settled = (
-                (np.abs(val) > tol)
+                (np.abs(val[:, :-1]) > tol)
                 & (_no_zero(der, delta, lip[2], lip[3], tol_d)
                    | _no_zero(val, delta, lip[1], lip[2], tol))
             ).all(axis=1)
@@ -184,30 +193,31 @@ def _settle(coef: np.ndarray, lips: np.ndarray, tol: float, grid: int):
         grid *= 2
 
 
-def count_roots(g, pts: np.ndarray, degree: int, scale: float):
-    """Certified root counts of ``theta -> g(pts, theta)[i]`` on the circle.
+def count_roots(table: np.ndarray, pts: np.ndarray, scale: float):
+    """Certified root counts on the circle of the line function of each
+    point of ``pts``, whose coefficients are [1, x, y] @ ``table``.
 
-    ``g(pts, thetas)`` returns an array (len(pts), len(thetas)); each row
-    must be a trigonometric polynomial of degree at most ``degree`` whose
-    terms are of magnitude about ``scale``.  Returns (total, descending,
-    flags): total is ``DEGENERATE`` where flags is set.
+    ``table`` is a complex (3, N + 1) array (``SmoothBody2.lines``); each
+    row's trigonometric polynomial has degree at most N and terms of
+    magnitude about ``scale``.  Returns (total, descending, flags): total
+    is ``DEGENERATE`` where flags is set.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = len(pts)
-    start = _start_grid(degree)
+    start = _start_grid(table.shape[1] - 1)
     total = np.full(n, DEGENERATE, dtype=int)
     down = np.zeros(n, dtype=int)
     for rows in row_blocks(n, start):
-        coef, lips = _coefficients(g, pts[rows], degree)
+        coef, lips = _coefficients(table, pts[rows])
         for idx, _, pos in _settle(coef, lips, _RTOL * scale, start):
-            nxt = np.roll(pos, -1, axis=1)
-            total[rows.start + idx] = np.count_nonzero(pos != nxt, axis=1)
-            down[rows.start + idx] = np.count_nonzero(pos & ~nxt, axis=1)
+            a, b = pos[:, :-1], pos[:, 1:]
+            total[rows.start + idx] = np.count_nonzero(a != b, axis=1)
+            down[rows.start + idx] = np.count_nonzero(a & ~b, axis=1)
     return total, down, total == DEGENERATE
 
 
-def root_angles(g, point, degree: int, scale: float):
-    """The roots of ``theta -> g(point, theta)`` counted by ``count_roots``.
+def root_angles(table: np.ndarray, point, scale: float):
+    """The roots of the line function of ``point`` counted by ``count_roots``.
 
     Returns (angles, descending): the root angles in [0, 2pi), ascending,
     and a mask of the roots where g falls; None where ``count_roots`` flags
@@ -216,18 +226,18 @@ def root_angles(g, point, degree: int, scale: float):
     table of exp(i k theta) over its coefficients; g is monotone on that
     interval, so there are exactly as many roots as ``count_roots`` counts.
     """
-    coef, lips = _coefficients(g, np.atleast_2d(np.asarray(point, dtype=float)), degree)
-    k = np.arange(degree + 1)
+    coef, lips = _coefficients(table, np.atleast_2d(np.asarray(point, dtype=float)))
+    k = np.arange(coef.shape[1])
     weights = np.where(k > 0, 2.0, 1.0) * coef[0]
-    table = np.stack([weights, 1j * k * weights], axis=1)  # columns: g, g'
-    for idx, grid, pos in _settle(coef, lips, _RTOL * scale, _start_grid(degree)):
+    terms = np.stack([weights, 1j * k * weights], axis=1)  # columns: g, g'
+    for idx, grid, pos in _settle(coef, lips, _RTOL * scale, _start_grid(len(k) - 1)):
         if len(idx):
             pos = pos[0]
-            j = np.flatnonzero(pos != np.roll(pos, -1))
+            j = np.flatnonzero(pos[:-1] != pos[1:])
             lo = (j + 0.5) * (TWO_PI / grid)
             sign = np.where(pos[j], 1.0, -1.0)  # g's sign on each lo side
             theta = newton(
-                lambda t, rows: sign[rows] * (np.exp(1j * np.outer(t, k)) @ table).real.T,
+                lambda t, rows: sign[rows] * (np.exp(1j * np.outer(t, k)) @ terms).real.T,
                 lo, lo + TWO_PI / grid) % TWO_PI
             order = np.argsort(theta)
             return theta[order], pos[j][order]

@@ -412,6 +412,30 @@ def polygon_diameter_count(P, p, samples: int = 20000):
     return int(np.sum(closed[:-1] * closed[1:] < 0))
 
 
+def sampled_lines(body: SmoothBody2, d, degree: int) -> np.ndarray:
+    """Reference line table of ``SmoothBody2.lines``, by sampling: the
+    line function g_p(theta) = cross(d(theta), p - r(theta)) is
+    -cross(d, r) + x (-d_y) + y d_x, and 2*degree + 2 equispaced samples of
+    each term give its coefficients c_0..c_degree by an rfft, with no
+    aliasing for g_p of degree at most ``degree``.  ``d(theta)`` returns
+    the directions as an (m, 2) array."""
+    m = 2 * degree + 2
+    theta = np.arange(m) * (TWO_PI / m)
+    dv = d(theta)
+    r = body.boundary(theta)
+    terms = np.stack([dv[:, 1] * r[:, 0] - dv[:, 0] * r[:, 1], -dv[:, 1], dv[:, 0]])
+    return np.fft.rfft(terms, axis=1)[:, :degree + 1] / m
+
+
+def line_values(table: np.ndarray, pts, theta) -> np.ndarray:
+    """g_p(theta) of a line table, summed term by term: one row per point
+    of ``pts``, one column per angle."""
+    coef = table[0] + np.atleast_2d(pts) @ table[1:]
+    k = np.arange(table.shape[1])
+    coef = coef * np.where(k > 0, 2.0, 1.0)
+    return (coef @ np.exp(1j * np.outer(k, theta))).real
+
+
 _CHORDS: dict = {}  # (coefficient bytes, samples) -> chords of the last body swept
 
 

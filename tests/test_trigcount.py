@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import normcount as nc
-from normcount import bodies2d, trigcount
+from normcount import bodies2d, diameters, minkowski, normals, trigcount
 from normcount.rng import philox_generator
 
 import oracles
@@ -35,26 +35,35 @@ COUNTERS = {
 }
 
 
+def _table(degree, *terms):
+    """A line table from (row, k, c_k) terms: row 0 is the constant, rows 1
+    and 2 the slopes in x and y, and cos k theta has c_k = 1/2."""
+    table = np.zeros((3, degree + 1), dtype=complex)
+    for row, k, c in terms:
+        table[row, k] = c
+    return table
+
+
 def test_kernel_counts_roots_of_known_polynomials():
-    # cos(k theta) - a has 2k simple roots for |a| < 1, k of them descending
-    a = np.array([[0.0], [0.3], [-0.9], [0.999]])
+    # cos(k theta) - x has 2k simple roots for |x| < 1, k of them descending
+    a = np.array([0.0, 0.3, -0.9, 0.999])
     for k in (1, 2, 5, 9):
         total, down, flags = trigcount.count_roots(
-            lambda q, th: np.cos(k * th)[None, :] - q, a, k, 1.0)
+            _table(k, (0, k, 0.5), (1, 0, -1.0)), np.column_stack([a, 0 * a]), 1.0)
         assert not flags.any()
         assert np.all(total == 2 * k) and np.all(down == k)
-    # |a| > 1: no roots at all; a constant is flagged, it has no oscillation
+    # |y| > |x|: x cos(3 theta) + y has no roots at all; a constant is
+    # flagged, it has no oscillation
     total, _, flags = trigcount.count_roots(
-        lambda q, th: np.cos(3 * th)[None, :] * q[:, :1] + q[:, 1:], [[1.0, 1.5], [0.0, 0.2]],
-        3, 1.0)
+        _table(3, (1, 3, 0.5), (2, 0, 1.0)), [[1.0, 1.5], [0.0, 0.2]], 1.0)
     assert total[0] == 0 and not flags[0]
     assert flags[1] and total[1] == nc.DEGENERATE
 
 
 def test_kernel_flags_a_double_root():
-    # 1 - cos(theta) touches zero at theta = 0 without crossing
+    # x - cos(theta) at x = 1 touches zero at theta = 0 without crossing
     total, _, flags = trigcount.count_roots(
-        lambda q, th: q - np.cos(th)[None, :], [[1.0], [1.0 + 1e-3]], 1, 1.0)
+        _table(1, (0, 1, -0.5), (1, 0, 1.0)), [[1.0, 0.0], [1.0 + 1e-3, 0.0]], 1.0)
     assert flags[0] and total[0] == nc.DEGENERATE
     assert not flags[1] and total[1] == 0
 
@@ -135,44 +144,78 @@ def test_curvature_centre_is_degenerate_for_normals_and_disk_norm():
     assert not nflags[0] and not mflags[0] and total[0] == counts[0]
 
 
-def test_root_angles_are_the_roots_count_roots_counts():
-    # the three counters' line functions, with their degrees and scales
-    kernels = {
-        "normals": (lambda q, th: GENERIC.lines(q, th, bodies2d.unit(th)),
-                    max(1, GENERIC.degree), GENERIC.scale),
-        "diameters": (lambda q, th: GENERIC.lines(
-                          q, th, GENERIC.boundary(th + math.pi) - GENERIC.boundary(th)),
-                      2 * GENERIC.degree + 2, GENERIC.scale**2),
-        "minkowski": (lambda q, th: GENERIC.lines(q, th, SMOOTH_BALL.body.boundary(th)),
-                      GENERIC.degree + SMOOTH_BALL.body.degree + 2,
-                      GENERIC.scale * SMOOTH_BALL.body.scale),
+def _kernels(body):
+    """Each smooth counter's line table of ``body`` as the counter builds
+    it, its direction d(theta) and its scale."""
+    disk = _disk_ball()
+    return {
+        "normals": (normals._lines(body), bodies2d.unit, body.scale),
+        "diameters": (diameters._lines(body),
+                      lambda th: body.boundary(th + math.pi) - body.boundary(th), body.scale**2),
+        "minkowski-disk": (minkowski._lines(disk, body), disk.body.boundary, body.scale),
+        "minkowski": (minkowski._lines(SMOOTH_BALL, body), SMOOTH_BALL.body.boundary,
+                      body.scale * SMOOTH_BALL.body.scale),
     }
+
+
+def _near_evolute(body, offsets=(1e-10, 1e-9, 1e-8, 1e-7), angles=16):
+    """Interior points offset from the evolute along its normal u_perp (its
+    tangent at c(theta) is the normal line), by the given multiples of the
+    scale on either side: there the normal count is flagged or barely
+    certified."""
+    theta = np.arange(angles) * (2 * math.pi / angles) + 0.1
+    c, n = body.curvature_center(theta), bodies2d.unit(theta + 0.5 * math.pi)
+    pts = np.concatenate([c + s * body.scale * n for x in offsets for s in (x, -x)])
+    return pts[nc.contains2_batch(body, pts, -1e-9 * body.scale)]
+
+
+@pytest.mark.parametrize("body", [GENERIC, DEG8, EVOLUTE_OUTSIDE],
+                         ids=["generic", "deg8", "evolute_outside"])
+def test_line_tables_match_the_sampled_oracle(body):
+    pts = np.concatenate([nc.sample_interior2(body, 20000, seed=32), _near_evolute(body)])
+    for name, (table, d, scale) in _kernels(body).items():
+        sampled = oracles.sampled_lines(body, d, table.shape[1] - 1)
+        assert np.max(np.abs(table - sampled)) < 1e-15 * scale, name
+        ours, theirs = trigcount.count_roots(table, pts, scale), \
+            trigcount.count_roots(sampled, pts, scale)
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a, b), name
+        if name == "normals":  # the probes reach the flagged band
+            assert ours[2].any() and not ours[2].all()
+
+
+def test_root_angles_are_the_roots_count_roots_counts():
     pts = nc.sample_interior2(GENERIC, 300, seed=24)
-    for name, (g, degree, scale) in kernels.items():
-        total, down, flags = trigcount.count_roots(g, pts, degree, scale)
+    kernels = _kernels(GENERIC)
+    for name, (table, d, scale) in kernels.items():
+        total, down, flags = trigcount.count_roots(table, pts, scale)
         assert not flags.any(), name
-        for p, t, d in zip(pts, total, down):
-            angles, descending = trigcount.root_angles(g, p, degree, scale)
-            assert len(angles) == t and np.count_nonzero(descending) == d, name
+        for p, t, dn in zip(pts, total, down):
+            angles, descending = trigcount.root_angles(table, p, scale)
+            assert len(angles) == t and np.count_nonzero(descending) == dn, name
             assert np.all(np.diff(angles) > 0) and 0.0 <= angles[0] and angles[-1] < 2 * math.pi
-            assert np.max(np.abs(g(p[None, :], angles))) < 1e-12 * scale, name
+            g = bodies2d.cross2(d(angles), p - GENERIC.boundary(angles))
+            assert np.max(np.abs(g)) < 1e-12 * scale, name
     # a point the counters flag has no root angles
     c = GENERIC.curvature_center(0.3)
-    g, degree, scale = kernels["normals"]
-    assert trigcount.root_angles(g, c, degree, scale) is None
+    table, _, scale = kernels["normals"]
+    assert trigcount.root_angles(table, c, scale) is None
 
 
 def test_birkhoff_lines_of_the_unit_disk_are_the_normal_lines():
     # r_M(theta) = u(theta) exactly when M is the unit disk, so the Birkhoff
-    # line values are the Euclidean ones bit for bit
+    # table is the Euclidean one in its leading columns, and 0 beyond them
+    euclid = normals._lines(DEG8)
+    birkhoff = minkowski._lines(_disk_ball(), DEG8)
+    width = euclid.shape[1]
+    assert np.array_equal(birkhoff[:, :width], euclid)
+    assert not birkhoff[:, width:].any()
+    # with d = u, G is <p - r, u'>, whose descending roots are the stable feet
     pts = nc.sample_interior2(DEG8, 500, seed=31)
     theta = np.arange(64) * (2 * math.pi / 64)
-    euclid = DEG8.lines(pts, theta, bodies2d.unit(theta))
-    assert np.array_equal(DEG8.lines(pts, theta, _disk_ball().body.boundary(theta)), euclid)
-    # with d = u, G is <p - r, u'>, whose descending roots are the stable feet
     up = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
     want = np.einsum("ijk,jk->ij", pts[:, None, :] - DEG8.boundary(theta)[None], up)
-    assert np.max(np.abs(euclid - want)) < 1e-13 * DEG8.scale
+    assert np.max(np.abs(oracles.line_values(euclid, pts, theta) - want)) < 1e-13 * DEG8.scale
 
 
 # ---------------------------------------------------------------------------
