@@ -48,8 +48,7 @@ class EstimateReport:
     is implemented (else None): ``exact_average`` inside (normals of
     polygons, smooth and arc bodies and polytopes), n_surf of
     ``normal_means`` on the boundary.  ``method`` names which of the two
-    answers the question: "exact" or "mc".  ``evolve_flow``'s slices are
-    exact only: no samples, and a CI of zero width at ``exact``."""
+    answers the question: "exact" or "mc"."""
 
     mean: float
     std_error: float

@@ -707,17 +707,23 @@ def contains2_batch(body, pts, tol: float = 0.0) -> np.ndarray:
     body a point lying more than tol + allow (the margin's rounding
     allowance) beyond a support line of ``SmoothBody2.sides`` is outside,
     one allow - min(tol, 0) inside every inscribed edge is inside, and only
-    the band between (never a NaN point) gets the certified margin.  An arc
-    body's corners are taken only where they can decide a point."""
+    the band between (never a NaN point) gets the certified margin.  Points
+    run in ``row_blocks``.  An arc body's corners are taken only where they
+    can decide a point."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, SmoothBody2):
-        f = body.sides[:, :2] @ pts.T  # a row per line: the maxima run over contiguous rows
-        f -= body.sides[:, 2:]
-        allow = _RTOL * (body.scale + np.hypot(pts[:, 0], pts[:, 1]))
-        inside = f[16:].max(axis=0) <= min(tol, 0.0) - allow
-        band = np.flatnonzero(~inside & (f[:16].max(axis=0) <= tol + allow))
-        if len(band):
-            inside[band] = _smooth_margin(body, pts[band]) <= tol
+        inside = np.empty(len(pts), dtype=bool)
+        # a block's 32 line values per point are built while the last
+        # block's are still held, next to a few per-point arrays
+        for rows in row_blocks(len(pts), 80):
+            block, verdict = pts[rows], inside[rows]
+            f = body.sides[:, :2] @ block.T  # a row per line: the maxima run over contiguous rows
+            f -= body.sides[:, 2:]
+            allow = _RTOL * (body.scale + np.hypot(block[:, 0], block[:, 1]))
+            verdict[:] = f[16:].max(axis=0) <= min(tol, 0.0) - allow
+            band = np.flatnonzero(~verdict & (f[:16].max(axis=0) <= tol + allow))
+            if len(band):
+                verdict[band] = _smooth_margin(body, block[band]) <= tol
         return inside
     if isinstance(body, ArcBody2):
         return _arc_excess(body, pts, tol) <= tol

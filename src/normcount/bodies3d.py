@@ -18,6 +18,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .bodies2d import symmetric_under_negation
 from .errors import ConvexityError, DegenerateBodyError
 from .rng import rejection_sample
+from .trigcount import row_blocks
 
 PLANARITY_RTOL = 1e-9
 
@@ -276,9 +277,16 @@ def measure3d(poly: Polytope3) -> dict:
 
 
 def contains3_batch(poly: Polytope3, pts, tol: float = 0.0) -> np.ndarray:
+    """Per point, is its largest facet slack at most tol?  Points run in
+    ``row_blocks`` of two slack arrays: a block's is built, and its offsets
+    subtracted in place, while the last block's is still held."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    slack = pts @ poly.facet_normals.T - poly.facet_offsets
-    return np.max(slack, axis=1) <= tol
+    inside = np.empty(len(pts), dtype=bool)
+    for rows in row_blocks(len(pts), 2 * len(poly.facet_offsets)):
+        slack = pts[rows] @ poly.facet_normals.T
+        slack -= poly.facet_offsets
+        inside[rows] = np.max(slack, axis=1) <= tol
+    return inside
 
 
 def contains3(poly: Polytope3, point, tol: float = 0.0) -> bool:

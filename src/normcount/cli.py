@@ -32,7 +32,7 @@ from .flows import FlowSpec, evolve_flow
 from .minkowski import (NormBall2, _width_bound, hexagon_ratio_tau,
                         minkowski_counter)
 from .normals import count_normals3_by_dim, normal_feet2
-from .wedges import all_wedges, euler_residual, exact_average_normals
+from .wedges import all_wedges, exact_average_normals
 
 
 def _header(seed, body_source) -> list[str]:
@@ -141,14 +141,18 @@ def _cmd_wedges(args) -> int:
         raise UnsupportedCombinationError("wedges require a polygon body")
     lines = _header(None, args.body)
     lines.append("face_kind,face_index,area,cumulative_I")
+    # one wedge list, summed as exact_average_normals and euler_residual sum it
+    wedges = all_wedges(body)
     cum = 0.0
-    for w in all_wedges(body):
+    for w in wedges:
         cum += w.area
         lines.append(f"{w.face[0]},{w.face[1]},{format_float(w.area)},{format_float(cum)}")
-    I, n = exact_average_normals(body)
+    I = sum(w.area for w in wedges)
+    n = I / body.area()
     lines.append(f"# I={format_float(I)}")
     lines.append(f"# n={format_float(n)}")
-    lines.append(f"# euler_residual={format_float(euler_residual(body))}")
+    residual = sum(w.parity * w.area for w in wedges) / body.area()
+    lines.append(f"# euler_residual={format_float(residual)}")
     path = _write_lines(args.out, "wedges.csv", lines)
     print(f"n={format_float(n)}")
     print(f"wrote {path}")
@@ -180,12 +184,12 @@ def _cmd_flow(args) -> int:
     if trace.truncated:
         lines.append("# truncated=true")
     lines.append("t,n_mean,n_lo,n_hi,n_surf_mean,area,perimeter")
-    for t, b, rep, n_surf in zip(trace.times, trace.bodies, trace.n_values,
-                                 trace.n_surf_values):
+    # an exact mean is its own CI: n fills the n_mean, n_lo and n_hi columns
+    for t, b, n, n_surf in zip(trace.times, trace.bodies, trace.n_values,
+                               trace.n_surf_values):
         m = measure2d(b)
         lines.append(",".join(format_float(v) for v in
-                              (t, rep.mean, rep.ci95[0], rep.ci95[1],
-                               n_surf, m["area"], m["perimeter"])))
+                              (t, n, n, n, n_surf, m["area"], m["perimeter"])))
     path = _write_lines(args.out, "flow.csv", lines)
     print(f"wrote {path}")
     return 0

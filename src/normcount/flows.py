@@ -30,7 +30,6 @@ from numbers import Integral
 
 import numpy as np
 
-from .averaging import EstimateReport
 from .bodies2d import TWO_PI, SmoothBody2, require_smooth
 from .errors import ConvexityError, DomainError, SingularFlowError
 from .evolute import normal_means, rolling_ball_radius
@@ -60,19 +59,15 @@ class FlowSpec:
 
 @dataclass
 class FlowTrace:
-    """Per time slice: the body, the interior mean (an ``EstimateReport``
-    whose mean, CI bounds and ``exact`` are all the ``normal_means`` value)
-    and the boundary mean (a float of ``normal_means``); both are exact to
-    rounding.  ``truncated`` is set only by an inward ``curvature_power``
-    flow that lost convexity before t_end; the slices end before that time."""
+    """Per time slice: the body and its interior and boundary means, the
+    ``normal_means`` values, exact to rounding.  ``truncated`` is set only
+    by an inward ``curvature_power`` flow that lost convexity before t_end;
+    the slices end before that time."""
     times: np.ndarray
     bodies: list
-    n_values: list
+    n_values: np.ndarray
     n_surf_values: np.ndarray
     truncated: bool = False
-
-    def means(self) -> np.ndarray:
-        return np.array([r.mean for r in self.n_values])
 
 
 def offset_body(body: SmoothBody2, t: float) -> SmoothBody2:
@@ -125,49 +120,30 @@ def _flow_bodies(body: SmoothBody2, spec: FlowSpec) -> tuple[np.ndarray, list, b
 
 
 def evolve_flow(body: SmoothBody2, spec: FlowSpec) -> FlowTrace:
-    """Evolve the body and give the interior and boundary mean counts per time.
-
-    Both means of a slice are the quadrature values of ``normal_means``,
-    exact to rounding: the interior one is reported as an ``EstimateReport``
-    with a zero-width CI and ``exact`` set, so nothing is sampled.
-    """
+    """Evolve the body and give the interior and boundary mean counts per
+    time, the quadrature values of ``normal_means``: nothing is sampled."""
     require_smooth(body, "a flow")
     times, bodies, truncated = _flow_bodies(body, spec)
-    means = [normal_means(b) for b in bodies]
-    n_values = [EstimateReport(n, 0.0, (n, n), 0, 0, exact=n) for n, _ in means]
-    n_surf_values = np.array([surf for _, surf in means])
+    n_values, n_surf_values = np.array([normal_means(b) for b in bodies]).T
     return FlowTrace(times, bodies, n_values, n_surf_values, truncated)
 
 
 def monotonicity_verdict(trace: FlowTrace) -> dict:
-    """Classify a trace: direction of the point estimates, CI-aware.
+    """Classify a trace by the direction of its exact means.
 
-    A wrong-direction pair is a consecutive pair of slices whose confidence
-    intervals are disjoint in the order opposite to the overall trend.
+    An exact mean is an interval of width 0: the endpoints are disjoint
+    where they differ, and a wrong-direction pair is a step against the
+    overall trend.
     """
-    means = trace.means()
-    diffs = np.diff(means)
-    los = np.array([r.ci95[0] for r in trace.n_values])
-    his = np.array([r.ci95[1] for r in trace.n_values])
-    overall = means[-1] - means[0]
-    if overall < 0:
-        direction = "decreasing"
-        strict = bool(np.all(diffs < 0))
-        wrong = bool(np.any(los[1:] > his[:-1]))
-    elif overall > 0:
-        direction = "increasing"
-        strict = bool(np.all(diffs > 0))
-        wrong = bool(np.any(his[1:] < los[:-1]))
-    else:
-        direction = "none"
-        strict = False
-        wrong = False
+    n = trace.n_values
+    steps = np.diff(n)
+    trend = int(n[-1] > n[0]) - int(n[-1] < n[0])
     return {
-        "direction": direction,
-        "strict_estimates": strict,
-        "constant": bool(np.all(means == means[0])),
-        "endpoints_ci_disjoint": bool(his[-1] < los[0] or his[0] < los[-1]),
-        "wrong_direction_ci_pair": wrong,
+        "direction": {1: "increasing", -1: "decreasing", 0: "none"}[trend],
+        "strict_estimates": bool(trend and np.all(trend * steps > 0)),
+        "constant": bool(np.all(n == n[0])),
+        "endpoints_ci_disjoint": bool(n[-1] != n[0]),
+        "wrong_direction_ci_pair": bool(np.any(trend * steps < 0)),
     }
 
 

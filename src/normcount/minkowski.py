@@ -84,6 +84,10 @@ def _lines(M: NormBall2, K: SmoothBody2) -> np.ndarray:
     return K.lines(M.body.R, 1 - M.body.degree, K.degree + M.body.degree + 2)
 
 
+_UNCERTIFIED = ("the Minkowski normal count is not certified here: the point lies "
+                "on the M-evolute, or the normal function vanishes identically")
+
+
 def mink_counts_batch(M: NormBall2, K: SmoothBody2,
                       pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count Minkowski normals through each point; returns (counts, flags).
@@ -101,8 +105,11 @@ def mink_counts_batch(M: NormBall2, K: SmoothBody2,
 
 
 def count_minkowski_normals(M: NormBall2, K: SmoothBody2, p) -> int:
-    """Number of Birkhoff normals of K through interior point p."""
-    counts, _ = mink_counts_batch(M, K, require_interior(K, p)[None, :])
+    """Number of Birkhoff normals of K through interior point p;
+    DegenerateConfigurationError where ``mink_counts_batch`` flags p."""
+    counts, flags = mink_counts_batch(M, K, require_interior(K, p)[None, :])
+    if flags[0]:
+        raise DegenerateConfigurationError(_UNCERTIFIED)
     return int(counts[0])
 
 
@@ -131,9 +138,7 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
     require_smooth(K, "Minkowski counting")
     found = root_angles(_lines(M, K), require_interior(K, p), K.scale * M.body.scale)
     if found is None:
-        raise DegenerateConfigurationError(
-            "the Minkowski normal count is not certified here: the point lies "
-            "on the M-evolute, or the normal function vanishes identically")
+        raise DegenerateConfigurationError(_UNCERTIFIED)
     return found[0]
 
 

@@ -438,6 +438,25 @@ def test_sample_interior_2000_is_pinned():
             == "2715fd46eb3da6e7849b0e5d8209bc488fcc14233a6377002c71f586b128eb91")
 
 
+def test_smooth_containment_runs_in_bounded_memory():
+    # the 16-gon side test runs in row blocks, so 500k box points never build
+    # their full (32, points) line table (137.5 MiB above the output before)
+    import tracemalloc
+
+    B = nc.SmoothBody2(1.0, *GENERIC)
+    lo, hi = nc.bounding_box(B)
+    pts = np.random.default_rng(12).uniform(lo, hi, (500000, 2))
+    tracemalloc.start()
+    try:
+        inside = nc.contains2_batch(B, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - inside.nbytes < 16 * 2**20
+    # the blocks decide as the certified margin does
+    assert np.array_equal(inside[::100], nc.signed_boundary_excess(B, pts[::100]) <= 0.0)
+
+
 def test_jet_and_curvature_center_shapes_follow_input():
     B = nc.SmoothBody2(1.0, (0.0, 0.05), (0.0, 0.0, 0.02))
     for theta, shape in ((0.3, ()), (np.array([0.3]), (1,)), (np.zeros(0), (0,)),

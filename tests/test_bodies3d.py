@@ -118,6 +118,25 @@ def test_sample_interior3_inside_and_deterministic():
     assert np.array_equal(pts, nc.sample_interior3(P, 300, seed=9))
 
 
+def test_polytope_containment_runs_in_bounded_memory():
+    # points run in row blocks of facets, so 500k points never build their
+    # full (points, facets) slack table (106 MiB above the output before)
+    import tracemalloc
+
+    P = nc.standard_polytope("truncated_octahedron")
+    pts = np.random.default_rng(12).uniform(*nc.bounding_box3(P), (500000, 3))
+    tracemalloc.start()
+    try:
+        inside = nc.contains3_batch(P, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - inside.nbytes < 16 * 2**20
+    sub = pts[::50]
+    assert np.array_equal(inside[::50],
+                          np.max(sub @ P.facet_normals.T - P.facet_offsets, axis=1) <= 0.0)
+
+
 def test_bounding_box3_tight():
     P = nc.standard_polytope("octahedron")
     lo, hi = nc.bounding_box3(P)

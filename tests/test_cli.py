@@ -158,6 +158,24 @@ def test_wedges_n_is_exact_and_runs_are_byte_identical(capsys, tmp_path):
     assert runs[0][0].splitlines()[0] == f"n={nc.format_float(n)}"
 
 
+def test_wedges_builds_each_wedge_once(capsys, tmp_path, monkeypatch):
+    # I, n and the residual come from the one wedge list: 2k wedges for a
+    # k-gon, and the same sums as the library's
+    from normcount import wedges
+
+    calls = []
+    build = wedges._face_wedge
+    monkeypatch.setattr(wedges, "_face_wedge", lambda *a: calls.append(a) or build(*a))
+    code = cli.run(["wedges", "--body", json.dumps(HEPTAGON), "--out", str(tmp_path)])
+    capsys.readouterr()
+    P = nc.parse_body(HEPTAGON)  # the hull of the 7 points
+    assert code == 0 and len(calls) == 2 * len(P)
+    I, n = nc.exact_average_normals(P)
+    lines = (tmp_path / "wedges.csv").read_text().splitlines()
+    assert lines[-3:] == [f"# I={nc.format_float(I)}", f"# n={nc.format_float(n)}",
+                          f"# euler_residual={nc.format_float(nc.euler_residual(P))}"]
+
+
 def test_field_rows_equal_field_map(capsys, tmp_path):
     code = cli.run(["field", "--body", json.dumps(SMOOTH), "--grid", "17x13",
                     "--out", str(tmp_path)])

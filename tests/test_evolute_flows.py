@@ -138,7 +138,7 @@ def test_outward_flow_decreases_mean_count():
     verdict = nc.monotonicity_verdict(trace)
     assert verdict["direction"] == "decreasing"
     assert not verdict["wrong_direction_ci_pair"]
-    means = trace.means()
+    means = trace.n_values
     assert means[0] > means[-1]
     assert len(trace.times) == 7  # includes t=0
 
@@ -148,7 +148,7 @@ def test_disk_flow_constant_two():
     verdict = nc.monotonicity_verdict(trace)
     assert verdict["constant"]
     assert verdict["direction"] == "none"
-    assert all(r.mean == 2.0 and r.std_error == 0.0 for r in trace.n_values)
+    assert np.all(trace.n_values == 2.0)
 
 
 def test_inward_flow_past_singularity_raises():
@@ -199,6 +199,45 @@ def test_monotonicity_verdict_keys_and_endpoints():
     assert set(verdict) == {"direction", "strict_estimates", "constant",
                             "endpoints_ci_disjoint", "wrong_direction_ci_pair"}
     assert verdict["endpoints_ci_disjoint"]
+
+
+_MONOTONE = {"strict_estimates": True, "constant": False, "endpoints_ci_disjoint": True,
+             "wrong_direction_ci_pair": False}
+
+
+@pytest.mark.parametrize("body,spec,want", [
+    (_wavy(0.06), nc.FlowSpec("outward_eikonal", 1.5, 6),
+     {"direction": "decreasing", **_MONOTONE}),
+    (nc.SmoothBody2(1.0, [0.0, 0.0, 0.06]), nc.FlowSpec("inward_eikonal", 0.4, 3),
+     {"direction": "increasing", **_MONOTONE}),
+    (_disk(), nc.FlowSpec("outward_eikonal", 1.0, 4),
+     {"direction": "none", "strict_estimates": False, "constant": True,
+      "endpoints_ci_disjoint": False, "wrong_direction_ci_pair": False}),
+    (GENERIC, nc.FlowSpec("curvature_power", 0.3, 3), {"direction": "decreasing", **_MONOTONE}),
+    (_wavy(0.1), nc.FlowSpec("curvature_power", 8.0, 40, direction="in"),
+     {"direction": "increasing", **_MONOTONE}),
+], ids=["outward", "inward", "disk", "curvature-out", "curvature-in-truncated"])
+def test_monotonicity_verdict_matches_the_recorded_ci_verdicts(body, spec, want):
+    # recorded when each slice was a zero-width CI at its exact mean
+    trace = nc.evolve_flow(body, spec)
+    assert isinstance(trace.n_values, np.ndarray) and trace.n_values.dtype == float
+    assert nc.monotonicity_verdict(trace) == want
+
+
+@pytest.mark.parametrize("n,want", [
+    ([3.0, 2.5, 2.7, 2.2], {"direction": "decreasing", "strict_estimates": False,
+                            "constant": False, "endpoints_ci_disjoint": True,
+                            "wrong_direction_ci_pair": True}),
+    ([2.0, 2.5, 2.0], {"direction": "none", "strict_estimates": False, "constant": False,
+                       "endpoints_ci_disjoint": False, "wrong_direction_ci_pair": False}),
+    ([2.0], {"direction": "none", "strict_estimates": False, "constant": True,
+             "endpoints_ci_disjoint": False, "wrong_direction_ci_pair": False}),
+], ids=["step-against-trend", "round-trip", "one-slice"])
+def test_monotonicity_verdict_reads_exact_means_as_zero_width_intervals(n, want):
+    # a step against the trend is a pair of disjoint zero-width intervals
+    n = np.array(n)
+    trace = flows.FlowTrace(np.arange(len(n), dtype=float), [None] * len(n), n, n)
+    assert nc.monotonicity_verdict(trace) == want
 
 
 def test_derivative_report_identity():
@@ -337,9 +376,7 @@ def test_eikonal_flow_means_equal_the_closed_form(spec, sign):
     trace = nc.evolve_flow(body, spec)
     t = sign * trace.times
     want = 2.0 + (rho2 - 2.0 * area) / (area + 2 * np.pi * body.a0 * t + np.pi * t**2)
-    assert np.max(np.abs(trace.means() / want - 1.0)) <= 1e-13
-    assert all(r.ci95 == (r.mean, r.mean) and r.exact == r.mean and r.std_error == 0.0
-               for r in trace.n_values)
+    assert np.max(np.abs(trace.n_values / want - 1.0)) <= 1e-13
     assert np.all(trace.n_surf_values == 2.0)
 
 
@@ -347,8 +384,8 @@ def test_curvature_flow_slice_agrees_with_monte_carlo():
     # the last slice's exact interior mean, against 100k samples of its counts
     trace = nc.evolve_flow(GENERIC, nc.FlowSpec("curvature_power", 0.3, 2))
     rep = nc.estimate_interior_average(trace.bodies[-1], "normals", 100000, seed=5)
-    assert abs(rep.mean - trace.means()[-1]) <= 4.0 * rep.std_error
-    assert rep.exact == trace.means()[-1]
+    assert abs(rep.mean - trace.n_values[-1]) <= 4.0 * rep.std_error
+    assert rep.exact == trace.n_values[-1]
 
 
 # h = 1 + .3 cos 2t and h = 1 + .25 cos 2t + .02 sin 3t: evolutes leave K

@@ -107,6 +107,24 @@ def test_refine_mink_roots_rejects_what_the_counter_rejects():
         nc.refine_mink_roots(M, _regular(6), (0.0, 0.1))
 
 
+GENERIC = nc.SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04])
+
+
+@pytest.mark.parametrize("K,p", [(nc.disk(1.0), (0.0, 0.0)),
+                                 (GENERIC, GENERIC.curvature_center(0.3))],
+                         ids=["disk-centre", "generic-evolute"])
+def test_scalar_minkowski_queries_raise_where_the_batch_flags(K, p):
+    # one degenerate policy: the batch flags the point, every scalar query raises
+    M = _disk_ball()
+    counts, flags = nc.mink_counts_batch(M, K, np.array([p]))
+    assert flags[0] and counts[0] == nc.DEGENERATE
+    for query in (nc.count_minkowski_normals, nc.refine_mink_roots):
+        with pytest.raises(nc.DegenerateConfigurationError):
+            query(M, K, p)
+    with pytest.raises(nc.DegenerateConfigurationError):
+        nc.count_normals2(K, p)
+
+
 def test_refine_mink_roots_feet_properties():
     M = _symmetric_smooth(0.03)
     K = nc.SmoothBody2(1.0, [0.0, 0.06], [0.0, 0.0])
