@@ -10,8 +10,7 @@ cos k*theta and sin k*theta.  ``ArcBody2`` is a CCW chain of circular arcs
 
 Containment is decided by the signed support excess max_u <p, u> - h(u),
 which is minus the distance to the boundary inside.  On a smooth body it is
-the maximum of a trigonometric polynomial, certified from its coefficients
-on a grid doubled only for the points it leaves undecided, and
+read off the normal feet that the kernel of ``trigcount`` settles, and
 ``contains2_batch`` needs it only in the thin band between the two 16-gons
 of the body's table at the normal angles 2*pi*j/16 (``SmoothBody2.sides``);
 with tol = -``INTERIOR_RTOL``*scale it decides which points are interior
@@ -30,7 +29,7 @@ from scipy.spatial import ConvexHull
 from .errors import (ConvexityError, DegenerateBodyError, DomainError,
                      UnsupportedCombinationError)
 from .rng import philox_generator, rejection_sample, require_count
-from .trigcount import _RTOL, MAX_GRID, TWO_PI, _start_grid, newton, row_blocks
+from .trigcount import _RTOL, TWO_PI, _brackets, _coefficients, _series, newton, row_blocks
 
 # Relative tolerance for strict-convexity cross products and chain closure.
 CONVEXITY_RTOL = 1e-12
@@ -259,6 +258,11 @@ class SmoothBody2:
         c = 0.5 * (self.ac - 1j * self.bs)
         return np.concatenate([((1.0 + self.k) * np.conj(c))[::-1], [self.a0],
                                (1.0 - self.k) * c])
+
+    @cached_property
+    def normal_lines(self):
+        """The line table of d = u, g_p = <p - r, u'>, built on first use."""
+        return self.lines([1.0], 1, max(1, self.degree))
 
     def lines(self, D, lo: int, degree: int):
         """The coefficient table of the line function g_p(theta) =
@@ -553,91 +557,24 @@ def bounding_box(body):
     return np.array([-h[2], -h[3]]), np.array([h[0], h[1]])
 
 
-def _polish(body: SmoothBody2, pts: np.ndarray, start: np.ndarray, delta: float):
-    """Newton's method for the maximum of f_p near each start angle, where
-    the caller has shown f_p concave within delta of it.  Returns f_p and
-    f_p' at the polished angles."""
-    def derivatives(t):
-        h, h1, h2 = body.jet(t)
-        c, s = np.cos(t), np.sin(t)
-        pu = pts[:, 0] * c + pts[:, 1] * s
-        pv = pts[:, 1] * c - pts[:, 0] * s
-        return pu - h, pv - h1, pu + h2
+def _smooth_excess(body: SmoothBody2, pts: np.ndarray) -> np.ndarray:
+    """max over theta of f_p(theta) = <p, u(theta)> - h(theta) per point.
 
-    t = start
-    for _ in range(4):
-        _, slope, bend = derivatives(t)
-        t = np.clip(t + slope / bend, start - delta, start + delta)
-    return derivatives(t)[:2]
-
-
-def _smooth_margin(body: SmoothBody2, pts: np.ndarray) -> np.ndarray:
-    """Certified max over theta of f_p(theta) = <p, u(theta)> - h(theta).
-
-    f_p is a trigonometric polynomial of degree N = max(1, deg h); with A_k
-    the amplitude of its k-th harmonic (A_1 depends on p), |f_p''''| <= L4
-    = sum k^4 A_k.  At grid angle theta_j, -f''_j = f_j + rho_j comes free
-    with f_j.  On a grid interval of width delta, -f'' lies within
-    delta^2/8 * L4 of the range of its end values, which gives
-
-    - an upper bound of f: its larger end value + delta^2/8 * max(-f''),
-    - concavity where min(-f'') > 0.
-
-    Newton's method from a grid peak inside a run of concave intervals
-    polishes the run's one maximum theta*, and the run stays below
-    f(theta*) + 2 pi |f'(theta*)|.  A row is certified, and its margin is
-    the best value found, when every interval whose bound exceeds that
-    value (by more than a rounding allowance of 1e-12 of the scale) lies in
-    such a run.  Only the other rows move to the doubled grid; a row not
-    certified by MAX_GRID (a maximum flat to fourth order, at an end of the
-    medial axis) keeps its best value.
-    """
-    n = len(pts)
-    k = np.arange(1, max(1, body.degree) + 1, dtype=float)
-    first = (body.ac[0], body.bs[0]) if body.degree else (0.0, 0.0)
-    amps = np.empty((n, len(k)))
-    amps[:, 0] = np.hypot(pts[:, 0] - first[0], pts[:, 1] - first[1])
-    amps[:, 1:] = np.hypot(body.ac[1:], body.bs[1:])
-    lip4 = amps @ k**4
-    allow = _RTOL * (body.scale + np.hypot(pts[:, 0], pts[:, 1]))
-    best = np.full(n, -np.inf)
-    active = np.arange(n)
-    grid = _start_grid(len(k))
-    while len(active) and grid <= MAX_GRID:
-        delta = TWO_PI / grid
-        theta = np.arange(grid) * delta
-        h, _, h2 = body.jet(theta)
-        u = unit(theta)
-        left = []
-        for block in row_blocks(len(active), grid):
-            idx = active[block]
-            f = pts[idx] @ u.T - h
-            bend = f + (h + h2)
-            bend_next = np.roll(bend, -1, axis=1)
-            err = (0.125 * delta**2 * lip4[idx])[:, None]
-            concave = np.minimum(bend, bend_next) - err > allow[idx, None]
-            hi = np.maximum(f, np.roll(f, -1, axis=1)) + 0.125 * delta**2 * np.maximum(
-                np.maximum(bend, bend_next) + err, 0.0)
-            best[idx] = np.maximum(best[idx], f.max(axis=1))
-            # polish the grid peaks inside concave runs that might beat the best
-            slack = best[idx] + allow[idx]
-            peak = ((f >= np.roll(f, 1, axis=1)) & (f >= np.roll(f, -1, axis=1))
-                    & concave & np.roll(concave, 1, axis=1)
-                    & (np.maximum(hi, np.roll(hi, 1, axis=1)) > slack[:, None]))
-            r, j = np.nonzero(peak)
-            val, slope = _polish(body, pts[idx[r]], theta[j], delta)
-            np.maximum.at(best, idx[r], val)
-            slack = best[idx] + allow[idx]
-            # number the concave runs; one wrapping past 2 pi keeps its last number
-            run = np.cumsum(concave & ~np.roll(concave, 1, axis=1), axis=1)
-            run = np.where(run == 0, run[:, -1:], run)
-            ok = val + TWO_PI * np.abs(slope) <= slack[r]
-            certified = np.zeros((len(idx), grid + 1), dtype=bool)
-            certified[r[ok], run[r[ok], j[ok]]] = True
-            covered = concave & np.take_along_axis(certified, run, axis=1)
-            left.append(idx[np.any((hi > slack[:, None]) & ~covered, axis=1)])
-        active = np.concatenate(left)
-        grid *= 2
+    f_p' = <p - r, u'> is g_p of ``normal_lines``, so f_p peaks in a falling
+    bracket of ``trigcount._brackets``, the angles a flagged point leaves in
+    doubt included.  Each finite point also takes f_p(0), for where g_p
+    vanishes (a disk's centre) f_p is constant; a point not finite has |p|."""
+    finite = np.isfinite(pts).all(axis=1)
+    rows, lo, hi, falls = _brackets(body.normal_lines, pts[finite], body.scale)
+    rows = np.flatnonzero(finite)[rows[falls]]
+    theta = newton(_series(_coefficients(body.normal_lines, pts[rows]), (0, 1)),
+                   lo[falls], hi[falls])
+    # term by term, so that a point's excess rounds alike in every batch
+    kt = theta[:, None] * body.k
+    f = (pts[rows, 0] * np.cos(theta) + pts[rows, 1] * np.sin(theta) - body.a0
+         - (np.cos(kt) * body.ac + np.sin(kt) * body.bs).sum(axis=1))
+    best = np.where(finite, pts[:, 0] - body.a0 - body.ac.sum(), np.hypot(pts[:, 0], pts[:, 1]))
+    np.fmax.at(best, rows, f)
     return best
 
 
@@ -651,8 +588,8 @@ def signed_boundary_excess(body, pts) -> np.ndarray:
     normal range of every piece of ``ArcBody2.pieces``, corners included.
     For polygons, whose maximum runs over the edge normals only, it is the
     distance only away from the vertex regions, and below it there.  Smooth
-    bodies get the certified maximum of ``_smooth_margin``; polygon and arc
-    body points run in ``row_blocks`` of at most ``_BLOCK`` values.
+    bodies take it at their normal feet (``_smooth_excess``); polygon and
+    arc body points run in ``row_blocks`` of at most ``_BLOCK`` values.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, Polygon2):
@@ -661,7 +598,7 @@ def signed_boundary_excess(body, pts) -> np.ndarray:
             worst[rows] = np.max(pts[rows] @ body.edge_normals.T - body.edge_offsets, axis=1)
         return worst
     if isinstance(body, SmoothBody2):
-        return _smooth_margin(body, pts)
+        return _smooth_excess(body, pts)
     if isinstance(body, ArcBody2):
         return _arc_excess(body, pts, np.inf)
     raise DegenerateBodyError(f"unsupported planar body {type(body).__name__}")
@@ -704,12 +641,11 @@ def contains2(body, point, tol: float = 0.0) -> bool:
 
 def contains2_batch(body, pts, tol: float = 0.0) -> np.ndarray:
     """Per point, is the signed boundary excess at most tol?  On a smooth
-    body a point lying more than tol + allow (the margin's rounding
-    allowance) beyond a support line of ``SmoothBody2.sides`` is outside,
-    one allow - min(tol, 0) inside every inscribed edge is inside, and only
-    the band between (never a NaN point) gets the certified margin.  Points
-    run in ``row_blocks``.  An arc body's corners are taken only where they
-    can decide a point."""
+    body a point lying more than tol + allow (a rounding allowance) beyond a
+    support line of ``SmoothBody2.sides`` is outside, one allow - min(tol, 0)
+    inside every inscribed edge is inside, and only the band between (never
+    a NaN point) takes the excess at its feet.  Points run in ``row_blocks``.
+    An arc body's corners are taken only where they can decide a point."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, SmoothBody2):
         inside = np.empty(len(pts), dtype=bool)
@@ -723,7 +659,7 @@ def contains2_batch(body, pts, tol: float = 0.0) -> np.ndarray:
             verdict[:] = f[16:].max(axis=0) <= min(tol, 0.0) - allow
             band = np.flatnonzero(~verdict & (f[:16].max(axis=0) <= tol + allow))
             if len(band):
-                verdict[band] = _smooth_margin(body, block[band]) <= tol
+                verdict[band] = _smooth_excess(body, block[band]) <= tol
         return inside
     if isinstance(body, ArcBody2):
         return _arc_excess(body, pts, tol) <= tol

@@ -96,7 +96,7 @@ def mink_counts_batch(M: NormBall2, K: SmoothBody2,
     bound deg h_K + deg h_M + 2, whose start grid and rounding allowance
     the kernel uses, and its roots are counted by the certified kernel of
     ``trigcount``.  Counts are DEGENERATE where G vanishes or its roots
-    cannot be certified by the kernel's finest grid (the M-evolute).
+    cannot be certified (within the kernel's allowance of the M-evolute).
     """
     require_smooth(M.body, "Birkhoff normality")
     require_smooth(K, "Minkowski counting")
@@ -128,18 +128,18 @@ def refine_mink_roots(M: NormBall2, K: SmoothBody2, p) -> np.ndarray:
     """Root angles in [0, 2pi), ascending, of the Minkowski normal function
     through p.
 
-    Each is the Newton-refined sign change of one interval of the grid on
-    which the certified kernel proves the count of ``mink_counts_batch``, so
-    there are exactly that many.  p must be an interior point of a smooth K,
+    Each is refined by Newton's method on one bracket of the certified
+    kernel that proves the count of ``mink_counts_batch``, so there are
+    exactly that many.  p must be an interior point of a smooth K,
     as for ``count_minkowski_normals``; where the counter flags p,
     DegenerateConfigurationError is raised.
     """
     require_smooth(M.body, "Birkhoff normality")
     require_smooth(K, "Minkowski counting")
-    found = root_angles(_lines(M, K), require_interior(K, p), K.scale * M.body.scale)
-    if found is None:
+    _, angles, _ = root_angles(_lines(M, K), require_interior(K, p), K.scale * M.body.scale)
+    if not len(angles):  # an interior point has at least two normals
         raise DegenerateConfigurationError(_UNCERTIFIED)
-    return found[0]
+    return angles
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,16 @@ faces; ``count_normals3_by_dim`` is the one-point call of that counter.
 On a smooth body the feet are the roots of the degree-N trigonometric
 polynomial g(theta) = <p - r(theta), u'(theta)>, N = max(1, deg h): the line
 function with d = u, whose coefficients are [1, x, y] @ the body's table
-(``SmoothBody2.lines``).  The batch counter counts them with
-the certified sign-change kernel of ``trigcount``: a count is returned only
-when every grid interval is proven monotone or root-free, and points it cannot
-certify (on the evolute, or the centre of a disk, where g vanishes) are
-DEGENERATE.  The scalar smooth feet are the sign changes of the grid that
-certified the count, refined by ``trigcount.newton``.  ``normal_feet2`` raises
-DegenerateConfigurationError at every point the batch counter flags.  Each
-foot's chord, from the foot through p to the far side, is solved without a
-containment test, on a smooth body by ``SmoothBody2.normal_chord`` (see
-``_ray_exit``).
+(``SmoothBody2.normal_lines``).  The batch counter counts them with the
+certified sign-change kernel of ``trigcount``: a count is returned only when
+every grid interval is proven monotone or root-free, or split where g'
+vanishes, and points it cannot certify (within about 1e-12 of the scale of
+the evolute, or the centre of a disk, where g vanishes) are DEGENERATE.  The
+scalar smooth feet are the kernel's roots, refined by ``trigcount.newton``.
+``normal_feet2`` raises DegenerateConfigurationError at every point the batch
+counter flags.  Each foot's chord, from the foot through p to the far side,
+is solved without a containment test, on a smooth body by
+``SmoothBody2.normal_chord`` (see ``_ray_exit``).
 """
 
 from __future__ import annotations
@@ -184,17 +184,12 @@ def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[tuple] | None:
 # smooth bodies
 
 
-def _lines(body: SmoothBody2) -> np.ndarray:
-    """The line table of d = u, whose one Laurent coefficient is 1 at e = 1."""
-    return body.lines([1.0], 1, max(1, body.degree))
-
-
 def _smooth_feet(body: SmoothBody2, p: np.ndarray) -> list[tuple] | None:
-    """Feet at the roots of g, stable where g falls; None where flagged."""
-    found = root_angles(_lines(body), p, body.scale)
-    if found is None:
+    """Feet at the roots of g, stable where g falls; None where flagged (an
+    interior point has at least two feet, its nearest and farthest)."""
+    _, angles, down = root_angles(body.normal_lines, p, body.scale)
+    if not len(angles):
         return None
-    angles, down = found
     return [(q, ("smooth", float(th)), 0 if d else 1)
             for q, th, d in zip(body.boundary(angles), angles, down)]
 
@@ -248,9 +243,9 @@ def count_normals2_batch(body, pts):
 
     total is DEGENERATE (-2) wherever the mask is set: within 1e-9 in t of
     a polygon's wedge boundary (t_i = 0 or 1, see ``_polygon_faces``), at an
-    arc body's range or cone end or arc centre, or, on a smooth body, where
-    the certified kernel cannot prove every grid interval monotone or
-    root-free by MAX_GRID (the evolute) or g vanishes (a disk centre).  At a
+    arc body's range or cone end or arc centre, or, on a smooth body, within
+    the kernel's allowance of the evolute (about 1e-12 of the scale) or
+    where g vanishes (a disk centre).  At a
     root g' = |p - q| - rho(q), so the stable feet are the descending roots
     of g.  Polygon and arc body points run in ``trigcount.row_blocks`` of at
     most ``_BLOCK`` values, a point holding one per edge or 16 per piece, so
@@ -258,7 +253,7 @@ def count_normals2_batch(body, pts):
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, SmoothBody2):
-        return count_roots(_lines(body), pts, body.scale)
+        return count_roots(body.normal_lines, pts, body.scale)
     if isinstance(body, Polygon2):
         faces, width = _polygon_faces, len(body)
     elif isinstance(body, ArcBody2):

@@ -370,6 +370,25 @@ def test_smooth_margin_next_to_the_boundary_is_exact(name):
         assert np.all(nc.contains2_batch(B, pts, tol=side * 2 * eps) == (side > 0))
 
 
+@pytest.mark.parametrize("name", ["degree3", "degree7"])
+def test_excess_at_centres_of_curvature_matches_brute_force(name):
+    # the normal counter flags every centre of curvature, the cusps at the
+    # rho_turns angles among them; the excess there still takes the feet the
+    # kernel settles and the angles it leaves in doubt.  The brute-force
+    # maximum over 2^20 angles is itself within about 1e-11
+    B = MARGIN_BODIES[name]
+    theta = np.concatenate([B.rho_turns()[0],
+                            np.random.default_rng(9).uniform(0.0, 2 * math.pi, 256)])
+    centres = B.curvature_center(theta)
+    excess = nc.signed_boundary_excess(B, centres)
+    assert np.all(np.isfinite(excess))
+    grid = np.arange(2**20) * (2 * math.pi / 2**20)
+    h = np.concatenate([B.support(part) for part in np.split(grid, 64)])
+    cos, sin = np.cos(grid), np.sin(grid)
+    brute = np.array([np.max(x * cos + y * sin - h) for x, y in centres])
+    assert np.max(np.abs(excess - brute)) < 2e-11 * B.scale
+
+
 GENERIC = ((0.0, 0.08), (0.0, 0.0, 0.04))
 TABLE_BODIES = {
     "generic": GENERIC,
@@ -405,16 +424,16 @@ def test_two_sided_table_leaves_few_points_to_the_margin(monkeypatch):
     import normcount.bodies2d as b2
 
     seen = []
-    margin = b2._smooth_margin
+    excess = b2._smooth_excess
 
     def counting(body, pts):
         seen.append(len(pts))
-        return margin(body, pts)
+        return excess(body, pts)
 
     B = nc.SmoothBody2(1.0, *GENERIC)
     lo, hi = nc.bounding_box(B)
     box = lo + (hi - lo) * np.random.default_rng(3).random((20000, 2))
-    monkeypatch.setattr(b2, "_smooth_margin", counting)
+    monkeypatch.setattr(b2, "_smooth_excess", counting)
     nc.contains2_batch(B, box)
     assert 0 < sum(seen) < 0.05 * len(box)
 
@@ -432,7 +451,7 @@ def test_nonfinite_points_are_never_inside():
 
 def test_sample_interior_2000_is_pinned():
     # sha256 as drawn before the two-sided table: it must accept exactly the
-    # candidates that the certified margin accepts
+    # candidates that the excess read off the normal feet accepts
     pts = nc.sample_interior2(nc.SmoothBody2(1.0, *GENERIC), 2000, seed=3)
     assert (hashlib.sha256(pts.tobytes()).hexdigest()
             == "2715fd46eb3da6e7849b0e5d8209bc488fcc14233a6377002c71f586b128eb91")
@@ -472,7 +491,8 @@ def test_jet_and_curvature_center_shapes_follow_input():
 
 def test_sample_interior_is_pinned():
     # sha256 of the samples as first drawn with the 2048-angle containment
-    # scan; the certified margin must accept exactly the same candidates
+    # scan; the excess read off the normal feet must accept exactly the same
+    # candidates
     B = nc.SmoothBody2(1.0, [0.0, 0.08], [0.0, 0.0, 0.04])
     pts = nc.sample_interior2(B, 20000, seed=1)
     assert (hashlib.sha256(pts.tobytes()).hexdigest()

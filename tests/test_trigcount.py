@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import normcount as nc
-from normcount import bodies2d, diameters, minkowski, normals, trigcount
+from normcount import bodies2d, diameters, minkowski, trigcount
 from normcount.rng import philox_generator
 
 import oracles
@@ -149,7 +149,7 @@ def _kernels(body):
     it, its direction d(theta) and its scale."""
     disk = _disk_ball()
     return {
-        "normals": (normals._lines(body), bodies2d.unit, body.scale),
+        "normals": (body.normal_lines, bodies2d.unit, body.scale),
         "diameters": (diameters._lines(body),
                       lambda th: body.boundary(th + math.pi) - body.boundary(th), body.scale**2),
         "minkowski-disk": (minkowski._lines(disk, body), disk.body.boundary, body.scale),
@@ -158,7 +158,7 @@ def _kernels(body):
     }
 
 
-def _near_evolute(body, offsets=(1e-10, 1e-9, 1e-8, 1e-7), angles=16):
+def _near_evolute(body, offsets=(0.0, 1e-13, 1e-10, 1e-9, 1e-8, 1e-7), angles=16):
     """Interior points offset from the evolute along its normal u_perp (its
     tangent at c(theta) is the normal line), by the given multiples of the
     scale on either side: there the normal count is flagged or barely
@@ -184,28 +184,79 @@ def test_line_tables_match_the_sampled_oracle(body):
             assert ours[2].any() and not ours[2].all()
 
 
+@pytest.mark.parametrize("body", [GENERIC, DEG8, EVOLUTE_OUTSIDE],
+                         ids=["generic", "deg8", "evolute_outside"])
+def test_counts_next_to_the_evolute_are_settled_where_they_lie(body, monkeypatch):
+    # 1e-9 off the evolute two feet lie about 1.3e-4 rad apart, closer than
+    # the dense oracles' spacing: the counts there must equal those 1e-6 off
+    # on the same side and jump by 2 across it, and only the evolute itself
+    # is flagged, without the grid running to MAX_GRID
+    theta = np.arange(16) * (2 * math.pi / 16) + 0.1
+    c, n = body.curvature_center(theta), bodies2d.unit(theta + 0.5 * math.pi)
+    offsets = (1e-6, 1e-9, 1e-10, 0.0, -1e-10, -1e-9, -1e-6)
+    pts = np.stack([c + x * body.scale * n for x in offsets])
+    inside = nc.contains2_batch(body, pts.reshape(-1, 2), -1e-9 * body.scale)
+    pts = pts[:, inside.reshape(len(offsets), -1).all(axis=0)]
+    assert pts.shape[1] >= 12
+    grids = []
+    grid_values = trigcount._grid_values
+    monkeypatch.setattr(trigcount, "_grid_values",
+                        lambda coef, grid: grids.append(grid) or grid_values(coef, grid))
+    disk = _disk_ball()
+    for name, fn in (("normals", lambda p: nc.count_normals2_batch(body, p)[:2]),
+                     ("minkowski-disk", lambda p: nc.mink_counts_batch(disk, body, p)[:1])):
+        counts = [np.stack(c) for c in zip(*map(fn, pts))]  # totals, then stable counts
+        for got, jump in zip(counts, (2, 1)):
+            assert np.all(got[:3] == got[0]) and np.all(got[4:] == got[-1]), name
+            assert np.all(np.abs(got[0] - got[-1]) == jump), name
+        assert np.all(counts[0][3] == nc.DEGENERATE), name
+    assert max(grids) <= trigcount.MAX_GRID // 16
+
+
+def test_smooth_counters_run_in_bounded_memory():
+    # the kernel's blocks are sized by the values a row holds at once
+    import tracemalloc
+
+    pts = nc.sample_interior2(GENERIC, 500000, seed=12)
+    for kernel in (nc.count_normals2_batch, nc.diameter_counts_batch):
+        tracemalloc.start()
+        try:
+            out = kernel(GENERIC, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(x.nbytes for x in out) < 16 * 2**20, kernel.__name__
+
+
 def test_root_angles_are_the_roots_count_roots_counts():
     pts = nc.sample_interior2(GENERIC, 300, seed=24)
     kernels = _kernels(GENERIC)
     for name, (table, d, scale) in kernels.items():
         total, down, flags = trigcount.count_roots(table, pts, scale)
         assert not flags.any(), name
-        for p, t, dn in zip(pts, total, down):
-            angles, descending = trigcount.root_angles(table, p, scale)
-            assert len(angles) == t and np.count_nonzero(descending) == dn, name
-            assert np.all(np.diff(angles) > 0) and 0.0 <= angles[0] and angles[-1] < 2 * math.pi
-            g = bodies2d.cross2(d(angles), p - GENERIC.boundary(angles))
-            assert np.max(np.abs(g)) < 1e-12 * scale, name
+        rows, angles, descending = trigcount.root_angles(table, pts, scale)
+        assert np.array_equal(np.bincount(rows, minlength=len(pts)), total), name
+        assert np.array_equal(np.bincount(rows[descending], minlength=len(pts)), down), name
+        # sorted by point, then by angle in [0, 2pi)
+        assert np.all((np.diff(rows) > 0) | ((np.diff(rows) == 0) & (np.diff(angles) > 0)))
+        assert 0.0 <= angles.min() and angles.max() < 2 * math.pi
+        g = bodies2d.cross2(d(angles), pts[rows] - GENERIC.boundary(angles))
+        assert np.max(np.abs(g)) < 1e-12 * scale, name
+        # a point's roots do not depend on the batch it comes in
+        for i in range(0, len(pts), 37):
+            _, one, falls = trigcount.root_angles(table, pts[i], scale)
+            assert np.array_equal(one, angles[rows == i]) and np.array_equal(falls, descending[rows == i])
     # a point the counters flag has no root angles
     c = GENERIC.curvature_center(0.3)
     table, _, scale = kernels["normals"]
-    assert trigcount.root_angles(table, c, scale) is None
+    rows, angles, _ = trigcount.root_angles(table, [c, pts[0]], scale)
+    assert np.all(rows == 1) and len(angles) == trigcount.count_roots(table, pts[:1], scale)[0][0]
 
 
 def test_birkhoff_lines_of_the_unit_disk_are_the_normal_lines():
     # r_M(theta) = u(theta) exactly when M is the unit disk, so the Birkhoff
     # table is the Euclidean one in its leading columns, and 0 beyond them
-    euclid = normals._lines(DEG8)
+    euclid = DEG8.normal_lines
     birkhoff = minkowski._lines(_disk_ball(), DEG8)
     width = euclid.shape[1]
     assert np.array_equal(birkhoff[:, :width], euclid)
@@ -298,7 +349,10 @@ def test_newton_keeps_the_bracketed_root_whatever_the_slope(slope):
 
 
 def test_feet_chord_and_minkowski_solves_take_at_most_16_evaluations(monkeypatch):
-    evaluations = []
+    # the solves of the support excess, which ``require_interior`` takes for
+    # points in the band of ``contains2_batch``, and those of the local step
+    # near an evolute are counted apart
+    evaluations, apart = [], {"band": [], "local": []}
     newton = trigcount.newton
 
     def counting(f, lo, hi):
@@ -312,13 +366,29 @@ def test_feet_chord_and_minkowski_solves_take_at_most_16_evaluations(monkeypatch
         evaluations.append(calls[0])
         return root
 
+    def set_apart(module, name, into):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            start = len(evaluations)
+            try:
+                return fn(*args)
+            finally:
+                into.extend(evaluations[start:])
+                del evaluations[start:]
+
+        monkeypatch.setattr(module, name, wrapped)
+
     _use_solver(monkeypatch, counting)
+    set_apart(bodies2d, "_smooth_excess", apart["band"])
+    set_apart(trigcount, "_local_step", apart["local"])
     for p in nc.sample_interior2(GENERIC, 300, seed=24):
         nc.normal_feet2(GENERIC, p)  # the feet, then their chords
         for M in (SMOOTH_BALL, _disk_ball()):
             nc.refine_mink_roots(M, GENERIC, p)
     assert len(evaluations) == 4 * 300
-    assert max(evaluations) <= 16
+    assert 0 < len(apart["band"]) < 300 and len(apart["local"]) < 30
+    assert max(evaluations + apart["band"] + apart["local"]) <= 16
 
 
 @pytest.mark.parametrize("name", ["generic", "deg8", "off_centre"])
