@@ -37,6 +37,7 @@ class Polytope3:
     n_k x e for each inward facet normal n_k, turned towards the other one.
     ``vertex_sides``: the t of each edge at the vertex, seen from it (t at
     the edge's first vertex, 1 - t at its second): its normal cone.
+    ``facet_areas`` is half the length of each facet's Newell vector.
     """
 
     def __init__(self, vertices, facets):
@@ -55,9 +56,11 @@ class Polytope3:
 
         normals = np.zeros((len(facets), 3))
         offsets = np.zeros(len(facets))
+        areas = np.zeros(len(facets))
         for fi, loop in enumerate(facets):
             pts = v[loop]
-            # Newell normal is robust for near-planar loops
+            # Newell normal is robust for near-planar loops; its length is
+            # twice the facet's area
             nrm = np.zeros(3)
             for i in range(len(loop)):
                 a, b = pts[i], pts[(i + 1) % len(loop)]
@@ -74,6 +77,7 @@ class Polytope3:
                 raise ConvexityError(f"facet {fi} is oriented inward")
             normals[fi] = nrm
             offsets[fi] = off
+            areas[fi] = 0.5 * ln
         slack = v @ normals.T - offsets
         if np.max(slack) > 1e-9 * scale:
             raise ConvexityError("a vertex lies outside a facet plane: not convex")
@@ -93,6 +97,7 @@ class Polytope3:
         self.facets = facets
         self.facet_normals = normals
         self.facet_offsets = offsets
+        self.facet_areas = areas
         self.edges = np.asarray(edges, dtype=int)
         self.edge_facets = np.asarray([edge_map[e] for e in edges], dtype=int)
         width = max(map(len, facets))
@@ -261,19 +266,10 @@ def standard_polytope(name: str, **kw) -> Polytope3:
 # measures, containment, sampling
 
 
-def facet_area(poly: Polytope3, fi: int) -> float:
-    loop = poly.facets[fi]
-    pts = poly.vertices[loop]
-    acc = np.zeros(3)
-    for i in range(1, len(loop) - 1):
-        acc += np.cross(pts[i] - pts[0], pts[i + 1] - pts[0])
-    return 0.5 * float(np.linalg.norm(acc))
-
-
 def measure3d(poly: Polytope3) -> dict:
-    areas = np.array([facet_area(poly, fi) for fi in range(len(poly.facets))])
-    vol = float(np.sum(poly.facet_offsets * areas) / 3.0)
-    return {"volume": vol, "surface_area": float(np.sum(areas))}
+    """Volume as the sum of facet pyramids about the origin, and surface area."""
+    vol = float(np.sum(poly.facet_offsets * poly.facet_areas) / 3.0)
+    return {"volume": vol, "surface_area": float(np.sum(poly.facet_areas))}
 
 
 def contains3_batch(poly: Polytope3, pts, tol: float = 0.0) -> np.ndarray:

@@ -3,7 +3,10 @@
 Every run prints a reproducibility header (version, seed, body hash) and
 writes its primary output under --out with fixed 17-significant-digit float
 formatting, so identical arguments produce byte-identical files and every
-printed float reads back as the same double.
+printed float reads back as the same double.  ``run`` reads --body once, for
+the commands that take it, and hands the body to the command; every file
+goes through one writer, ``_write``, and every CSV opens with one header,
+``_header``.
 
 Exit codes: 0 success, 1 failure or malformed input, 2 unsupported
 combination (machine-readable reason on stderr).
@@ -35,37 +38,36 @@ from .normals import count_normals3_by_dim, normal_feet2
 from .wedges import all_wedges, exact_average_normals
 
 
-def _header(seed, body_source) -> list[str]:
-    lines = [f"# normcount {__version__}"]
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    if body_source is not None:
-        lines.append(f"# body={body_hash(body_source)}")
-    return lines
+def _header(args, seed=None) -> list[str]:
+    seeded = [] if seed is None else [f"# seed={seed}"]
+    return [f"# normcount {__version__}", *seeded, f"# body={body_hash(args.body)}"]
 
 
-def _write_lines(out_dir: str, name: str, lines: list[str]) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+def _write(args, name: str, content) -> str:
+    """Write lines joined by newlines, or a dict as sorted, indented JSON,
+    to ``name`` under --out, ending in a newline; return the file's path."""
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    text = (json.dumps(content, indent=2, sort_keys=True) if isinstance(content, dict)
+            else "\n".join(content))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text + "\n")
     return path
 
 
-def _write_json(out_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _csv(args, name: str, rows: list[str], *stdout: str) -> int:
+    """Write the header and rows to ``name``, print the command's stdout
+    lines, then ``wrote <path>``."""
+    path = _write(args, name, _header(args) + rows)
+    print(*stdout, f"wrote {path}", sep="\n")
+    return 0
 
 
-def _report_payload(report, seed, body_source) -> dict:
+def _report_payload(report, args) -> dict:
     return {
         "version": __version__,
-        "seed": seed,
-        "body_hash": body_hash(body_source),
+        "seed": args.seed,
+        "body_hash": body_hash(args.body),
         "mean": format_float(report.mean),
         "std_error": format_float(report.std_error),
         "ci95": [format_float(report.ci95[0]), format_float(report.ci95[1])],
@@ -102,45 +104,38 @@ def _counter(args):
     return minkowski_counter(NormBall2(parse_body(args.norm)))
 
 
-def _cmd_estimate(args) -> int:
-    body = parse_body(args.body)
+def _cmd_estimate(args, body) -> int:
     report = estimate_interior_average(body, _counter(args), args.samples, args.seed)
-    payload = _report_payload(report, args.seed, args.body)
-    path = _write_json(args.out, "estimate.json", payload)
-    for line in _header(args.seed, args.body):
-        print(line)
-    print(f"mean={payload['mean']} ci95=[{payload['ci95'][0]},{payload['ci95'][1]}]")
-    if report.exact is not None:
-        print(f"exact={payload['exact']}")
-    print(f"wrote {path}")
+    payload = _report_payload(report, args)
+    path = _write(args, "estimate.json", payload)
+    exact = [] if report.exact is None else [f"exact={payload['exact']}"]
+    print(*_header(args, args.seed),
+          f"mean={payload['mean']} ci95=[{payload['ci95'][0]},{payload['ci95'][1]}]",
+          *exact, f"wrote {path}", sep="\n")
     return 0
 
 
-def _cmd_field(args) -> int:
-    body = parse_body(args.body)
+def _cmd_field(args, body) -> int:
     grid = args.grid.lower().split("x")
     if len(grid) != 2 or not all(s.isdigit() for s in grid):
         raise SpecError(f"--grid: {args.grid!r} is not NXxNY")
     nx, ny = map(int, grid)
     mat = field_map(body, (nx, ny), _counter(args))
-    lines = _header(None, args.body)
-    lines += [",".join(str(v) for v in row) for row in mat]
-    csv_path = _write_lines(args.out, "field.csv", lines)
+    csv_path = _write(args, "field.csv",
+                      _header(args) + [",".join(str(v) for v in row) for row in mat])
     top = max(1, int(mat.max()))
     pgm = ["P2", f"{nx} {ny}", "255"]
     for row in mat[::-1]:  # image rows top-down, y descending
         pgm.append(" ".join(str(0 if v < 0 else (255 * int(v)) // top) for v in row))
-    pgm_path = _write_lines(args.out, "field.pgm", pgm)
+    pgm_path = _write(args, "field.pgm", pgm)
     print(f"wrote {csv_path} and {pgm_path}")
     return 0
 
 
-def _cmd_wedges(args) -> int:
-    body = parse_body(args.body)
+def _cmd_wedges(args, body) -> int:
     if not isinstance(body, Polygon2):
         raise UnsupportedCombinationError("wedges require a polygon body")
-    lines = _header(None, args.body)
-    lines.append("face_kind,face_index,area,cumulative_I")
+    lines = ["face_kind,face_index,area,cumulative_I"]
     # one wedge list, summed as exact_average_normals and euler_residual sum it
     wedges = all_wedges(body)
     cum = 0.0
@@ -149,40 +144,27 @@ def _cmd_wedges(args) -> int:
         lines.append(f"{w.face[0]},{w.face[1]},{format_float(w.area)},{format_float(cum)}")
     I = sum(w.area for w in wedges)
     n = I / body.area()
-    lines.append(f"# I={format_float(I)}")
-    lines.append(f"# n={format_float(n)}")
     residual = sum(w.parity * w.area for w in wedges) / body.area()
-    lines.append(f"# euler_residual={format_float(residual)}")
-    path = _write_lines(args.out, "wedges.csv", lines)
-    print(f"n={format_float(n)}")
-    print(f"wrote {path}")
-    return 0
+    lines += [f"# I={format_float(I)}", f"# n={format_float(n)}",
+              f"# euler_residual={format_float(residual)}"]
+    return _csv(args, "wedges.csv", lines, f"n={format_float(n)}")
 
 
-def _cmd_evolute(args) -> int:
+def _cmd_evolute(args, body) -> int:
     steps = _positive("--steps", args.steps)
-    body = parse_body(args.body)
     contained, worst = contains_evolute(body)
-    lines = _header(None, args.body)
-    lines.append(f"# contains_evolute={str(contained).lower()}")
-    lines.append(f"# worst_excess={format_float(worst)}")
-    lines.append(f"# rolling_ball_radius={format_float(rolling_ball_radius(body))}")
-    lines.append("theta,rho,cx,cy")
+    lines = [f"# contains_evolute={str(contained).lower()}",
+             f"# worst_excess={format_float(worst)}",
+             f"# rolling_ball_radius={format_float(rolling_ball_radius(body))}",
+             "theta,rho,cx,cy"]
     lines.extend(",".join(map(format_float, row))
                  for row in curvature_profile(body, grid=steps).tolist())
-    path = _write_lines(args.out, "evolute.csv", lines)
-    print(f"contains_evolute={contained}")
-    print(f"wrote {path}")
-    return 0
+    return _csv(args, "evolute.csv", lines, f"contains_evolute={contained}")
 
 
-def _cmd_flow(args) -> int:
-    body = parse_body(args.body)
-    spec = FlowSpec(args.kind, args.t_end, args.steps)
-    trace = evolve_flow(body, spec)
-    lines = _header(None, args.body)
-    if trace.truncated:
-        lines.append("# truncated=true")
+def _cmd_flow(args, body) -> int:
+    trace = evolve_flow(body, FlowSpec(args.kind, args.t_end, args.steps))
+    lines = ["# truncated=true"] if trace.truncated else []
     lines.append("t,n_mean,n_lo,n_hi,n_surf_mean,area,perimeter")
     # an exact mean is its own CI: n fills the n_mean, n_lo and n_hi columns
     for t, b, n, n_surf in zip(trace.times, trace.bodies, trace.n_values,
@@ -190,39 +172,27 @@ def _cmd_flow(args) -> int:
         m = measure2d(b)
         lines.append(",".join(format_float(v) for v in
                               (t, n, n, n, n_surf, m["area"], m["perimeter"])))
-    path = _write_lines(args.out, "flow.csv", lines)
-    print(f"wrote {path}")
-    return 0
+    return _csv(args, "flow.csv", lines)
 
 
-def _cmd_discretize(args) -> int:
-    body = parse_body(args.body)
-    ks = _numbers("--k", args.k, int)
-    rows = discretization_race(body, ks)
-    lines = _header(None, args.body)
-    lines.append("k,n_polygon_exact,n_body_exact,margin")
-    for row in rows:
+def _cmd_discretize(args, body) -> int:
+    lines = ["k,n_polygon_exact,n_body_exact,margin"]
+    for row in discretization_race(body, _numbers("--k", args.k, int)):
         lines.append(",".join([str(row.k)] + [format_float(v) for v in
                               (row.n_polygon, row.n_body, row.margin)]))
-    path = _write_lines(args.out, "discretize.csv", lines)
-    print(f"wrote {path}")
-    return 0
+    return _csv(args, "discretize.csv", lines)
 
 
-def _cmd_diameters(args) -> int:
+def _cmd_diameters(args, body) -> int:
     steps = _positive("--theta-sweep", args.theta_sweep)
-    body = parse_body(args.body)
-    lines = _header(None, args.body)
-    lines.append("theta,length")
+    lines = ["theta,length"]
     for theta in np.arange(steps) * (np.pi / steps):
         chord = diameter_chord(body, float(theta))
         lines.append(f"{format_float(theta)},{format_float(chord.length)}")
-    path = _write_lines(args.out, "diameters.csv", lines)
-    print(f"wrote {path}")
-    return 0
+    return _csv(args, "diameters.csv", lines)
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args, _body) -> int:
     M = NormBall2(parse_body(args.norm))
     tau = hexagon_ratio_tau(M)
     payload = {
@@ -231,14 +201,12 @@ def _cmd_tau(args) -> int:
         "tau": format_float(tau),
         "bound": format_float(_width_bound(tau)),
     }
-    path = _write_json(args.out, "tau.json", payload)
-    print(f"tau={payload['tau']} bound={payload['bound']}")
-    print(f"wrote {path}")
+    path = _write(args, "tau.json", payload)
+    print(f"tau={payload['tau']} bound={payload['bound']}", f"wrote {path}", sep="\n")
     return 0
 
 
-def _cmd_point(args) -> int:
-    body = parse_body(args.body)
+def _cmd_point(args, body) -> int:
     at = _numbers("--at", args.at, float)
     if isinstance(body, Polytope3):
         if len(at) != 3:
@@ -310,7 +278,7 @@ def _validate_corpus(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     return out
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, _body) -> int:
     checks = _validate_corpus(args.samples, args.seed)
     failed = 0
     for name, ok, detail in checks:
@@ -325,28 +293,28 @@ def build_parser() -> argparse.ArgumentParser:
                                             "on convex bodies")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, body=True, seeded=True):
-        if body:
-            sp.add_argument("--body", required=True, help="body JSON file")
+    def common(sp, seeded=True):
+        sp.add_argument("--body", required=True, help="body JSON file")
         if seeded:
             sp.add_argument("--samples", type=int, default=100000)
             sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=".", help="output directory")
 
+    def counted(sp):
+        sp.add_argument("--counter", default="normals",
+                        choices=["normals", "diameters", "minkowski"])
+        sp.add_argument("--norm", help="norm-ball JSON file (minkowski counter)")
+
     sp = sub.add_parser("estimate", help="interior average: exact where a closed form "
                                          "exists, Monte Carlo always")
     common(sp)
-    sp.add_argument("--counter", default="normals",
-                    choices=["normals", "diameters", "minkowski"])
-    sp.add_argument("--norm", help="norm-ball JSON file (minkowski counter)")
+    counted(sp)
     sp.set_defaults(fn=_cmd_estimate)
 
     sp = sub.add_parser("field", help="counter values on a raster")
     common(sp, seeded=False)
     sp.add_argument("--grid", default="101x101")
-    sp.add_argument("--counter", default="normals",
-                    choices=["normals", "diameters", "minkowski"])
-    sp.add_argument("--norm")
+    counted(sp)
     sp.set_defaults(fn=_cmd_field)
 
     sp = sub.add_parser("wedges", help="exact polygon wedge decomposition")
@@ -409,10 +377,9 @@ def _join_at(argv) -> list[str]:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_at(argv))
+    args = build_parser().parse_args(_join_at(argv))
     try:
-        return args.fn(args)
+        return args.fn(args, parse_body(args.body) if "body" in args else None)
     except UnsupportedCombinationError as exc:
         print(json.dumps({"error": "unsupported_combination", "reason": str(exc)}),
               file=sys.stderr)

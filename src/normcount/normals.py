@@ -203,17 +203,15 @@ def normal_feet2(body, point) -> list[NormalFoot]:
 
     Raises DegenerateConfigurationError wherever ``count_normals2_batch``
     flags the point, so the feet always number its total and the stable
-    ones its stable count.
+    ones its stable count.  A body that is not a polygon, arc body or smooth
+    body raises UnsupportedCombinationError before the point is tested.
     """
-    p = require_interior(body, point)
-    if isinstance(body, Polygon2):
-        feet = _polygon_feet(body, p)
-    elif isinstance(body, ArcBody2):
-        feet = _arc_feet(body, p)
-    elif isinstance(body, SmoothBody2):
-        feet = _smooth_feet(body, p)
-    else:
+    feet_of = {Polygon2: _polygon_feet, ArcBody2: _arc_feet,
+               SmoothBody2: _smooth_feet}.get(type(body))
+    if feet_of is None:
         raise UnsupportedCombinationError(f"no normal counter for {type(body).__name__}")
+    p = require_interior(body, point)
+    feet = feet_of(body, p)
     if feet is None:
         raise DegenerateConfigurationError(
             "the normal count is not certified at this point (a wedge boundary, "
@@ -288,6 +286,7 @@ def count_normals3_by_dim(poly: Polytope3, point):
     DegenerateConfigurationError wherever the batch counter flags the point,
     so the counts always satisfy facets - edges + vertices = 2.
     """
+    _require_polytope(poly)
     p = np.asarray(point, dtype=float)
     if not (all(map(math.isfinite, p.tolist()))
             and contains3(poly, p, tol=-INTERIOR_RTOL * poly.scale)):
@@ -297,6 +296,11 @@ def count_normals3_by_dim(poly: Polytope3, point):
         raise DegenerateConfigurationError("the normal count is not certified at this "
                                            "point (a face region's boundary)")
     return {0: int(peak[0]), 1: int(saddle[0]), 2: int(stable[0])}
+
+
+def _require_polytope(poly) -> None:
+    if not isinstance(poly, Polytope3):
+        raise UnsupportedCombinationError(f"no 3D normal counter for {type(poly).__name__}")
 
 
 def _side_values(table, x):
@@ -318,6 +322,7 @@ def count_normals3_batch(poly: Polytope3, pts):
     region that holds it is flagged, and its total is DEGENERATE.  Points
     run in ``trigcount.row_blocks`` of at most ``_BLOCK`` table values.
     """
+    _require_polytope(poly)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = len(pts)
     tol = 1e-9 * poly.scale

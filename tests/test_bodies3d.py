@@ -153,3 +153,47 @@ def test_volume_against_monte_carlo():
     mc = frac * np.prod(hi - lo)
     se = np.prod(hi - lo) * math.sqrt(frac * (1 - frac) / len(pts))
     assert abs(nc.measure3d(P)["volume"] - mc) < 4 * se
+
+
+TETRA = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+TETRA_FACETS = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
+
+
+@pytest.mark.parametrize("vertices, facets, error, message", [
+    (TETRA[:3], TETRA_FACETS, nc.DegenerateBodyError,
+     "polytope needs at least 4 vertices in R^3"),
+    ([*TETRA[:3], [0, 0, math.inf]], TETRA_FACETS, nc.DegenerateBodyError,
+     "vertices must be finite"),
+    (TETRA, TETRA_FACETS[:3], nc.DegenerateBodyError,
+     "need at least 4 facets with 3+ vertices each"),
+    (TETRA, [[0, 2, 9], *TETRA_FACETS[1:]], nc.DegenerateBodyError,
+     "facet vertex indices must lie in [0, 4)"),
+    (TETRA, [[0, 0, 1], *TETRA_FACETS[1:]], nc.DegenerateBodyError,
+     "facet 0 is degenerate"),
+    (TETRA, [[0, 2, 1, 3], *TETRA_FACETS[1:]], nc.DegenerateBodyError,
+     "facet 0 is not planar ("),
+    (TETRA, [[0, 1, 2], *TETRA_FACETS[1:]], nc.ConvexityError,
+     "facet 0 is oriented inward"),
+    ([*TETRA, [-0.1, 0.3, 0.3]], TETRA_FACETS, nc.ConvexityError,
+     "a vertex lies outside a facet plane: not convex"),
+    (TETRA, [*TETRA_FACETS, TETRA_FACETS[0]], nc.DegenerateBodyError,
+     "every edge must bound exactly two facets"),
+    ([*TETRA, [0.1, 0.1, 0.1]], TETRA_FACETS, nc.DegenerateBodyError,
+     "Euler relation V - E + F = 2 fails"),
+], ids=["few-vertices", "non-finite", "few-facets", "index", "degenerate-facet",
+        "non-planar", "inward", "vertex-outside", "edge-of-three", "euler"])
+def test_polytope_validation_errors(vertices, facets, error, message):
+    with pytest.raises(error) as info:
+        nc.Polytope3(vertices, facets)
+    assert type(info.value) is error and str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("n", [8, 40, 1000])
+def test_measure3d_matches_qhull_on_random_hulls(n):
+    from scipy.spatial import ConvexHull
+
+    pts = np.random.default_rng(n).standard_normal((n, 3))
+    m = nc.measure3d(nc.polytope_from_points(pts))
+    hull = ConvexHull(pts)
+    assert m["volume"] == pytest.approx(hull.volume, rel=1e-12)
+    assert m["surface_area"] == pytest.approx(hull.area, rel=1e-12)

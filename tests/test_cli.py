@@ -230,6 +230,39 @@ def test_flow_means_are_exact_and_ignore_samples_and_seed(capsys, tmp_path):
     assert float(rows[1][1]) == nc.normal_means(nc.parse_body(SMOOTH))[0]
 
 
+NORM = {"type": "support2d", "a0": 1.0, "cos": [0.0, 0.15]}
+
+
+@pytest.mark.parametrize("args, names", [
+    (["estimate", "--body", json.dumps(SMOOTH), "--samples", "500", "--seed", "7"],
+     ["estimate.json"]),
+    (["field", "--body", json.dumps(HEPTAGON), "--grid", "11x9"], ["field.csv", "field.pgm"]),
+    (["wedges", "--body", json.dumps(HEPTAGON)], ["wedges.csv"]),
+    (["evolute", "--body", json.dumps(SMOOTH), "--steps", "16"], ["evolute.csv"]),
+    (["flow", "--body", json.dumps(SMOOTH), "--steps", "2"], ["flow.csv"]),
+    (["discretize", "--body", json.dumps(SMOOTH), "--k", "8,16"], ["discretize.csv"]),
+    (["diameters", "--body", json.dumps(SMOOTH), "--theta-sweep", "12"], ["diameters.csv"]),
+    (["tau", "--norm", json.dumps(NORM)], ["tau.json"]),
+], ids=["estimate", "field", "wedges", "evolute", "flow", "discretize", "diameters", "tau"])
+def test_every_writing_command_says_what_it_wrote(capsys, tmp_path, args, names):
+    out_dir = tmp_path / "out"
+    code = cli.run(args + ["--out", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    paths = [out_dir / name for name in names]
+    assert out.splitlines()[-1] == "wrote " + " and ".join(map(str, paths))
+    assert all(path.is_file() for path in paths)
+    version = f"# normcount {nc.__version__}"
+    for path in paths:
+        text = path.read_text()
+        if path.suffix == ".csv":
+            assert text.splitlines()[:2] == [version, f"# body={nc.body_hash(args[2])}"]
+        elif path.suffix == ".json":
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    if args[0] == "estimate":
+        assert out.splitlines()[:3] == [version, "# seed=7", f"# body={nc.body_hash(args[2])}"]
+
+
 def test_validate_passes_with_only_pass_lines(capsys):
     code = cli.run(["validate", "--samples", "2000", "--seed", "0"])
     out, err = capsys.readouterr()

@@ -418,6 +418,22 @@ def test_nan_point_is_never_interior(query):
         query((math.nan, 0.5))
 
 
+@pytest.mark.parametrize("query, body, point", [
+    (nc.normal_feet2, "cube", (0.1, 0.2)),
+    (nc.count_normals2, "cube", (0.1, 0.2)),
+    (nc.stable_count, "cube", (0.1, 0.2)),
+    (nc.count_normals3_by_dim, "smooth", (0.1, 0.2, 0.0)),
+    (nc.count_normals3, "smooth", (0.1, 0.2, 0.0)),
+    (nc.count_normals3_batch, "smooth", [(0.1, 0.2, 0.0)]),
+], ids=["normal_feet2", "count_normals2", "stable_count", "count_normals3_by_dim",
+        "count_normals3", "count_normals3_batch"])
+def test_wrong_dimension_calls_are_unsupported(query, body, point):
+    # the body's type is checked before any containment test
+    solid = nc.standard_polytope("cube") if body == "cube" else GENERIC
+    with pytest.raises(nc.UnsupportedCombinationError):
+        query(solid, point)
+
+
 def test_point_just_inside_a_facet_is_not_interior_3d():
     # 2D and 3D queries share one strict-interior tolerance, 1e-9 * scale
     P = nc.standard_polytope("cube")
