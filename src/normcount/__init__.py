@@ -11,7 +11,7 @@ from .averaging import (EstimateReport, estimate_boundary_average,
 from .bodies2d import (Arc, ArcBody2, Polygon2, SmoothBody2, bounding_box,
                        build_polygon, build_reuleaux, contains2,
                        contains2_batch, difference_body, difference_body_area,
-                       disk, fit_support_body, interior_margin, measure2d,
+                       disk, fit_support_body, measure2d,
                        minkowski_sum_polygons, reflect_polygon,
                        sample_boundary2, sample_interior2,
                        signed_boundary_excess, width_function)
@@ -71,7 +71,7 @@ __all__ = [
     "exact_average_normals", "exact_average_normals3", "field_map",
     "fit_support_body", "format_float",
     "gauge", "gauge_batch", "hexagon_ratio_tau", "inscribe_polygon",
-    "interior_margin", "is_centrally_symmetric", "measure2d", "measure3d",
+    "is_centrally_symmetric", "measure2d", "measure3d",
     "mink_counts_batch", "minkowski_counter", "minkowski_sum_polygons",
     "monotonicity_verdict", "normal_feet2", "normal_means", "normed_width_bound",
     "offset_body", "parallel_antipodal_edge_pairs", "parse_body",

@@ -64,13 +64,20 @@ def _shoelace(verts) -> float:
     return 0.5 * float(np.sum(cross2(verts, np.roll(verts, -1, axis=0))))
 
 
+def _rows(normals, points) -> np.ndarray:
+    """Table rows (n, -n @ q) of the lines or planes through q with normal n."""
+    return np.concatenate([normals, -np.einsum("ij,ij->i", normals, points)[:, None]], axis=1)
+
+
 class Polygon2:
     """Strictly convex polygon with CCW vertex order.
 
     Derived arrays (edge vectors, outer unit normals, support offsets) are
-    computed once at construction and treated as read only.  The edge
-    parameter t_i(x) = x . t_normals[i] - t_offsets[i], 0 at v_i and 1 at
-    v_{i+1}, is the one wedge rule of the normal counter and the wedges.
+    computed once at construction and treated as read only.  The face
+    tables of the normal counter and the wedges hold rows (n, -c), [x, 1] @
+    row = x @ n - c, of the unitless edge parameter t_i, 0 at v_i and 1 at
+    v_{i+1}: ``edge_sides`` t_i and 1 - t_i, ``vertex_sides`` t_i and
+    1 - t_{i-1}.
     """
 
     def __init__(self, vertices):
@@ -95,8 +102,9 @@ class Polygon2:
             np.stack([e[:, 1], -e[:, 0]], axis=1) / self.edge_lengths[:, None]
         )
         self.edge_offsets = np.einsum("ij,ij->i", v, self.edge_normals)
-        self.t_normals = e / (self.edge_lengths**2)[:, None]
-        self.t_offsets = np.einsum("ij,ij->i", v, self.t_normals)
+        t = _rows(e / (self.edge_lengths**2)[:, None], v)
+        self.edge_sides = np.stack([t, [0.0, 0.0, 1.0] - t], axis=1)
+        self.vertex_sides = np.stack([t, np.roll(self.edge_sides[:, 1], 1, axis=0)], axis=1)
         # arc length from vertex 0 to each vertex, closing with the perimeter
         self.vertex_arclengths = np.concatenate([[0.0], np.cumsum(self.edge_lengths)])
         self.scale = scale
@@ -664,11 +672,6 @@ def contains2_batch(body, pts, tol: float = 0.0) -> np.ndarray:
     if isinstance(body, ArcBody2):
         return _arc_excess(body, pts, tol) <= tol
     return signed_boundary_excess(body, pts) <= tol
-
-
-def interior_margin(body, point) -> float:
-    """Clearance of a point from the boundary (negative excess)."""
-    return -float(signed_boundary_excess(body, np.asarray(point, dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------

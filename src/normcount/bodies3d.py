@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .bodies2d import symmetric_under_negation
+from .bodies2d import _rows, symmetric_under_negation
 from .errors import ConvexityError, DegenerateBodyError
 from .rng import rejection_sample
 from .trigcount import row_blocks
@@ -30,14 +30,16 @@ class Polytope3:
     tables hold the planes x @ n = c that bound these regions as rows
     (n, -c), so that [x, 1] @ row = x @ n - c: one table of shape (faces,
     width, 4) per face dimension, where a face with fewer rows repeats its
-    own.  ``facet_sides``: the unit normals of a facet's sides, in its plane
-    and pointing into it (the prism over it).  ``edge_sides``: the edge's
-    parameter t, 0 at its first vertex and 1 at its second (as
-    ``Polygon2.t_normals``), then the two unit sides of its dihedral slab,
-    n_k x e for each inward facet normal n_k, turned towards the other one.
-    ``vertex_sides``: the t of each edge at the vertex, seen from it (t at
-    the edge's first vertex, 1 - t at its second): its normal cone.
-    ``facet_areas`` is half the length of each facet's Newell vector.
+    own.  Every row is unitless, an edge parameter or a distance divided by
+    ``scale``, as in ``Polygon2``.  ``facet_sides``: the unit normals of a
+    facet's sides over scale, in its plane and pointing into it (the prism
+    over it).  ``edge_sides``: the edge's parameter t, 0 at its first
+    vertex and 1 at its second, and 1 - t, then the two unit sides of its
+    dihedral slab over scale, n_k x e for each inward facet normal n_k,
+    turned towards the other one.  ``vertex_sides``: the t of each edge at
+    the vertex, seen from it (t at the edge's first vertex, 1 - t at its
+    second): its normal cone.  ``facet_areas`` is half the length of each
+    facet's Newell vector.
     """
 
     def __init__(self, vertices, facets):
@@ -105,26 +107,21 @@ class Polytope3:
         for fi, (loop, nrm) in enumerate(zip(facets, normals)):
             sides = np.cross(nrm, np.roll(v[loop], -1, axis=0) - v[loop])
             sides /= np.linalg.norm(sides, axis=1, keepdims=True)
-            self.facet_sides[fi] = np.resize(_rows(sides, v[loop]), (width, 4))
+            self.facet_sides[fi] = np.resize(_rows(sides, v[loop]) / scale, (width, 4))
         a = v[self.edges[:, 0]]
         d = v[self.edges[:, 1]] - a
         e = d / np.linalg.norm(d, axis=1, keepdims=True)
         n1, n2 = -normals[self.edge_facets[:, 0]], -normals[self.edge_facets[:, 1]]
         turn = np.copysign(1.0, np.einsum("ij,ij->i", e, np.cross(n1, n2)))[:, None]
-        self.edge_sides = np.stack([_rows(d / np.einsum("ij,ij->i", d, d)[:, None], a),
-                                    _rows(-turn * np.cross(n1, e), a),
-                                    _rows(turn * np.cross(n2, e), a)], axis=1)
+        t = _rows(d / np.einsum("ij,ij->i", d, d)[:, None], a)
+        self.edge_sides = np.stack([t, [0.0, 0.0, 0.0, 1.0] - t,
+                                    _rows(-turn * np.cross(n1, e), a) / scale,
+                                    _rows(turn * np.cross(n2, e), a) / scale], axis=1)
         # each edge's t row at its first vertex, and 1 - t at its second
-        t = self.edge_sides[:, 0]
-        rows, ends = np.concatenate([t, [0.0, 0.0, 0.0, 1.0] - t]), self.edges.T.ravel()
+        rows, ends = self.edge_sides[:, :2].swapaxes(0, 1).reshape(-1, 4), self.edges.T.ravel()
         at = [np.flatnonzero(ends == vi) for vi in range(len(v))]
         self.vertex_sides = np.array([np.resize(rows[k], (max(map(len, at)), 4)) for k in at])
         self.scale = scale
-
-
-def _rows(normals, points) -> np.ndarray:
-    """Table rows (n, -n @ q) of the planes through q with normal n."""
-    return np.concatenate([normals, -np.einsum("ij,ij->i", normals, points)[:, None]], axis=1)
 
 
 def build_polytope(vertices, facets) -> Polytope3:

@@ -267,14 +267,14 @@ def hexagon_ratio_tau(M: NormBall2, coarse: int = 720) -> float:
     The hexagon has vertices +-u, +-v, +-(v - u) with u, v on the boundary
     and gauge(v - u) = 1; its area is 3*|cross(u, v)|.  The objective is
     taken at ``coarse`` u-parameters on half the boundary (plus the vertices
-    of a polygon) in one batched pass, and ``coarse`` below 2 raises
-    DomainError.  The bracket of two coarse steps around the best of them is
-    refined in 3 rounds: each takes the objective at 64 interior points in
-    one batched pass and keeps the best of them +- one step, so the last
-    bracket is (2/65)**3 of two coarse steps.
+    of a polygon) in one batched pass; a ``coarse`` that is not an integer
+    of at least 2 raises DomainError.  The bracket of two coarse steps
+    around the best of them is refined in 3 rounds: each takes the objective
+    at 64 interior points in one batched pass and keeps the best of them +-
+    one step, so the last bracket is (2/65)**3 of two coarse steps.
     """
-    if coarse < 2:
-        raise DomainError(f"coarse must be at least 2, got {coarse}")
+    if not isinstance(coarse, (int, np.integer)) or coarse < 2:
+        raise DomainError(f"coarse must be an integer >= 2, got {coarse!r}")
     body = M.body
     area = M.area()
     if isinstance(body, SmoothBody2):

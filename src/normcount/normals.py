@@ -8,27 +8,26 @@ when |p - q| > rho(q), degenerate at equality.  Polygon edge feet are always
 stable and vertex feet always unstable; circular-arc near feet are stable,
 far feet and corner feet unstable.
 
-Polygons and arc bodies each have one face test, ``_polygon_faces`` and
-``_arc_faces``, with one contract: for a block of points it returns one row
-per point and one column per face, the masks of the faces that hold a
-stable and an unstable foot of the point, plus the flags of the points on a
-wedge boundary or at an arc centre.  A polygon's faces are its edges and
-vertices, an arc body's the rows of the ``ArcBody2.pieces`` table, read with
-one broadcast and no loop over pieces.  ``count_normals2_batch`` sums the
-masks over row blocks of points, and ``normal_feet2`` reads its feet off the
-point's single row.  Both run the same tests, but a one-point and a
-many-point matmul can round differently, so the scalar and batch answers can
-disagree on a flag for a point within an ulp of the edge of a flag band (9
-to 71 of 265 to 391 bisected probes per polytope).  Polygon and polytope
-face tests read one quantity per edge, its parameter t (where p's foot falls on
-the edge's line: 0 at its first vertex, 1 at its second): an edge holds a
-foot where 0 < t < 1, and a vertex where t seen from it is >= 0 on every
-edge at it.  t is compared against 1e-9 and every other comparison of these
-tests (facet prisms, dihedral slabs) is a distance against 1e-9*scale, so
-counts and flags do not depend on the body's units.  Every batch counter
-returns a DEGENERATE total wherever it flags.  A polytope's face tests are
-the ``Polytope3`` tables, one matmul per face dimension and no loop over
-faces; ``count_normals3_by_dim`` is the one-point call of that counter.
+One region rule decides polygon and polytope counts: p has a foot on a face
+exactly where it lies in the face's normal region.  The body's face tables
+(``Polygon2.edge_sides``, ``vertex_sides``; ``Polytope3.facet_sides``,
+``edge_sides``, ``vertex_sides``) bound each region by rows (n, -c), [x, 1]
+@ row = x @ n - c, and every row is unitless: an edge parameter t (where p's
+foot falls on the edge's line: 0 at its first vertex, 1 at its second),
+1 - t, or a distance (facet prisms, dihedral slabs) over the body's scale.
+So ``_region_masks`` needs one tolerance, and counts and flags do not depend
+on the body's units: a face holds a foot where its rows are all >= -1e-9,
+and a point that some holding face leaves within 1e-9 is flagged.  Arc
+bodies have their own face test, ``_arc_faces``, on the rows of the
+``ArcBody2.pieces`` table with no loop over pieces; it flags range ends and
+arc centres.  Both return one row per face and one column per point, which
+``_face_counts`` sums over row blocks of points for every body with faces.
+``normal_feet2`` reads its feet off the point's column and
+``count_normals3_by_dim`` is the one-point call of the polytope counter.  A
+one-point and a many-point matmul can round differently, so the scalar and
+batch answers can disagree on a flag for a point within an ulp of the edge
+of a flag band (9 to 71 of 265 to 391 bisected probes per polytope).  Every
+batch counter returns a DEGENERATE total wherever it flags.
 
 On a smooth body the feet are the roots of the degree-N trigonometric
 polynomial g(theta) = <p - r(theta), u'(theta)>, N = max(1, deg h): the line
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -108,25 +108,40 @@ def _ray_exit(body, p: np.ndarray, feet: list[tuple]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# polygon and arc faces: one row per point, one column per face
+# face regions: one column per point, one row per face
 
 
-def _polygon_faces(body: Polygon2, pts: np.ndarray):
-    """(t, edge, vertex, flags) for many interior points.
+def _region_masks(tables, pts):
+    """(masks, flags) for a block of points: per table, one matmul of its
+    rows with [x, 1], reduced by the minimum over the table's width.
 
-    t[:, i] is where p's foot falls on edge i's line: 0 at v_i, 1 at
-    v_{i+1}, read off ``body.t_normals`` and ``body.t_offsets``, the lines
-    that ``wedges`` clips the exact wedges to.  It is the only quantity the
-    wedge tests read.  Edge i carries a foot where 0 < t_i < 1, at
-    v_i + t_i * e_i, and vertex i where t_i >= 0 and t_{i-1} <= 1 (p - v_i
-    lies in its normal cone).  Every wedge boundary is a line t_i = 0 or
-    t_i = 1, so a point with some t_i within 1e-9 of 0 or 1 is flagged.
+    A face holds a foot where every row of its table is >= -1e-9, and a
+    point that some holding face leaves within 1e-9 is flagged.  Each mask
+    has one row per face and one column per point.
     """
-    t = pts @ body.t_normals.T - body.t_offsets
-    edge = (t > 0.0) & (t < 1.0)
-    vertex = (t >= 0.0) & np.roll(t <= 1.0, 1, axis=1)
-    flags = np.any((np.abs(t) < 1e-9) | (np.abs(t - 1.0) < 1e-9), axis=1)
-    return t, edge, vertex, flags
+    x = np.concatenate([pts.T, np.ones((1, len(pts)))])
+    masks, flags = [], np.zeros(len(pts), dtype=bool)
+    for table in tables:  # array methods: one point pays no function dispatch
+        low = (table.reshape(-1, len(x)) @ x).reshape(*table.shape[:2], -1).min(axis=1)
+        masks.append(low >= -1e-9)
+        flags |= (masks[-1] & (low < 1e-9)).any(axis=0)
+    return masks, flags
+
+
+def _face_counts(faces, kinds, pts, width):
+    """(total, counts by kind, flags): the faces holding a foot of each point,
+    summed per kind of face over ``trigcount.row_blocks`` of ``width``
+    values per point, so memory does not grow with the number of points.
+    ``faces(block)`` returns ``kinds`` face-major masks and the flags;
+    total is DEGENERATE wherever a point is flagged."""
+    counts = np.empty((kinds, len(pts)), dtype=int)
+    flags = np.empty(len(pts), dtype=bool)
+    for rows in row_blocks(len(pts), width):
+        masks, flags[rows] = faces(pts[rows])
+        counts[:, rows] = [np.count_nonzero(mask, axis=0) for mask in masks]
+    total = np.sum(counts, axis=0)
+    total[flags] = DEGENERATE
+    return total, tuple(counts), flags
 
 
 def _on_line(x):
@@ -136,10 +151,10 @@ def _on_line(x):
 
 
 def _arc_faces(body: ArcBody2, pts: np.ndarray):
-    """(ang, near, far, flags) for many interior points, one column per
+    """(ang, (near, far), flags) for a block of interior points, one row per
     row of ``body.pieces``.
 
-    ang[:, i] is the angle of p about piece i's centre.  The near foot of a
+    ang[i] is the angle of p about piece i's centre.  The near foot of a
     piece is at that angle and the far foot at the opposite one, each
     present when the piece's normal range holds it.  A corner's feet are
     the corner itself, and an interior point has only the far one there
@@ -155,28 +170,30 @@ def _arc_faces(body: ArcBody2, pts: np.ndarray):
     # the line through p and the centre runs along a range end
     flags = np.any(_on_line(ang - lo) | _on_line(ang - hi) | (np.hypot(dx, dy) < 1e-9 * r),
                    axis=0)
-    return ang.T, near.T, far.T, flags
+    return ang, (near, far), flags
 
 
 def _polygon_feet(body: Polygon2, p: np.ndarray) -> list[tuple] | None:
-    """Feet read off the point's row of ``_polygon_faces``; None where flagged."""
-    t, edge, vertex, flags = _polygon_faces(body, p[None, :])
+    """Feet read off the point's masks, None where flagged; edge i's foot
+    is v_i + t_i * e_i, with t_i its first table row."""
+    (edge, vertex), flags = _region_masks((body.edge_sides, body.vertex_sides), p[None, :])
     if flags[0]:
         return None
+    t = p[None, :] @ body.edge_sides[:, 0, :2].T + body.edge_sides[:, 0, 2]
     v, e = body.vertices, body.edge_vecs
-    return ([(v[i] + t[0, i] * e[i], ("edge", int(i)), 0) for i in np.flatnonzero(edge[0])]
-            + [(v[i].copy(), ("vertex", int(i)), 1) for i in np.flatnonzero(vertex[0])])
+    return ([(v[i] + t[0, i] * e[i], ("edge", int(i)), 0) for i in np.flatnonzero(edge[:, 0])]
+            + [(v[i].copy(), ("vertex", int(i)), 1) for i in np.flatnonzero(vertex[:, 0])])
 
 
 def _arc_feet(body: ArcBody2, p: np.ndarray) -> list[tuple] | None:
-    """Feet read off the point's row of ``_arc_faces``, per piece its near
-    then its far foot; None where flagged."""
-    ang, near, far, flags = _arc_faces(body, p[None, :])
+    """Feet read off the point's column of ``_arc_faces``, per piece its
+    near then its far foot; None where flagged."""
+    ang, (near, far), flags = _arc_faces(body, p[None, :])
     if flags[0]:
         return None
-    k = np.flatnonzero(np.column_stack([near[0], far[0]]))
+    k = np.flatnonzero(np.column_stack([near[:, 0], far[:, 0]]))
     i, index = k // 2, k % 2
-    qs = body.pieces[i, :2] + body.pieces[i, 2:3] * unit(ang[0, i] + math.pi * index)
+    qs = body.pieces[i, :2] + body.pieces[i, 2:3] * unit(ang[i, 0] + math.pi * index)
     return [(q, body.sources[j], int(x)) for q, j, x in zip(qs, i, index)]
 
 
@@ -240,32 +257,25 @@ def count_normals2_batch(body, pts):
     """Vectorized counts; returns (total, stable, degenerate_mask).
 
     total is DEGENERATE (-2) wherever the mask is set: within 1e-9 in t of
-    a polygon's wedge boundary (t_i = 0 or 1, see ``_polygon_faces``), at an
+    a polygon's wedge boundary (t_i = 0 or 1, see ``_region_masks``), at an
     arc body's range or cone end or arc centre, or, on a smooth body, within
     the kernel's allowance of the evolute (about 1e-12 of the scale) or
     where g vanishes (a disk centre).  At a
     root g' = |p - q| - rho(q), so the stable feet are the descending roots
-    of g.  Polygon and arc body points run in ``trigcount.row_blocks`` of at
-    most ``_BLOCK`` values, a point holding one per edge or 16 per piece, so
-    memory does not grow with the number of points.
+    of g.  Polygon and arc body points run in ``_face_counts``, a point
+    holding four values per edge or 16 per piece.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(body, SmoothBody2):
         return count_roots(body.normal_lines, pts, body.scale)
     if isinstance(body, Polygon2):
-        faces, width = _polygon_faces, len(body)
+        tables = (body.edge_sides, body.vertex_sides)
+        faces, width = partial(_region_masks, tables), 4 * len(body)
     elif isinstance(body, ArcBody2):
-        faces, width = _arc_faces, 16 * len(body.pieces)
+        faces, width = lambda x: _arc_faces(body, x)[1:], 16 * len(body.pieces)
     else:
         raise UnsupportedCombinationError(f"no normal counter for {type(body).__name__}")
-    total = np.empty(len(pts), dtype=int)
-    stable = np.empty(len(pts), dtype=int)
-    flags = np.empty(len(pts), dtype=bool)
-    for rows in row_blocks(len(pts), width):
-        _, stable_mask, unstable_mask, flags[rows] = faces(body, pts[rows])
-        stable[rows] = np.sum(stable_mask, axis=1)
-        total[rows] = stable[rows] + np.sum(unstable_mask, axis=1)
-    total[flags] = DEGENERATE
+    total, (stable, _), flags = _face_counts(faces, 2, pts, width)
     return total, stable, flags
 
 
@@ -303,49 +313,18 @@ def _require_polytope(poly) -> None:
         raise UnsupportedCombinationError(f"no 3D normal counter for {type(poly).__name__}")
 
 
-def _side_values(table, x):
-    """[x, 1] @ row for every row of a face table, as (faces, width, points)."""
-    return (table.reshape(-1, 4) @ x).reshape(*table.shape[:2], -1)
-
-
 def count_normals3_batch(poly: Polytope3, pts):
     """Vectorized polytope counts; returns (total, by_index tuple, flags).
 
     by_index is (facet, edge, vertex) feet, the stable, saddle and peak
-    counts.  Per block of points each ``Polytope3`` table is one matmul,
-    reduced over its width.  A facet carries a foot where its rows are all
-    >= -tol, an edge where 0 < t < 1 and its slab rows are >= -tol, and a
-    vertex where its rows are all >= -1e-9: the polar test on edge
-    directions, equivalent by cone duality to the nonnegative-combination
-    test on facet normals.  tol is 1e-9*scale, so counts do not depend on
-    the solid's units.  A point within tol (1e-9 for t) of a boundary of a
-    region that holds it is flagged, and its total is DEGENERATE.  Points
-    run in ``trigcount.row_blocks`` of at most ``_BLOCK`` table values.
+    counts, read by ``_region_masks`` off the three ``Polytope3`` tables in
+    ``_face_counts`` blocks of at most ``_BLOCK`` table values.  The vertex
+    rows are the polar test on edge directions, equivalent by cone duality
+    to the nonnegative-combination test on facet normals.  total is
+    DEGENERATE wherever a point is flagged.
     """
     _require_polytope(poly)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = len(pts)
-    tol = 1e-9 * poly.scale
-    per_point = sum(table[..., 0].size
-                    for table in (poly.facet_sides, poly.edge_sides, poly.vertex_sides))
-    stable, saddle, peak = (np.empty(n, dtype=int) for _ in range(3))
-    flags = np.empty(n, dtype=bool)
-    for rows in row_blocks(n, per_point):
-        x = np.vstack([pts[rows].T, np.ones(len(pts[rows]))])
-        low = np.min(_side_values(poly.facet_sides, x), axis=1)
-        inside = low >= -tol
-        flagged = np.any(inside & (low < tol), axis=0)
-        stable[rows] = np.count_nonzero(inside, axis=0)
-        edge = _side_values(poly.edge_sides, x)
-        t, low = edge[:, 0], np.min(edge[:, 1:], axis=1)
-        inside = (t > 0.0) & (t < 1.0) & (low >= -tol)
-        flagged |= np.any(inside & ((low < tol) | (np.minimum(t, 1.0 - t) < 1e-9)), axis=0)
-        saddle[rows] = np.count_nonzero(inside, axis=0)
-        low = np.min(_side_values(poly.vertex_sides, x), axis=1)
-        inside = low >= -1e-9
-        flagged |= np.any(inside & (low < 1e-9), axis=0)
-        peak[rows] = np.count_nonzero(inside, axis=0)
-        flags[rows] = flagged
-    total = stable + saddle + peak
-    total[flags] = DEGENERATE
-    return total, (stable, saddle, peak), flags
+    tables = (poly.facet_sides, poly.edge_sides, poly.vertex_sides)
+    return _face_counts(partial(_region_masks, tables), 3, pts,
+                        sum(table[..., 0].size for table in tables))

@@ -7,19 +7,20 @@ foot lies on a fixed face is that face's *wedge*:
 * edge wedge  -- the band 0 <= t_i <= 1 over edge i;
 * vertex wedge -- the inward normal cone t_i >= 0, t_{i-1} <= 1 at vertex i.
 
-Here t_i(x) = x . t_normals[i] - t_offsets[i] is the edge parameter of
-``Polygon2`` (0 at v_i, 1 at v_{i+1}) that ``normals._polygon_faces`` tests,
-so every wedge is the polygon clipped to two of its lines and measured by
-the shoelace formula.  The mean number of normals over the interior is then
-a finite sum of areas -- no sampling and no quadrature error.
+Here t_i is the edge parameter of ``Polygon2`` (0 at v_i, 1 at v_{i+1}),
+and each wedge is the polygon clipped to the two rows of its face's table,
+``Polygon2.edge_sides`` or ``vertex_sides``: the rows that
+``normals._region_masks`` tests.  It is measured by the shoelace formula,
+so the mean number of normals over the interior is a finite sum of areas
+-- no sampling and no quadrature error.
 
 The 3D twin, ``exact_average_normals3``, uses the Morse form instead.  On a
 polytope P a facet foot is a stable equilibrium, an edge foot a saddle and a
 vertex foot an unstable one, and stable - saddle + unstable = 2 at every
 interior point, so the count is 2 + 2 * (edge feet).  Hence the mean is
 2 + 2 * sum_e vol(R_e) / vol(P), where R_e, the region in which edge e
-carries a foot, is P cut by the edge's rows of ``Polytope3.edge_sides``
-that ``normals.count_normals3_batch`` tests, and measured by qhull.
+carries a foot, is P cut by the same kind of table: the edge's rows of
+``Polytope3.edge_sides`` that the counter tests, measured by qhull.
 """
 
 from __future__ import annotations
@@ -80,26 +81,27 @@ def polygon_intersection_area(averts: np.ndarray, bverts: np.ndarray) -> float:
     return _shoelace(region)
 
 
-def _face_wedge(P: Polygon2, face: tuple, hi: int, parity: int) -> Wedge:
-    """P clipped to t_i >= 0 and t_hi <= 1, for the face (kind, i)."""
+def _face_wedge(P: Polygon2, face: tuple, sides: np.ndarray, parity: int) -> Wedge:
+    """P clipped to x @ n >= c for each row (n, -c) of the face (kind, i)."""
     kind, i = face
     if not 0 <= i < len(P):
         raise DomainError(f"{kind} index {i} out of range for {len(P)}-gon")
-    region = clip_halfplane(P.vertices, P.t_normals[i], P.t_offsets[i])
-    region = clip_halfplane(region, -P.t_normals[hi], -1.0 - P.t_offsets[hi])
+    region = P.vertices
+    for row in sides[i]:
+        region = clip_halfplane(region, row[:2], -row[2])
     return Wedge(face, region, _shoelace(region), parity)
 
 
 def edge_wedge(P: Polygon2, i: int) -> Wedge:
     """Wedge of edge i: the band 0 <= t_i <= 1 between the perpendiculars at
     its endpoints."""
-    return _face_wedge(P, ("edge", i), i, +1)
+    return _face_wedge(P, ("edge", i), P.edge_sides, +1)
 
 
 def vertex_wedge(P: Polygon2, i: int) -> Wedge:
     """Wedge of vertex i: t_i >= 0 and t_{i-1} <= 1, the points p for which
     v - p lies in the outward normal cone at v."""
-    return _face_wedge(P, ("vertex", i), i - 1, -1)
+    return _face_wedge(P, ("vertex", i), P.vertex_sides, -1)
 
 
 def all_wedges(P: Polygon2) -> list[Wedge]:
@@ -115,9 +117,10 @@ def exact_average_normals(P: Polygon2) -> tuple[float, float]:
 def exact_average_normals3(poly: Polytope3) -> tuple[float, float]:
     """Return (I, n) for a polytope: n = 2 + 2 * sum of vol(R_e) / vol(P).
 
-    R_e is P cut by edge e's rows of ``Polytope3.edge_sides`` and by 1 - t,
-    measured by qhull from an interior point found in closed form
-    (``_edge_interior_point``).  Facet and vertex regions are not needed.
+    R_e is P cut by edge e's rows of ``Polytope3.edge_sides`` (t, 1 - t
+    and its slab), measured by qhull from an interior point found in
+    closed form (``_edge_interior_point``).  Facet and vertex regions are
+    not needed.
     An edge between two facets of one plane, |n1 x n2| <= PLANARITY_RTOL
     (a square face given as two triangles), is no crease: its slab sides
     coincide, so R_e has volume 0 and the edge is skipped.
@@ -128,8 +131,7 @@ def exact_average_normals3(poly: Polytope3) -> tuple[float, float]:
     creases = np.linalg.norm(np.cross(n1, n2), axis=1) > PLANARITY_RTOL
     I = 2.0 * vol
     for e in np.flatnonzero(creases):
-        sides = poly.edge_sides[e]
-        rows = np.vstack([facets, sides, [0.0, 0.0, 0.0, 1.0] - sides[0]])
+        rows = np.vstack([facets, poly.edge_sides[e]])
         inside = _edge_interior_point(poly, e, rows)
         # a row holds where [x, 1] @ row >= 0, qhull's half-spaces where <= 0
         I += 2.0 * ConvexHull(HalfspaceIntersection(-rows, inside).intersections).volume

@@ -278,6 +278,58 @@ def vertex_feet_nnls(poly, p) -> int:
     return sum(in_vertex_cone_nnls(poly, vi, p - v) for vi, v in enumerate(poly.vertices))
 
 
+# ---------------------------------------------------------------------------
+# the face tests of two tolerance units, as they stood before one region
+# rule served polygons and polytopes: a reference for ``normals._region_masks``
+
+
+def polygon_counts_t(P: Polygon2, pts):
+    """(total, stable, flags) by the edge parameter t_i = (x - v_i) . e_i /
+    |e_i|^2, from the vertices: edge i holds a foot where 0 < t_i < 1,
+    vertex i where t_i >= 0 and t_{i-1} <= 1, and a point with some t_i
+    within 1e-9 of 0 or 1 is flagged, its total DEGENERATE (-2)."""
+    v = P.vertices
+    e = np.roll(v, -1, axis=0) - v
+    t = np.einsum("pij,ij->pi", np.asarray(pts, dtype=float)[:, None, :] - v, e) / np.sum(e * e, 1)
+    edge = (t > 0.0) & (t < 1.0)
+    vertex = (t >= 0.0) & np.roll(t <= 1.0, 1, axis=1)
+    flags = np.any((np.abs(t) < 1e-9) | (np.abs(t - 1.0) < 1e-9), axis=1)
+    stable = np.count_nonzero(edge, axis=1)
+    total = np.where(flags, -2, stable + np.count_nonzero(vertex, axis=1))
+    return total, stable, flags
+
+
+def polytope_counts_strict_t(poly, pts):
+    """(total, (facet, edge, vertex) feet, flags) with distances against
+    tol = 1e-9*scale and edge parameters against 1e-9: a facet holds a foot
+    where its side distances are >= -tol, an edge where 0 < t < 1 and its
+    slab distances are >= -tol, a vertex where its t rows are >= -1e-9.  A
+    point within tol (1e-9 for t) of a boundary of a region that holds it is
+    flagged, its total DEGENERATE (-2).  Distances are the ``Polytope3``
+    table rows times the scale, with no row blocks."""
+    x = np.vstack([np.asarray(pts, dtype=float).T, np.ones(len(pts))])
+    tol = 1e-9 * poly.scale
+
+    def values(table):
+        return (table.reshape(-1, 4) @ x).reshape(*table.shape[:2], -1)
+
+    low = np.min(values(poly.facet_sides * poly.scale), axis=1)
+    inside = low >= -tol
+    flags = np.any(inside & (low < tol), axis=0)
+    stable = np.count_nonzero(inside, axis=0)
+    edge = values(poly.edge_sides)
+    t, low = edge[:, 0], np.min(edge[:, 2:], axis=1) * poly.scale
+    inside = (t > 0.0) & (t < 1.0) & (low >= -tol)
+    flags |= np.any(inside & ((low < tol) | (np.minimum(t, 1.0 - t) < 1e-9)), axis=0)
+    saddle = np.count_nonzero(inside, axis=0)
+    low = np.min(values(poly.vertex_sides), axis=1)
+    inside = low >= -1e-9
+    flags |= np.any(inside & (low < 1e-9), axis=0)
+    peak = np.count_nonzero(inside, axis=0)
+    total = np.where(flags, -2, stable + saddle + peak)
+    return total, (stable, saddle, peak), flags
+
+
 def _region_volume(A: np.ndarray, b: np.ndarray, scale: float) -> float:
     """Volume of {x : A x <= b}, from qhull at the linprog Chebyshev centre;
     0 where the largest inscribed ball has radius below 1e-12*scale."""

@@ -192,10 +192,10 @@ def test_contains_and_margin(maker):
     pts = nc.sample_interior2(body, 4, seed=1)
     for c in pts:
         assert nc.contains2(body, c)
-        assert nc.interior_margin(body, c) > 0
+        assert -nc.signed_boundary_excess(body, [c])[0] > 0
     far = pts[0] + np.array([100.0, 0.0])
     assert not nc.contains2(body, far)
-    assert nc.interior_margin(body, far) < 0
+    assert -nc.signed_boundary_excess(body, [far])[0] < 0
 
 
 def test_sample_interior_inside_and_deterministic():

@@ -336,7 +336,7 @@ def test_gauge_batch_memory_is_bounded_on_a_many_sided_ball():
     assert np.allclose(got, oracles.gauge_radial(M.body, X), rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("coarse", [1, 0, -3])
+@pytest.mark.parametrize("coarse", [1, 0, -3, 24.5, "24"])
 @pytest.mark.parametrize("make", [_degree6_ball, lambda: _poly_ball("square")])
 def test_tau_rejects_coarse_below_two(make, coarse):
     with pytest.raises(DomainError):

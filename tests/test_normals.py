@@ -53,7 +53,7 @@ def test_polygon_feet_are_perpendicular_and_on_boundary():
                 assert abs((p - f.foot) @ e) < 1e-9
             else:
                 assert np.allclose(f.foot, V[i])
-            assert nc.interior_margin(P, f.foot) == pytest.approx(0.0, abs=1e-9)
+            assert -nc.signed_boundary_excess(P, [f.foot])[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_polygon_counts_match_dense_boundary_oracle():
@@ -502,6 +502,82 @@ def test_estimate_on_a_tiny_polytope_resamples_nothing():
     rep = nc.estimate_interior_average(P, "normals", 20000, seed=1)
     assert rep.degenerate_resampled == 0
     assert rep.mean == nc.estimate_interior_average(TRUNC_OCT, "normals", 20000, seed=1).mean
+
+
+# ---------------------------------------------------------------------------
+# one region rule for polygons and polytopes
+
+
+def _boundary_probes(tables, pts, scale):
+    """Each point moved onto the nearest plane of a face region that holds
+    it, once per table, then 1e-12, 1e-10 and 1e-8*scale to either side."""
+    x = np.column_stack([pts, np.ones(len(pts))])
+    probes = []
+    for table in tables:
+        values = np.einsum("fwk,pk->pfw", table, x)
+        low = np.min(values, axis=2)
+        held = np.any(low >= 0.0, axis=1)
+        face = np.argmin(np.where(low >= 0.0, low, np.inf), axis=1)[held]
+        row = table[face, np.argmin(values[held, face], axis=1)]
+        n = row[:, :-1]
+        on_plane = pts[held] - (np.sum(row * x[held], axis=1) / np.sum(n * n, axis=1))[:, None] * n
+        step = scale * n / np.linalg.norm(n, axis=1, keepdims=True)
+        probes += [on_plane + s * step for s in (-1e-12, 1e-12, -1e-10, 1e-10, -1e-8, 1e-8)]
+    return np.concatenate(probes)
+
+
+@pytest.mark.parametrize("name", ["eleven_gon", "truncated_octahedron"])
+def test_region_rule_matches_the_rule_of_two_units(name):
+    # unitless rows against one tolerance give the totals and flags of the
+    # face tests they replaced (t against 1e-9, distances against
+    # 1e-9*scale, a strict 0 < t < 1 for edges), on samples and on probes
+    # 1e-12, 1e-10 and 1e-8*scale off the region boundaries
+    if name == "eleven_gon":
+        P, tables = ELEVEN_GON, (ELEVEN_GON.edge_sides, ELEVEN_GON.vertex_sides)
+        pts = nc.sample_interior2(P, 20000, seed=41)
+        count, reference, contains = (nc.count_normals2_batch, oracles.polygon_counts_t,
+                                      nc.contains2_batch)
+    else:
+        P, tables = TRUNC_OCT, (TRUNC_OCT.facet_sides, TRUNC_OCT.edge_sides,
+                                TRUNC_OCT.vertex_sides)
+        pts = nc.sample_interior3(P, 20000, seed=41)
+        count, reference, contains = (nc.count_normals3_batch, oracles.polytope_counts_strict_t,
+                                      nc.contains3_batch)
+    probes = _boundary_probes(tables, pts[:2000], P.scale)
+    probes = probes[contains(P, probes, tol=-1e-9 * P.scale)]
+    for x in (pts, probes):
+        total, parts, flags = count(P, x)
+        want, want_parts, want_flags = reference(P, x)
+        assert np.array_equal(flags, want_flags)
+        assert np.array_equal(total, want)
+        ok = ~flags
+        assert np.array_equal(np.atleast_2d(parts)[:, ok], np.atleast_2d(want_parts)[:, ok])
+    assert 0.2 < np.mean(flags) < 0.8  # the probes meet both sides of every band
+
+
+def test_prism_counts_follow_from_its_base():
+    # at mid-height of a right prism over Q, each edge foot of Q gives a side
+    # facet foot and two horizontal edge feet, each vertex foot of Q a
+    # vertical edge foot and two vertex feet, and the top and bottom facets
+    # hold one each: the 2D and 3D counters apply one rule
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        Q = oracles.random_convex_polygon(rng, int(rng.integers(3, 13)))
+        k, h = len(Q), rng.uniform(0.5, 2.0)
+        verts = np.vstack([np.column_stack([Q.vertices, np.full(k, z)]) for z in (-h / 2, h / 2)])
+        facets = [list(range(k - 1, -1, -1)), list(range(k, 2 * k))]
+        facets += [[i, (i + 1) % k, k + (i + 1) % k, k + i] for i in range(k)]
+        P = nc.build_polytope(verts, facets)
+        pts = nc.sample_interior2(Q, 2000, seed=int(rng.integers(1 << 30)))
+        total, stable, flags2 = nc.count_normals2_batch(Q, pts)
+        _, (facet, edge, vertex), flags3 = nc.count_normals3_batch(
+            P, np.column_stack([pts, np.zeros(len(pts))]))
+        ok = ~flags2 & ~flags3
+        assert np.mean(ok) > 0.99
+        stable, unstable = stable[ok], total[ok] - stable[ok]
+        assert np.array_equal(facet[ok], 2 + stable)
+        assert np.array_equal(edge[ok], 2 * stable + unstable)
+        assert np.array_equal(vertex[ok], 2 * unstable)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.1, 0.2])

@@ -43,7 +43,7 @@ def test_wedges_lie_inside_polygon():
     P = oracles.random_convex_polygon(rng, 9)
     for w in nc.all_wedges(P):
         for v in w.region:
-            assert nc.interior_margin(P, v) > -1e-9 * P.scale
+            assert -nc.signed_boundary_excess(P, [v])[0] > -1e-9 * P.scale
 
 
 def test_wedge_areas_match_pixel_oracle():
